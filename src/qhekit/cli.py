@@ -28,7 +28,6 @@ from .checks import (
 from .linalg import basis_ket
 from .localiser import LocalisationError, check_zero_leakage, localise
 from .serialize import (
-    SchemeFormatError,
     audit_to_json,
     problem_from_json,
     report_to_json,
@@ -76,7 +75,7 @@ def _parse_tols(pairs: list[str]) -> dict[str, float]:
     return tols
 
 
-def _scheme_params(builder: str, params: dict[str, str], seed: int) -> dict[str, Any]:
+def _scheme_params(builder: str, params: dict[str, str]) -> dict[str, Any]:
     out: dict[str, Any] = {}
     if "n" in params:
         out["n"] = int(params["n"])
@@ -88,14 +87,14 @@ def _scheme_params(builder: str, params: dict[str, str], seed: int) -> dict[str,
     return out
 
 
-def _problem_params(params: dict[str, str], seed: int) -> dict[str, Any]:
+def _problem_params(params: dict[str, str], seed: int | None) -> dict[str, Any]:
     dims = params.get("dims")
     if not dims:
         raise CliError("problem builders need dims=D1,D2,D3")
     parts = [int(x) for x in dims.split(",")]
     if len(parts) != 3:
         raise CliError(f"dims must have three components, got {dims!r}")
-    return {"dims": tuple(parts), "seed": int(params.get("seed", seed))}
+    return {"dims": tuple(parts), "seed": int(params.get("seed", 0 if seed is None else seed))}
 
 
 def _load_json(path: str) -> Any:
@@ -109,10 +108,12 @@ def _load_json(path: str) -> Any:
 
 
 def _get_scheme(args: argparse.Namespace):
+    if args.seed is not None:
+        raise CliError("--seed does not apply to schemes; scheme builders are deterministic")
     if args.scheme:
         return scheme_from_json(_load_json(args.scheme))
     if args.builder:
-        params = _scheme_params(args.builder, _parse_params(args.params), args.seed)
+        params = _scheme_params(args.builder, _parse_params(args.params))
         try:
             return build_scheme(args.builder, **params)
         except (TypeError, ValueError) as exc:
@@ -320,7 +321,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--seed", type=int, default=0, help="builder seed (default 0)")
+        p.add_argument("--seed", type=int, help="problem builder seed (default 0)")
         p.add_argument(
             "--params", nargs="*", default=[], metavar="K=V", help="builder parameters"
         )
@@ -372,10 +373,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (CliError, SchemeFormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except (CliError, ValueError) as exc:  # SchemeFormatError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -149,7 +149,12 @@ def apply_operator(
 
 
 def embed_operator(op: np.ndarray, layout: Layout, labels: Sequence[str]) -> np.ndarray:
-    """Expand an operator on the given registers to the full space as a dense matrix."""
+    """Expand an operator on the given registers to the full space as a dense matrix.
+
+    No code in the package calls this: it costs O(dim^2) memory, where
+    apply_operator acts through the footprint.  It is kept as a public
+    helper, and tests use it as the dense reference.
+    """
     op = as_square(op, f"operator on {tuple(labels)}")
     pos = [layout.position(label) for label in labels]
     sub = [layout.registers[p][1] for p in pos]

@@ -73,13 +73,17 @@ def is_hermitian(m: np.ndarray, tol: float | None = None) -> bool:
     return float(np.max(np.abs(m - dagger(m)))) <= tol
 
 
-def is_unitary(u: np.ndarray, tol: float | None = None) -> bool:
-    """True iff max-entry norm of U†U - I is at most tol."""
-    u = as_square(u, "unitary")
+def is_isometry(w: np.ndarray, tol: float | None = None) -> bool:
+    """True iff max-entry norm of W†W - I is at most tol (orthonormal columns)."""
+    w = as_matrix(w, "isometry")
     if tol is None:
         tol = DEFAULT_TOLERANCES.unitarity
-    d = u.shape[0]
-    return float(np.max(np.abs(dagger(u) @ u - np.eye(d)))) <= tol
+    return float(np.max(np.abs(dagger(w) @ w - np.eye(w.shape[1])))) <= tol
+
+
+def is_unitary(u: np.ndarray, tol: float | None = None) -> bool:
+    """True iff max-entry norm of U†U - I is at most tol."""
+    return is_isometry(as_square(u, "unitary"), tol)
 
 
 def require_unitary(u: np.ndarray, tol: float | None = None, where: str = "operator") -> np.ndarray:

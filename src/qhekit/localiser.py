@@ -10,15 +10,18 @@ unitary explicitly, reporting numerical residuals for every step.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .layout import Layout, assemble_ket, reduced_from_ket
+from .layout import Layout, reduced_from_ket
 from .linalg import (
     as_ket,
+    as_matrix,
     basis_ket,
     eig_hermitian,
     haar_ket,
+    is_isometry,
     is_unitary,
     kron,
     trace_distance,
@@ -61,11 +64,18 @@ class GramCheckFailed(LocalisationError):
 
 
 class ExtractionError(RuntimeError):
-    """The rotated reduced state is too mixed to read a plaintext off."""
+    """The data factor read off the branch span is too mixed to give a plaintext.
 
-    def __init__(self, purity: float):
-        super().__init__(f"extracted state purity {purity:.6f} < 0.99; extraction failed")
+    outside_weight is the share of the state's trace outside the branch span.
+    """
+
+    def __init__(self, purity: float, outside_weight: float):
+        super().__init__(
+            f"extracted state purity {purity:.6f} < 0.99 (weight outside the branch span "
+            f"{outside_weight:.3e}); extraction failed"
+        )
         self.purity = purity
+        self.outside_weight = outside_weight
 
 
 def probe_states(d: int) -> list[np.ndarray]:
@@ -97,12 +107,22 @@ def probe_labels(d: int) -> list[str]:
 
 @dataclass(frozen=True)
 class LocalisationProblem:
-    """A fixed unitary acting on (data, aux, remote) with fixed aux/remote kets."""
+    """The map psi -> U (psi ⊗ aux_state ⊗ remote_state) on (data, aux, remote).
+
+    The localiser reads a problem only through its input isometry
+    W = U (· ⊗ aux_state ⊗ remote_state), a dim x data_dim matrix computed
+    once.  A problem built from a dense unitary has that unitary checked in
+    full, since files, builders and user matrices enter here.  With
+    unitary=None the isometry is given directly (the composed form
+    localisation_problem_at_t1 builds); only W†W = I is checked then, and
+    there is no dense unitary.
+    """
 
     layout: Layout
-    unitary: np.ndarray
+    unitary: np.ndarray | None
     aux_state: np.ndarray
     remote_state: np.ndarray
+    isometry: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         if len(self.layout.registers) != 3:
@@ -110,11 +130,6 @@ class LocalisationProblem:
                 f"layout must have exactly the (data, aux, remote) registers, "
                 f"got {self.layout.labels}"
             )
-        u = np.asarray(self.unitary, dtype=complex)
-        if u.shape != (self.layout.dim, self.layout.dim):
-            raise ValueError(f"unitary shape {u.shape} != layout dimension {self.layout.dim}")
-        if not is_unitary(u, DEFAULT_TOLERANCES.unitarity):
-            raise ValueError("problem operator is not unitary within tolerance")
         aux = as_ket(self.aux_state, "aux state")
         remote = as_ket(self.remote_state, "remote state")
         if aux.size != self.aux_dim:
@@ -123,7 +138,28 @@ class LocalisationProblem:
             raise ValueError(
                 f"remote state dimension {remote.size} != register dimension {self.remote_dim}"
             )
-        object.__setattr__(self, "unitary", u)
+        d = self.layout.dim
+        if self.unitary is not None:
+            if self.isometry is not None:
+                raise ValueError("give the problem's dense unitary or its input isometry, not both")
+            u = np.asarray(self.unitary, dtype=complex)
+            if u.shape != (d, d):
+                raise ValueError(f"unitary shape {u.shape} != layout dimension {d}")
+            if not is_unitary(u, DEFAULT_TOLERANCES.unitarity):
+                raise ValueError("problem operator is not unitary within tolerance")
+            object.__setattr__(self, "unitary", u)
+            w = u.reshape(d, self.data_dim, -1) @ kron(aux, remote)
+        elif self.isometry is not None:
+            w = as_matrix(self.isometry, "input isometry")
+            if w.shape != (d, self.data_dim):
+                raise ValueError(
+                    f"input isometry shape {w.shape} != ({d}, {self.data_dim}) for this layout"
+                )
+            if not is_isometry(w, DEFAULT_TOLERANCES.unitarity):
+                raise ValueError("input isometry columns are not orthonormal within tolerance")
+        else:
+            raise ValueError("a problem needs a dense unitary or an input isometry")
+        object.__setattr__(self, "isometry", w)
         object.__setattr__(self, "aux_state", aux)
         object.__setattr__(self, "remote_state", remote)
 
@@ -151,12 +187,7 @@ class LocalisationProblem:
         psi = as_ket(psi, "input")
         if psi.size != self.data_dim:
             raise ValueError(f"input dimension {psi.size} != data dimension {self.data_dim}")
-        labels = self.layout.labels
-        full = assemble_ket(
-            self.layout,
-            [((labels[0],), psi), ((labels[1],), self.aux_state), ((labels[2],), self.remote_state)],
-        )
-        return self.unitary @ full
+        return self.isometry @ psi
 
     def remote_reduced(self, psi: np.ndarray) -> np.ndarray:
         return reduced_from_ket(self.output_ket(psi), self.layout, [self.remote_label])
@@ -167,31 +198,54 @@ class LocalisationProblem:
 
 @dataclass(frozen=True)
 class LocalisationResult:
-    """A localising unitary with its residual state and numerical residuals.
+    """A localisation: the branch isometry, its residual state and residuals.
 
-    unitary acts on the retained (data*aux) space; factor_dims records the
-    (data, residual) split, and residual_state is the diagonal fixed state on
-    the residual factor.  gram_residual is the worst deviation of the
-    conditional-branch Gram matrix from the identity; reconstruction_residual
-    is the worst trace distance between the simulated retained state and
-    unitary (psi ⊗ residual) unitary† over seeded random inputs.
+    branches is the d_retained x (data_dim * rank) isometry whose column
+    j * rank + k is the retained-side branch of data basis ket j on the
+    residual's k-th eigenvector; the localising unitary maps it to
+    |j> ⊗ |k>.  factor_dims records the (data, residual) split, and
+    residual_state is the diagonal fixed state on the residual factor.
+    gram_residual is the worst deviation of the branch Gram matrix from the
+    identity; reconstruction_residual is the worst trace distance between
+    the simulated retained state and the predicted one over seeded random
+    inputs.
     """
 
-    unitary: np.ndarray
+    branches: np.ndarray
     residual_state: DensityOp
     rank: int
     factor_dims: tuple[int, int]
     gram_residual: float
     reconstruction_residual: float
 
+    @cached_property
+    def unitary(self) -> np.ndarray:
+        """The full localising unitary on the retained space, completed on first access.
+
+        Branch (j, k) fills column j * d2 + k; the columns with k >= rank
+        complete the basis (see complete_orthonormal).
+        """
+        d1, d2 = self.factor_dims
+        basis = complete_orthonormal(self.branches)
+        unitary = np.zeros((d1 * d2, d1 * d2), dtype=complex)
+        branch_slots = [j * d2 + k for j in range(d1) for k in range(self.rank)]
+        spare_slots = [g for g in range(d1 * d2) if g % d2 >= self.rank]
+        unitary[:, branch_slots] = basis[:, : d1 * self.rank]
+        unitary[:, spare_slots] = basis[:, d1 * self.rank :]
+        return unitary
+
+    def _columns(self, psi: np.ndarray) -> np.ndarray:
+        """The branches of input psi, one column per residual eigenvector."""
+        return self.branches @ kron(psi.reshape(-1, 1), np.eye(self.rank))
+
     def reconstruct(self, psi: np.ndarray) -> np.ndarray:
         """The retained-side state this localisation predicts for input psi."""
         psi = as_ket(psi, "input")
-        d1, d2 = self.factor_dims
+        d1 = self.factor_dims[0]
         if psi.size != d1:
             raise ValueError(f"input dimension {psi.size} != data dimension {d1}")
         weights = np.real(np.diagonal(self.residual_state.matrix))[: self.rank]
-        cols = self.unitary @ kron(psi.reshape(d1, 1), np.eye(d2, self.rank))
+        cols = self._columns(psi)
         return (cols * weights) @ cols.conj().T
 
 
@@ -275,10 +329,10 @@ def localise(
     Steps: (1) estimate the remote reduced state as the average over the data
     basis probes and fix its eigenbasis once; (2) project each evolved basis
     probe onto those eigenvectors to get the conditional branch vectors;
-    (3) verify the branches are orthonormal; (4) complete them to a basis of
-    the retained space and read the unitary off the correspondence
-    branch(j, k) -> |j> ⊗ |k>; (5) measure the reconstruction residual on
-    seeded random inputs.
+    (3) verify the branches are orthonormal and keep them as the isometry
+    the localising unitary takes to |j> ⊗ |k> (result.unitary completes it
+    to the full retained space on first access); (4) measure the
+    reconstruction residual on seeded random inputs.
 
     Raises LeakageDetected or GramCheckFailed instead of returning a result
     whose premises do not hold.
@@ -287,15 +341,12 @@ def localise(
     if not ok:
         raise LeakageDetected(deviation)
 
-    d1, d2, _ = problem.layout.dims
+    d1, d2, db = problem.layout.dims
     d_retained = d1 * d2
-
-    outputs = [problem.output_ket(basis_ket(d1, j)) for j in range(d1)]
-    rho_remote = np.zeros((problem.remote_dim, problem.remote_dim), dtype=complex)
-    for out in outputs:
-        m = out.reshape(d_retained, problem.remote_dim)
-        rho_remote += m.T @ m.conj()
-    rho_remote /= d1
+    # outputs[:, j, :] is the evolved basis input j, split (retained, remote).
+    outputs = problem.isometry.reshape(d_retained, db, d1).transpose(0, 2, 1)
+    flat = outputs.reshape(d_retained * d1, db)
+    rho_remote = (flat.T @ flat.conj()) / d1
 
     evals, evecs = eig_hermitian(rho_remote, tolerances.hermiticity)
     kept = evals > tolerances.rank
@@ -307,29 +358,18 @@ def localise(
             f"remote state rank {rank} exceeds the residual factor dimension {d2}"
         )
 
-    branches = np.zeros((d_retained, d1 * rank), dtype=complex)
-    for j, out in enumerate(outputs):
-        m = out.reshape(d_retained, problem.remote_dim)
-        branches[:, j * rank : (j + 1) * rank] = (m @ eigenbasis.conj()) / np.sqrt(weights)
-
+    branches = ((outputs @ eigenbasis.conj()) / np.sqrt(weights)).reshape(d_retained, d1 * rank)
     gram = branches.conj().T @ branches
     gram_residual = float(np.max(np.abs(gram - np.eye(d1 * rank))))
     if gram_residual > GRAM_REFUSAL:
         raise GramCheckFailed(gram_residual)
-
-    basis = complete_orthonormal(branches)
-    unitary = np.zeros((d_retained, d_retained), dtype=complex)
-    branch_slots = [j * d2 + k for j in range(d1) for k in range(rank)]
-    spare_slots = [g for g in range(d_retained) if g % d2 >= rank]
-    unitary[:, branch_slots] = basis[:, : d1 * rank]
-    unitary[:, spare_slots] = basis[:, d1 * rank :]
 
     sigma = np.zeros((d2, d2), dtype=complex)
     sigma[np.arange(rank), np.arange(rank)] = weights
     residual_state = DensityOp(Layout((("residual", d2),)), sigma / np.real(np.trace(sigma)))
 
     result = LocalisationResult(
-        unitary=unitary,
+        branches=branches,
         residual_state=residual_state,
         rank=rank,
         factor_dims=(d1, d2),
@@ -342,12 +382,11 @@ def localise(
     for _ in range(_RECONSTRUCTION_SAMPLES):
         psi = haar_ket(rng, d1)
         # Both states have rank <= remote_dim; compare them in factored form.
-        simulated = problem.output_ket(psi).reshape(d_retained, problem.remote_dim)
-        predicted = unitary @ kron(psi.reshape(d1, 1), np.eye(d2, rank))
+        simulated = problem.output_ket(psi).reshape(d_retained, db)
         worst = max(
             worst,
             _factored_trace_distance(
-                simulated, np.ones(problem.remote_dim), predicted, sigma_weights
+                simulated, np.ones(db), result._columns(psi), sigma_weights
             ),
         )
     object.__setattr__(result, "reconstruction_residual", float(worst))
@@ -357,20 +396,28 @@ def localise(
 def extract_plaintext(result: LocalisationResult, rho_retained) -> np.ndarray:
     """Recover the input ket from a retained-side state of the localised form.
 
-    Applies the inverse localising unitary, traces out the residual factor
-    and returns the dominant eigenvector.  Raises ExtractionError when the
-    rotated data factor is not approximately pure (purity < 0.99).
+    Works in the span of the branch isometry V: the data factor is V† rho V
+    with the residual index traced out, divided by tr rho.  Weight of rho
+    outside that span is not renormalised away, so it can only lower the
+    purity.  Returns the dominant eigenvector of the data factor; raises
+    ExtractionError, reporting the outside weight, when its purity is below
+    0.99.
     """
     matrix = getattr(rho_retained, "matrix", rho_retained)
     matrix = np.asarray(matrix, dtype=complex)
     d1, d2 = result.factor_dims
     if matrix.shape != (d1 * d2, d1 * d2):
         raise ValueError(f"state shape {matrix.shape} != retained dimension {d1 * d2}")
-    rotated = result.unitary.conj().T @ matrix @ result.unitary
-    data_part = np.einsum("ikjk->ij", rotated.reshape(d1, d2, d1, d2))
-    data_part /= np.real(np.trace(data_part))
+    v = result.branches
+    inner = v.conj().T @ matrix @ v
+    data_part = np.einsum("ikjk->ij", inner.reshape(d1, result.rank, d1, result.rank))
+    total = np.real(np.trace(matrix))
+    if not total > 0:
+        raise ValueError(f"state trace {total!r} is not positive")
+    outside_weight = float(1.0 - np.real(np.trace(data_part)) / total)
+    data_part /= total
     purity = float(np.real(np.trace(data_part @ data_part)))
     if purity < 0.99:
-        raise ExtractionError(purity)
+        raise ExtractionError(purity, outside_weight)
     _, vecs = eig_hermitian(data_part)
     return vecs[:, 0]

@@ -14,13 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .layout import (
-    Layout,
-    apply_operator,
-    assemble_ket,
-    axis_permutation,
-    embed_operator,
-)
+from .layout import Layout, apply_operator, assemble_ket, axis_permutation
 from .linalg import as_ket, as_square, basis_ket, is_unitary
 from .localiser import LocalisationProblem
 from .qinfo import DensityOp
@@ -303,6 +297,11 @@ def localisation_problem_at_t1(scheme: QheScheme) -> LocalisationProblem:
     other register Alice retains, remote = Bob's initial registers plus the
     mailbox.  Fixed initial states must not straddle the retained/remote cut
     (a shared entangled resource is outside this product form).
+
+    The problem is built in operator form, as its input isometry: the
+    encryption is applied to each basis input through its footprint and the
+    handover and reordering are index gathers, so no full-space operator is
+    formed.
     """
     aux_labels = tuple(l for l in scheme.alice_initial if l != scheme.input_label)
     if not aux_labels:
@@ -324,7 +323,16 @@ def localisation_problem_at_t1(scheme: QheScheme) -> LocalisationProblem:
     dims = extended.dims
     n = len(dims)
 
-    full_encrypt = embed_operator(scheme.encrypt_op.matrix, extended, scheme.encrypt_op.labels)
+    # Encrypted basis inputs with an empty mailbox (the last register): the
+    # columns of the input isometry before the handover and reordering.
+    mailbox_empty = basis_ket(mail_dim, 0)
+    columns = np.stack(
+        [
+            np.kron(scheme.encrypted_ket(basis_ket(scheme.input_dim, j)), mailbox_empty)
+            for j in range(scheme.input_dim)
+        ],
+        axis=1,
+    )
 
     # Swap the sent registers with the mailbox: exchange their digit groups.
     send_pos = [extended.position(l) for l in scheme.send_to_bob]
@@ -333,17 +341,15 @@ def localisation_problem_at_t1(scheme: QheScheme) -> LocalisationProblem:
     axes = list(range(len(split_dims)))
     for i, p in enumerate(send_pos):
         axes[p], axes[n - 1 + i] = axes[n - 1 + i], axes[p]
-    swap = axis_permutation(split_dims, axes)
-    unitary = full_encrypt[swap, :]
-    del full_encrypt
+    rows = axis_permutation(split_dims, axes)
 
     # Reorder registers into (data, aux..., remote...) and merge the groups.
     remote_labels = scheme.bob_initial + (_MAILBOX_LABEL,)
     new_order = (scheme.input_label,) + aux_labels + remote_labels
     order = [extended.position(l) for l in new_order]
     if order != list(range(n)):
-        perm = axis_permutation(dims, order)
-        unitary = unitary[np.ix_(perm, perm)]
+        rows = rows[axis_permutation(dims, order)]
+    isometry = columns[rows]
 
     aux_dim = extended.dim_of(aux_labels)
     remote_dim = extended.dim_of(remote_labels)
@@ -355,7 +361,9 @@ def localisation_problem_at_t1(scheme: QheScheme) -> LocalisationProblem:
     remote_blocks = [
         (b.labels, b.ket) for b in scheme.fixed_states if set(b.labels) <= set(scheme.bob_initial)
     ]
-    remote_blocks.append(((_MAILBOX_LABEL,), basis_ket(mail_dim, 0)))
+    remote_blocks.append(((_MAILBOX_LABEL,), mailbox_empty))
     remote_state = assemble_ket(extended.restricted(remote_labels), remote_blocks)
 
-    return LocalisationProblem(problem_layout, unitary, aux_state, remote_state)
+    # Unitary by construction (a validated FootprintOp and two permutations),
+    # so the problem checks only that the columns stay orthonormal.
+    return LocalisationProblem(problem_layout, None, aux_state, remote_state, isometry=isometry)

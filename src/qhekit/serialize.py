@@ -268,6 +268,11 @@ def scheme_from_json(obj: Mapping, where: str = "scheme") -> QheScheme:
 
 
 def problem_to_json(problem: LocalisationProblem) -> dict:
+    if problem.unitary is None:
+        raise ValueError(
+            "this localisation problem was built from its input isometry and has no "
+            "dense unitary to export"
+        )
     return {
         "format": "qhekit-localisation-problem",
         "toolkit_version": __version__,

@@ -68,6 +68,21 @@ def test_localise_constructed_secure(tmp_path):
     assert payload["reconstruction_residual"] <= 1e-8
 
 
+def test_localise_seed_flag_selects_problem(tmp_path):
+    by_flag = tmp_path / "flag.json"
+    by_param = tmp_path / "param.json"
+    base = ("localise", "--builder", "constructed-secure", "--format", "json")
+    assert run_cli(*base, "--params", "dims=2,2,2", "--seed", "7", "--out", str(by_flag)) == 0
+    assert run_cli(*base, "--params", "dims=2,2,2", "seed=7", "--out", str(by_param)) == 0
+    assert by_flag.read_text() == by_param.read_text()
+
+
+def test_scheme_commands_reject_seed(capsys):
+    for command in ("check", "export-scheme"):
+        assert run_cli(command, "--builder", "qotp", "--params", "n=1", "--seed", "3") == 1
+        assert "--seed" in capsys.readouterr().err
+
+
 def test_localise_leaky_refused(tmp_path):
     out = tmp_path / "refusal.json"
     code = run_cli(

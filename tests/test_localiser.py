@@ -159,3 +159,43 @@ def test_complete_orthonormal_extends_to_unitary():
     assert basis.shape == (8, 8)
     np.testing.assert_array_equal(basis[:, :3], q)
     assert is_unitary(basis, 1e-10)
+
+
+def test_problem_from_isometry_checks_its_columns():
+    layout = Layout((("A1", 2), ("A2", 2), ("B", 2)))
+    aux, remote = basis_ket(2, 0), basis_ket(2, 0)
+    w = np.eye(8, dtype=complex)[:, [3, 5]]
+    problem = LocalisationProblem(layout, None, aux, remote, isometry=w)
+    assert problem.unitary is None
+    np.testing.assert_array_equal(problem.output_ket(basis_ket(2, 1)), w[:, 1])
+    with pytest.raises(ValueError, match="orthonormal"):
+        LocalisationProblem(layout, None, aux, remote, isometry=2 * w)
+    with pytest.raises(ValueError, match="shape"):
+        LocalisationProblem(layout, None, aux, remote, isometry=np.eye(8, dtype=complex))
+    with pytest.raises(ValueError, match="not both"):
+        LocalisationProblem(layout, np.eye(8), aux, remote, isometry=w)
+    with pytest.raises(ValueError, match="needs"):
+        LocalisationProblem(layout, None, aux, remote)
+
+
+def test_result_unitary_places_branches_in_their_slots():
+    result = localise(build_constructed_secure_problem((2, 4, 2), seed=11))
+    d1, d2 = result.factor_dims
+    slots = [j * d2 + k for j in range(d1) for k in range(result.rank)]
+    np.testing.assert_array_equal(result.unitary[:, slots], result.branches)
+    assert is_unitary(result.unitary, 1e-10)
+
+
+def test_extract_plaintext_reports_weight_outside_branch_span():
+    problem = build_constructed_secure_problem((2, 4, 2), seed=4)
+    result = localise(problem)
+    # The last column of a complete QR basis is orthogonal to every branch.
+    outside = np.linalg.qr(result.branches, mode="complete")[0][:, -1]
+    weight = 0.25
+    psi = random_ket(2, 3)
+    mixed = (1 - weight) * result.reconstruct(psi) + weight * np.outer(outside, outside.conj())
+    with pytest.raises(ExtractionError, match="outside the branch span") as info:
+        extract_plaintext(result, mixed)
+    assert abs(info.value.outside_weight - weight) <= 1e-12
+    with pytest.raises(ValueError, match="trace"):
+        extract_plaintext(result, np.zeros((8, 8)))

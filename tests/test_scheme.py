@@ -3,6 +3,10 @@ import dataclasses
 import numpy as np
 import pytest
 
+import qhekit.layout
+import qhekit.linalg
+import qhekit.localiser
+import qhekit.scheme
 from qhekit.catalog import (
     build_identity_scheme,
     build_qotp_scheme,
@@ -10,7 +14,7 @@ from qhekit.catalog import (
     pauli_word_matrix,
 )
 from qhekit.checks import check_completeness
-from qhekit.layout import Layout
+from qhekit.layout import Layout, axis_permutation, embed_operator
 from qhekit.linalg import basis_ket, fidelity_pure, kron, random_ket
 from qhekit.localiser import extract_plaintext, localise
 from qhekit.scheme import (
@@ -193,3 +197,64 @@ def test_qotp_output_register_aliases_input():
     trace = run_pipeline(scheme, "I", basis_ket(2, 1))
     expected = kron(np.zeros((1, 1)) + 1, np.outer(basis_ket(2, 1), basis_ket(2, 1)))
     np.testing.assert_allclose(trace.output.matrix, expected.reshape(2, 2), atol=1e-9)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: build_qotp_scheme(1),
+        lambda: build_qotp_scheme(2),
+        lambda: build_tag_evaluate_scheme(1, ("I", "X", "Z")),
+    ],
+    ids=["qotp-1", "qotp-2", "tag-evaluate-1"],
+)
+def test_t1_isometry_matches_dense_route(build):
+    # Reference: the dense full-space route.  Embed the encryption, gather the
+    # rows of the mailbox swap, conjugate by the (data, aux, remote) reorder,
+    # and apply the result to e_j ⊗ aux ⊗ remote.
+    scheme = build()
+    problem = localisation_problem_at_t1(scheme)
+    mail_dim = scheme.layout.dim_of(scheme.send_to_bob)
+    extended = Layout(scheme.layout.registers + (("mailbox", mail_dim),))
+    dims, n = extended.dims, len(extended.dims)
+    dense = embed_operator(scheme.encrypt_op.matrix, extended, scheme.encrypt_op.labels)
+    send_pos = [extended.position(l) for l in scheme.send_to_bob]
+    split_dims = list(dims[:-1]) + [dims[p] for p in send_pos]
+    axes = list(range(len(split_dims)))
+    for i, p in enumerate(send_pos):
+        axes[p], axes[n - 1 + i] = axes[n - 1 + i], axes[p]
+    dense = dense[axis_permutation(split_dims, axes), :]
+    aux_labels = [l for l in scheme.alice_initial if l != scheme.input_label]
+    new_order = [scheme.input_label, *aux_labels, *scheme.bob_initial, "mailbox"]
+    perm = axis_permutation(dims, [extended.position(l) for l in new_order])
+    dense = dense[np.ix_(perm, perm)]
+    for j in range(scheme.input_dim):
+        e_j = basis_ket(scheme.input_dim, j)
+        expected = dense @ kron(e_j, problem.aux_state, problem.remote_state)
+        np.testing.assert_array_equal(problem.output_ket(e_j), expected)
+
+
+def test_t1_localisation_builds_no_full_space_operator(monkeypatch):
+    scheme = build_qotp_scheme(2)
+    seen = {"embed_operator": [], "complete_orthonormal": [], "is_unitary": []}
+
+    def recording(original, record):
+        def wrapper(*args, **kwargs):
+            record.append(np.shape(args[0])[0])
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for module in (qhekit.layout, qhekit.linalg, qhekit.localiser, qhekit.scheme):
+        for name, record in seen.items():
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, recording(getattr(module, name), record))
+
+    problem = localisation_problem_at_t1(scheme)
+    result = localise(problem)
+    psi = random_ket(4, 5)
+    recovered = extract_plaintext(result, problem.retained_reduced(psi))
+    assert fidelity_pure(psi, recovered) >= 1 - 1e-8
+    assert seen["embed_operator"] == []
+    assert seen["complete_orthonormal"] == []
+    assert max(seen["is_unitary"], default=0) <= 256

@@ -10,6 +10,7 @@ from qhekit.layout import Layout
 from qhekit.linalg import random_ket, random_unitary
 from qhekit.localiser import localise
 from qhekit.qinfo import DensityOp
+from qhekit.scheme import localisation_problem_at_t1
 from qhekit.serialize import (
     SchemeFormatError,
     audit_to_json,
@@ -109,6 +110,12 @@ def test_problem_round_trip_preserves_localisation():
     b = localise(back)
     np.testing.assert_array_equal(a.unitary, b.unitary)
     assert a.rank == b.rank
+
+
+def test_problem_to_json_refuses_isometry_problem():
+    problem = localisation_problem_at_t1(build_qotp_scheme(1))
+    with pytest.raises(ValueError, match="input isometry"):
+        problem_to_json(problem)
 
 
 def test_result_to_json_shape():
