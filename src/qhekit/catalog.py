@@ -52,11 +52,8 @@ def pauli_words(n: int) -> tuple[str, ...]:
 
 
 def _swap_matrix(d: int) -> np.ndarray:
-    s = np.zeros((d * d, d * d), dtype=complex)
-    for i in range(d):
-        for h in range(d):
-            s[h * d + i, i * d + h] = 1.0
-    return s
+    """The permutation matrix exchanging two d-dimensional factors."""
+    return np.eye(d * d, dtype=complex)[axis_permutation((d, d), (1, 0))]
 
 
 def build_identity_scheme(n: int) -> QheScheme:

@@ -12,7 +12,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .layout import Layout
+from .layout import Layout, reduced_from_ket
 from .linalg import (
     as_ket,
     as_square,
@@ -24,7 +24,7 @@ from .linalg import (
 )
 from .localiser import probe_labels, probe_states
 from .qinfo import orthogonal_support, product_deviation_from_ket
-from .scheme import QheScheme, run_pipeline
+from .scheme import QheScheme, evolve, run_pipeline
 from .tolerances import DEFAULT_TOLERANCES
 
 PASS = "pass"
@@ -71,21 +71,21 @@ def check_security(
     if tol is None:
         tol = DEFAULT_TOLERANCES.equality
     d = scheme.input_dim
-    probes = probe_states(d)
+    probes = np.stack(probe_states(d), axis=1)
     labels = probe_labels(d)
     if probe_rotation is not None:
         rot = require_unitary(probe_rotation, where="probe rotation")
         if rot.shape[0] != d:
             raise ValueError(f"probe rotation dimension {rot.shape[0]} != plaintext dimension {d}")
-        probes = [rot @ p for p in probes]
-    states = [scheme.ciphertext(p).matrix for p in probes]
+        probes = rot @ probes
+    states = reduced_from_ket(scheme.encryption_isometry @ probes, scheme.layout, scheme.bob_t1)
     cases = []
-    worst = 0.0
-    for i in range(len(states)):
-        for j in range(i + 1, len(states)):
-            dist = trace_distance(states[i], states[j])
-            cases.append((f"{labels[i]}|{labels[j]}", dist))
-            worst = max(worst, dist)
+    # One row of pairs at a time: stacking every pair at once would hold
+    # d^4 / 2 ciphertext-sized matrices.
+    for i in range(len(states) - 1):
+        row = trace_distance(states[i], states[i + 1 :]).tolist()
+        cases.extend((f"{labels[i]}|{labels[j]}", dist) for j, dist in enumerate(row, i + 1))
+    worst = max(0.0, *(dist for _, dist in cases))
     return Report(
         kind="security",
         verdict=PASS if worst <= tol else FAIL,
@@ -101,34 +101,32 @@ def check_completeness(scheme: QheScheme, tol: float | None = None) -> Report:
     For every circuit and every probe plaintext (plus seeded Haar plaintexts
     guarding against errors that linearity would mask): the output register
     must match the target state at infidelity <= tol, and must be in a
-    product with the rest of Alice's registers at deviation <= tol.
+    product with the rest of Alice's registers at deviation <= tol.  Each
+    circuit runs all its plaintexts in one batch.
     """
     if tol is None:
         tol = DEFAULT_TOLERANCES.equality
     d = scheme.input_dim
-    base_probes = list(zip(probe_labels(d), probe_states(d)))
+    names = probe_labels(d) + [f"haar-{i}" for i in range(_HAAR_PLAINTEXTS_PER_CIRCUIT)]
+    probes = probe_states(d)
+    rest = tuple(l for l in scheme.alice_t2 if l != scheme.output_label)
     cases = []
-    worst = 0.0
     for index, ev in enumerate(scheme.evaluations):
         rng = np.random.default_rng([_COMPLETENESS_SEED, index])
-        plaintexts = base_probes + [
-            (f"haar-{i}", haar_ket(rng, d)) for i in range(_HAAR_PLAINTEXTS_PER_CIRCUIT)
-        ]
-        rest = tuple(l for l in scheme.alice_t2 if l != scheme.output_label)
-        for name, psi in plaintexts:
-            trace = run_pipeline(scheme, ev.circuit_id, psi)
-            target = ev.target @ psi
-            fid = float(np.real(np.vdot(target, trace.output.matrix @ target)))
-            metric = 1.0 - fid
-            if rest:
-                metric = max(
-                    metric,
-                    product_deviation_from_ket(
-                        trace.ket_final, scheme.layout, [scheme.output_label], rest
-                    ),
-                )
-            cases.append((f"{ev.circuit_id}/{name}", metric))
-            worst = max(worst, metric)
+        haar = [haar_ket(rng, d) for _ in range(_HAAR_PLAINTEXTS_PER_CIRCUIT)]
+        plaintexts = np.stack(probes + haar, axis=1)
+        _, _, kets = evolve(scheme, ev.circuit_id, plaintexts)
+        outputs = reduced_from_ket(kets, scheme.layout, [scheme.output_label])
+        targets = ev.target @ plaintexts
+        fids = np.real(np.einsum("im,mij,jm->m", targets.conj(), outputs, targets))
+        metrics = 1.0 - fids
+        if rest:
+            metrics = np.maximum(
+                metrics,
+                product_deviation_from_ket(kets, scheme.layout, [scheme.output_label], rest),
+            )
+        cases.extend((f"{ev.circuit_id}/{name}", m) for name, m in zip(names, metrics.tolist()))
+    worst = max(0.0, *(metric for _, metric in cases))
     return Report(
         kind="completeness",
         verdict=PASS if worst <= tol else FAIL,

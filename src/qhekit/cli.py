@@ -107,10 +107,17 @@ def _load_json(path: str) -> Any:
         raise CliError(f"{path}:{exc.lineno}:{exc.colno}: invalid JSON: {exc.msg}") from None
 
 
+def _reject_unread(args: argparse.Namespace, options: tuple[str, ...], why: str) -> None:
+    """Exit 1 on an explicit value for options this invocation never reads."""
+    given = [f"--{name}" for name in options if getattr(args, name) not in (None, [])]
+    if given:
+        raise CliError(f"{', '.join(given)} does not apply {why}")
+
+
 def _get_scheme(args: argparse.Namespace):
-    if args.seed is not None:
-        raise CliError("--seed does not apply to schemes; scheme builders are deterministic")
+    _reject_unread(args, ("seed",), "to schemes; scheme builders are deterministic")
     if args.scheme:
+        _reject_unread(args, ("params",), "to a scheme read from a file")
         return scheme_from_json(_load_json(args.scheme))
     if args.builder:
         params = _scheme_params(args.builder, _parse_params(args.params))
@@ -123,6 +130,7 @@ def _get_scheme(args: argparse.Namespace):
 
 def _get_problem(args: argparse.Namespace):
     if args.problem:
+        _reject_unread(args, ("seed", "params"), "to a problem read from a file")
         return problem_from_json(_load_json(args.problem))
     if args.builder:
         params = _problem_params(_parse_params(args.params), args.seed)
@@ -235,12 +243,16 @@ def _cmd_localise(args: argparse.Namespace) -> int:
             f"reconstruction_residual: {result.reconstruction_residual:.3e}",
         ]
     )
-    payload = {"verdict": PASS, "max_deviation": deviation, **result_to_json(result)}
+    # result_to_json completes the full unitary, so only JSON output pays for it.
+    payload = None
+    if args.format == "json":
+        payload = {"verdict": PASS, "max_deviation": deviation, **result_to_json(result)}
     _emit(args, text, payload)
     return 0
 
 
 def _cmd_audit(args: argparse.Namespace) -> int:
+    _reject_unread(args, ("seed", "params", "tol"), "to audit")
     if (args.set_size is None) == (args.classical_bits is None):
         raise CliError("provide exactly one of --set-size or --classical-bits")
     if args.set_size is not None:
@@ -269,6 +281,7 @@ def _cmd_audit(args: argparse.Namespace) -> int:
 
 
 def _cmd_export_scheme(args: argparse.Namespace) -> int:
+    _reject_unread(args, ("tol",), "to export-scheme")
     scheme = _get_scheme(args)
     args.format = "json"  # scheme files are always JSON
     _emit(args, "", scheme_to_json(scheme))
@@ -276,6 +289,7 @@ def _cmd_export_scheme(args: argparse.Namespace) -> int:
 
 
 def _cmd_list_catalog(args: argparse.Namespace) -> int:
+    _reject_unread(args, ("seed", "params", "tol"), "to list-catalog")
     if not args.verify:
         lines = []
         payload = []

@@ -6,12 +6,13 @@ numpy's C-order reshape, so a flat ket of length prod(dims) reshapes to one
 axis per register with no reordering.
 """
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .linalg import as_ket, as_square, kron
+from .linalg import _phase_fix_columns, as_ket, as_square, kron
 from .tolerances import DEFAULT_TOLERANCES
 
 MAX_TOTAL_DIM = 2**14
@@ -128,7 +129,11 @@ def assemble_ket(layout: Layout, blocks: Sequence[tuple[Sequence[str], np.ndarra
 def apply_operator(
     psi: np.ndarray, layout: Layout, op: np.ndarray, labels: Sequence[str]
 ) -> np.ndarray:
-    """Apply an operator living on the given registers to a full-space ket."""
+    """Apply an operator living on the given registers to a full-space ket.
+
+    psi is one ket of shape (dim,) or a batch of kets as the columns of a
+    (dim, m) array; the result has the same shape.
+    """
     op = as_square(op, f"operator on {tuple(labels)}")
     pos = [layout.position(label) for label in labels]
     if len(set(pos)) != len(pos):
@@ -137,15 +142,18 @@ def apply_operator(
     block = int(np.prod(sub))
     if op.shape != (block, block):
         raise ValueError(f"operator shape {op.shape} does not match footprint dimension {block}")
+    psi = np.asarray(psi, dtype=complex)
     dims = layout.dims
     t = np.tensordot(
         op.reshape(sub + sub),
-        np.asarray(psi, dtype=complex).reshape(dims),
+        psi.reshape(dims + psi.shape[1:]),
         axes=(list(range(len(sub), 2 * len(sub))), pos),
     )
+    # tensordot leaves (footprint..., other registers..., batch); the batch
+    # axis, if any, stays last.
     rest = [p for p in range(len(dims)) if p not in pos]
-    inv = np.argsort(pos + rest)
-    return t.transpose(inv).ravel()
+    inv = list(np.argsort(pos + rest)) + list(range(len(dims), t.ndim))
+    return t.transpose(inv).reshape(psi.shape)
 
 
 def embed_operator(op: np.ndarray, layout: Layout, labels: Sequence[str]) -> np.ndarray:
@@ -196,15 +204,21 @@ def partial_trace(rho: np.ndarray, layout: Layout, keep: Iterable[str]) -> np.nd
 
 
 def reduced_from_ket(psi: np.ndarray, layout: Layout, keep: Iterable[str]) -> np.ndarray:
-    """Reduced density matrix of a pure state without forming the full projector."""
-    kept = layout.ordered(keep)
-    if not kept:
-        return np.array([[np.vdot(psi, psi)]], dtype=complex)
-    front, back = _grouped_axes(layout, kept)
-    d_keep = int(np.prod([layout.dims[p] for p in front], dtype=object))
-    m = np.asarray(psi, dtype=complex).reshape(layout.dims).transpose(front + back)
-    m = m.reshape(d_keep, -1)
-    return m @ m.conj().T
+    """Reduced density matrix of a pure state without forming the full projector.
+
+    psi is one ket of shape (dim,), giving a (d, d) matrix, or a batch of
+    kets as the columns of a (dim, m) array, giving an (m, d, d) stack.
+    keep may be empty, in which case the squared norm is returned as a 1x1
+    matrix.
+    """
+    dims = layout.dims
+    front, back = _grouped_axes(layout, layout.ordered(keep))
+    psi = np.asarray(psi, dtype=complex)
+    batch = psi.shape[1:]
+    axes = list(range(len(dims), len(dims) + len(batch))) + front + back
+    d_keep = math.prod(dims[p] for p in front)
+    m = psi.reshape(dims + batch).transpose(axes).reshape(batch + (d_keep, -1))
+    return m @ m.conj().swapaxes(-1, -2)
 
 
 def schmidt(
@@ -234,10 +248,6 @@ def schmidt(
     m = psi.reshape(layout.dims).transpose(front + back).reshape(d_left, -1)
     u, s, vh = np.linalg.svd(m, full_matrices=False)
     r = max(1, int(np.sum(s > tol)))
-    u, s, vh = u[:, :r], s[:r], vh[:r, :]
     # Fix the joint phase freedom per Schmidt pair for determinism.
-    idx = np.argmax(np.abs(u), axis=0)
-    lead = u[idx, np.arange(r)]
-    mags = np.abs(lead)
-    phases = np.where(mags > 0, lead / np.where(mags > 0, mags, 1.0), 1.0)
-    return s.astype(float), u * phases.conj(), (vh.T * phases)
+    u, phases = _phase_fix_columns(u[:, :r])
+    return s[:r].astype(float), u, (vh[:r, :].T * phases)

@@ -33,6 +33,16 @@ def as_square(m, where: str = "matrix") -> np.ndarray:
     return a
 
 
+def _as_square_stack(m, where: str) -> np.ndarray:
+    """Coerce to a finite complex array of square matrices, shape (..., d, d)."""
+    a = np.asarray(m, dtype=complex)
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise ValueError(f"{where}: expected square matrices, got shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise ValueError(f"{where}: non-finite entries")
+    return a
+
+
 def as_ket(v, where: str = "ket", norm_tol: float = 1e-10) -> np.ndarray:
     """Coerce to a unit-norm complex vector."""
     a = np.asarray(v, dtype=complex).reshape(-1)
@@ -108,13 +118,16 @@ def unitaries_equal_up_to_phase(u: np.ndarray, v: np.ndarray, tol: float | None 
     return abs(np.trace(dagger(u) @ v)) >= d - tol
 
 
-def _phase_fix_columns(v: np.ndarray) -> np.ndarray:
-    """Rotate each column so its largest-modulus entry is real positive."""
+def _phase_fix_columns(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rotate each column so its largest-modulus entry is real positive.
+
+    Returns the rotated columns and the unit phases divided out of them.
+    """
     idx = np.argmax(np.abs(v), axis=0)
     lead = v[idx, np.arange(v.shape[1])]
     mags = np.abs(lead)
     phases = np.where(mags > 0, lead / np.where(mags > 0, mags, 1.0), 1.0)
-    return v * phases.conj()
+    return v * phases.conj(), phases
 
 
 def eig_hermitian(h: np.ndarray, tol: float | None = None) -> tuple[np.ndarray, np.ndarray]:
@@ -131,7 +144,7 @@ def eig_hermitian(h: np.ndarray, tol: float | None = None) -> tuple[np.ndarray, 
     if float(np.max(np.abs(h - dagger(h)))) > tol:
         raise ValueError("input is not Hermitian within tolerance")
     w, v = np.linalg.eigh((h + dagger(h)) / 2.0)
-    v = _phase_fix_columns(v)
+    v, _ = _phase_fix_columns(v)
     order = sorted(
         range(w.size),
         key=lambda k: (-round(float(w[k]), 12), np.round(v[:, k], 9).tobytes()),
@@ -139,15 +152,21 @@ def eig_hermitian(h: np.ndarray, tol: float | None = None) -> tuple[np.ndarray, 
     return w[order].real, v[:, order]
 
 
-def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """Half the trace norm of a - b for Hermitian operators of equal dimension."""
-    a = as_square(a, "left state")
-    b = as_square(b, "right state")
-    if a.shape != b.shape:
+def trace_distance(a: np.ndarray, b: np.ndarray) -> float | np.ndarray:
+    """Half the trace norm of a - b for Hermitian operators of equal dimension.
+
+    a and b may be stacks of shape (..., d, d), broadcast against each
+    other; the result then has the broadcast stack shape.  Two plain
+    matrices give a float.
+    """
+    a = _as_square_stack(a, "left state")
+    b = _as_square_stack(b, "right state")
+    if a.shape[-1] != b.shape[-1]:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
     delta = a - b
-    evals = np.linalg.eigvalsh((delta + dagger(delta)) / 2.0)
-    return float(0.5 * np.sum(np.abs(evals)))
+    evals = np.linalg.eigvalsh((delta + delta.conj().swapaxes(-1, -2)) / 2.0)
+    dist = 0.5 * np.abs(evals).sum(axis=-1)
+    return float(dist) if dist.ndim == 0 else dist
 
 
 def fidelity_pure(psi: np.ndarray, phi: np.ndarray) -> float:

@@ -175,41 +175,66 @@ def is_product(rho: DensityOp, side_a: Iterable[str], tol: float | None = None) 
     return product_deviation(rho, side_a) <= tol
 
 
-def _support_basis_of_factor(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenbasis and eigenvalues (above cutoff) of rho = m m† from its factor."""
+def _support_of_factor(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Eigenbasis, eigenvalues and kept counts of rho = m m† from stacked factors m.
+
+    For a stack of shape (s, d, k): eigenvectors as columns of (s, d, r) in
+    ascending eigenvalue order, eigenvalues (s, r), and per item the number
+    of eigenvalues above the support cutoff, which are the last ones.
+    """
     q, r = np.linalg.qr(m)
-    evals, evecs = np.linalg.eigh(r @ r.conj().T)
-    keep = evals > _SUPPORT_CUTOFF
-    return q @ evecs[:, keep], evals[keep]
+    evals, evecs = np.linalg.eigh(r @ r.conj().swapaxes(-1, -2))
+    return q @ evecs, evals, np.sum(evals > _SUPPORT_CUTOFF, axis=-1)
 
 
 def product_deviation_from_ket(
     psi: np.ndarray, layout: Layout, side_a: Iterable[str], side_b: Iterable[str]
-) -> float:
+) -> float | np.ndarray:
     """product_deviation of the (side_a + side_b) reduction of a pure state.
 
     Computes the same trace distance as product_deviation on the reduced
     DensityOp, but entirely in factored form: every reduced state of a pure
     state has rank at most the traced-out dimension, so no full-dimension
-    matrix is ever eigendecomposed.
+    matrix is ever eigendecomposed.  psi is one ket of shape (dim,), giving
+    a float, or a batch of kets as the columns of a (dim, m) array, giving
+    m deviations.
     """
     a = layout.ordered(side_a)
     b = layout.ordered(side_b)
     if not a or not b or set(a) & set(b):
         raise ValueError("product test needs two disjoint non-empty register sets")
     rest = layout.complement(a + b)
-    pos = layout.positions(a) + layout.positions(b) + layout.positions(rest)
+    psi = np.asarray(psi, dtype=complex)
+    kets = psi.reshape(layout.dim, -1)
+    pos = (len(layout.dims),) + layout.positions(a) + layout.positions(b) + layout.positions(rest)
     da = layout.dim_of(a)
     db = layout.dim_of(b)
     dr = layout.dim_of(rest) if rest else 1
-    t = np.asarray(psi, dtype=complex).reshape(layout.dims).transpose(pos).reshape(da, db, dr)
+    t = kets.reshape(layout.dims + (-1,)).transpose(pos).reshape(-1, da, db, dr)
 
-    basis_a, wa = _support_basis_of_factor(t.reshape(da, db * dr))
-    basis_b, wb = _support_basis_of_factor(np.moveaxis(t, 1, 0).reshape(db, da * dr))
-    joint = kron(basis_a, basis_b)
-    proj = joint.conj().T @ t.reshape(da * db, dr)
-    delta = proj @ proj.conj().T - np.diag(np.outer(wa, wb).ravel())
-    nuclear = float(np.sum(np.abs(np.linalg.eigvalsh(delta))))
-    norm = float(np.real(np.vdot(psi, psi)))
-    dropped = norm * norm - float(np.sum(wa)) * float(np.sum(wb))
-    return 0.5 * (nuclear + max(dropped, 0.0))
+    basis_a, wa, keep_a = _support_of_factor(t.reshape(-1, da, db * dr))
+    basis_b, wb, keep_b = _support_of_factor(t.swapaxes(1, 2).reshape(-1, db, da * dr))
+    # Squared norms as per-column inner products, which round as np.vdot does.
+    columns = kets.T[:, None, :]
+    norms = np.real(columns.conj() @ columns.swapaxes(1, 2))[:, 0, 0]
+    deviations = np.empty(len(t))
+    # Kept supports are suffixes of eigh's ascending order, so items with the
+    # same pair of support ranks share every array shape below.
+    for ra, rb in sorted(set(zip(keep_a.tolist(), keep_b.tolist()))):
+        group = np.flatnonzero((keep_a == ra) & (keep_b == rb))
+        va = basis_a[group][:, :, basis_a.shape[2] - ra :]
+        vb = basis_b[group][:, :, basis_b.shape[2] - rb :]
+        wa_kept = wa[group][:, wa.shape[1] - ra :]
+        wb_kept = wb[group][:, wb.shape[1] - rb :]
+        joint = (va[:, :, None, :, None] * vb[:, None, :, None, :]).reshape(
+            len(group), da * db, ra * rb
+        )
+        proj = joint.conj().swapaxes(1, 2) @ t[group].reshape(len(group), da * db, dr)
+        product = (wa_kept[:, :, None] * wb_kept[:, None, :]).reshape(len(group), -1)
+        delta = proj @ proj.conj().swapaxes(1, 2)
+        delta[:, np.arange(ra * rb), np.arange(ra * rb)] -= product
+        nuclear = np.sum(np.abs(np.linalg.eigvalsh(delta)), axis=-1)
+        norm = norms[group]
+        dropped = norm * norm - np.sum(wa_kept, axis=-1) * np.sum(wb_kept, axis=-1)
+        deviations[group] = 0.5 * (nuclear + np.maximum(dropped, 0.0))
+    return float(deviations[0]) if psi.ndim == 1 else deviations

@@ -196,24 +196,61 @@ class QheScheme:
                 return ev
         raise KeyError(f"unknown circuit {circuit_id!r}; scheme offers {self.circuit_ids}")
 
-    def initial_ket(self, psi_in: np.ndarray) -> np.ndarray:
+    def plaintext(self, psi_in: np.ndarray) -> np.ndarray:
+        """psi_in validated as a unit ket on the input register."""
         psi_in = as_ket(psi_in, "plaintext")
         if psi_in.size != self.input_dim:
             raise ValueError(
                 f"plaintext dimension {psi_in.size} != input register dimension {self.input_dim}"
             )
-        blocks: list[tuple[Sequence[str], np.ndarray]] = [((self.input_label,), psi_in)]
+        return psi_in
+
+    def initial_ket(self, psi_in: np.ndarray) -> np.ndarray:
+        blocks: list[tuple[Sequence[str], np.ndarray]] = [
+            ((self.input_label,), self.plaintext(psi_in))
+        ]
         blocks.extend((b.labels, b.ket) for b in self.fixed_states)
         return assemble_ket(self.layout, blocks)
 
-    def encrypted_ket(self, psi_in: np.ndarray) -> np.ndarray:
-        return apply_operator(
-            self.initial_ket(psi_in), self.layout, self.encrypt_op.matrix, self.encrypt_op.labels
+    @cached_property
+    def encryption_isometry(self) -> np.ndarray:
+        """The dim x input_dim isometry from plaintexts to encrypted global kets.
+
+        Column j is the global ket at t1 for basis plaintext j; the encrypted
+        ket of any plaintext, or of a batch of plaintexts as columns, is this
+        matrix times it.
+        """
+        initial = np.stack(
+            [self.initial_ket(basis_ket(self.input_dim, j)) for j in range(self.input_dim)], axis=1
         )
+        return apply_operator(initial, self.layout, self.encrypt_op.matrix, self.encrypt_op.labels)
+
+    def encrypted_ket(self, psi_in: np.ndarray) -> np.ndarray:
+        return self.encryption_isometry @ self.plaintext(psi_in)
 
     def ciphertext(self, psi_in: np.ndarray) -> DensityOp:
         """Bob's reduced state at t1 for the given plaintext."""
         return DensityOp.reduced(self.encrypted_ket(psi_in), self.layout, self.bob_t1)
+
+
+def evolve(
+    scheme: QheScheme, circuit_id: str, plaintexts: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The global kets at t1, t2 and after decryption for the given plaintexts.
+
+    plaintexts is one unit ket of shape (input_dim,) or a batch of them as
+    the columns of an (input_dim, m) array; each returned ket array has
+    shape (dim,) or (dim, m) to match.  Encryption is the scheme's
+    encryption isometry; the circuit's evaluation acts on Bob's registers
+    and the decryption on Alice's, each through its register footprint.
+    """
+    ev = scheme.evaluation(circuit_id)
+    ket_t1 = scheme.encryption_isometry @ plaintexts
+    ket_t2 = apply_operator(ket_t1, scheme.layout, ev.operator.matrix, ev.operator.labels)
+    ket_final = apply_operator(
+        ket_t2, scheme.layout, scheme.decrypt_op.matrix, scheme.decrypt_op.labels
+    )
+    return ket_t1, ket_t2, ket_final
 
 
 @dataclass(frozen=True)
@@ -221,22 +258,51 @@ class PipelineTrace:
     """Full record of one encrypt -> evaluate -> decrypt run.
 
     The global state stays pure throughout; the kets are the primary
-    carriers and the full-space density operators are derived on demand.
+    carriers, and every density operator is reduced from them on first
+    access.
     """
 
+    scheme: QheScheme
     circuit_id: str
     input_ket: np.ndarray
-    layout: Layout
-    alice_t1: tuple[str, ...]
-    bob_t1: tuple[str, ...]
-    alice_t2: tuple[str, ...]
-    bob_t2: tuple[str, ...]
     ket_t1: np.ndarray
     ket_t2: np.ndarray
     ket_final: np.ndarray
-    rho_bob_t1: DensityOp
-    rho_message: DensityOp
-    output: DensityOp
+
+    @property
+    def layout(self) -> Layout:
+        return self.scheme.layout
+
+    @property
+    def alice_t1(self) -> tuple[str, ...]:
+        return self.scheme.alice_t1
+
+    @property
+    def bob_t1(self) -> tuple[str, ...]:
+        return self.scheme.bob_t1
+
+    @property
+    def alice_t2(self) -> tuple[str, ...]:
+        return self.scheme.alice_t2
+
+    @property
+    def bob_t2(self) -> tuple[str, ...]:
+        return self.scheme.bob_t2
+
+    @cached_property
+    def rho_bob_t1(self) -> DensityOp:
+        """Bob's state at t1: the ciphertext."""
+        return DensityOp.reduced(self.ket_t1, self.layout, self.bob_t1)
+
+    @cached_property
+    def rho_message(self) -> DensityOp:
+        """The message Bob returns at t2."""
+        return DensityOp.reduced(self.ket_t2, self.layout, self.scheme.return_to_alice)
+
+    @cached_property
+    def output(self) -> DensityOp:
+        """The output register after decryption."""
+        return DensityOp.reduced(self.ket_final, self.layout, [self.scheme.output_label])
 
     @cached_property
     def state_t1(self) -> DensityOp:
@@ -246,46 +312,16 @@ class PipelineTrace:
     def state_t2(self) -> DensityOp:
         return DensityOp.from_ket(self.layout, self.ket_t2)
 
-    @cached_property
-    def alice_t2_state(self) -> DensityOp:
-        """Alice's joint (retained + message) state at t2, before decryption."""
-        return DensityOp.reduced(self.ket_t2, self.layout, self.alice_t2)
-
-    @cached_property
-    def alice_final(self) -> DensityOp:
-        """Alice's full state after decryption."""
-        return DensityOp.reduced(self.ket_final, self.layout, self.alice_t2)
-
 
 def run_pipeline(scheme: QheScheme, circuit_id: str, psi_in: np.ndarray) -> PipelineTrace:
     """Simulate one full run of the scheme on the given plaintext.
 
-    Assembles the global initial state, applies the encryption unitary,
-    records t1 with ownership, applies the chosen evaluation on Bob's
-    registers, records t2, applies the decryption unitary on Alice's
-    registers, and reduces onto the output register.
+    The one-plaintext case of evolve: encrypts through the scheme's
+    encryption isometry, applies the chosen evaluation on Bob's registers,
+    then the decryption on Alice's.  Reduced states are formed on demand.
     """
-    ev = scheme.evaluation(circuit_id)
-    ket_t1 = scheme.encrypted_ket(psi_in)
-    ket_t2 = apply_operator(ket_t1, scheme.layout, ev.operator.matrix, ev.operator.labels)
-    ket_final = apply_operator(
-        ket_t2, scheme.layout, scheme.decrypt_op.matrix, scheme.decrypt_op.labels
-    )
-    return PipelineTrace(
-        circuit_id=circuit_id,
-        input_ket=as_ket(psi_in, "plaintext"),
-        layout=scheme.layout,
-        alice_t1=scheme.alice_t1,
-        bob_t1=scheme.bob_t1,
-        alice_t2=scheme.alice_t2,
-        bob_t2=scheme.bob_t2,
-        ket_t1=ket_t1,
-        ket_t2=ket_t2,
-        ket_final=ket_final,
-        rho_bob_t1=DensityOp.reduced(ket_t1, scheme.layout, scheme.bob_t1),
-        rho_message=DensityOp.reduced(ket_t2, scheme.layout, scheme.return_to_alice),
-        output=DensityOp.reduced(ket_final, scheme.layout, [scheme.output_label]),
-    )
+    psi_in = scheme.plaintext(psi_in)
+    return PipelineTrace(scheme, circuit_id, psi_in, *evolve(scheme, circuit_id, psi_in))
 
 
 def localisation_problem_at_t1(scheme: QheScheme) -> LocalisationProblem:
@@ -326,13 +362,7 @@ def localisation_problem_at_t1(scheme: QheScheme) -> LocalisationProblem:
     # Encrypted basis inputs with an empty mailbox (the last register): the
     # columns of the input isometry before the handover and reordering.
     mailbox_empty = basis_ket(mail_dim, 0)
-    columns = np.stack(
-        [
-            np.kron(scheme.encrypted_ket(basis_ket(scheme.input_dim, j)), mailbox_empty)
-            for j in range(scheme.input_dim)
-        ],
-        axis=1,
-    )
+    columns = np.kron(scheme.encryption_isometry, mailbox_empty[:, None])
 
     # Swap the sent registers with the mailbox: exchange their digit groups.
     send_pos = [extended.position(l) for l in scheme.send_to_bob]

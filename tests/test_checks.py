@@ -4,11 +4,15 @@ import math
 import numpy as np
 import pytest
 
+import qhekit
 from qhekit.catalog import (
+    CatalogEntry,
     build_controlled_flip_gate,
     build_identity_scheme,
     build_qotp_scheme,
+    build_scheme,
     build_tag_evaluate_scheme,
+    catalog,
     pauli_word_matrix,
 )
 from qhekit.checks import (
@@ -26,8 +30,11 @@ from qhekit.checks import (
     qubits_for_set,
 )
 from qhekit.layout import Layout
-from qhekit.linalg import basis_ket, kron, random_unitary
-from qhekit.scheme import Evaluation, FootprintOp
+from qhekit.linalg import basis_ket, haar_ket, kron, random_unitary, trace_distance
+from qhekit.localiser import probe_labels, probe_states
+from qhekit.qinfo import product_deviation_from_ket
+from qhekit.scheme import Evaluation, FootprintOp, run_pipeline
+from qhekit.tolerances import DEFAULT_TOLERANCES
 
 
 def test_security_identity_scheme_fails_maximally():
@@ -219,3 +226,93 @@ def test_audit_exponential_bound_holds_above_one_bit(n):
 def test_audit_rejects_oversize():
     with pytest.raises(ValueError, match="1..6"):
         audit_reversible_classical(7)
+
+
+def _per_plaintext_security(scheme):
+    # Reference: one ciphertext DensityOp per probe, one trace distance per pair.
+    d = scheme.input_dim
+    states = [scheme.ciphertext(p).matrix for p in probe_states(d)]
+    labels = probe_labels(d)
+    return [
+        (f"{labels[i]}|{labels[j]}", trace_distance(states[i], states[j]))
+        for i in range(len(states))
+        for j in range(i + 1, len(states))
+    ]
+
+
+def _per_plaintext_completeness(scheme):
+    # Reference: one pipeline run per (circuit, plaintext), the Haar
+    # plaintexts drawn exactly as check_completeness draws them.
+    d = scheme.input_dim
+    rest = tuple(l for l in scheme.alice_t2 if l != scheme.output_label)
+    cases = []
+    for index, ev in enumerate(scheme.evaluations):
+        rng = np.random.default_rng([0xC0DE, index])
+        plaintexts = list(zip(probe_labels(d), probe_states(d)))
+        plaintexts += [(f"haar-{i}", haar_ket(rng, d)) for i in range(10)]
+        for name, psi in plaintexts:
+            trace = run_pipeline(scheme, ev.circuit_id, psi)
+            target = ev.target @ psi
+            metric = 1.0 - float(np.real(np.vdot(target, trace.output.matrix @ target)))
+            if rest:
+                metric = max(
+                    metric,
+                    product_deviation_from_ket(
+                        trace.ket_final, scheme.layout, [scheme.output_label], rest
+                    ),
+                )
+            cases.append((f"{ev.circuit_id}/{name}", metric))
+    return cases
+
+
+def _assert_cases_match(report, reference, tol):
+    assert [case_id for case_id, _ in report.cases] == [case_id for case_id, _ in reference]
+    for (_, got), (_, want) in zip(report.cases, reference):
+        assert abs(got - want) <= 1e-12
+    worst = max(metric for _, metric in reference)
+    assert abs(report.worst_metric - worst) <= 1e-12
+    assert report.verdict == (PASS if worst <= tol else FAIL)
+
+
+@pytest.mark.parametrize(
+    "entry", [*catalog(), CatalogEntry("qotp-2", "qotp", {"n": 2}, {})], ids=lambda e: e.name
+)
+def test_batched_checkers_match_per_plaintext_reference(entry):
+    scheme = build_scheme(entry.builder, **entry.params)
+    tol = DEFAULT_TOLERANCES.equality
+    security = check_security(scheme)
+    _assert_cases_match(security, _per_plaintext_security(scheme), tol)
+    completeness = check_completeness(scheme)
+    _assert_cases_match(completeness, _per_plaintext_completeness(scheme), tol)
+    for checker, report in (("security", security), ("completeness", completeness)):
+        if checker in entry.expected:
+            assert report.verdict == entry.expected[checker]
+
+
+def test_completeness_runs_one_batch_per_circuit(monkeypatch):
+    scheme = build_qotp_scheme(2)
+    calls = {"run_pipeline": 0, "apply_operator": 0, "DensityOp": 0}
+
+    def counting(name, original):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for module in (qhekit.layout, qhekit.scheme, qhekit.checks):
+        for name in ("run_pipeline", "apply_operator"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+    density_op = qhekit.qinfo.DensityOp
+    post_init = counting("DensityOp", density_op.__post_init__)
+    monkeypatch.setattr(density_op, "__post_init__", post_init)
+
+    report = check_completeness(scheme)
+    assert report.verdict == PASS
+    assert len(report.cases) == len(scheme.evaluations) * (16 + 10)
+    assert calls["run_pipeline"] == 0
+    assert calls["DensityOp"] == 0
+    # Evaluation and decryption per circuit, plus one encryption of the
+    # basis plaintexts for the scheme's cached encryption isometry.
+    assert calls["apply_operator"] <= 2 * len(scheme.evaluations) + 1

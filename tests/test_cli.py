@@ -1,13 +1,15 @@
 import json
 
 import numpy as np
+import pytest
 
-from qhekit.catalog import build_qotp_scheme
+import qhekit.localiser
+from qhekit.catalog import build_constructed_secure_problem, build_qotp_scheme
 from qhekit.cli import main
 from qhekit.layout import Layout
 from qhekit.linalg import basis_ket
-from qhekit.localiser import LocalisationProblem
-from qhekit.serialize import problem_to_json, scheme_to_json
+from qhekit.localiser import LocalisationProblem, check_zero_leakage, localise
+from qhekit.serialize import problem_to_json, result_to_json, scheme_to_json
 
 
 def run_cli(*argv):
@@ -174,3 +176,91 @@ def test_tolerance_override_changes_verdict():
         "check", "--builder", "identity", "--params", "n=1",
         "--which", "security", "--tol", "security=2.0",
     ) == 0
+
+
+def test_localise_text_output_skips_unitary_completion(tmp_path, monkeypatch, capsys):
+    calls = []
+    original = qhekit.localiser.complete_orthonormal
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(qhekit.localiser, "complete_orthonormal", counting)
+    base = ("localise", "--builder", "constructed-secure", "--params", "dims=2,4,2", "seed=7")
+    assert run_cli(*base) == 0
+    assert "rank:" in capsys.readouterr().out
+    assert calls == []
+
+    out = tmp_path / "result.json"
+    assert run_cli(*base, "--format", "json", "--out", str(out)) == 0
+    assert calls == [1]
+    problem = build_constructed_secure_problem((2, 4, 2), 7)
+    _, deviation = check_zero_leakage(problem)
+    expected = {"verdict": "pass", "max_deviation": deviation, **result_to_json(localise(problem))}
+    assert out.read_text() == json.dumps(expected, indent=2, sort_keys=True) + "\n"
+
+
+def _problem_file(tmp_path):
+    layout = Layout((("A1", 2), ("A2", 2), ("B", 2)))
+    problem = LocalisationProblem(
+        layout, np.eye(8, dtype=complex), basis_ket(2, 0), basis_ket(2, 0)
+    )
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(problem_to_json(problem)))
+    return str(path)
+
+
+def _scheme_file(tmp_path):
+    path = tmp_path / "scheme.json"
+    path.write_text(json.dumps(scheme_to_json(build_qotp_scheme(1))))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        pytest.param(("audit", "--set-size", "4", "--seed", "5"), "--seed", id="audit-seed"),
+        pytest.param(
+            ("audit", "--set-size", "4", "--params", "n=1"), "--params", id="audit-params"
+        ),
+        pytest.param(
+            ("audit", "--classical-bits", "2", "--tol", "equality=1e-3"), "--tol", id="audit-tol"
+        ),
+        pytest.param(("list-catalog", "--seed", "9"), "--seed", id="list-catalog-seed"),
+        pytest.param(("list-catalog", "--params", "n=1"), "--params", id="list-catalog-params"),
+        pytest.param(
+            ("list-catalog", "--verify", "--tol", "equality=1e-3"), "--tol", id="list-catalog-tol"
+        ),
+        pytest.param(
+            ("export-scheme", "--builder", "qotp", "--params", "n=1", "--tol", "equality=1"),
+            "--tol",
+            id="export-scheme-tol",
+        ),
+        pytest.param(
+            ("export-scheme", "--scheme", _scheme_file, "--params", "n=2"),
+            "--params",
+            id="export-scheme-file-params",
+        ),
+        pytest.param(
+            ("check", "--scheme", _scheme_file, "--params", "n=2"),
+            "--params",
+            id="check-file-params",
+        ),
+        pytest.param(
+            ("localise", "--problem", _problem_file, "--seed", "3"),
+            "--seed",
+            id="localise-file-seed",
+        ),
+        pytest.param(
+            ("localise", "--problem", _problem_file, "--params", "dims=2,2,2"),
+            "--params",
+            id="localise-file-params",
+        ),
+    ],
+)
+def test_unread_options_rejected(tmp_path, capsys, argv, option):
+    argv = [a(tmp_path) if callable(a) else a for a in argv]
+    assert run_cli(*argv) == 1
+    err = capsys.readouterr().err
+    assert option in err and "does not apply" in err

@@ -165,3 +165,37 @@ def test_schmidt_squares_match_reduced_eigenvalues(seed):
 def test_schmidt_rejects_empty_side():
     with pytest.raises(ValueError, match="non-empty"):
         schmidt(BELL, two_qubits(), [])
+
+
+def random_kets(dim, seeds):
+    return np.stack([random_ket(dim, seed) for seed in seeds], axis=1)
+
+
+def test_apply_operator_batch_matches_columns():
+    layout = Layout((("a", 2), ("b", 3), ("c", 2)))
+    op = random_unitary(6, 3)
+    kets = random_kets(12, range(5))
+    batched = apply_operator(kets, layout, op, ("c", "b"))
+    assert batched.shape == (12, 5)
+    for k in range(5):
+        np.testing.assert_allclose(
+            batched[:, k], apply_operator(kets[:, k], layout, op, ("c", "b")), rtol=0, atol=1e-14
+        )
+
+
+def test_reduced_from_ket_batch_matches_columns():
+    layout = Layout((("a", 2), ("b", 3), ("c", 2)))
+    kets = random_kets(12, range(20, 24))
+    for keep in ([], ["a"], ["b"], ["a", "c"], ["a", "b", "c"]):
+        batched = reduced_from_ket(kets, layout, keep)
+        d = layout.dim_of(keep) if keep else 1
+        assert batched.shape == (4, d, d)
+        for k in range(4):
+            np.testing.assert_allclose(
+                batched[k], reduced_from_ket(kets[:, k], layout, keep), rtol=0, atol=1e-14
+            )
+
+
+def test_reduced_from_ket_empty_keep_is_squared_norm():
+    psi = 0.5 * random_ket(4, 1)
+    np.testing.assert_allclose(reduced_from_ket(psi, two_qubits(), []), [[0.25]], atol=1e-15)

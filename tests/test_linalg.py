@@ -156,3 +156,22 @@ def test_fidelity_dimension_mismatch():
 def test_random_ket_reproducible_and_normalized():
     np.testing.assert_array_equal(random_ket(7, 1), random_ket(7, 1))
     assert abs(np.linalg.norm(random_ket(7, 1)) - 1) < 1e-12
+
+
+def test_trace_distance_stack_matches_pairs():
+    factors = [random_ket(9, seed).reshape(3, 3) for seed in range(5)]
+    states = [m @ m.conj().T for m in factors]
+    stacked = np.stack(states)
+    one_to_many = trace_distance(states[0], stacked[1:])
+    pairwise = trace_distance(stacked[:, None], stacked[None, :])
+    assert one_to_many.shape == (4,) and pairwise.shape == (5, 5)
+    for j in range(1, 5):
+        assert one_to_many[j - 1] == trace_distance(states[0], states[j])
+    for i in range(5):
+        for j in range(5):
+            assert pairwise[i, j] == trace_distance(states[i], states[j])
+
+
+def test_trace_distance_rejects_non_square():
+    with pytest.raises(ValueError, match="square"):
+        trace_distance(np.zeros((2, 3)), np.zeros((2, 3)))

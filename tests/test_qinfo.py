@@ -194,3 +194,19 @@ def test_product_deviation_large_dimension_path():
     rho2 = DensityOp.from_ket(layout, entangled)
     dev_direct = product_deviation_from_ket(entangled, layout, ["a"], ["b"])
     assert abs(product_deviation(rho2, ["a"]) - dev_direct) <= 1e-9
+
+
+def test_product_deviation_from_ket_batch_matches_columns():
+    # Product and entangled columns in one batch give several support-rank
+    # groups; each column must match its unbatched value.
+    layout = Layout((("a", 2), ("b", 3), ("c", 2)))
+    kets = [random_ket(12, seed) for seed in range(4)]
+    kets.append(kron(basis_ket(2, 1), random_ket(6, 9)))
+    kets.append(kron(random_ket(6, 8), basis_ket(2, 0)))
+    kets.append(kron(random_ket(2, 7), random_ket(3, 6), random_ket(2, 5)))
+    batch = np.stack(kets, axis=1)
+    for side_a, side_b in ((["a"], ["b"]), (["a"], ["b", "c"]), (["c"], ["a"])):
+        batched = product_deviation_from_ket(batch, layout, side_a, side_b)
+        assert batched.shape == (len(kets),)
+        for k, psi in enumerate(kets):
+            assert batched[k] == product_deviation_from_ket(psi, layout, side_a, side_b)

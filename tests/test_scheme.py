@@ -6,6 +6,7 @@ import pytest
 import qhekit.layout
 import qhekit.linalg
 import qhekit.localiser
+import qhekit.qinfo
 import qhekit.scheme
 from qhekit.catalog import (
     build_identity_scheme,
@@ -14,7 +15,7 @@ from qhekit.catalog import (
     pauli_word_matrix,
 )
 from qhekit.checks import check_completeness
-from qhekit.layout import Layout, axis_permutation, embed_operator
+from qhekit.layout import Layout, apply_operator, axis_permutation, embed_operator
 from qhekit.linalg import basis_ket, fidelity_pure, kron, random_ket
 from qhekit.localiser import extract_plaintext, localise
 from qhekit.scheme import (
@@ -22,6 +23,7 @@ from qhekit.scheme import (
     FootprintOp,
     QheScheme,
     RegisterState,
+    evolve,
     localisation_problem_at_t1,
     run_pipeline,
 )
@@ -258,3 +260,57 @@ def test_t1_localisation_builds_no_full_space_operator(monkeypatch):
     assert seen["embed_operator"] == []
     assert seen["complete_orthonormal"] == []
     assert max(seen["is_unitary"], default=0) <= 256
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: build_identity_scheme(2),
+        lambda: build_qotp_scheme(2),
+        lambda: build_tag_evaluate_scheme(1, ("I", "X", "Z")),
+    ],
+    ids=["identity-2", "qotp-2", "tag-evaluate-1"],
+)
+def test_encryption_isometry_columns_are_encrypted_basis_kets(build):
+    # Reference: the encryption applied through its footprint to each
+    # assembled basis input, one at a time.
+    scheme = build()
+    w = scheme.encryption_isometry
+    assert w.shape == (scheme.layout.dim, scheme.input_dim)
+    for j in range(scheme.input_dim):
+        initial = scheme.initial_ket(basis_ket(scheme.input_dim, j))
+        expected = apply_operator(
+            initial, scheme.layout, scheme.encrypt_op.matrix, scheme.encrypt_op.labels
+        )
+        np.testing.assert_array_equal(w[:, j], expected)
+    psi = random_ket(scheme.input_dim, 4)
+    np.testing.assert_array_equal(scheme.encrypted_ket(psi), w @ psi)
+
+
+def test_evolve_batch_matches_pipeline_runs():
+    scheme = build_qotp_scheme(1)
+    plaintexts = np.stack([random_ket(2, seed) for seed in range(3)], axis=1)
+    batched = evolve(scheme, "X", plaintexts)
+    for k in range(3):
+        trace = run_pipeline(scheme, "X", plaintexts[:, k])
+        for ket, column in zip((trace.ket_t1, trace.ket_t2, trace.ket_final), batched):
+            np.testing.assert_allclose(column[:, k], ket, rtol=0, atol=1e-14)
+
+
+def test_pipeline_reduces_states_on_first_access(monkeypatch):
+    built = []
+    density_op = qhekit.qinfo.DensityOp
+    original = density_op.__post_init__
+
+    def recording(self):
+        built.append(self.layout.labels)
+        original(self)
+
+    monkeypatch.setattr(density_op, "__post_init__", recording)
+    scheme = build_qotp_scheme(1)
+    trace = run_pipeline(scheme, "X", random_ket(2, 8))
+    assert built == []
+    assert trace.rho_message.layout.labels == scheme.return_to_alice
+    assert built == [scheme.return_to_alice]
+    assert trace.rho_message is trace.rho_message
+    assert len(built) == 1
