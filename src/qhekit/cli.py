@@ -1,8 +1,8 @@
 """Command-line entry point.
 
 Commands: check, localise, audit, export-scheme, list-catalog.  Exit codes:
-0 success / all requested verdicts pass, 1 malformed input or bad
-parameters, 2 any fail verdict or a localisation refusal, 3 inapplicable
+0 success / all requested verdicts pass, 1 malformed input, bad parameters
+or a usage error, 2 any fail verdict or a localisation refusal, 3 inapplicable
 verdicts only.  Reports are emitted as text or JSON; identical invocations
 produce identical reports.
 """
@@ -44,6 +44,14 @@ _TOL_NAMES = ("unitarity", "hermiticity", "rank", "equality") + _CHECK_NAMES + (
 
 class CliError(Exception):
     """Input problem that maps to exit code 1."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors exit 1, like every other input error."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        raise CliError(message)
 
 
 def _parse_params(pairs: list[str]) -> dict[str, str]:
@@ -108,14 +116,13 @@ def _load_json(path: str) -> Any:
 
 
 def _reject_unread(args: argparse.Namespace, options: tuple[str, ...], why: str) -> None:
-    """Exit 1 on an explicit value for options this invocation never reads."""
+    """Exit 1 on an explicit value for options this input never reads."""
     given = [f"--{name}" for name in options if getattr(args, name) not in (None, [])]
     if given:
         raise CliError(f"{', '.join(given)} does not apply {why}")
 
 
 def _get_scheme(args: argparse.Namespace):
-    _reject_unread(args, ("seed",), "to schemes; scheme builders are deterministic")
     if args.scheme:
         _reject_unread(args, ("params",), "to a scheme read from a file")
         return scheme_from_json(_load_json(args.scheme))
@@ -252,7 +259,6 @@ def _cmd_localise(args: argparse.Namespace) -> int:
 
 
 def _cmd_audit(args: argparse.Namespace) -> int:
-    _reject_unread(args, ("seed", "params", "tol"), "to audit")
     if (args.set_size is None) == (args.classical_bits is None):
         raise CliError("provide exactly one of --set-size or --classical-bits")
     if args.set_size is not None:
@@ -281,7 +287,6 @@ def _cmd_audit(args: argparse.Namespace) -> int:
 
 
 def _cmd_export_scheme(args: argparse.Namespace) -> int:
-    _reject_unread(args, ("tol",), "to export-scheme")
     scheme = _get_scheme(args)
     args.format = "json"  # scheme files are always JSON
     _emit(args, "", scheme_to_json(scheme))
@@ -289,7 +294,6 @@ def _cmd_export_scheme(args: argparse.Namespace) -> int:
 
 
 def _cmd_list_catalog(args: argparse.Namespace) -> int:
-    _reject_unread(args, ("seed", "params", "tol"), "to list-catalog")
     if not args.verify:
         lines = []
         payload = []
@@ -322,7 +326,7 @@ def _cmd_list_catalog(args: argparse.Namespace) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qhekit",
         description=(
             "Simulate homomorphic-encryption schemes on small quantum systems, "
@@ -334,16 +338,22 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"qhekit {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--seed", type=int, help="problem builder seed (default 0)")
+    # Each command registers only the options it reads.
+    def add_params(p: argparse.ArgumentParser) -> None:
         p.add_argument(
             "--params", nargs="*", default=[], metavar="K=V", help="builder parameters"
         )
+
+    def add_tol(p: argparse.ArgumentParser) -> None:
         p.add_argument(
             "--tol", nargs="*", default=[], metavar="NAME=VAL", help="tolerance overrides"
         )
+
+    def add_out(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--out", help="write the output to this file instead of stdout")
+
+    def add_format(p: argparse.ArgumentParser) -> None:
         p.add_argument("--format", choices=("text", "json"), default="text")
-        p.add_argument("--out", help="write the report to this file instead of stdout")
 
     p_check = sub.add_parser("check", help="run scheme checkers")
     p_check.add_argument("--scheme", help="scheme JSON file")
@@ -351,13 +361,20 @@ def _build_parser() -> argparse.ArgumentParser:
     p_check.add_argument(
         "--which", choices=_CHECK_NAMES + ("all",), default="all", help="which checker to run"
     )
-    add_common(p_check)
+    add_params(p_check)
+    add_tol(p_check)
+    add_format(p_check)
+    add_out(p_check)
     p_check.set_defaults(func=_cmd_check)
 
     p_loc = sub.add_parser("localise", help="run the data-localisation construction")
     p_loc.add_argument("--problem", help="localisation problem JSON file")
     p_loc.add_argument("--builder", help="constructed-secure | leaky")
-    add_common(p_loc)
+    p_loc.add_argument("--seed", type=int, help="problem builder seed (default 0)")
+    add_params(p_loc)
+    add_tol(p_loc)
+    add_format(p_loc)
+    add_out(p_loc)
     p_loc.set_defaults(func=_cmd_localise)
 
     p_audit = sub.add_parser("audit", help="evaluation-set dimension audit")
@@ -365,27 +382,30 @@ def _build_parser() -> argparse.ArgumentParser:
     p_audit.add_argument(
         "--classical-bits", type=int, help="audit all reversible classical circuits on n bits"
     )
-    add_common(p_audit)
+    add_format(p_audit)
+    add_out(p_audit)
     p_audit.set_defaults(func=_cmd_audit)
 
     p_export = sub.add_parser("export-scheme", help="write a built scheme as JSON")
     p_export.add_argument("--scheme", help="scheme JSON file to re-emit")
     p_export.add_argument("--builder", help="identity | qotp | tag-evaluate")
-    add_common(p_export)
+    add_params(p_export)
+    add_out(p_export)
     p_export.set_defaults(func=_cmd_export_scheme)
 
     p_cat = sub.add_parser("list-catalog", help="list or verify the scheme catalog")
     p_cat.add_argument(
         "--verify", action="store_true", help="run all checkers and compare with expectations"
     )
-    add_common(p_cat)
+    add_format(p_cat)
+    add_out(p_cat)
     p_cat.set_defaults(func=_cmd_list_catalog)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         return args.func(args)
     except (CliError, ValueError) as exc:  # SchemeFormatError is a ValueError
         print(f"error: {exc}", file=sys.stderr)

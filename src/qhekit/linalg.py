@@ -27,17 +27,18 @@ def as_matrix(m, where: str = "matrix") -> np.ndarray:
 
 
 def as_square(m, where: str = "matrix") -> np.ndarray:
-    a = as_matrix(m, where)
-    if a.shape[0] != a.shape[1]:
-        raise ValueError(f"{where}: expected a square matrix, got shape {a.shape}")
-    return a
+    """Coerce to a finite square complex matrix."""
+    a = np.asarray(m, dtype=complex)
+    if a.ndim != 2:
+        raise ValueError(f"{where}: expected a matrix, got shape {a.shape}")
+    return _as_square_stack(a, where)
 
 
 def _as_square_stack(m, where: str) -> np.ndarray:
     """Coerce to a finite complex array of square matrices, shape (..., d, d)."""
     a = np.asarray(m, dtype=complex)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
-        raise ValueError(f"{where}: expected square matrices, got shape {a.shape}")
+        raise ValueError(f"{where}: expected a square matrix, got shape {a.shape}")
     if not np.isfinite(a).all():
         raise ValueError(f"{where}: non-finite entries")
     return a

@@ -244,6 +244,17 @@ def evolve(
     encryption isometry; the circuit's evaluation acts on Bob's registers
     and the decryption on Alice's, each through its register footprint.
     """
+    plaintexts = np.asarray(plaintexts, dtype=complex)
+    if plaintexts.ndim not in (1, 2) or plaintexts.shape[0] != scheme.input_dim:
+        raise ValueError(
+            f"plaintexts: expected shape ({scheme.input_dim},) or ({scheme.input_dim}, m), "
+            f"got {plaintexts.shape}"
+        )
+    if not np.isfinite(plaintexts).all():
+        raise ValueError("plaintexts: non-finite amplitudes")
+    norms = np.linalg.norm(plaintexts, axis=0)
+    if (np.abs(norms - 1.0) > 1e-10).any():
+        raise ValueError(f"plaintexts: norms {norms!r} are not all 1 within 1e-10")
     ev = scheme.evaluation(circuit_id)
     ket_t1 = scheme.encryption_isometry @ plaintexts
     ket_t2 = apply_operator(ket_t1, scheme.layout, ev.operator.matrix, ev.operator.labels)

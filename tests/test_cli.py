@@ -217,50 +217,86 @@ def _scheme_file(tmp_path):
     return str(path)
 
 
+_UNREGISTERED = "unrecognized arguments"
+_FILE_INPUT = "does not apply"
+
+
 @pytest.mark.parametrize(
-    "argv, option",
+    "argv, option, message",
     [
-        pytest.param(("audit", "--set-size", "4", "--seed", "5"), "--seed", id="audit-seed"),
         pytest.param(
-            ("audit", "--set-size", "4", "--params", "n=1"), "--params", id="audit-params"
+            ("audit", "--set-size", "4", "--seed", "5"), "--seed", _UNREGISTERED, id="audit-seed"
         ),
         pytest.param(
-            ("audit", "--classical-bits", "2", "--tol", "equality=1e-3"), "--tol", id="audit-tol"
+            ("audit", "--set-size", "4", "--params", "n=1"),
+            "--params",
+            _UNREGISTERED,
+            id="audit-params",
         ),
-        pytest.param(("list-catalog", "--seed", "9"), "--seed", id="list-catalog-seed"),
-        pytest.param(("list-catalog", "--params", "n=1"), "--params", id="list-catalog-params"),
         pytest.param(
-            ("list-catalog", "--verify", "--tol", "equality=1e-3"), "--tol", id="list-catalog-tol"
+            ("audit", "--classical-bits", "2", "--tol", "equality=1e-3"),
+            "--tol",
+            _UNREGISTERED,
+            id="audit-tol",
+        ),
+        pytest.param(
+            ("list-catalog", "--seed", "9"), "--seed", _UNREGISTERED, id="list-catalog-seed"
+        ),
+        pytest.param(
+            ("list-catalog", "--params", "n=1"), "--params", _UNREGISTERED, id="list-catalog-params"
+        ),
+        pytest.param(
+            ("list-catalog", "--verify", "--tol", "equality=1e-3"),
+            "--tol",
+            _UNREGISTERED,
+            id="list-catalog-tol",
         ),
         pytest.param(
             ("export-scheme", "--builder", "qotp", "--params", "n=1", "--tol", "equality=1"),
             "--tol",
+            _UNREGISTERED,
             id="export-scheme-tol",
+        ),
+        pytest.param(
+            ("export-scheme", "--builder", "qotp", "--params", "n=1", "--format", "text"),
+            "--format",
+            _UNREGISTERED,
+            id="export-scheme-format",
         ),
         pytest.param(
             ("export-scheme", "--scheme", _scheme_file, "--params", "n=2"),
             "--params",
+            _FILE_INPUT,
             id="export-scheme-file-params",
         ),
         pytest.param(
             ("check", "--scheme", _scheme_file, "--params", "n=2"),
             "--params",
+            _FILE_INPUT,
             id="check-file-params",
         ),
         pytest.param(
             ("localise", "--problem", _problem_file, "--seed", "3"),
             "--seed",
+            _FILE_INPUT,
             id="localise-file-seed",
         ),
         pytest.param(
             ("localise", "--problem", _problem_file, "--params", "dims=2,2,2"),
             "--params",
+            _FILE_INPUT,
             id="localise-file-params",
         ),
     ],
 )
-def test_unread_options_rejected(tmp_path, capsys, argv, option):
+def test_unread_options_rejected(tmp_path, capsys, argv, option, message):
     argv = [a(tmp_path) if callable(a) else a for a in argv]
     assert run_cli(*argv) == 1
     err = capsys.readouterr().err
-    assert option in err and "does not apply" in err
+    assert option in err and message in err
+
+
+def test_usage_errors_exit_one(capsys):
+    assert run_cli("check", "--which", "nonsense") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage:") and "invalid choice" in err

@@ -297,6 +297,20 @@ def test_evolve_batch_matches_pipeline_runs():
             np.testing.assert_allclose(column[:, k], ket, rtol=0, atol=1e-14)
 
 
+@pytest.mark.parametrize(
+    "plaintexts, message",
+    [
+        (np.ones((3, 2)) / np.sqrt(3), "expected shape"),
+        (np.ones((2, 2, 1)), "expected shape"),
+        (np.array([[1.0, 1.0], [0.0, 1.0]]), "norms"),
+        (np.array([np.nan, 0.0]), "non-finite"),
+    ],
+)
+def test_evolve_rejects_bad_plaintexts(plaintexts, message):
+    with pytest.raises(ValueError, match=message):
+        evolve(build_qotp_scheme(1), "X", plaintexts)
+
+
 def test_pipeline_reduces_states_on_first_access(monkeypatch):
     built = []
     density_op = qhekit.qinfo.DensityOp
