@@ -39,7 +39,9 @@ from .tolerances import DEFAULT_TOLERANCES
 
 _MAX_TEXT_CASES = 12
 _CHECK_NAMES = ("security", "completeness", "theorem1")
-_TOL_NAMES = ("unitarity", "hermiticity", "rank", "equality") + _CHECK_NAMES + ("leakage",)
+# The tolerance names each command reads: check's verdict thresholds, and
+# localise's leakage threshold plus the two numerical ones it uses.
+_TOL_NAMES = {"check": _CHECK_NAMES, "localise": ("leakage", "hermiticity", "rank")}
 
 
 class CliError(Exception):
@@ -64,15 +66,15 @@ def _parse_params(pairs: list[str]) -> dict[str, str]:
     return params
 
 
-def _parse_tols(pairs: list[str]) -> dict[str, float]:
+def _parse_tols(pairs: list[str], accepted: tuple[str, ...]) -> dict[str, float]:
     tols = {}
     for pair in pairs:
         if "=" not in pair:
             raise CliError(f"tolerance {pair!r} is not of the form NAME=VALUE")
         name, value = pair.split("=", 1)
         name = name.strip()
-        if name not in _TOL_NAMES:
-            raise CliError(f"unknown tolerance {name!r}; known: {', '.join(_TOL_NAMES)}")
+        if name not in accepted:
+            raise CliError(f"unknown tolerance {name!r}; accepted: {', '.join(accepted)}")
         try:
             parsed = float(value)
         except ValueError:
@@ -122,30 +124,27 @@ def _reject_unread(args: argparse.Namespace, options: tuple[str, ...], why: str)
         raise CliError(f"{', '.join(given)} does not apply {why}")
 
 
+# The parser makes the file and --builder options one required choice.
 def _get_scheme(args: argparse.Namespace):
-    if args.scheme:
+    if args.scheme is not None:
         _reject_unread(args, ("params",), "to a scheme read from a file")
         return scheme_from_json(_load_json(args.scheme))
-    if args.builder:
-        params = _scheme_params(args.builder, _parse_params(args.params))
-        try:
-            return build_scheme(args.builder, **params)
-        except (TypeError, ValueError) as exc:
-            raise CliError(str(exc)) from None
-    raise CliError("provide --scheme FILE or --builder NAME")
+    params = _scheme_params(args.builder, _parse_params(args.params))
+    try:
+        return build_scheme(args.builder, **params)
+    except (TypeError, ValueError) as exc:
+        raise CliError(str(exc)) from None
 
 
 def _get_problem(args: argparse.Namespace):
-    if args.problem:
+    if args.problem is not None:
         _reject_unread(args, ("seed", "params"), "to a problem read from a file")
         return problem_from_json(_load_json(args.problem))
-    if args.builder:
-        params = _problem_params(_parse_params(args.params), args.seed)
-        try:
-            return build_problem(args.builder, **params)
-        except (TypeError, ValueError) as exc:
-            raise CliError(str(exc)) from None
-    raise CliError("provide --problem FILE or --builder NAME")
+    params = _problem_params(_parse_params(args.params), args.seed)
+    try:
+        return build_problem(args.builder, **params)
+    except (TypeError, ValueError) as exc:
+        raise CliError(str(exc)) from None
 
 
 def _emit(args: argparse.Namespace, text: str, payload: Any) -> None:
@@ -185,15 +184,14 @@ def _verdict_exit(verdicts: list[str]) -> int:
 
 def _cmd_check(args: argparse.Namespace) -> int:
     scheme = _get_scheme(args)
-    tols = _parse_tols(args.tol)
-    fallback = tols.get("equality", DEFAULT_TOLERANCES.equality)
+    tols = _parse_tols(args.tol, _TOL_NAMES[args.command])
     wanted = _CHECK_NAMES if args.which == "all" else (args.which,)
     reports: dict[str, Report] = {}
     security = completeness = None
     if "security" in wanted or "theorem1" in wanted:
-        security = check_security(scheme, tols.get("security", fallback))
+        security = check_security(scheme, tols.get("security"))
     if "completeness" in wanted or "theorem1" in wanted:
-        completeness = check_completeness(scheme, tols.get("completeness", fallback))
+        completeness = check_completeness(scheme, tols.get("completeness"))
     if "security" in wanted:
         reports["security"] = security
     if "completeness" in wanted:
@@ -202,7 +200,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
         reports["theorem1"] = check_theorem1(
             scheme,
             basis_ket(scheme.input_dim, 0),
-            tols.get("theorem1", fallback),
+            tols.get("theorem1"),
             security_report=security,
             completeness_report=completeness,
         )
@@ -219,12 +217,10 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 def _cmd_localise(args: argparse.Namespace) -> int:
     problem = _get_problem(args)
-    tols = _parse_tols(args.tol)
-    base = DEFAULT_TOLERANCES.replace(
-        **{k: v for k, v in tols.items() if k in ("unitarity", "hermiticity", "rank", "equality")}
-    )
+    tols = _parse_tols(args.tol, _TOL_NAMES[args.command])
     if "leakage" in tols:
-        base = base.replace(equality=tols["leakage"])
+        tols["equality"] = tols.pop("leakage")
+    base = DEFAULT_TOLERANCES.replace(**tols)
     ok, deviation = check_zero_leakage(problem, base.equality)
     if not ok:
         payload = {
@@ -349,6 +345,11 @@ def _build_parser() -> argparse.ArgumentParser:
             "--tol", nargs="*", default=[], metavar="NAME=VAL", help="tolerance overrides"
         )
 
+    def add_source(p: argparse.ArgumentParser, file_option: str, what: str, builders: str) -> None:
+        source = p.add_mutually_exclusive_group(required=True)
+        source.add_argument(file_option, help=f"{what} JSON file")
+        source.add_argument("--builder", help=builders)
+
     def add_out(p: argparse.ArgumentParser) -> None:
         p.add_argument("--out", help="write the output to this file instead of stdout")
 
@@ -356,8 +357,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("text", "json"), default="text")
 
     p_check = sub.add_parser("check", help="run scheme checkers")
-    p_check.add_argument("--scheme", help="scheme JSON file")
-    p_check.add_argument("--builder", help="identity | qotp | tag-evaluate")
+    add_source(p_check, "--scheme", "scheme", "identity | qotp | tag-evaluate")
     p_check.add_argument(
         "--which", choices=_CHECK_NAMES + ("all",), default="all", help="which checker to run"
     )
@@ -368,8 +368,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_check.set_defaults(func=_cmd_check)
 
     p_loc = sub.add_parser("localise", help="run the data-localisation construction")
-    p_loc.add_argument("--problem", help="localisation problem JSON file")
-    p_loc.add_argument("--builder", help="constructed-secure | leaky")
+    add_source(p_loc, "--problem", "localisation problem", "constructed-secure | leaky")
     p_loc.add_argument("--seed", type=int, help="problem builder seed (default 0)")
     add_params(p_loc)
     add_tol(p_loc)
@@ -387,8 +386,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_audit.set_defaults(func=_cmd_audit)
 
     p_export = sub.add_parser("export-scheme", help="write a built scheme as JSON")
-    p_export.add_argument("--scheme", help="scheme JSON file to re-emit")
-    p_export.add_argument("--builder", help="identity | qotp | tag-evaluate")
+    add_source(p_export, "--scheme", "scheme", "identity | qotp | tag-evaluate")
     add_params(p_export)
     add_out(p_export)
     p_export.set_defaults(func=_cmd_export_scheme)

@@ -77,13 +77,6 @@ def kron(*factors) -> np.ndarray:
     return reduce(np.kron, arrays)
 
 
-def is_hermitian(m: np.ndarray, tol: float | None = None) -> bool:
-    m = as_square(m)
-    if tol is None:
-        tol = DEFAULT_TOLERANCES.hermiticity
-    return float(np.max(np.abs(m - dagger(m)))) <= tol
-
-
 def is_isometry(w: np.ndarray, tol: float | None = None) -> bool:
     """True iff max-entry norm of W†W - I is at most tol (orthonormal columns)."""
     w = as_matrix(w, "isometry")

@@ -78,6 +78,16 @@ class ExtractionError(RuntimeError):
         self.outside_weight = outside_weight
 
 
+def _probes(d: int):
+    """(label, ket) for every probe of a d-dimensional input, in case order."""
+    for j in range(d):
+        yield f"basis-{j}", basis_ket(d, j)
+    for j in range(d):
+        for j2 in range(j + 1, d):
+            yield f"plus-{j}-{j2}", (basis_ket(d, j) + basis_ket(d, j2)) / np.sqrt(2.0)
+            yield f"imag-{j}-{j2}", (basis_ket(d, j) + 1j * basis_ket(d, j2)) / np.sqrt(2.0)
+
+
 def probe_states(d: int) -> list[np.ndarray]:
     """Informationally complete probe kets for a d-dimensional input.
 
@@ -87,22 +97,12 @@ def probe_states(d: int) -> list[np.ndarray]:
     """
     if d < 1:
         raise ValueError(f"dimension must be >= 1, got {d}")
-    probes = [basis_ket(d, j) for j in range(d)]
-    for j in range(d):
-        for j2 in range(j + 1, d):
-            probes.append((basis_ket(d, j) + basis_ket(d, j2)) / np.sqrt(2.0))
-            probes.append((basis_ket(d, j) + 1j * basis_ket(d, j2)) / np.sqrt(2.0))
-    return probes
+    return [ket for _, ket in _probes(d)]
 
 
 def probe_labels(d: int) -> list[str]:
     """Stable case identifiers matching probe_states order."""
-    labels = [f"basis-{j}" for j in range(d)]
-    for j in range(d):
-        for j2 in range(j + 1, d):
-            labels.append(f"plus-{j}-{j2}")
-            labels.append(f"imag-{j}-{j2}")
-    return labels
+    return [label for label, _ in _probes(d)]
 
 
 @dataclass(frozen=True)
@@ -270,18 +270,17 @@ def check_zero_leakage(
 ) -> tuple[bool, float]:
     """Probe whether the remote reduced state is independent of the input.
 
-    Runs every informationally complete probe and reports the maximum trace
-    distance from the first basis probe's remote state.  The remote state is
-    linear in the input projector, so passing on this set certifies
-    independence for all inputs.
+    Runs every informationally complete probe in one batch through the
+    problem's input isometry and reports the maximum trace distance from the
+    first basis probe's remote state.  The remote state is linear in the
+    input projector, so passing on this set certifies independence for all
+    inputs.
     """
     if tol is None:
         tol = DEFAULT_TOLERANCES.equality
-    probes = probe_states(problem.data_dim)
-    reference = problem.remote_reduced(probes[0])
-    deviation = 0.0
-    for probe in probes[1:]:
-        deviation = max(deviation, trace_distance(problem.remote_reduced(probe), reference))
+    probes = np.stack(probe_states(problem.data_dim), axis=1)
+    states = reduced_from_ket(problem.isometry @ probes, problem.layout, [problem.remote_label])
+    deviation = float(trace_distance(states[1:], states[0]).max())
     return deviation <= tol, deviation
 
 

@@ -14,10 +14,8 @@ from .linalg import as_ket, as_square, dagger, eig_hermitian, kron, trace_distan
 from .tolerances import DEFAULT_TOLERANCES
 
 # Marginal eigenvalues below this are treated as numerically zero support
-# when projecting a product-deviation computation onto marginal supports.
+# when product_deviation_from_ket projects onto marginal supports.
 _SUPPORT_CUTOFF = 1e-12
-# Above this total dimension the projected route is cheaper than dense.
-_DENSE_LIMIT = 64
 
 
 @dataclass(frozen=True)
@@ -66,9 +64,6 @@ class DensityOp:
 
     def purity(self) -> float:
         return float(np.real(np.trace(self.matrix @ self.matrix)))
-
-    def min_eigenvalue(self) -> float:
-        return float(np.linalg.eigvalsh(self.matrix)[0])
 
 
 @dataclass(frozen=True)
@@ -124,23 +119,12 @@ def orthogonal_support(
     return overlap <= tol, overlap
 
 
-def _grouped_matrix(rho: DensityOp, side_a: tuple[str, ...], side_b: tuple[str, ...]) -> np.ndarray:
-    """rho.matrix with register axes reordered to (side_a..., side_b...)."""
-    order = rho.layout.positions(side_a + side_b)
-    if list(order) == list(range(len(order))):
-        return rho.matrix
-    perm = axis_permutation(rho.layout.dims, order)
-    out = np.empty_like(rho.matrix)
-    out[...] = rho.matrix[np.ix_(perm, perm)]
-    return out
-
-
 def product_deviation(rho: DensityOp, side_a: Iterable[str]) -> float:
     """Trace distance between rho and the tensor product of its marginals.
 
-    Exact up to the numerical support cutoff on the marginals: the state is
-    evaluated inside supp(rho_A) x supp(rho_B), which contains it, so large
-    systems avoid a full-dimension eigendecomposition.
+    The dense reference: one full-dimension eigenproblem.  For a reduction
+    of a pure state, product_deviation_from_ket gives the same number in
+    factored form.
     """
     a = rho.layout.ordered(side_a)
     b = rho.layout.complement(a)
@@ -148,24 +132,8 @@ def product_deviation(rho: DensityOp, side_a: Iterable[str]) -> float:
         raise ValueError("product test needs a non-degenerate bipartition")
     rho_a = partial_trace(rho.matrix, rho.layout, a)
     rho_b = partial_trace(rho.matrix, rho.layout, b)
-    grouped = _grouped_matrix(rho, a, b)
-    if rho.dim <= _DENSE_LIMIT:
-        return trace_distance(grouped, kron(rho_a, rho_b))
-
-    wa, va = np.linalg.eigh(rho_a)
-    wb, vb = np.linalg.eigh(rho_b)
-    keep_a = wa > _SUPPORT_CUTOFF
-    keep_b = wb > _SUPPORT_CUTOFF
-    basis = kron(va[:, keep_a], vb[:, keep_b])
-    small = dagger(basis) @ grouped @ basis
-    prod_small = np.outer(wa[keep_a], wb[keep_b]).ravel()
-    nuclear = float(np.sum(np.abs(np.linalg.eigvalsh(small - np.diag(prod_small)))))
-    # Mass of the product state outside the kept supports still counts.
-    dropped = float(
-        np.sum(np.clip(wa, 0, None)) * np.sum(np.clip(wb, 0, None))
-        - np.sum(wa[keep_a]) * np.sum(wb[keep_b])
-    )
-    return 0.5 * (nuclear + max(dropped, 0.0))
+    perm = axis_permutation(rho.layout.dims, rho.layout.positions(a + b))
+    return trace_distance(rho.matrix[np.ix_(perm, perm)], kron(rho_a, rho_b))
 
 
 def is_product(rho: DensityOp, side_a: Iterable[str], tol: float | None = None) -> bool:

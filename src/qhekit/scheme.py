@@ -197,12 +197,22 @@ class QheScheme:
         raise KeyError(f"unknown circuit {circuit_id!r}; scheme offers {self.circuit_ids}")
 
     def plaintext(self, psi_in: np.ndarray) -> np.ndarray:
-        """psi_in validated as a unit ket on the input register."""
-        psi_in = as_ket(psi_in, "plaintext")
-        if psi_in.size != self.input_dim:
+        """psi_in validated as unit kets on the input register.
+
+        One ket of shape (input_dim,) or a batch of them as the columns of
+        an (input_dim, m) array.
+        """
+        psi_in = np.asarray(psi_in, dtype=complex)
+        d = self.input_dim
+        if psi_in.ndim not in (1, 2) or psi_in.shape[0] != d:
             raise ValueError(
-                f"plaintext dimension {psi_in.size} != input register dimension {self.input_dim}"
+                f"plaintext: expected shape ({d},) or ({d}, m), got {psi_in.shape}"
             )
+        if not np.isfinite(psi_in).all():
+            raise ValueError("plaintext: non-finite amplitudes")
+        norms = np.linalg.norm(psi_in, axis=0)
+        if (np.abs(norms - 1.0) > 1e-10).any():
+            raise ValueError(f"plaintext: norms {norms!r} are not all 1 within 1e-10")
         return psi_in
 
     def initial_ket(self, psi_in: np.ndarray) -> np.ndarray:
@@ -244,17 +254,7 @@ def evolve(
     encryption isometry; the circuit's evaluation acts on Bob's registers
     and the decryption on Alice's, each through its register footprint.
     """
-    plaintexts = np.asarray(plaintexts, dtype=complex)
-    if plaintexts.ndim not in (1, 2) or plaintexts.shape[0] != scheme.input_dim:
-        raise ValueError(
-            f"plaintexts: expected shape ({scheme.input_dim},) or ({scheme.input_dim}, m), "
-            f"got {plaintexts.shape}"
-        )
-    if not np.isfinite(plaintexts).all():
-        raise ValueError("plaintexts: non-finite amplitudes")
-    norms = np.linalg.norm(plaintexts, axis=0)
-    if (np.abs(norms - 1.0) > 1e-10).any():
-        raise ValueError(f"plaintexts: norms {norms!r} are not all 1 within 1e-10")
+    plaintexts = scheme.plaintext(plaintexts)
     ev = scheme.evaluation(circuit_id)
     ket_t1 = scheme.encryption_isometry @ plaintexts
     ket_t2 = apply_operator(ket_t1, scheme.layout, ev.operator.matrix, ev.operator.labels)
@@ -315,14 +315,6 @@ class PipelineTrace:
         """The output register after decryption."""
         return DensityOp.reduced(self.ket_final, self.layout, [self.scheme.output_label])
 
-    @cached_property
-    def state_t1(self) -> DensityOp:
-        return DensityOp.from_ket(self.layout, self.ket_t1)
-
-    @cached_property
-    def state_t2(self) -> DensityOp:
-        return DensityOp.from_ket(self.layout, self.ket_t2)
-
 
 def run_pipeline(scheme: QheScheme, circuit_id: str, psi_in: np.ndarray) -> PipelineTrace:
     """Simulate one full run of the scheme on the given plaintext.
@@ -331,7 +323,7 @@ def run_pipeline(scheme: QheScheme, circuit_id: str, psi_in: np.ndarray) -> Pipe
     encryption isometry, applies the chosen evaluation on Bob's registers,
     then the decryption on Alice's.  Reduced states are formed on demand.
     """
-    psi_in = scheme.plaintext(psi_in)
+    psi_in = np.asarray(psi_in, dtype=complex).reshape(-1)  # evolve validates it
     return PipelineTrace(scheme, circuit_id, psi_in, *evolve(scheme, circuit_id, psi_in))
 
 

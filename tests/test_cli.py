@@ -300,3 +300,66 @@ def test_usage_errors_exit_one(capsys):
     assert run_cli("check", "--which", "nonsense") == 1
     err = capsys.readouterr().err
     assert err.startswith("usage:") and "invalid choice" in err
+
+
+_SOURCES = {
+    "check": ("--builder", "qotp", "--params", "n=1"),
+    "localise": ("--builder", "constructed-secure", "--params", "dims=2,2,2", "seed=7"),
+}
+_ACCEPTED_TOLS = {
+    "check": "security, completeness, theorem1",
+    "localise": "leakage, hermiticity, rank",
+}
+
+
+@pytest.mark.parametrize(
+    "command, name",
+    [("check", name) for name in ("unitarity", "hermiticity", "rank", "equality", "leakage")]
+    + [("localise", name) for name in ("unitarity", "equality", "security", "completeness", "theorem1")],
+)
+def test_tolerances_the_command_does_not_read_rejected(capsys, command, name):
+    assert run_cli(command, *_SOURCES[command], "--tol", f"{name}=1e-3") == 1
+    err = capsys.readouterr().err
+    assert f"unknown tolerance {name!r}" in err and _ACCEPTED_TOLS[command] in err
+
+
+def test_localise_leakage_tolerance_changes_outcome(tmp_path):
+    out = tmp_path / "refusal.json"
+    code = run_cli(
+        "localise", "--builder", "leaky", "--params", "dims=2,2,2", "seed=1",
+        "--tol", "leakage=1.0", "--format", "json", "--out", str(out),
+    )
+    assert code == 2
+    assert read_json(out)["reason"] == "localisation-refused"
+
+
+def test_localise_rank_tolerance_changes_rank(tmp_path):
+    default = tmp_path / "default.json"
+    coarse = tmp_path / "coarse.json"
+    base = ("localise", *_SOURCES["localise"], "--format", "json")
+    assert run_cli(*base, "--out", str(default)) == 0
+    assert run_cli(*base, "--tol", "rank=0.9", "--out", str(coarse)) == 0
+    assert read_json(default)["rank"] == 2
+    assert read_json(coarse)["rank"] == 1
+
+
+def test_localise_hermiticity_tolerance_is_applied(capsys):
+    assert run_cli("localise", *_SOURCES["localise"], "--tol", "hermiticity=1e-300") == 1
+    assert "not Hermitian" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, file_option, make_file, builder",
+    [
+        pytest.param("check", "--scheme", _scheme_file, "identity", id="check"),
+        pytest.param("export-scheme", "--scheme", _scheme_file, "identity", id="export-scheme"),
+        pytest.param("localise", "--problem", _problem_file, "leaky", id="localise"),
+    ],
+)
+def test_input_is_exactly_one_of_file_or_builder(
+    tmp_path, capsys, command, file_option, make_file, builder
+):
+    assert run_cli(command, file_option, make_file(tmp_path), "--builder", builder) == 1
+    assert "not allowed with" in capsys.readouterr().err
+    assert run_cli(command) == 1
+    assert "is required" in capsys.readouterr().err

@@ -1,9 +1,18 @@
 import numpy as np
 import pytest
 
+import qhekit.localiser
 from qhekit.catalog import build_constructed_secure_problem, build_leaky_problem
 from qhekit.layout import Layout, axis_permutation
-from qhekit.linalg import basis_ket, fidelity_pure, is_unitary, kron, random_ket, random_unitary
+from qhekit.linalg import (
+    basis_ket,
+    fidelity_pure,
+    is_unitary,
+    kron,
+    random_ket,
+    random_unitary,
+    trace_distance,
+)
 from qhekit.localiser import (
     ExtractionError,
     LeakageDetected,
@@ -73,6 +82,46 @@ def test_zero_leakage_swap_fails_maximally():
 def test_zero_leakage_constructed_problem(seed):
     ok, deviation = check_zero_leakage(build_constructed_secure_problem((2, 2, 2), seed))
     assert ok and deviation <= 1e-10
+
+
+# The dimensions of the benchmark's localisation sweep.
+SWEEP_CASES = [("constructed-secure", d) for d in ((2, 2, 2), (2, 4, 2), (3, 2, 4), (2, 2, 8))] + [
+    ("leaky", d) for d in ((2, 2, 2), (2, 4, 2), (2, 2, 8), (3, 2, 6))
+]
+
+
+@pytest.mark.parametrize("kind, dims", SWEEP_CASES)
+def test_zero_leakage_matches_per_probe_reference(kind, dims):
+    build = build_constructed_secure_problem if kind == "constructed-secure" else build_leaky_problem
+    for seed in range(4):
+        problem = build(dims, seed)
+        probes = probe_states(problem.data_dim)
+        reference = problem.remote_reduced(probes[0])
+        expected = max(trace_distance(problem.remote_reduced(p), reference) for p in probes[1:])
+        ok, deviation = check_zero_leakage(problem)
+        assert abs(deviation - expected) <= 1e-12
+        assert ok == (kind == "constructed-secure")
+
+
+def test_zero_leakage_reduces_all_probes_in_one_batch(monkeypatch):
+    problem = build_constructed_secure_problem((3, 2, 4), seed=7)
+    calls = {"reduced_from_ket": 0, "output_ket": 0}
+    reduce = qhekit.localiser.reduced_from_ket
+    output_ket = LocalisationProblem.output_ket
+
+    def counting_reduce(*args, **kwargs):
+        calls["reduced_from_ket"] += 1
+        return reduce(*args, **kwargs)
+
+    def counting_output(*args, **kwargs):
+        calls["output_ket"] += 1
+        return output_ket(*args, **kwargs)
+
+    monkeypatch.setattr(qhekit.localiser, "reduced_from_ket", counting_reduce)
+    monkeypatch.setattr(LocalisationProblem, "output_ket", counting_output)
+    ok, _ = check_zero_leakage(problem)
+    assert ok
+    assert calls == {"reduced_from_ket": 1, "output_ket": 0}
 
 
 def test_localise_identity_unitary():

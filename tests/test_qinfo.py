@@ -184,8 +184,8 @@ def test_product_deviation_factored_matches_dense(seed):
 
 
 def test_product_deviation_large_dimension_path():
-    # Above the dense cutoff the support-projected route must agree with a
-    # directly constructed product state.
+    # At dimension 128 the dense route must give zero on a product state and
+    # agree with the factored ket kernel on an entangled one.
     layout = Layout((("a", 4), ("b", 32),))
     psi = kron(random_ket(4, 1), random_ket(32, 2))
     rho = DensityOp.from_ket(layout, psi)

@@ -18,6 +18,7 @@ from qhekit.checks import check_completeness
 from qhekit.layout import Layout, apply_operator, axis_permutation, embed_operator
 from qhekit.linalg import basis_ket, fidelity_pure, kron, random_ket
 from qhekit.localiser import extract_plaintext, localise
+from qhekit.qinfo import DensityOp
 from qhekit.scheme import (
     Evaluation,
     FootprintOp,
@@ -80,8 +81,8 @@ def test_pipeline_rejects_unknown_circuit():
 def test_pipeline_global_purity_and_ownership():
     scheme = build_qotp_scheme(1)
     trace = run_pipeline(scheme, "Z", random_ket(2, 3))
-    assert abs(trace.state_t1.purity() - 1) <= 1e-9
-    assert abs(trace.state_t2.purity() - 1) <= 1e-9
+    for ket in (trace.ket_t1, trace.ket_t2):
+        assert abs(DensityOp.from_ket(scheme.layout, ket).purity() - 1) <= 1e-9
     for alice, bob in ((trace.alice_t1, trace.bob_t1), (trace.alice_t2, trace.bob_t2)):
         assert sorted(alice + bob) == sorted(scheme.layout.labels)
         assert not set(alice) & set(bob)
