@@ -8,6 +8,7 @@ produce identical reports.
 """
 
 import argparse
+import functools
 import json
 import sys
 from typing import Any
@@ -26,7 +27,7 @@ from .checks import (
     check_theorem1,
 )
 from .linalg import basis_ket
-from .localiser import LocalisationError, check_zero_leakage, localise
+from .localiser import LeakageDetected, LocalisationError, localise
 from .serialize import (
     audit_to_json,
     problem_from_json,
@@ -186,16 +187,13 @@ def _cmd_check(args: argparse.Namespace) -> int:
     scheme = _get_scheme(args)
     tols = _parse_tols(args.tol, _TOL_NAMES[args.command])
     wanted = _CHECK_NAMES if args.which == "all" else (args.which,)
-    reports: dict[str, Report] = {}
     security = completeness = None
     if "security" in wanted or "theorem1" in wanted:
         security = check_security(scheme, tols.get("security"))
     if "completeness" in wanted or "theorem1" in wanted:
         completeness = check_completeness(scheme, tols.get("completeness"))
-    if "security" in wanted:
-        reports["security"] = security
-    if "completeness" in wanted:
-        reports["completeness"] = completeness
+    # Only the wanted reports are read below.
+    reports = {"security": security, "completeness": completeness}
     if "theorem1" in wanted:
         reports["theorem1"] = check_theorem1(
             scheme,
@@ -221,22 +219,22 @@ def _cmd_localise(args: argparse.Namespace) -> int:
     if "leakage" in tols:
         tols["equality"] = tols.pop("leakage")
     base = DEFAULT_TOLERANCES.replace(**tols)
-    ok, deviation = check_zero_leakage(problem, base.equality)
-    if not ok:
+    try:
+        result = localise(problem, base)
+    except LeakageDetected as exc:
         payload = {
             "verdict": FAIL,
             "reason": "leakage-detected",
-            "max_deviation": deviation,
+            "max_deviation": exc.deviation,
             "tolerances": {"leakage": base.equality},
         }
-        _emit(args, f"zero-leakage: fail  max_deviation={deviation:.3e}", payload)
+        _emit(args, f"zero-leakage: fail  max_deviation={exc.deviation:.3e}", payload)
         return 2
-    try:
-        result = localise(problem, base)
     except LocalisationError as exc:
         payload = {"verdict": FAIL, "reason": "localisation-refused", "detail": str(exc)}
         _emit(args, f"localise: refused  {exc}", payload)
         return 2
+    deviation = result.leakage_deviation
     text = "\n".join(
         [
             f"zero-leakage: pass  max_deviation={deviation:.3e}",
@@ -321,6 +319,8 @@ def _cmd_list_catalog(args: argparse.Namespace) -> int:
     return 0 if all_match else 2
 
 
+# Built on first use, not at import, and shared by every later call.
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="qhekit",

@@ -205,6 +205,7 @@ class LocalisationResult:
     residual's k-th eigenvector; the localising unitary maps it to
     |j> ⊗ |k>.  factor_dims records the (data, residual) split, and
     residual_state is the diagonal fixed state on the residual factor.
+    leakage_deviation is the zero-leakage deviation the input passed with;
     gram_residual is the worst deviation of the branch Gram matrix from the
     identity; reconstruction_residual is the worst trace distance between
     the simulated retained state and the predicted one over seeded random
@@ -215,6 +216,7 @@ class LocalisationResult:
     residual_state: DensityOp
     rank: int
     factor_dims: tuple[int, int]
+    leakage_deviation: float
     gram_residual: float
     reconstruction_residual: float
 
@@ -372,6 +374,7 @@ def localise(
         residual_state=residual_state,
         rank=rank,
         factor_dims=(d1, d2),
+        leakage_deviation=deviation,
         gram_residual=gram_residual,
         reconstruction_residual=0.0,
     )

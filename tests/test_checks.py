@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import qhekit
 from qhekit.catalog import (
@@ -14,6 +16,7 @@ from qhekit.catalog import (
     build_tag_evaluate_scheme,
     catalog,
     pauli_word_matrix,
+    pauli_words,
 )
 from qhekit.checks import (
     INAPPLICABLE,
@@ -30,10 +33,10 @@ from qhekit.checks import (
     qubits_for_set,
 )
 from qhekit.layout import Layout
-from qhekit.linalg import basis_ket, haar_ket, kron, random_unitary, trace_distance
+from qhekit.linalg import basis_ket, haar_ket, kron, random_ket, random_unitary, trace_distance
 from qhekit.localiser import probe_labels, probe_states
 from qhekit.qinfo import product_deviation_from_ket
-from qhekit.scheme import Evaluation, FootprintOp, run_pipeline
+from qhekit.scheme import Evaluation, FootprintOp, QheScheme, RegisterState, run_pipeline
 from qhekit.tolerances import DEFAULT_TOLERANCES
 
 
@@ -80,7 +83,8 @@ def test_completeness_qotp_all_flip_words():
     report = check_completeness(build_qotp_scheme(1))
     assert report.verdict == PASS
     assert report.worst_metric <= 1e-9
-    assert len(report.cases) == 4 * (4 + 10)  # 4 circuits x (probes + haar draws)
+    # One certificate per circuit covers every plaintext.
+    assert [case for case, _ in report.cases] == [f"{w}/certificate" for w in pauli_words(1)]
 
 
 def test_completeness_fails_for_unmatched_evaluation():
@@ -96,7 +100,8 @@ def test_completeness_fails_for_unmatched_evaluation():
     report = check_completeness(extended)
     assert report.verdict == FAIL
     metrics = dict(report.cases)
-    assert metrics["H/basis-0"] >= 0.5 - 1e-9
+    # The infidelity at |0> is 0.5 (below), and 1 - F <= delta^2.
+    assert metrics["H/certificate"] >= math.sqrt(0.5) - 1e-9
     # direct simulation oracle: the decrypted output for |0> is I/2, so the
     # fidelity with H|0> is exactly one half
     from qhekit.scheme import run_pipeline
@@ -241,8 +246,10 @@ def _per_plaintext_security(scheme):
 
 
 def _per_plaintext_completeness(scheme):
-    # Reference: one pipeline run per (circuit, plaintext), the Haar
-    # plaintexts drawn exactly as check_completeness draws them.
+    # Reference: the sampled check the certificate replaced.  One pipeline
+    # run per (circuit, plaintext) over the probes and 10 seeded Haar
+    # plaintexts; the metric is the output's infidelity with the target, or
+    # its product deviation from Alice's other registers if larger.
     d = scheme.input_dim
     rest = tuple(l for l in scheme.alice_t2 if l != scheme.output_label)
     cases = []
@@ -251,18 +258,26 @@ def _per_plaintext_completeness(scheme):
         plaintexts = list(zip(probe_labels(d), probe_states(d)))
         plaintexts += [(f"haar-{i}", haar_ket(rng, d)) for i in range(10)]
         for name, psi in plaintexts:
-            trace = run_pipeline(scheme, ev.circuit_id, psi)
-            target = ev.target @ psi
-            metric = 1.0 - float(np.real(np.vdot(target, trace.output.matrix @ target)))
-            if rest:
-                metric = max(
-                    metric,
-                    product_deviation_from_ket(
-                        trace.ket_final, scheme.layout, [scheme.output_label], rest
-                    ),
-                )
-            cases.append((f"{ev.circuit_id}/{name}", metric))
+            infidelity, deviation = _sampled_metrics(scheme, ev, psi, rest)
+            cases.append((f"{ev.circuit_id}/{name}", max(infidelity, deviation)))
     return cases
+
+
+def _sampled_metrics(scheme, ev, psi, rest):
+    trace = run_pipeline(scheme, ev.circuit_id, psi)
+    target = ev.target @ psi
+    infidelity = 1.0 - float(np.real(np.vdot(target, trace.output.matrix @ target)))
+    deviation = 0.0
+    if rest:
+        deviation = product_deviation_from_ket(
+            trace.ket_final, scheme.layout, [scheme.output_label], rest
+        )
+    return infidelity, deviation
+
+
+def _completeness_bound(delta):
+    # check_completeness's docstring: 1 - F <= delta^2, deviation <= 3 delta.
+    return max(delta**2, 3.0 * delta)
 
 
 def _assert_cases_match(report, reference, tol):
@@ -271,6 +286,19 @@ def _assert_cases_match(report, reference, tol):
         assert abs(got - want) <= 1e-12
     worst = max(metric for _, metric in reference)
     assert abs(report.worst_metric - worst) <= 1e-12
+    assert report.verdict == (PASS if worst <= tol else FAIL)
+
+
+def _assert_certificate_bounds_samples(scheme, report, tol):
+    # One certificate per circuit; every sampled metric of that circuit is
+    # within the bound its certificate implies, and the verdicts agree.
+    assert [case for case, _ in report.cases] == [f"{c}/certificate" for c in scheme.circuit_ids]
+    deltas = dict(report.cases)
+    sampled = _per_plaintext_completeness(scheme)
+    for case_id, metric in sampled:
+        circuit = case_id.rsplit("/", 1)[0]
+        assert metric <= _completeness_bound(deltas[f"{circuit}/certificate"]) + 1e-12
+    worst = max(metric for _, metric in sampled)
     assert report.verdict == (PASS if worst <= tol else FAIL)
 
 
@@ -283,15 +311,110 @@ def test_batched_checkers_match_per_plaintext_reference(entry):
     security = check_security(scheme)
     _assert_cases_match(security, _per_plaintext_security(scheme), tol)
     completeness = check_completeness(scheme)
-    _assert_cases_match(completeness, _per_plaintext_completeness(scheme), tol)
+    _assert_certificate_bounds_samples(scheme, completeness, tol)
     for checker, report in (("security", security), ("completeness", completeness)):
         if checker in entry.expected:
             assert report.verdict == entry.expected[checker]
 
 
+def _control_scheme(evaluate, decrypt, target, bob_ket=basis_ket(2, 0)):
+    """One circuit over (input, anc, bob) qubits: Alice keeps anc, Bob starts
+    with bob, and the input makes the round trip through Bob's evaluation on
+    (input, bob) and Alice's decryption on (input, anc)."""
+    return QheScheme(
+        name="control",
+        layout=Layout((("input", 2), ("anc", 2), ("bob", 2))),
+        input_label="input",
+        output_label="input",
+        bob_initial=("bob",),
+        key_state=None,
+        resource_state=None,
+        ancilla_states=(
+            RegisterState(("anc",), basis_ket(2, 0)),
+            RegisterState(("bob",), bob_ket),
+        ),
+        encrypt_op=FootprintOp(("input",), np.eye(2)),
+        decrypt_op=FootprintOp(("input", "anc"), decrypt),
+        evaluations=(Evaluation("c", FootprintOp(("input", "bob"), evaluate), target),),
+        send_to_bob=("input",),
+        return_to_alice=("input",),
+    )
+
+
+def _controlled(u):
+    # u on the second qubit when the first is |1>.
+    return np.block([[np.eye(2), np.zeros((2, 2))], [np.zeros((2, 2)), u]])
+
+
+def _wrong_target(target):
+    return _control_scheme(np.eye(4), np.eye(4), target)
+
+
+def _entangled_ancilla(u):
+    return _control_scheme(np.eye(4), _controlled(u), np.eye(2))
+
+
+def _input_dependent_residual(theta, bob_ket):
+    phase = np.diag([1.0, np.exp(1j * theta)])
+    return _control_scheme(_controlled(phase), np.eye(4), np.eye(2), bob_ket)
+
+
+NEGATIVE_CONTROLS = {
+    "wrong-target": lambda: _wrong_target(pauli_word_matrix("X")),
+    "entangled-ancilla": lambda: _entangled_ancilla(pauli_word_matrix("X")),
+    # r_1 = -r_0: Bob's register picks up a relative phase.
+    "residual-phase": lambda: _input_dependent_residual(np.pi, basis_ket(2, 1)),
+    # r_1 = |->, r_0 = |+>: Bob's register ends in an input-dependent state.
+    "residual-state": lambda: _input_dependent_residual(np.pi, np.ones(2) / np.sqrt(2)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NEGATIVE_CONTROLS))
+def test_negative_controls_fail_both_routes(name):
+    scheme = NEGATIVE_CONTROLS[name]()
+    tol = DEFAULT_TOLERANCES.equality
+    report = check_completeness(scheme)
+    assert report.verdict == FAIL
+    assert max(metric for _, metric in _per_plaintext_completeness(scheme)) > tol
+    _assert_certificate_bounds_samples(scheme, report, tol)
+
+
+_CERTIFIED = [*catalog(), CatalogEntry("qotp-2", "qotp", {"n": 2}, {})]
+_seeds = st.integers(0, 2**32 - 1)
+_schemes = st.one_of(
+    st.sampled_from(_CERTIFIED).map(lambda e: build_scheme(e.builder, **e.params)),
+    _seeds.map(lambda seed: _wrong_target(random_unitary(2, seed))),
+    _seeds.map(lambda seed: _entangled_ancilla(random_unitary(2, seed))),
+    st.builds(
+        lambda theta, seed: _input_dependent_residual(theta, random_ket(2, seed)),
+        st.floats(0.0, 2 * np.pi),
+        _seeds,
+    ),
+)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(data=st.data())
+def test_certificate_bounds_every_plaintext(data):
+    scheme = data.draw(_schemes)
+    d = scheme.input_dim
+    amplitudes = np.array(data.draw(st.lists(st.floats(-1.0, 1.0), min_size=2 * d, max_size=2 * d)))
+    psi = amplitudes[:d] + 1j * amplitudes[d:]
+    assume(np.linalg.norm(psi) > 1e-3)
+    psi = psi / np.linalg.norm(psi)
+    rest = tuple(l for l in scheme.alice_t2 if l != scheme.output_label)
+    report = check_completeness(scheme)
+    for ev, (_, delta) in zip(scheme.evaluations, report.cases):
+        infidelity, deviation = _sampled_metrics(scheme, ev, psi, rest)
+        assert infidelity <= delta + 1e-12  # c1 = 1
+        assert infidelity <= delta**2 + 1e-12
+        assert deviation <= 3 * delta + 1e-12  # c2 = 3
+
+
 def test_completeness_runs_one_batch_per_circuit(monkeypatch):
     scheme = build_qotp_scheme(2)
-    calls = {"run_pipeline": 0, "apply_operator": 0, "DensityOp": 0}
+    calls = {"run_pipeline": 0, "apply_operator": 0, "DensityOp": 0, "product_deviation_from_ket": 0}
+    evolved = []
 
     def counting(name, original):
         def wrapper(*args, **kwargs):
@@ -301,18 +424,28 @@ def test_completeness_runs_one_batch_per_circuit(monkeypatch):
         return wrapper
 
     for module in (qhekit.layout, qhekit.scheme, qhekit.checks):
-        for name in ("run_pipeline", "apply_operator"):
+        for name in ("run_pipeline", "apply_operator", "product_deviation_from_ket"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
     density_op = qhekit.qinfo.DensityOp
     post_init = counting("DensityOp", density_op.__post_init__)
     monkeypatch.setattr(density_op, "__post_init__", post_init)
+    original_evolve = qhekit.checks.evolve
+
+    def recording_evolve(scheme, circuit_id, plaintexts):
+        evolved.append((circuit_id, np.shape(plaintexts)))
+        return original_evolve(scheme, circuit_id, plaintexts)
+
+    monkeypatch.setattr(qhekit.checks, "evolve", recording_evolve)
 
     report = check_completeness(scheme)
     assert report.verdict == PASS
-    assert len(report.cases) == len(scheme.evaluations) * (16 + 10)
+    assert len(report.cases) == len(scheme.evaluations)
+    d = scheme.input_dim
+    assert evolved == [(cid, (d, d)) for cid in scheme.circuit_ids]
     assert calls["run_pipeline"] == 0
     assert calls["DensityOp"] == 0
+    assert calls["product_deviation_from_ket"] == 0
     # Evaluation and decryption per circuit, plus one encryption of the
     # basis plaintexts for the scheme's cached encryption isometry.
     assert calls["apply_operator"] <= 2 * len(scheme.evaluations) + 1

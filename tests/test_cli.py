@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import qhekit.cli
 import qhekit.localiser
 from qhekit.catalog import build_constructed_secure_problem, build_qotp_scheme
 from qhekit.cli import main
@@ -363,3 +364,60 @@ def test_input_is_exactly_one_of_file_or_builder(
     assert "not allowed with" in capsys.readouterr().err
     assert run_cli(command) == 1
     assert "is required" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "builder, params, code",
+    [("constructed-secure", ("dims=2,2,2", "seed=7"), 0), ("leaky", ("dims=2,2,2", "seed=1"), 2)],
+)
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_localise_checks_zero_leakage_once(monkeypatch, capsys, builder, params, code, fmt):
+    calls = []
+    original = qhekit.localiser.check_zero_leakage
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    for module in (qhekit.localiser, qhekit.cli):
+        if hasattr(module, "check_zero_leakage"):
+            monkeypatch.setattr(module, "check_zero_leakage", counting)
+    assert run_cli("localise", "--builder", builder, "--params", *params, "--format", fmt) == code
+    assert "max_deviation" in capsys.readouterr().out
+    assert calls == [1]
+
+
+def test_parser_is_built_once_and_reused(monkeypatch, capsys):
+    sequence = [
+        ("check", "--builder", "identity", "--bogus"),
+        ("check", "--builder", "identity", "--params", "n=1", "--which", "security"),
+        ("localise", "--builder", "leaky", "--params", "dims=2,2,2", "seed=1", "--format", "json"),
+        ("audit", "--set-size", "5"),
+        ("audit", "--set-size", "5", "--seed", "1"),
+    ]
+
+    def run_sequence(fresh):
+        outcomes = []
+        for argv in sequence:
+            if fresh:
+                qhekit.cli._build_parser.cache_clear()
+            code = run_cli(*argv)
+            captured = capsys.readouterr()
+            outcomes.append((code, captured.out, captured.err))
+        return outcomes
+
+    expected = run_sequence(fresh=True)
+    assert [code for code, _, _ in expected] == [1, 2, 2, 0, 1]
+
+    builds = []
+    original_init = qhekit.cli._Parser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        builds.append(kwargs.get("prog"))
+        original_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(qhekit.cli._Parser, "__init__", counting_init)
+    qhekit.cli._build_parser.cache_clear()
+    assert run_sequence(fresh=False) == expected
+    # The top-level parser is the only one constructed with prog="qhekit".
+    assert builds.count("qhekit") == 1
