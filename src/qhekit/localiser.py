@@ -190,6 +190,12 @@ class LocalisationProblem:
         return self.isometry @ psi
 
     def remote_reduced(self, psi: np.ndarray) -> np.ndarray:
+        """The remote side's reduced state for one input.
+
+        No code in the package calls this: check_zero_leakage reduces every
+        probe in one batch.  It is kept as the one-input reference the tests
+        check that batch against.
+        """
         return reduced_from_ket(self.output_ket(psi), self.layout, [self.remote_label])
 
     def retained_reduced(self, psi: np.ndarray) -> np.ndarray:

@@ -10,7 +10,7 @@ from typing import Iterable
 import numpy as np
 
 from .layout import Layout, axis_permutation, partial_trace, reduced_from_ket
-from .linalg import as_ket, as_square, dagger, eig_hermitian, kron, trace_distance
+from .linalg import as_ket, as_square, dagger, kron, trace_distance
 from .tolerances import DEFAULT_TOLERANCES
 
 # Marginal eigenvalues below this are treated as numerically zero support
@@ -96,12 +96,27 @@ def mutual_information(rho: DensityOp, side_a: Iterable[str], rank_tol: float | 
     )
 
 
-def support(rho: DensityOp, rank_tol: float | None = None) -> SupportProjector:
-    """Projector onto the span of eigenvectors with eigenvalue above rank_tol."""
+def support_bases(states: np.ndarray, rank_tol: float | None = None) -> list[np.ndarray]:
+    """Orthonormal bases of the supports of a stack of Hermitian matrices.
+
+    states has shape (s, d, d); item i gives a (d, r_i) array whose columns
+    are the eigenvectors with eigenvalue above rank_tol, from one stacked
+    eigh.  The support projector is P_i = V_i V_i†.
+    """
     if rank_tol is None:
         rank_tol = DEFAULT_TOLERANCES.rank
-    evals, evecs = eig_hermitian(rho.matrix)
-    cols = evecs[:, evals > rank_tol]
+    evals, evecs = np.linalg.eigh(states)
+    return [vecs[:, kept] for vecs, kept in zip(evecs, evals > rank_tol)]
+
+
+def support_overlap(va: np.ndarray, vb: np.ndarray) -> float:
+    """Tr(P_a P_b) = ||V_a† V_b||_F^2 for orthonormal support bases V_a, V_b."""
+    return float(np.linalg.norm(dagger(va) @ vb) ** 2)
+
+
+def support(rho: DensityOp, rank_tol: float | None = None) -> SupportProjector:
+    """Projector onto the span of eigenvectors with eigenvalue above rank_tol."""
+    (cols,) = support_bases(rho.matrix[None], rank_tol)
     return SupportProjector(rho.layout, cols @ dagger(cols), cols.shape[1])
 
 
@@ -113,9 +128,7 @@ def orthogonal_support(
         raise ValueError(f"layout mismatch: {a.layout.registers} vs {b.layout.registers}")
     if tol is None:
         tol = DEFAULT_TOLERANCES.equality
-    pa = support(a, rank_tol).projector
-    pb = support(b, rank_tol).projector
-    overlap = float(np.real(np.trace(pa @ pb)))
+    overlap = support_overlap(*support_bases(np.stack([a.matrix, b.matrix]), rank_tol))
     return overlap <= tol, overlap
 
 
@@ -194,10 +207,10 @@ def product_deviation_from_ket(
         vb = basis_b[group][:, :, basis_b.shape[2] - rb :]
         wa_kept = wa[group][:, wa.shape[1] - ra :]
         wb_kept = wb[group][:, wb.shape[1] - rb :]
-        joint = (va[:, :, None, :, None] * vb[:, None, :, None, :]).reshape(
-            len(group), da * db, ra * rb
-        )
-        proj = joint.conj().swapaxes(1, 2) @ t[group].reshape(len(group), da * db, dr)
+        # Project onto the joint support factor by factor: V_a†, then V_b†.
+        proj = va.conj().swapaxes(1, 2) @ t[group].reshape(len(group), da, db * dr)
+        proj = vb.conj().swapaxes(1, 2)[:, None] @ proj.reshape(len(group), ra, db, dr)
+        proj = proj.reshape(len(group), ra * rb, dr)
         product = (wa_kept[:, :, None] * wb_kept[:, None, :]).reshape(len(group), -1)
         delta = proj @ proj.conj().swapaxes(1, 2)
         delta[:, np.arange(ra * rb), np.arange(ra * rb)] -= product

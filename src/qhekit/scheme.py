@@ -244,23 +244,34 @@ class QheScheme:
 
 
 def evolve(
-    scheme: QheScheme, circuit_id: str, plaintexts: np.ndarray
+    scheme: QheScheme, circuit_ids: str | Sequence[str], plaintexts: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The global kets at t1, t2 and after decryption for the given plaintexts.
 
     plaintexts is one unit ket of shape (input_dim,) or a batch of them as
-    the columns of an (input_dim, m) array; each returned ket array has
-    shape (dim,) or (dim, m) to match.  Encryption is the scheme's
-    encryption isometry; the circuit's evaluation acts on Bob's registers
-    and the decryption on Alice's, each through its register footprint.
+    the columns of an (input_dim, m) array; the t1 kets have shape (dim,)
+    or (dim, m) to match.  For one circuit id the t2 and final kets have
+    that shape too.  For a sequence of n ids they carry a circuit axis,
+    (dim, n) or (dim, n, m), in the order given.  Encryption is the
+    scheme's encryption isometry; each circuit's evaluation acts on Bob's
+    registers of the shared t1 kets, and the decryption on Alice's acts
+    once on every circuit's t2 kets together, each through its register
+    footprint.
     """
     plaintexts = scheme.plaintext(plaintexts)
-    ev = scheme.evaluation(circuit_id)
+    single = isinstance(circuit_ids, str)
+    evaluations = [scheme.evaluation(c) for c in ((circuit_ids,) if single else circuit_ids)]
+    layout = scheme.layout
     ket_t1 = scheme.encryption_isometry @ plaintexts
-    ket_t2 = apply_operator(ket_t1, scheme.layout, ev.operator.matrix, ev.operator.labels)
-    ket_final = apply_operator(
-        ket_t2, scheme.layout, scheme.decrypt_op.matrix, scheme.decrypt_op.labels
+    ket_t2 = np.stack(
+        [apply_operator(ket_t1, layout, ev.operator.matrix, ev.operator.labels) for ev in evaluations],
+        axis=1,
     )
+    ket_final = apply_operator(
+        ket_t2.reshape(layout.dim, -1), layout, scheme.decrypt_op.matrix, scheme.decrypt_op.labels
+    ).reshape(ket_t2.shape)
+    if single:
+        return ket_t1, ket_t2[:, 0], ket_final[:, 0]
     return ket_t1, ket_t2, ket_final
 
 
@@ -270,7 +281,9 @@ class PipelineTrace:
 
     The global state stays pure throughout; the kets are the primary
     carriers, and every density operator is reduced from them on first
-    access.
+    access.  This is the interactive, one-plaintext view of a run: no
+    checker builds one, as the checkers call evolve on every circuit at
+    once.
     """
 
     scheme: QheScheme
@@ -319,9 +332,11 @@ class PipelineTrace:
 def run_pipeline(scheme: QheScheme, circuit_id: str, psi_in: np.ndarray) -> PipelineTrace:
     """Simulate one full run of the scheme on the given plaintext.
 
-    The one-plaintext case of evolve: encrypts through the scheme's
-    encryption isometry, applies the chosen evaluation on Bob's registers,
-    then the decryption on Alice's.  Reduced states are formed on demand.
+    The one-circuit, one-plaintext case of evolve: encrypts through the
+    scheme's encryption isometry, applies the chosen evaluation on Bob's
+    registers, then the decryption on Alice's.  Reduced states are formed
+    on demand.  No checker calls this; it is the interactive view of one
+    run, and tests use it as the per-circuit reference.
     """
     psi_in = np.asarray(psi_in, dtype=complex).reshape(-1)  # evolve validates it
     return PipelineTrace(scheme, circuit_id, psi_in, *evolve(scheme, circuit_id, psi_in))

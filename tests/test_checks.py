@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -22,8 +23,10 @@ from qhekit.checks import (
     INAPPLICABLE,
     PASS,
     FAIL,
+    REASON_COMPLETENESS_FAILED,
     REASON_MESSAGE_CORRELATED,
     REASON_SECURITY_FAILED,
+    Report,
     audit_dimension,
     audit_reversible_classical,
     check_completeness,
@@ -33,9 +36,17 @@ from qhekit.checks import (
     qubits_for_set,
 )
 from qhekit.layout import Layout
-from qhekit.linalg import basis_ket, haar_ket, kron, random_ket, random_unitary, trace_distance
+from qhekit.linalg import (
+    basis_ket,
+    haar_ket,
+    kron,
+    random_ket,
+    random_unitary,
+    trace_distance,
+    unitaries_equal_up_to_phase,
+)
 from qhekit.localiser import probe_labels, probe_states
-from qhekit.qinfo import product_deviation_from_ket
+from qhekit.qinfo import orthogonal_support, product_deviation_from_ket
 from qhekit.scheme import Evaluation, FootprintOp, QheScheme, RegisterState, run_pipeline
 from qhekit.tolerances import DEFAULT_TOLERANCES
 
@@ -411,10 +422,11 @@ def test_certificate_bounds_every_plaintext(data):
         assert deviation <= 3 * delta + 1e-12  # c2 = 3
 
 
-def test_completeness_runs_one_batch_per_circuit(monkeypatch):
-    scheme = build_qotp_scheme(2)
-    calls = {"run_pipeline": 0, "apply_operator": 0, "DensityOp": 0, "product_deviation_from_ket": 0}
-    evolved = []
+def _count_calls(monkeypatch, names):
+    """Count calls to the named functions wherever the package bound them,
+    and DensityOp constructions; returns the live counts."""
+    calls = dict.fromkeys(names, 0)
+    calls["DensityOp"] = 0
 
     def counting(name, original):
         def wrapper(*args, **kwargs):
@@ -423,29 +435,220 @@ def test_completeness_runs_one_batch_per_circuit(monkeypatch):
 
         return wrapper
 
-    for module in (qhekit.layout, qhekit.scheme, qhekit.checks):
-        for name in ("run_pipeline", "apply_operator", "product_deviation_from_ket"):
+    for module in (qhekit.linalg, qhekit.layout, qhekit.qinfo, qhekit.scheme, qhekit.checks):
+        for name in names:
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
     density_op = qhekit.qinfo.DensityOp
-    post_init = counting("DensityOp", density_op.__post_init__)
-    monkeypatch.setattr(density_op, "__post_init__", post_init)
-    original_evolve = qhekit.checks.evolve
+    monkeypatch.setattr(density_op, "__post_init__", counting("DensityOp", density_op.__post_init__))
+    return calls
 
-    def recording_evolve(scheme, circuit_id, plaintexts):
-        evolved.append((circuit_id, np.shape(plaintexts)))
-        return original_evolve(scheme, circuit_id, plaintexts)
 
-    monkeypatch.setattr(qhekit.checks, "evolve", recording_evolve)
+def _record_evolve(monkeypatch):
+    evolved = []
+    original = qhekit.checks.evolve
+
+    def recording(scheme, circuit_ids, plaintexts):
+        evolved.append((circuit_ids, np.shape(plaintexts)))
+        return original(scheme, circuit_ids, plaintexts)
+
+    monkeypatch.setattr(qhekit.checks, "evolve", recording)
+    return evolved
+
+
+def test_completeness_runs_one_batch_per_circuit(monkeypatch):
+    scheme = build_qotp_scheme(2)
+    calls = _count_calls(monkeypatch, ("run_pipeline", "apply_operator", "product_deviation_from_ket"))
+    evolved = _record_evolve(monkeypatch)
 
     report = check_completeness(scheme)
     assert report.verdict == PASS
     assert len(report.cases) == len(scheme.evaluations)
     d = scheme.input_dim
-    assert evolved == [(cid, (d, d)) for cid in scheme.circuit_ids]
+    # Every circuit in one evolve call, on the basis plaintexts.
+    assert evolved == [(scheme.circuit_ids, (d, d))]
     assert calls["run_pipeline"] == 0
     assert calls["DensityOp"] == 0
     assert calls["product_deviation_from_ket"] == 0
-    # Evaluation and decryption per circuit, plus one encryption of the
-    # basis plaintexts for the scheme's cached encryption isometry.
-    assert calls["apply_operator"] <= 2 * len(scheme.evaluations) + 1
+    # One evaluation per circuit, one decryption of every circuit's kets,
+    # plus one encryption of the basis plaintexts for the scheme's cached
+    # encryption isometry.
+    assert calls["apply_operator"] <= len(scheme.evaluations) + 2
+
+
+@pytest.mark.parametrize("name", ["tag-evaluate-2q", "qotp-2"])
+def test_theorem1_runs_one_batch_for_all_circuits(monkeypatch, name):
+    scheme = _scheme(name)
+    security, completeness = _preconditions(name)
+    calls = _count_calls(
+        monkeypatch, ("run_pipeline", "apply_operator", "product_deviation_from_ket", "eig_hermitian")
+    )
+    evolved = _record_evolve(monkeypatch)
+
+    report = check_theorem1(
+        scheme,
+        basis_ket(scheme.input_dim, 0),
+        security_report=security,
+        completeness_report=completeness,
+    )
+    assert report.verdict == _THEOREM1_EXPECTED[name]
+    assert evolved == [(scheme.circuit_ids, (scheme.input_dim,))]
+    assert calls["run_pipeline"] == 0
+    assert calls["DensityOp"] == 0
+    assert calls["product_deviation_from_ket"] == 1
+    assert calls["eig_hermitian"] == 0
+    assert calls["apply_operator"] <= len(scheme.evaluations) + 2
+
+
+_THEOREM1_EXPECTED = {"tag-evaluate-2q": PASS, "qotp-2": INAPPLICABLE}
+_THEOREM1_ENTRIES = {e.name: e for e in (*catalog(), CatalogEntry("qotp-2", "qotp", {"n": 2}, {}))}
+
+
+@functools.cache
+def _scheme(name):
+    entry = _THEOREM1_ENTRIES[name]
+    return build_scheme(entry.builder, **entry.params)
+
+
+@functools.cache
+def _preconditions(name):
+    return check_security(_scheme(name)), check_completeness(_scheme(name))
+
+
+def _per_circuit_theorem1(scheme, psi_in, security, completeness, tol):
+    """Reference: one run_pipeline per circuit, one product_deviation_from_ket
+    per circuit and orthogonal_support per pair on the pipelines' rho_message.
+    Returns (cases, verdict, reason) as check_theorem1 would report them."""
+    if security.verdict != PASS:
+        return [], INAPPLICABLE, REASON_SECURITY_FAILED
+    if completeness.verdict != PASS:
+        return [], INAPPLICABLE, REASON_COMPLETENESS_FAILED
+    traces = {cid: run_pipeline(scheme, cid, psi_in) for cid in scheme.circuit_ids}
+    retained = scheme.alice_t1
+    cases = []
+    for cid, trace in traces.items():
+        deviation = 0.0
+        if retained:
+            deviation = product_deviation_from_ket(
+                trace.ket_t2, scheme.layout, retained, scheme.return_to_alice
+            )
+        cases.append((f"product-form/{cid}", deviation))
+    if max(metric for _, metric in cases) > tol:
+        return cases, INAPPLICABLE, REASON_MESSAGE_CORRELATED
+    worst = 0.0
+    for i, a in enumerate(scheme.evaluations):
+        for b in scheme.evaluations[i + 1 :]:
+            if unitaries_equal_up_to_phase(a.target, b.target):
+                continue
+            _, overlap = orthogonal_support(
+                traces[a.circuit_id].rho_message, traces[b.circuit_id].rho_message, tol
+            )
+            cases.append((f"overlap/{a.circuit_id}|{b.circuit_id}", overlap))
+            worst = max(worst, overlap)
+    return cases, PASS if worst <= tol else FAIL, None
+
+
+def _assert_theorem1_matches_reference(scheme, psi_in, security, completeness):
+    tol = DEFAULT_TOLERANCES.equality
+    report = check_theorem1(
+        scheme, psi_in, security_report=security, completeness_report=completeness
+    )
+    cases, verdict, reason = _per_circuit_theorem1(scheme, psi_in, security, completeness, tol)
+    assert (report.verdict, report.reason) == (verdict, reason)
+    assert [case_id for case_id, _ in report.cases] == [case_id for case_id, _ in cases]
+    for (_, got), (_, want) in zip(report.cases, cases):
+        assert abs(got - want) <= 1e-12
+    return report
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(name=st.sampled_from(sorted(_THEOREM1_ENTRIES)), seed=_seeds)
+def test_batched_theorem1_matches_per_circuit_reference(name, seed):
+    scheme = _scheme(name)
+    psi_in = random_ket(scheme.input_dim, seed)
+    _assert_theorem1_matches_reference(scheme, psi_in, *_preconditions(name))
+
+
+def _passed(kind):
+    return Report(kind=kind, verdict=PASS, worst_metric=0.0, cases=())
+
+
+@pytest.mark.parametrize("wrong", range(4))
+def test_completeness_flags_only_the_circuit_with_a_wrong_target(wrong):
+    # Circuit `wrong` asks for a Hadamard after its flip, which the scheme
+    # does not apply; only that circuit's certificate may be nonzero.
+    scheme = build_qotp_scheme(1)
+    hadamard = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
+    evaluations = list(scheme.evaluations)
+    ev = evaluations[wrong]
+    evaluations[wrong] = Evaluation(ev.circuit_id, ev.operator, hadamard @ ev.target)
+    report = check_completeness(dataclasses.replace(scheme, evaluations=tuple(evaluations)))
+    assert report.verdict == FAIL
+    for k, (case_id, metric) in enumerate(report.cases):
+        assert case_id == f"{scheme.circuit_ids[k]}/certificate"
+        assert (metric > 0.5) if k == wrong else (metric <= 1e-12)
+
+
+@pytest.mark.parametrize("copier, copied", [(1, 0), (3, 1), (2, 3)])
+def test_theorem1_flags_only_the_pair_sharing_a_message(copier, copied):
+    # Circuit `copier` writes circuit `copied`'s tag, so their messages are
+    # the same basis state.  Theorem 1 rules out a complete scheme that does
+    # this, so the completeness precondition is supplied to reach stage 2.
+    scheme = build_tag_evaluate_scheme(1, ("I", "X", "Z", "XZ"))
+    evaluations = list(scheme.evaluations)
+    evaluations[copier] = Evaluation(
+        evaluations[copier].circuit_id, evaluations[copied].operator, evaluations[copier].target
+    )
+    variant = dataclasses.replace(scheme, evaluations=tuple(evaluations))
+    psi_in = random_ket(2, 5)
+    report = _assert_theorem1_matches_reference(
+        variant, psi_in, check_security(variant), _passed("completeness")
+    )
+    assert report.verdict == FAIL
+    ids = scheme.circuit_ids
+    shared = {ids[copier], ids[copied]}
+    for case_id, metric in report.cases:
+        if not case_id.startswith("overlap/"):
+            continue
+        pair = set(case_id.removeprefix("overlap/").split("|"))
+        assert abs(metric - 1.0) <= 1e-12 if pair == shared else metric <= 1e-12
+
+
+def _graded_correlation_scheme():
+    """A one-bit pad whose circuits leave the message correlated with Alice's
+    key to different degrees: "keep" returns the padded bit, "swap" swaps it
+    for Bob's fresh |0>, and "partial" applies exp(-i pi/6 SWAP) to the two."""
+    flip = _controlled(pauli_word_matrix("X"))
+    swap = np.eye(4)[[0, 2, 1, 3]]
+    partial = np.cos(np.pi / 6) * np.eye(4) - 1j * np.sin(np.pi / 6) * swap
+    return QheScheme(
+        name="graded-correlation",
+        layout=Layout((("input", 2), ("key", 2), ("bob", 2))),
+        input_label="input",
+        output_label="input",
+        bob_initial=("bob",),
+        key_state=RegisterState(("key",), np.ones(2) / np.sqrt(2)),
+        resource_state=None,
+        ancilla_states=(RegisterState(("bob",), basis_ket(2, 0)),),
+        encrypt_op=FootprintOp(("key", "input"), flip),
+        decrypt_op=FootprintOp(("key", "input"), flip),
+        evaluations=(
+            Evaluation("keep", FootprintOp(("input",), np.eye(2)), np.eye(2)),
+            Evaluation("swap", FootprintOp(("input", "bob"), swap), pauli_word_matrix("X")),
+            Evaluation("partial", FootprintOp(("input", "bob"), partial), pauli_word_matrix("Z")),
+        ),
+        send_to_bob=("input",),
+        return_to_alice=("input",),
+    )
+
+
+def test_theorem1_reports_each_circuits_own_product_deviation():
+    # Three different deviations: a circuit-axis mix-up moves them between
+    # case ids.  The preconditions are supplied, as the scheme is incomplete.
+    report = _assert_theorem1_matches_reference(
+        _graded_correlation_scheme(), random_ket(2, 3), _passed("security"), _passed("completeness")
+    )
+    assert (report.verdict, report.reason) == (INAPPLICABLE, REASON_MESSAGE_CORRELATED)
+    deviations = dict(report.cases)
+    assert deviations["product-form/swap"] <= 1e-12
+    assert deviations["product-form/keep"] > deviations["product-form/partial"] > 0.1

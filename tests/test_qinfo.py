@@ -1,8 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qhekit.layout import Layout, reduced_from_ket
-from qhekit.linalg import basis_ket, kron, random_ket, random_unitary
+from qhekit.linalg import (
+    basis_ket,
+    eig_hermitian,
+    haar_ket,
+    haar_unitary,
+    kron,
+    random_ket,
+    random_unitary,
+)
 from qhekit.qinfo import (
     DensityOp,
     is_product,
@@ -152,6 +162,29 @@ def test_orthogonal_support_symmetric_and_nonnegative():
         assert ab >= -1e-9
 
 
+def _low_rank_state(layout: Layout, rank: int, seed: int) -> DensityOp:
+    # A mixture of `rank` random pure states: support rank `rank` below the dimension.
+    kets = np.stack([random_ket(layout.dim, seed + k) for k in range(rank)], axis=1)
+    return DensityOp(layout, kets @ kets.conj().T / rank)
+
+
+@pytest.mark.parametrize("rank_a, rank_b", [(1, 1), (1, 3), (2, 2), (3, 4)])
+def test_orthogonal_support_matches_dense_projector_trace(rank_a, rank_b):
+    # Reference: the two d x d projectors from eig_hermitian and Tr(P_a P_b).
+    layout = Layout((("q", 4),))
+    a = _low_rank_state(layout, rank_a, 10)
+    b = _low_rank_state(layout, rank_b, 20)
+    projectors = []
+    for rho in (a, b):
+        evals, evecs = eig_hermitian(rho.matrix)
+        cols = evecs[:, evals > 1e-10]
+        projectors.append(cols @ cols.conj().T)
+    dense = float(np.real(np.trace(projectors[0] @ projectors[1])))
+    _, overlap = orthogonal_support(a, b)
+    assert abs(overlap - dense) <= 1e-12
+    assert support(a).rank == rank_a and support(b).rank == rank_b
+
+
 def test_orthogonal_support_rejects_layout_mismatch():
     a = DensityOp.from_ket(QUBIT, basis_ket(2, 0))
     b = DensityOp.from_ket(Layout((("r", 2),)), basis_ket(2, 0))
@@ -210,3 +243,39 @@ def test_product_deviation_from_ket_batch_matches_columns():
         assert batched.shape == (len(kets),)
         for k, psi in enumerate(kets):
             assert batched[k] == product_deviation_from_ket(psi, layout, side_a, side_b)
+
+
+def _ket_with_marginal_ranks(rng, dims, ranks, order):
+    """A random pure state on registers a, b and (if its dimension is above 1)
+    r, in the given register order, whose a and b marginals have at most the
+    given ranks: (V_a ⊗ V_b ⊗ I) applied to a random ket on ra x rb x dr."""
+    da, db, dr = dims
+    ra, rb = min(ranks[0], da), min(ranks[1], db)
+    va = haar_unitary(rng, da)[:, :ra]
+    vb = haar_unitary(rng, db)[:, :rb]
+    core = haar_ket(rng, ra * rb * dr).reshape(ra, rb, dr)
+    t = np.einsum("ai,bj,ijr->abr", va, vb, core)
+    present = ["a", "b", "r"] if dr > 1 else ["a", "b"]
+    t = t.reshape([dict(zip("abr", dims))[label] for label in present])
+    return t.transpose([present.index(label) for label in order if label in present]).ravel()
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(
+    dims=st.tuples(st.integers(2, 3), st.integers(2, 4), st.integers(1, 4)),
+    order=st.permutations("abr"),
+    ranks=st.lists(st.tuples(st.integers(1, 4), st.integers(1, 4)), min_size=1, max_size=5),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_product_deviation_from_ket_matches_dense_reference(dims, order, ranks, seed):
+    # The factor-wise projection equals the dense product_deviation on the
+    # reduced state, for every item of a batch whose items have different
+    # marginal ranks, with and without a rest register.
+    rng = np.random.default_rng(seed)
+    size = dict(zip("abr", dims))
+    layout = Layout(tuple((label, size[label]) for label in order if size[label] > 1))
+    batch = np.stack([_ket_with_marginal_ranks(rng, dims, r, order) for r in ranks], axis=1)
+    factored = product_deviation_from_ket(batch, layout, ["a"], ["b"])
+    for k in range(len(ranks)):
+        dense = product_deviation(DensityOp.reduced(batch[:, k], layout, ["a", "b"]), ["a"])
+        assert abs(factored[k] - dense) <= 1e-12

@@ -298,6 +298,29 @@ def test_evolve_batch_matches_pipeline_runs():
             np.testing.assert_allclose(column[:, k], ket, rtol=0, atol=1e-14)
 
 
+@pytest.mark.parametrize("batch", [None, 3])
+def test_evolve_circuit_axis_matches_one_circuit_calls(batch):
+    # A sequence of ids adds a circuit axis after the state axis, in the
+    # order given; each slice equals that circuit's own evolve call.
+    scheme = build_qotp_scheme(1)
+    ids = ("Z", "I", "XZ")
+    if batch is None:
+        plaintexts = random_ket(2, 1)
+    else:
+        plaintexts = np.stack([random_ket(2, seed) for seed in range(batch)], axis=1)
+    ket_t1, ket_t2, ket_final = evolve(scheme, ids, plaintexts)
+    dim = scheme.layout.dim
+    tail = () if batch is None else (batch,)
+    assert ket_t1.shape == (dim,) + tail
+    assert ket_t2.shape == ket_final.shape == (dim, len(ids)) + tail
+    for c, cid in enumerate(ids):
+        single = evolve(scheme, cid, plaintexts)
+        assert single[1].shape == single[2].shape == (dim,) + tail
+        np.testing.assert_array_equal(single[0], ket_t1)
+        np.testing.assert_allclose(ket_t2[:, c], single[1], rtol=0, atol=1e-15)
+        np.testing.assert_allclose(ket_final[:, c], single[2], rtol=0, atol=1e-15)
+
+
 @pytest.mark.parametrize(
     "plaintexts, message",
     [
