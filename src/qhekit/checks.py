@@ -23,7 +23,7 @@ from .linalg import (
 )
 from .localiser import probe_labels, probe_states
 from .qinfo import product_deviation_from_ket, support_bases, support_overlap
-from .scheme import QheScheme, evolve
+from .scheme import QheScheme, encrypt_and_evaluate, evolve
 from .tolerances import DEFAULT_TOLERANCES
 
 PASS = "pass"
@@ -155,7 +155,8 @@ def check_theorem1(
     Tr(P_a P_b) = ||V_a† V_b||_F^2 of the message states for every pair of
     circuits whose targets differ by more than a global phase; pass iff
     every overlap is at most tol.  Every circuit runs on psi_in in one
-    evolve call, and each stage reads all of the t2 kets in one batch.
+    encrypt_and_evaluate call, which stops at t2 since no stage reads the
+    decrypted kets, and each stage reads all of the t2 kets in one batch.
     """
     if tol is None:
         tol = DEFAULT_TOLERANCES.equality
@@ -184,7 +185,7 @@ def check_theorem1(
 
     psi_in = np.asarray(psi_in, dtype=complex).reshape(-1)  # evolve validates it
     circuit_ids = scheme.circuit_ids
-    _, kets, _ = evolve(scheme, circuit_ids, psi_in)  # (dim, circuits)
+    _, kets = encrypt_and_evaluate(scheme, circuit_ids, psi_in)  # (dim, circuits)
 
     retained = scheme.alice_t1
     if retained:

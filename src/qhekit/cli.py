@@ -202,14 +202,18 @@ def _cmd_check(args: argparse.Namespace) -> int:
             security_report=security,
             completeness_report=completeness,
         )
-    lines = [f"scheme: {scheme.name}"]
-    for name in wanted:
-        lines.extend(_report_lines(reports[name]))
-    payload = {
-        "scheme": scheme.name,
-        "reports": {name: report_to_json(reports[name]) for name in wanted},
-    }
-    _emit(args, "\n".join(lines), payload)
+    # Each format builds only its own output.
+    if args.format == "json":
+        payload = {
+            "scheme": scheme.name,
+            "reports": {name: report_to_json(reports[name]) for name in wanted},
+        }
+        _emit(args, "", payload)
+    else:
+        lines = [f"scheme: {scheme.name}"]
+        for name in wanted:
+            lines.extend(_report_lines(reports[name]))
+        _emit(args, "\n".join(lines), None)
     return _verdict_exit([reports[name].verdict for name in wanted])
 
 

@@ -7,7 +7,7 @@ axis per register with no reordering.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -20,57 +20,56 @@ MAX_TOTAL_DIM = 2**14
 
 @dataclass(frozen=True)
 class Layout:
+    """Registers in order; labels, dims, dim and label positions are computed once."""
+
     registers: tuple[tuple[str, int], ...]
+    labels: tuple[str, ...] = field(init=False, repr=False, compare=False)
+    dims: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    dim: int = field(init=False, repr=False, compare=False)
+    _positions: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         regs = tuple((str(label), int(dim)) for label, dim in self.registers)
         object.__setattr__(self, "registers", regs)
         if not regs:
             raise ValueError("layout needs at least one register")
-        labels = [label for label, _ in regs]
+        labels = tuple(label for label, _ in regs)
         if len(set(labels)) != len(labels):
-            raise ValueError(f"duplicate register labels in {labels}")
+            raise ValueError(f"duplicate register labels in {list(labels)}")
         for label, dim in regs:
             if dim < 2:
                 raise ValueError(f"register {label!r} has dimension {dim}, need >= 2")
+        dims = tuple(dim for _, dim in regs)
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "dims", dims)
+        object.__setattr__(self, "dim", math.prod(dims))
+        object.__setattr__(self, "_positions", {label: i for i, label in enumerate(labels)})
         if self.dim > MAX_TOTAL_DIM:
             raise ValueError(f"total dimension {self.dim} exceeds the {MAX_TOTAL_DIM} guard")
 
-    @property
-    def labels(self) -> tuple[str, ...]:
-        return tuple(label for label, _ in self.registers)
-
-    @property
-    def dims(self) -> tuple[int, ...]:
-        return tuple(dim for _, dim in self.registers)
-
-    @property
-    def dim(self) -> int:
-        return int(np.prod([dim for _, dim in self.registers], dtype=object))
-
     def position(self, label: str) -> int:
-        for i, (name, _) in enumerate(self.registers):
-            if name == label:
-                return i
-        raise ValueError(f"label {label!r} not in layout {self.labels}")
+        try:
+            return self._positions[label]
+        except KeyError:
+            raise ValueError(f"label {label!r} not in layout {self.labels}") from None
 
     def positions(self, labels: Iterable[str]) -> tuple[int, ...]:
         return tuple(self.position(label) for label in labels)
 
     def dim_of(self, labels: Iterable[str]) -> int:
-        return int(np.prod([self.registers[p][1] for p in self.positions(labels)], dtype=object))
+        return math.prod(self.dims[p] for p in self.positions(labels))
 
     def ordered(self, labels: Iterable[str]) -> tuple[str, ...]:
         """The given labels, sorted into layout order."""
         wanted = set(labels)
-        unknown = wanted - set(self.labels)
+        unknown = wanted.difference(self._positions)
         if unknown:
             raise ValueError(f"labels {sorted(unknown)} not in layout {self.labels}")
         return tuple(label for label in self.labels if label in wanted)
 
     def complement(self, labels: Iterable[str]) -> tuple[str, ...]:
         wanted = set(labels)
-        unknown = wanted - set(self.labels)
+        unknown = wanted.difference(self._positions)
         if unknown:
             raise ValueError(f"labels {sorted(unknown)} not in layout {self.labels}")
         return tuple(label for label in self.labels if label not in wanted)
@@ -138,22 +137,17 @@ def apply_operator(
     pos = [layout.position(label) for label in labels]
     if len(set(pos)) != len(pos):
         raise ValueError(f"repeated labels in footprint {tuple(labels)}")
-    sub = [layout.registers[p][1] for p in pos]
-    block = int(np.prod(sub))
+    block = math.prod(layout.dims[p] for p in pos)
     if op.shape != (block, block):
         raise ValueError(f"operator shape {op.shape} does not match footprint dimension {block}")
     psi = np.asarray(psi, dtype=complex)
-    dims = layout.dims
-    t = np.tensordot(
-        op.reshape(sub + sub),
-        psi.reshape(dims + psi.shape[1:]),
-        axes=(list(range(len(sub), 2 * len(sub))), pos),
-    )
-    # tensordot leaves (footprint..., other registers..., batch); the batch
-    # axis, if any, stays last.
-    rest = [p for p in range(len(dims)) if p not in pos]
-    inv = list(np.argsort(pos + rest)) + list(range(len(dims), t.ndim))
-    return t.transpose(inv).reshape(psi.shape)
+    n = len(layout.dims)
+    # Footprint axes first, as the rows of one (block, rest * batch) matrix;
+    # the batch axis, if any, stays last.
+    order = pos + [p for p in range(n) if p not in pos] + list(range(n, n + psi.ndim - 1))
+    grouped = psi.reshape(layout.dims + psi.shape[1:]).transpose(order)
+    out = (op @ grouped.reshape(block, -1)).reshape(grouped.shape)
+    return out.transpose(np.argsort(order)).reshape(psi.shape)
 
 
 def embed_operator(op: np.ndarray, layout: Layout, labels: Sequence[str]) -> np.ndarray:

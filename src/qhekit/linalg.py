@@ -77,22 +77,30 @@ def kron(*factors) -> np.ndarray:
     return reduce(np.kron, arrays)
 
 
-def is_isometry(w: np.ndarray, tol: float | None = None) -> bool:
-    """True iff max-entry norm of W†W - I is at most tol (orthonormal columns)."""
-    w = as_matrix(w, "isometry")
+def _orthonormal_columns(w: np.ndarray, tol: float | None) -> bool:
+    """The one unitarity test, on a matrix already coerced: max-entry norm of W†W - I <= tol."""
     if tol is None:
         tol = DEFAULT_TOLERANCES.unitarity
-    return float(np.max(np.abs(dagger(w) @ w - np.eye(w.shape[1])))) <= tol
+    return float(np.abs(dagger(w) @ w - np.eye(w.shape[1])).max()) <= tol
 
 
-def is_unitary(u: np.ndarray, tol: float | None = None) -> bool:
-    """True iff max-entry norm of U†U - I is at most tol."""
-    return is_isometry(as_square(u, "unitary"), tol)
+def is_isometry(w: np.ndarray, tol: float | None = None) -> bool:
+    """True iff max-entry norm of W†W - I is at most tol (orthonormal columns)."""
+    return _orthonormal_columns(as_matrix(w, "isometry"), tol)
+
+
+def is_unitary(u: np.ndarray, tol: float | None = None, where: str = "unitary") -> bool:
+    """True iff max-entry norm of U†U - I is at most tol.
+
+    u is coerced and finiteness-checked once, as as_square(u, where) does,
+    so a caller that keeps np.asarray(u, dtype=complex) has it validated.
+    """
+    return _orthonormal_columns(as_square(u, where), tol)
 
 
 def require_unitary(u: np.ndarray, tol: float | None = None, where: str = "operator") -> np.ndarray:
-    u = as_square(u, where)
-    if not is_unitary(u, tol):
+    u = np.asarray(u, dtype=complex)
+    if not is_unitary(u, tol, where):
         raise ValueError(f"{where}: not unitary within tolerance")
     return u
 

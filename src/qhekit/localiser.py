@@ -210,7 +210,9 @@ class LocalisationResult:
     j * rank + k is the retained-side branch of data basis ket j on the
     residual's k-th eigenvector; the localising unitary maps it to
     |j> ⊗ |k>.  factor_dims records the (data, residual) split, and
-    residual_state is the diagonal fixed state on the residual factor.
+    residual_weights the rank nonzero eigenvalues of the fixed state on the
+    residual factor, normalised to sum 1; residual_state builds that
+    diagonal state as a dense DensityOp on first access.
     leakage_deviation is the zero-leakage deviation the input passed with;
     gram_residual is the worst deviation of the branch Gram matrix from the
     identity; reconstruction_residual is the worst trace distance between
@@ -219,12 +221,20 @@ class LocalisationResult:
     """
 
     branches: np.ndarray
-    residual_state: DensityOp
+    residual_weights: np.ndarray
     rank: int
     factor_dims: tuple[int, int]
     leakage_deviation: float
     gram_residual: float
     reconstruction_residual: float
+
+    @cached_property
+    def residual_state(self) -> DensityOp:
+        """The diagonal fixed state on the residual factor, for export."""
+        d2 = self.factor_dims[1]
+        sigma = np.zeros((d2, d2), dtype=complex)
+        sigma[np.arange(self.rank), np.arange(self.rank)] = self.residual_weights
+        return DensityOp(Layout((("residual", d2),)), sigma)
 
     @cached_property
     def unitary(self) -> np.ndarray:
@@ -252,9 +262,8 @@ class LocalisationResult:
         d1 = self.factor_dims[0]
         if psi.size != d1:
             raise ValueError(f"input dimension {psi.size} != data dimension {d1}")
-        weights = np.real(np.diagonal(self.residual_state.matrix))[: self.rank]
         cols = self._columns(psi)
-        return (cols * weights) @ cols.conj().T
+        return (cols * self.residual_weights) @ cols.conj().T
 
 
 def _factored_trace_distance(
@@ -371,13 +380,15 @@ def localise(
     if gram_residual > GRAM_REFUSAL:
         raise GramCheckFailed(gram_residual)
 
-    sigma = np.zeros((d2, d2), dtype=complex)
-    sigma[np.arange(rank), np.arange(rank)] = weights
-    residual_state = DensityOp(Layout((("residual", d2),)), sigma / np.real(np.trace(sigma)))
+    # The trace and division run over the zero-padded complex diagonal, the
+    # arithmetic of the dense d2 x d2 state, so exported values keep their bits.
+    padded = np.zeros(d2, dtype=complex)
+    padded[:rank] = weights
+    residual_weights = np.real(padded / np.real(padded.sum()))[:rank]
 
     result = LocalisationResult(
         branches=branches,
-        residual_state=residual_state,
+        residual_weights=residual_weights,
         rank=rank,
         factor_dims=(d1, d2),
         leakage_deviation=deviation,
@@ -385,7 +396,6 @@ def localise(
         reconstruction_residual=0.0,
     )
     rng = np.random.default_rng([_RECONSTRUCTION_SEED])
-    sigma_weights = np.real(np.diagonal(residual_state.matrix))[:rank]
     worst = 0.0
     for _ in range(_RECONSTRUCTION_SAMPLES):
         psi = haar_ket(rng, d1)
@@ -394,7 +404,7 @@ def localise(
         worst = max(
             worst,
             _factored_trace_distance(
-                simulated, np.ones(db), result._columns(psi), sigma_weights
+                simulated, np.ones(db), result._columns(psi), residual_weights
             ),
         )
     object.__setattr__(result, "reconstruction_residual", float(worst))

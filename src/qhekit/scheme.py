@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .layout import Layout, apply_operator, assemble_ket, axis_permutation
-from .linalg import as_ket, as_square, basis_ket, is_unitary
+from .linalg import as_ket, basis_ket, is_unitary, kron
 from .localiser import LocalisationProblem
 from .qinfo import DensityOp
 from .tolerances import DEFAULT_TOLERANCES
@@ -44,8 +44,9 @@ class FootprintOp:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "labels", tuple(str(l) for l in self.labels))
-        m = as_square(self.matrix, f"operator on {self.labels}")
-        if not is_unitary(m, DEFAULT_TOLERANCES.unitarity):
+        # Coerced once here; is_unitary checks its shape and finiteness.
+        m = np.asarray(self.matrix, dtype=complex)
+        if not is_unitary(m, DEFAULT_TOLERANCES.unitarity, f"operator on {self.labels}"):
             raise ValueError(f"operator on {self.labels} is not unitary within tolerance")
         object.__setattr__(self, "matrix", m)
 
@@ -59,8 +60,8 @@ class Evaluation:
     target: np.ndarray
 
     def __post_init__(self) -> None:
-        t = as_square(self.target, f"target of {self.circuit_id!r}")
-        if not is_unitary(t, DEFAULT_TOLERANCES.unitarity):
+        t = np.asarray(self.target, dtype=complex)
+        if not is_unitary(t, DEFAULT_TOLERANCES.unitarity, f"target of {self.circuit_id!r}"):
             raise ValueError(f"target of {self.circuit_id!r} is not unitary within tolerance")
         object.__setattr__(self, "target", t)
 
@@ -152,7 +153,7 @@ class QheScheme:
                 f"its footprint {op.labels}"
             )
 
-    @property
+    @cached_property
     def fixed_states(self) -> tuple[RegisterState, ...]:
         blocks: list[RegisterState] = []
         if self.key_state is not None:
@@ -162,31 +163,31 @@ class QheScheme:
         blocks.extend(self.ancilla_states)
         return tuple(blocks)
 
-    @property
+    @cached_property
     def input_dim(self) -> int:
         return self.layout.dim_of([self.input_label])
 
-    @property
+    @cached_property
     def alice_initial(self) -> tuple[str, ...]:
         return self.layout.complement(self.bob_initial)
 
-    @property
+    @cached_property
     def bob_t1(self) -> tuple[str, ...]:
         return self.layout.ordered(set(self.bob_initial) | set(self.send_to_bob))
 
-    @property
+    @cached_property
     def alice_t1(self) -> tuple[str, ...]:
         return self.layout.complement(self.bob_t1)
 
-    @property
+    @cached_property
     def alice_t2(self) -> tuple[str, ...]:
         return self.layout.ordered(set(self.alice_t1) | set(self.return_to_alice))
 
-    @property
+    @cached_property
     def bob_t2(self) -> tuple[str, ...]:
         return self.layout.complement(self.alice_t2)
 
-    @property
+    @cached_property
     def circuit_ids(self) -> tuple[str, ...]:
         return tuple(e.circuit_id for e in self.evaluations)
 
@@ -216,6 +217,7 @@ class QheScheme:
         return psi_in
 
     def initial_ket(self, psi_in: np.ndarray) -> np.ndarray:
+        """The global ket before encryption; the per-plaintext reference for encryption_isometry."""
         blocks: list[tuple[Sequence[str], np.ndarray]] = [
             ((self.input_label,), self.plaintext(psi_in))
         ]
@@ -228,12 +230,20 @@ class QheScheme:
 
         Column j is the global ket at t1 for basis plaintext j; the encrypted
         ket of any plaintext, or of a batch of plaintexts as columns, is this
-        matrix times it.
+        matrix times it.  Built in one pass: the fixed states are assembled
+        once, lifted by I_d and permuted into layout order, and the encryption
+        acts on all d columns together.
         """
-        initial = np.stack(
-            [self.initial_ket(basis_ket(self.input_dim, j)) for j in range(self.input_dim)], axis=1
-        )
-        return apply_operator(initial, self.layout, self.encrypt_op.matrix, self.encrypt_op.labels)
+        layout, d = self.layout, self.input_dim
+        rest = layout.complement([self.input_label])
+        blocks = [(b.labels, b.ket) for b in self.fixed_states]
+        fixed = assemble_ket(layout.restricted(rest), blocks) if rest else np.ones(1)
+        # Rows of kron(I_d, fixed) run over (input, rest...); gather them into layout order.
+        grouped = (self.input_label,) + rest
+        grouped_dims = [layout.dims[p] for p in layout.positions(grouped)]
+        rows = axis_permutation(grouped_dims, [grouped.index(l) for l in layout.labels])
+        initial = kron(np.eye(d), fixed[:, None])[rows]
+        return apply_operator(initial, layout, self.encrypt_op.matrix, self.encrypt_op.labels)
 
     def encrypted_ket(self, psi_in: np.ndarray) -> np.ndarray:
         return self.encryption_isometry @ self.plaintext(psi_in)
@@ -241,6 +251,28 @@ class QheScheme:
     def ciphertext(self, psi_in: np.ndarray) -> DensityOp:
         """Bob's reduced state at t1 for the given plaintext."""
         return DensityOp.reduced(self.encrypted_ket(psi_in), self.layout, self.bob_t1)
+
+
+def encrypt_and_evaluate(
+    scheme: QheScheme, circuit_ids: Sequence[str], plaintexts: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The global kets at t1 and t2 for the given plaintexts and circuits.
+
+    The step evolve and check_theorem1 share: plaintexts as in evolve, t1
+    kets of shape (dim,) or (dim, m), and t2 kets with a circuit axis,
+    (dim, n) or (dim, n, m), in the order of the n ids given.
+    """
+    plaintexts = scheme.plaintext(plaintexts)
+    evaluations = [scheme.evaluation(c) for c in circuit_ids]
+    ket_t1 = scheme.encryption_isometry @ plaintexts
+    ket_t2 = np.stack(
+        [
+            apply_operator(ket_t1, scheme.layout, ev.operator.matrix, ev.operator.labels)
+            for ev in evaluations
+        ],
+        axis=1,
+    )
+    return ket_t1, ket_t2
 
 
 def evolve(
@@ -258,15 +290,11 @@ def evolve(
     once on every circuit's t2 kets together, each through its register
     footprint.
     """
-    plaintexts = scheme.plaintext(plaintexts)
     single = isinstance(circuit_ids, str)
-    evaluations = [scheme.evaluation(c) for c in ((circuit_ids,) if single else circuit_ids)]
-    layout = scheme.layout
-    ket_t1 = scheme.encryption_isometry @ plaintexts
-    ket_t2 = np.stack(
-        [apply_operator(ket_t1, layout, ev.operator.matrix, ev.operator.labels) for ev in evaluations],
-        axis=1,
+    ket_t1, ket_t2 = encrypt_and_evaluate(
+        scheme, (circuit_ids,) if single else circuit_ids, plaintexts
     )
+    layout = scheme.layout
     ket_final = apply_operator(
         ket_t2.reshape(layout.dim, -1), layout, scheme.decrypt_op.matrix, scheme.decrypt_op.labels
     ).reshape(ket_t2.shape)

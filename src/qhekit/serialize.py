@@ -7,7 +7,8 @@ promised.  Index convention everywhere: the first register is the most
 significant digit of the flat index.
 """
 
-from typing import Any, Mapping
+from collections.abc import Mapping
+from typing import Any
 
 import numpy as np
 

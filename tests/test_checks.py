@@ -444,15 +444,17 @@ def _count_calls(monkeypatch, names):
     return calls
 
 
-def _record_evolve(monkeypatch):
+def _record_evolve(monkeypatch, name="evolve"):
+    """Record (circuit_ids, plaintext shape) of each call checks makes to
+    the named evolution function (evolve or encrypt_and_evaluate)."""
     evolved = []
-    original = qhekit.checks.evolve
+    original = getattr(qhekit.checks, name)
 
     def recording(scheme, circuit_ids, plaintexts):
         evolved.append((circuit_ids, np.shape(plaintexts)))
         return original(scheme, circuit_ids, plaintexts)
 
-    monkeypatch.setattr(qhekit.checks, "evolve", recording)
+    monkeypatch.setattr(qhekit.checks, name, recording)
     return evolved
 
 
@@ -484,6 +486,7 @@ def test_theorem1_runs_one_batch_for_all_circuits(monkeypatch, name):
         monkeypatch, ("run_pipeline", "apply_operator", "product_deviation_from_ket", "eig_hermitian")
     )
     evolved = _record_evolve(monkeypatch)
+    evaluated = _record_evolve(monkeypatch, "encrypt_and_evaluate")
 
     report = check_theorem1(
         scheme,
@@ -492,12 +495,16 @@ def test_theorem1_runs_one_batch_for_all_circuits(monkeypatch, name):
         completeness_report=completeness,
     )
     assert report.verdict == _THEOREM1_EXPECTED[name]
-    assert evolved == [(scheme.circuit_ids, (scheme.input_dim,))]
+    # Every circuit in one call that stops at t2: nothing is decrypted.
+    assert evaluated == [(scheme.circuit_ids, (scheme.input_dim,))]
+    assert evolved == []
     assert calls["run_pipeline"] == 0
     assert calls["DensityOp"] == 0
     assert calls["product_deviation_from_ket"] == 1
     assert calls["eig_hermitian"] == 0
-    assert calls["apply_operator"] <= len(scheme.evaluations) + 2
+    # One evaluation per circuit, plus at most one encryption for the
+    # scheme's cached encryption isometry.
+    assert calls["apply_operator"] <= len(scheme.evaluations) + 1
 
 
 _THEOREM1_EXPECTED = {"tag-evaluate-2q": PASS, "qotp-2": INAPPLICABLE}

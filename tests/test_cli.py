@@ -6,11 +6,12 @@ import pytest
 import qhekit.cli
 import qhekit.localiser
 from qhekit.catalog import build_constructed_secure_problem, build_qotp_scheme
+from qhekit.checks import check_completeness, check_security, check_theorem1
 from qhekit.cli import main
 from qhekit.layout import Layout
 from qhekit.linalg import basis_ket
 from qhekit.localiser import LocalisationProblem, check_zero_leakage, localise
-from qhekit.serialize import problem_to_json, result_to_json, scheme_to_json
+from qhekit.serialize import problem_to_json, report_to_json, result_to_json, scheme_to_json
 
 
 def run_cli(*argv):
@@ -164,6 +165,38 @@ def test_reports_deterministic_across_runs(tmp_path):
     assert run_cli(*args, "--out", str(a)) == 3
     assert run_cli(*args, "--out", str(b)) == 3
     assert a.read_text() == b.read_text()
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_check_builds_only_the_requested_format(tmp_path, monkeypatch, fmt):
+    formatted = []
+    original = qhekit.cli._report_lines
+
+    def recording(report):
+        formatted.append(report.kind)
+        return original(report)
+
+    monkeypatch.setattr(qhekit.cli, "_report_lines", recording)
+    out = tmp_path / "report"
+    argv = ("check", "--builder", "qotp", "--params", "n=1", "--format", fmt, "--out", str(out))
+    assert run_cli(*argv) == 3
+    if fmt == "text":
+        assert formatted == ["security", "completeness", "theorem1"]
+        assert out.read_text().startswith("scheme: qotp(n=1)\nsecurity: pass")
+        return
+    assert formatted == []
+    # Byte for byte the checkers' reports, serialised as the CLI documents.
+    scheme = build_qotp_scheme(1)
+    security, completeness = check_security(scheme), check_completeness(scheme)
+    theorem1 = check_theorem1(
+        scheme, basis_ket(2, 0), security_report=security, completeness_report=completeness
+    )
+    reports = {"security": security, "completeness": completeness, "theorem1": theorem1}
+    payload = {
+        "scheme": scheme.name,
+        "reports": {name: report_to_json(report) for name, report in reports.items()},
+    }
+    assert out.read_text() == json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 def test_bad_tolerance_rejected(capsys):

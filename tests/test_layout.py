@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qhekit.layout import (
     Layout,
@@ -107,6 +111,64 @@ def test_apply_operator_matches_embedding():
     via_tensordot = apply_operator(psi, layout, op, ("c", "b"))
     via_embedding = embed_operator(op, layout, ("c", "b")) @ psi
     np.testing.assert_allclose(via_tensordot, via_embedding, atol=1e-12)
+
+
+_FOUR = Layout((("a", 2), ("b", 3), ("c", 2), ("d", 2)))
+
+
+@pytest.mark.parametrize(
+    "labels", [("d", "a"), ("c", "a"), ("a", "c", "d"), ("d", "c", "b", "a"), ("b",)]
+)
+@pytest.mark.parametrize("batch", [None, 3])
+def test_apply_operator_reversed_and_non_adjacent_footprints(labels, batch):
+    op = random_unitary(_FOUR.dim_of(labels), 5)
+    shape = (_FOUR.dim,) if batch is None else (_FOUR.dim, batch)
+    psi = random_ket(math.prod(shape), 6).reshape(shape)
+    out = apply_operator(psi, _FOUR, op, labels)
+    assert out.shape == shape
+    np.testing.assert_allclose(out, embed_operator(op, _FOUR, labels) @ psi, rtol=0, atol=1e-12)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(data=st.data())
+def test_apply_operator_matches_embedding_on_random_footprints(data):
+    dims = data.draw(st.lists(st.integers(2, 3), min_size=1, max_size=4))
+    layout = Layout(tuple((f"r{i}", d) for i, d in enumerate(dims)))
+    order = data.draw(st.permutations(layout.labels))
+    labels = tuple(order[: data.draw(st.integers(1, len(order)))])
+    batch = data.draw(st.one_of(st.none(), st.integers(1, 3)))
+    seed = data.draw(st.integers(0, 2**16))
+    shape = (layout.dim,) if batch is None else (layout.dim, batch)
+    psi = random_ket(math.prod(shape), seed).reshape(shape)
+    op = random_unitary(layout.dim_of(labels), seed)
+    out = apply_operator(psi, layout, op, labels)
+    assert out.shape == shape
+    np.testing.assert_allclose(out, embed_operator(op, layout, labels) @ psi, rtol=0, atol=1e-12)
+
+
+def test_layout_cached_attributes_match_registers():
+    registers = (("x", 3), ("a", 2), ("m", 4))
+    layout = Layout(registers)
+    assert layout.labels == ("x", "a", "m")
+    assert layout.dims == (3, 2, 4)
+    assert layout.dim == 24 and type(layout.dim) is int
+    assert [layout.position(label) for label, _ in registers] == [0, 1, 2]
+    assert layout.dim_of(("m", "x")) == 12
+    assert layout.ordered(("m", "x")) == ("x", "m")
+    assert layout.complement(("a",)) == ("x", "m")
+    # Equality, hashing and repr still see only the registers.
+    assert layout == Layout(registers) and hash(layout) == hash(Layout(registers))
+    assert repr(layout) == f"Layout(registers={registers!r})"
+
+
+def test_layout_unknown_label_errors_unchanged():
+    layout = Layout((("x", 3), ("a", 2)))
+    with pytest.raises(ValueError, match=r"^label 'q' not in layout \('x', 'a'\)$"):
+        layout.position("q")
+    with pytest.raises(ValueError, match=r"^label 'q' not in layout \('x', 'a'\)$"):
+        layout.dim_of(("a", "q"))
+    with pytest.raises(ValueError, match=r"^labels \['q'\] not in layout \('x', 'a'\)$"):
+        layout.ordered(("q", "a"))
 
 
 def test_embed_operator_identity_complement():

@@ -25,6 +25,7 @@ from qhekit.localiser import (
     probe_states,
 )
 from qhekit.qinfo import DensityOp, mutual_information
+from qhekit.tolerances import DEFAULT_TOLERANCES
 
 
 def trivial_problem(dims=(2, 2, 2), unitary=None, seed=0):
@@ -156,6 +157,50 @@ def test_localise_residual_matches_remote_spectrum():
     sigma_evals = np.sort(np.real(np.diagonal(result.residual_state.matrix)))[::-1]
     np.testing.assert_allclose(sigma_evals[: result.rank], remote_evals[: result.rank], atol=1e-9)
     assert np.all(np.abs(sigma_evals[result.rank :]) <= 1e-12)
+
+
+def test_localise_keeps_residual_weights_and_builds_the_state_on_first_access(monkeypatch):
+    built = []
+    original = DensityOp.__post_init__
+
+    def recording(self):
+        built.append(self.dim)
+        original(self)
+
+    monkeypatch.setattr(DensityOp, "__post_init__", recording)
+    result = localise(build_constructed_secure_problem((2, 4, 2), seed=3))
+    assert built == []
+    weights = result.residual_weights
+    assert weights.shape == (result.rank,)
+    assert abs(weights.sum() - 1) <= 1e-12
+    sigma = result.residual_state
+    assert built == [4]
+    assert result.residual_state is sigma
+    np.testing.assert_array_equal(sigma.matrix, np.diag(np.pad(weights, (0, 4 - result.rank))))
+
+
+@pytest.mark.parametrize("dims", [(2, 4, 2), (3, 2, 4), (2, 16, 4), (3, 9, 2)])
+def test_residual_weights_equal_the_dense_normalised_diagonal(monkeypatch, dims):
+    # Reference: the trace-normalised dense d2 x d2 diagonal state, whose
+    # entries the JSON export has always carried; the weights must keep
+    # those exact bits.
+    spectra = []
+    original = qhekit.localiser.eig_hermitian
+
+    def recording(*args, **kwargs):
+        evals, evecs = original(*args, **kwargs)
+        spectra.append(evals)
+        return evals, evecs
+
+    monkeypatch.setattr(qhekit.localiser, "eig_hermitian", recording)
+    for seed in range(4):
+        result = localise(build_constructed_secure_problem(dims, seed=seed))
+        evals = spectra[-1][spectra[-1] > DEFAULT_TOLERANCES.rank]
+        sigma = np.zeros((dims[1], dims[1]), dtype=complex)
+        sigma[np.arange(result.rank), np.arange(result.rank)] = evals
+        expected = np.real(np.diagonal(sigma / np.real(np.trace(sigma))))[: result.rank]
+        assert result.residual_weights.tobytes() == expected.tobytes()
+        assert result.residual_state.matrix.tobytes() == (sigma / np.real(np.trace(sigma))).tobytes()
 
 
 def test_localise_is_deterministic_and_input_independent():

@@ -2,6 +2,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qhekit.layout
 import qhekit.linalg
@@ -11,12 +13,14 @@ import qhekit.scheme
 from qhekit.catalog import (
     build_identity_scheme,
     build_qotp_scheme,
+    build_scheme,
     build_tag_evaluate_scheme,
+    catalog,
     pauli_word_matrix,
 )
 from qhekit.checks import check_completeness
 from qhekit.layout import Layout, apply_operator, axis_permutation, embed_operator
-from qhekit.linalg import basis_ket, fidelity_pure, kron, random_ket
+from qhekit.linalg import basis_ket, fidelity_pure, haar_ket, kron, random_ket, random_unitary
 from qhekit.localiser import extract_plaintext, localise
 from qhekit.qinfo import DensityOp
 from qhekit.scheme import (
@@ -99,6 +103,31 @@ def test_footprint_violation_rejected():
 def test_scheme_requires_unit_fixed_states():
     with pytest.raises(ValueError, match="norm"):
         RegisterState(("k",), np.array([1.0, 1.0]))
+
+
+_NAN = np.array([[np.nan, 0.0], [0.0, 1.0]])
+_SCALED = 2 * np.eye(2)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: FootprintOp(("a",), _NAN), r"operator on \('a',\): non-finite entries"),
+        (lambda: FootprintOp(("a",), _SCALED), r"operator on \('a',\) is not unitary"),
+        (
+            lambda: Evaluation("c", FootprintOp(("a",), np.eye(2)), _NAN),
+            "target of 'c': non-finite entries",
+        ),
+        (
+            lambda: Evaluation("c", FootprintOp(("a",), np.eye(2)), _SCALED),
+            "target of 'c' is not unitary",
+        ),
+    ],
+    ids=["operator-nan", "operator-non-unitary", "target-nan", "target-non-unitary"],
+)
+def test_operators_and_targets_reject_nan_and_non_unitary(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
 
 
 def test_scheme_requires_state_cover():
@@ -263,29 +292,90 @@ def test_t1_localisation_builds_no_full_space_operator(monkeypatch):
     assert max(seen["is_unitary"], default=0) <= 256
 
 
-@pytest.mark.parametrize(
-    "build",
-    [
-        lambda: build_identity_scheme(2),
-        lambda: build_qotp_scheme(2),
-        lambda: build_tag_evaluate_scheme(1, ("I", "X", "Z")),
-    ],
-    ids=["identity-2", "qotp-2", "tag-evaluate-1"],
-)
-def test_encryption_isometry_columns_are_encrypted_basis_kets(build):
-    # Reference: the encryption applied through its footprint to each
-    # assembled basis input, one at a time.
-    scheme = build()
+_ISOMETRY_SCHEMES = {
+    **{entry.name: (entry.builder, entry.params) for entry in catalog()},
+    "qotp-1": ("qotp", {"n": 1}),
+    "qotp-2": ("qotp", {"n": 2}),
+}
+
+
+def _per_basis_isometry(scheme):
+    """Reference: the encryption through its footprint on the stacked
+    initial kets, one assembled per basis plaintext."""
+    d = scheme.input_dim
+    initial = np.stack([scheme.initial_ket(basis_ket(d, j)) for j in range(d)], axis=1)
+    return apply_operator(initial, scheme.layout, scheme.encrypt_op.matrix, scheme.encrypt_op.labels)
+
+
+def _assert_bit_identical(a, b):
+    np.testing.assert_array_equal(a, b)
+    assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(_ISOMETRY_SCHEMES))
+def test_encryption_isometry_columns_are_encrypted_basis_kets(name):
+    builder, params = _ISOMETRY_SCHEMES[name]
+    scheme = build_scheme(builder, **params)
     w = scheme.encryption_isometry
     assert w.shape == (scheme.layout.dim, scheme.input_dim)
-    for j in range(scheme.input_dim):
-        initial = scheme.initial_ket(basis_ket(scheme.input_dim, j))
-        expected = apply_operator(
-            initial, scheme.layout, scheme.encrypt_op.matrix, scheme.encrypt_op.labels
-        )
-        np.testing.assert_array_equal(w[:, j], expected)
+    _assert_bit_identical(w, _per_basis_isometry(scheme))
     psi = random_ket(scheme.input_dim, 4)
     np.testing.assert_array_equal(scheme.encrypted_ket(psi), w @ psi)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(data=st.data())
+def test_encryption_isometry_with_random_fixed_blocks_in_shuffled_order(data):
+    # Registers in a shuffled layout order, the fixed states split into
+    # blocks that each list their registers in a shuffled order, and an
+    # encryption on a random footprint.
+    fixed = [f"r{i}" for i in range(data.draw(st.integers(1, 4)))]
+    dims = {label: data.draw(st.integers(2, 3)) for label in ["in", *fixed]}
+    layout = Layout(tuple((label, dims[label]) for label in data.draw(st.permutations(list(dims)))))
+    shuffled = data.draw(st.permutations(fixed))
+    cuts = sorted(data.draw(st.sets(st.integers(1, len(fixed) - 1))) if len(fixed) > 1 else set())
+    blocks = [shuffled[a:b] for a, b in zip([0, *cuts], [*cuts, len(fixed)])]
+    seed = data.draw(st.integers(0, 2**16))
+    rng = np.random.default_rng(seed)
+    states = tuple(RegisterState(tuple(b), haar_ket(rng, layout.dim_of(b))) for b in blocks)
+    footprint = data.draw(st.permutations(list(dims)))[: data.draw(st.integers(1, len(dims)))]
+    sent = (shuffled[0],)
+    scheme = QheScheme(
+        name="random-blocks",
+        layout=layout,
+        input_label="in",
+        output_label="in",
+        bob_initial=(),
+        key_state=None,
+        resource_state=None,
+        ancilla_states=states,
+        encrypt_op=FootprintOp(tuple(footprint), random_unitary(layout.dim_of(footprint), seed)),
+        decrypt_op=FootprintOp(("in",), np.eye(dims["in"])),
+        evaluations=(
+            Evaluation("I", FootprintOp(sent, np.eye(dims[sent[0]])), np.eye(dims["in"])),
+        ),
+        send_to_bob=sent,
+        return_to_alice=sent,
+    )
+    _assert_bit_identical(scheme.encryption_isometry, _per_basis_isometry(scheme))
+
+
+@pytest.mark.parametrize("name", ["qotp-1", "qotp-2", "tag-evaluate-2q"])
+def test_encryption_isometry_assembles_the_fixed_states_once(monkeypatch, name):
+    # One assemble_ket call for any plaintext dimension, not one per basis ket.
+    calls = []
+    original = qhekit.scheme.assemble_ket
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    builder, params = _ISOMETRY_SCHEMES[name]
+    scheme = build_scheme(builder, **params)
+    monkeypatch.setattr(qhekit.scheme, "assemble_ket", counting)
+    scheme.encryption_isometry
+    assert scheme.input_dim >= 2
+    assert len(calls) == 1
 
 
 def test_evolve_batch_matches_pipeline_runs():

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -93,6 +94,57 @@ def test_scheme_from_json_rejects_missing_role():
     del obj["roles"]["key"]
     with pytest.raises(SchemeFormatError, match=r"roles\.key"):
         scheme_from_json(obj)
+
+
+def _set_encrypt_to_list(obj):
+    obj["encrypt"] = [1, 2]
+
+
+def _set_operator_to_string(obj):
+    obj["evaluations"][0]["operator"] = "X"
+
+
+def _nan_in_target(obj):
+    obj["evaluations"][1]["target"]["entries"][0] = [math.nan, 0.0]
+
+
+def _inf_in_encrypt(obj):
+    obj["encrypt"]["entries"][3] = [math.inf, 0.0]
+
+
+def _scale_decrypt(obj):
+    obj["decrypt"]["entries"] = [[2 * re, 2 * im] for re, im in obj["decrypt"]["entries"]]
+
+
+def _scale_target(obj):
+    obj["evaluations"][2]["target"]["entries"][0] = [3.0, 0.0]
+
+
+@pytest.mark.parametrize(
+    "corrupt, location, message",
+    [
+        (_set_encrypt_to_list, r"scheme\.encrypt", "expected an object, got list"),
+        (_set_operator_to_string, r"scheme\.evaluations\[0\]\.operator", "expected an object, got str"),
+        (_nan_in_target, r"scheme\.evaluations\[1\]\.target", "non-finite entries"),
+        (_inf_in_encrypt, r"scheme\.encrypt", "non-finite entries"),
+        (_scale_decrypt, r"scheme\.decrypt", "is not unitary within tolerance"),
+        (_scale_target, r"scheme\.evaluations\[2\]", "target of 'Z' is not unitary within tolerance"),
+    ],
+    ids=[
+        "non-object-field",
+        "non-object-operator",
+        "nan-target",
+        "inf-encrypt",
+        "non-unitary-operator",
+        "non-unitary-target",
+    ],
+)
+def test_scheme_from_json_reports_bad_fields_at_their_location(corrupt, location, message):
+    obj = scheme_to_json(build_qotp_scheme(1))
+    corrupt(obj)
+    with pytest.raises(SchemeFormatError, match=f"^{location}: .*{message}") as info:
+        scheme_from_json(obj)
+    assert re.fullmatch(location, info.value.location)
 
 
 def test_scheme_from_json_rejects_two_inputs():
