@@ -57,13 +57,21 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(message)
 
 
-def _parse_params(pairs: list[str]) -> dict[str, str]:
+def _parse_params(pairs: list[str], builder: str, reads: tuple[str, ...]) -> dict[str, str]:
+    """The KEY=VALUE pairs of --params; a key the builder does not read exits 1."""
     params = {}
     for pair in pairs:
         if "=" not in pair:
             raise CliError(f"parameter {pair!r} is not of the form KEY=VALUE")
         key, value = pair.split("=", 1)
-        params[key.strip()] = value.strip()
+        key = key.strip()
+        if key not in reads:
+            raise CliError(
+                f"builder {builder!r} does not read parameter {key!r}; it reads: {', '.join(reads)}"
+            )
+        if key in params:
+            raise CliError(f"parameter {key!r} is given twice")
+        params[key] = value.strip()
     return params
 
 
@@ -86,19 +94,23 @@ def _parse_tols(pairs: list[str], accepted: tuple[str, ...]) -> dict[str, float]
     return tols
 
 
-def _scheme_params(builder: str, params: dict[str, str]) -> dict[str, Any]:
+def _scheme_params(builder: str, pairs: list[str]) -> dict[str, Any]:
+    reads = ("n", "S") if builder == "tag-evaluate" else ("n",)
+    params = _parse_params(pairs, builder, reads)
     out: dict[str, Any] = {}
     if "n" in params:
         out["n"] = int(params["n"])
     if builder == "tag-evaluate":
-        words = params.get("S") or params.get("circuit_set")
-        if not words:
+        if not params.get("S"):
             raise CliError("tag-evaluate needs S=WORD,WORD,... (e.g. S=I,X,Z)")
-        out["circuit_set"] = tuple(w for w in words.split(",") if w)
+        out["circuit_set"] = tuple(w for w in params["S"].split(",") if w)
     return out
 
 
-def _problem_params(params: dict[str, str], seed: int | None) -> dict[str, Any]:
+def _problem_params(builder: str, pairs: list[str], seed: int | None) -> dict[str, Any]:
+    params = _parse_params(pairs, builder, ("dims", "seed"))
+    if "seed" in params and seed is not None:
+        raise CliError("the seed is given both as --seed and as seed= in --params; give one")
     dims = params.get("dims")
     if not dims:
         raise CliError("problem builders need dims=D1,D2,D3")
@@ -130,7 +142,7 @@ def _get_scheme(args: argparse.Namespace):
     if args.scheme is not None:
         _reject_unread(args, ("params",), "to a scheme read from a file")
         return scheme_from_json(_load_json(args.scheme))
-    params = _scheme_params(args.builder, _parse_params(args.params))
+    params = _scheme_params(args.builder, args.params)
     try:
         return build_scheme(args.builder, **params)
     except (TypeError, ValueError) as exc:
@@ -141,7 +153,7 @@ def _get_problem(args: argparse.Namespace):
     if args.problem is not None:
         _reject_unread(args, ("seed", "params"), "to a problem read from a file")
         return problem_from_json(_load_json(args.problem))
-    params = _problem_params(_parse_params(args.params), args.seed)
+    params = _problem_params(args.builder, args.params, args.seed)
     try:
         return build_problem(args.builder, **params)
     except (TypeError, ValueError) as exc:

@@ -32,7 +32,6 @@ from .tolerances import DEFAULT_TOLERANCES, Tolerances
 # Refusal threshold on the conditional-branch Gram matrix: beyond this the
 # zero-leakage hypothesis is numerically untenable and no unitary is built.
 GRAM_REFUSAL = 1e-6
-_COMPLETION_SKIP = 1e-8
 _RECONSTRUCTION_SAMPLES = 20
 _RECONSTRUCTION_SEED = 0x4C0C
 
@@ -241,16 +240,16 @@ class LocalisationResult:
         """The full localising unitary on the retained space, completed on first access.
 
         Branch (j, k) fills column j * d2 + k; the columns with k >= rank
-        complete the basis (see complete_orthonormal).
+        hold the rest of complete_orthonormal's basis, an arbitrary
+        orthonormal basis of the complement.
         """
         d1, d2 = self.factor_dims
+        n, split = d1 * d2, d1 * self.rank
         basis = complete_orthonormal(self.branches)
-        unitary = np.zeros((d1 * d2, d1 * d2), dtype=complex)
-        branch_slots = [j * d2 + k for j in range(d1) for k in range(self.rank)]
-        spare_slots = [g for g in range(d1 * d2) if g % d2 >= self.rank]
-        unitary[:, branch_slots] = basis[:, : d1 * self.rank]
-        unitary[:, spare_slots] = basis[:, d1 * self.rank :]
-        return unitary
+        unitary = np.empty((n, d1, d2), dtype=complex)
+        unitary[:, :, : self.rank] = basis[:, :split].reshape(n, d1, self.rank)
+        unitary[:, :, self.rank :] = basis[:, split:].reshape(n, d1, d2 - self.rank)
+        return unitary.reshape(n, n)
 
     def _columns(self, psi: np.ndarray) -> np.ndarray:
         """The branches of input psi, one column per residual eigenvector."""
@@ -301,40 +300,16 @@ def check_zero_leakage(
     return deviation <= tol, deviation
 
 
-def complete_orthonormal(columns: np.ndarray, skip_tol: float = _COMPLETION_SKIP) -> np.ndarray:
+def complete_orthonormal(columns: np.ndarray) -> np.ndarray:
     """Extend orthonormal columns to a full unitary.
 
-    New columns come from Gram-Schmidt over the standard basis vectors in
-    index order, skipping candidates whose residual norm falls below
-    skip_tol.  The input columns are kept verbatim as the leading columns.
+    The input columns are kept verbatim as the leading columns; the new ones
+    are the trailing columns of one complete QR of them, an orthonormal
+    basis of their complement.
     """
-    n, m = columns.shape
-    basis = np.zeros((n, n), dtype=complex)
-    basis[:, :m] = columns
-    count = m
-    chunk_size = 64
-    for start in range(0, n, chunk_size):
-        if count == n:
-            break
-        stop = min(start + chunk_size, n)
-        cand = np.zeros((n, stop - start), dtype=complex)
-        cand[start:stop] = np.eye(stop - start)
-        for _ in range(2):  # twice-is-enough re-orthogonalisation
-            cand -= basis[:, :count] @ (basis[:, :count].conj().T @ cand)
-        for i in range(cand.shape[1]):
-            v = cand[:, i]
-            norm = np.linalg.norm(v)
-            if norm < skip_tol:
-                continue
-            v = v / norm
-            basis[:, count] = v
-            count += 1
-            if count == n:
-                break
-            cand[:, i + 1 :] -= np.outer(v, v.conj() @ cand[:, i + 1 :])
-    if count != n:
-        raise LocalisationError(f"basis completion stalled at {count} of {n} columns")
-    return basis
+    columns = np.asarray(columns, dtype=complex)
+    q, _ = np.linalg.qr(columns, mode="complete")
+    return np.hstack([columns, q[:, columns.shape[1] :]])
 
 
 def localise(

@@ -20,8 +20,6 @@ from .localiser import LocalisationProblem
 from .qinfo import DensityOp
 from .tolerances import DEFAULT_TOLERANCES
 
-_MAILBOX_LABEL = "__mailbox"
-
 
 @dataclass(frozen=True)
 class RegisterState:
@@ -381,9 +379,10 @@ def localisation_problem_at_t1(scheme: QheScheme) -> LocalisationProblem:
     (a shared entangled resource is outside this product form).
 
     The problem is built in operator form, as its input isometry: the
-    encryption is applied to each basis input through its footprint and the
-    handover and reordering are index gathers, so no full-space operator is
-    formed.
+    scheme's encryption isometry, with one axis per register, is transposed
+    into problem order and written into a zero array whose sent registers'
+    slots hold |0> and whose mailbox holds their contents, so no full-space
+    operator is formed.
     """
     aux_labels = tuple(l for l in scheme.alice_initial if l != scheme.input_label)
     if not aux_labels:
@@ -400,46 +399,32 @@ def localisation_problem_at_t1(scheme: QheScheme) -> LocalisationProblem:
                 "localisation requires a product across it"
             )
 
-    mail_dim = scheme.layout.dim_of(scheme.send_to_bob)
-    extended = Layout(scheme.layout.registers + ((_MAILBOX_LABEL, mail_dim),))
-    dims = extended.dims
-    n = len(dims)
+    layout, d, sent, bob = scheme.layout, scheme.input_dim, scheme.send_to_bob, scheme.bob_initial
+    mail_dim = layout.dim_of(sent)
+    problem_layout = Layout(
+        (("A1", d), ("A2", layout.dim_of(aux_labels)), ("B", layout.dim_of(bob) * mail_dim))
+    )
 
-    # Encrypted basis inputs with an empty mailbox (the last register): the
-    # columns of the input isometry before the handover and reordering.
-    mailbox_empty = basis_ket(mail_dim, 0)
-    columns = np.kron(scheme.encryption_isometry, mailbox_empty[:, None])
-
-    # Swap the sent registers with the mailbox: exchange their digit groups.
-    send_pos = [extended.position(l) for l in scheme.send_to_bob]
-    send_dims = [dims[p] for p in send_pos]
-    split_dims = list(dims[:-1]) + send_dims
-    axes = list(range(len(split_dims)))
-    for i, p in enumerate(send_pos):
-        axes[p], axes[n - 1 + i] = axes[n - 1 + i], axes[p]
-    rows = axis_permutation(split_dims, axes)
-
-    # Reorder registers into (data, aux..., remote...) and merge the groups.
-    remote_labels = scheme.bob_initial + (_MAILBOX_LABEL,)
-    new_order = (scheme.input_label,) + aux_labels + remote_labels
-    order = [extended.position(l) for l in new_order]
-    if order != list(range(n)):
-        rows = rows[axis_permutation(dims, order)]
-    isometry = columns[rows]
-
-    aux_dim = extended.dim_of(aux_labels)
-    remote_dim = extended.dim_of(remote_labels)
-    problem_layout = Layout((("A1", scheme.input_dim), ("A2", aux_dim), ("B", remote_dim)))
+    # The mailbox on Bob's side has one axis per sent register, in send order.
+    # After the handover each sent register's slot holds the mailbox's |0>
+    # and the mailbox holds what the register held.
+    slots = (scheme.input_label,) + aux_labels + bob
+    kept = [l for l in slots if l not in sent]
+    order = layout.positions(kept + list(sent)) + (len(layout.dims),)
+    encrypted = scheme.encryption_isometry.reshape(layout.dims + (d,)).transpose(order)
+    problem_dims = [layout.dims[p] for p in layout.positions(slots + sent)]
+    isometry = np.zeros(problem_dims + [d], dtype=complex)
+    isometry[tuple(0 if l in sent else slice(None) for l in slots)] = encrypted
 
     aux_blocks = [(b.labels, b.ket) for b in scheme.fixed_states if set(b.labels) <= set(aux_labels)]
-    aux_state = assemble_ket(extended.restricted(aux_labels), aux_blocks)
+    aux_state = assemble_ket(layout.restricted(aux_labels), aux_blocks)
+    bob_blocks = [(b.labels, b.ket) for b in scheme.fixed_states if set(b.labels) <= set(bob)]
+    bob_state = assemble_ket(layout.restricted(bob), bob_blocks) if bob else np.ones(1)
+    remote_state = kron(bob_state, basis_ket(mail_dim, 0))
 
-    remote_blocks = [
-        (b.labels, b.ket) for b in scheme.fixed_states if set(b.labels) <= set(scheme.bob_initial)
-    ]
-    remote_blocks.append(((_MAILBOX_LABEL,), mailbox_empty))
-    remote_state = assemble_ket(extended.restricted(remote_labels), remote_blocks)
-
-    # Unitary by construction (a validated FootprintOp and two permutations),
-    # so the problem checks only that the columns stay orthonormal.
-    return LocalisationProblem(problem_layout, None, aux_state, remote_state, isometry=isometry)
+    # An isometry by construction (a validated FootprintOp, a transpose and an
+    # embedding at the mailbox's |0>), so the problem checks only that the
+    # columns stay orthonormal.
+    return LocalisationProblem(
+        problem_layout, None, aux_state, remote_state, isometry=isometry.reshape(-1, d)
+    )

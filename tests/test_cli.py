@@ -81,6 +81,51 @@ def test_localise_seed_flag_selects_problem(tmp_path):
     assert by_flag.read_text() == by_param.read_text()
 
 
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        pytest.param(
+            ("localise", "--builder", "constructed-secure", "--params", "dims=2,2,2", "seed=7",
+             "--seed", "5"),
+            "--seed",
+            id="seed-both-ways",
+        ),
+        pytest.param(
+            ("check", "--builder", "qotp", "--params", "n=1", "bogus=3"),
+            "'bogus'",
+            id="unknown-key",
+        ),
+        pytest.param(
+            ("check", "--builder", "identity", "--params", "n=1", "S=I,X"), "'S'", id="identity-S"
+        ),
+        pytest.param(
+            ("localise", "--builder", "leaky", "--params", "dims=2,2,2", "n=4", "seed=1"),
+            "'n'",
+            id="problem-n",
+        ),
+        pytest.param(
+            ("check", "--builder", "tag-evaluate", "--params", "n=1", "circuit_set=I,X"),
+            "'circuit_set'",
+            id="circuit_set-alias",
+        ),
+        pytest.param(
+            ("export-scheme", "--builder", "qotp", "--params", "n=1", "S=X"),
+            "'S'",
+            id="export-scheme-S",
+        ),
+        pytest.param(
+            ("check", "--builder", "qotp", "--params", "n=1", "n=2"), "'n'", id="key-twice"
+        ),
+    ],
+)
+def test_params_the_builder_does_not_read_rejected(capsys, argv, named):
+    # Every accepted --params value changes the build; any other exits 1 and
+    # names the key.
+    assert run_cli(*argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err
+
+
 def test_scheme_commands_reject_seed(capsys):
     for command in ("check", "export-scheme"):
         assert run_cli(command, "--builder", "qotp", "--params", "n=1", "--seed", "3") == 1

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import qhekit.localiser
-from qhekit.catalog import build_constructed_secure_problem, build_leaky_problem
+from qhekit.catalog import build_constructed_secure_problem, build_leaky_problem, build_qotp_scheme
 from qhekit.layout import Layout, axis_permutation
 from qhekit.linalg import (
     basis_ket,
@@ -25,6 +25,7 @@ from qhekit.localiser import (
     probe_states,
 )
 from qhekit.qinfo import DensityOp, mutual_information
+from qhekit.scheme import localisation_problem_at_t1
 from qhekit.tolerances import DEFAULT_TOLERANCES
 
 
@@ -245,14 +246,29 @@ def test_extract_plaintext_flags_mixed_state():
     assert info.value.purity < 0.99
 
 
+def _orthonormal_columns(n, m, seed):
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m)))
+    return q
+
+
 def test_complete_orthonormal_extends_to_unitary():
-    rng = np.random.default_rng(2)
-    m = rng.standard_normal((8, 3)) + 1j * rng.standard_normal((8, 3))
-    q, _ = np.linalg.qr(m)
-    basis = complete_orthonormal(q)
-    assert basis.shape == (8, 8)
-    np.testing.assert_array_equal(basis[:, :3], q)
-    assert is_unitary(basis, 1e-10)
+    # m = 0, m = n, seeded random m <= 16 and the QOTP n=2 branches: the
+    # given columns lead bit for bit, the completion is unitary and two
+    # calls agree to the byte.
+    inputs = [_orthonormal_columns(n, m, seed) for n, m, seed in ((8, 3, 2), (6, 0, 0), (6, 6, 1))]
+    rng = np.random.default_rng(7)
+    for seed in range(6):
+        n = int(rng.integers(1, 33))
+        inputs.append(_orthonormal_columns(n, int(rng.integers(0, min(n, 16) + 1)), 10 + seed))
+    inputs.append(localise(localisation_problem_at_t1(build_qotp_scheme(2))).branches)
+    for q in inputs:
+        n, m = q.shape
+        basis = complete_orthonormal(q)
+        assert basis.shape == (n, n)
+        assert basis[:, :m].tobytes() == q.tobytes()
+        assert is_unitary(basis, 1e-12)
+        assert complete_orthonormal(q).tobytes() == basis.tobytes()
 
 
 def test_problem_from_isometry_checks_its_columns():

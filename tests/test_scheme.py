@@ -2,7 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import qhekit.layout
@@ -19,9 +19,16 @@ from qhekit.catalog import (
     pauli_word_matrix,
 )
 from qhekit.checks import check_completeness
-from qhekit.layout import Layout, apply_operator, axis_permutation, embed_operator
+from qhekit.layout import (
+    MAX_TOTAL_DIM,
+    Layout,
+    apply_operator,
+    assemble_ket,
+    axis_permutation,
+    embed_operator,
+)
 from qhekit.linalg import basis_ket, fidelity_pure, haar_ket, kron, random_ket, random_unitary
-from qhekit.localiser import extract_plaintext, localise
+from qhekit.localiser import LocalisationError, LocalisationProblem, extract_plaintext, localise
 from qhekit.qinfo import DensityOp
 from qhekit.scheme import (
     Evaluation,
@@ -186,8 +193,12 @@ def test_bridge_remote_state_equals_ciphertext():
 
 
 def test_bridge_rejects_scheme_without_retained_aux():
-    with pytest.raises(ValueError, match="retains nothing"):
+    with pytest.raises(ValueError) as info:
         localisation_problem_at_t1(build_identity_scheme(1))
+    assert str(info.value) == (
+        "the scheme retains nothing besides the plaintext register; "
+        "there is no aux factor to localise into"
+    )
 
 
 def test_bridge_rejects_cross_cut_resource():
@@ -209,8 +220,12 @@ def test_bridge_rejects_cross_cut_resource():
         send_to_bob=("input",),
         return_to_alice=("input",),
     )
-    with pytest.raises(ValueError, match="straddles"):
+    with pytest.raises(ValueError) as info:
         localisation_problem_at_t1(scheme)
+    assert str(info.value) == (
+        "fixed state on ('res_a', 'res_b') straddles the retained/remote cut; "
+        "localisation requires a product across it"
+    )
 
 
 def test_builders_are_deterministic():
@@ -376,6 +391,186 @@ def test_encryption_isometry_assembles_the_fixed_states_once(monkeypatch, name):
     scheme.encryption_isometry
     assert scheme.input_dim >= 2
     assert len(calls) == 1
+
+
+def _mailbox_bridge(scheme):
+    """Reference: the t1 bridge as a swap with an explicit mailbox register.
+
+    The encrypted basis inputs get an empty mailbox as an extra last
+    register; one row gather swaps each sent register's digits with its
+    slice of the mailbox, and a second reorders the registers into (data,
+    aux..., Bob's initial..., mailbox).  Returns the problem's layout,
+    isometry, aux state and remote state.
+    """
+    aux_labels = tuple(l for l in scheme.alice_initial if l != scheme.input_label)
+    mail_dim = scheme.layout.dim_of(scheme.send_to_bob)
+    extended = Layout(scheme.layout.registers + (("mailbox", mail_dim),))
+    dims, n = extended.dims, len(extended.dims)
+    mailbox_empty = basis_ket(mail_dim, 0)
+    columns = np.kron(scheme.encryption_isometry, mailbox_empty[:, None])
+    send_pos = [extended.position(l) for l in scheme.send_to_bob]
+    split_dims = list(dims[:-1]) + [dims[p] for p in send_pos]
+    axes = list(range(len(split_dims)))
+    for i, p in enumerate(send_pos):
+        axes[p], axes[n - 1 + i] = axes[n - 1 + i], axes[p]
+    rows = axis_permutation(split_dims, axes)
+    remote_labels = scheme.bob_initial + ("mailbox",)
+    order = [extended.position(l) for l in (scheme.input_label,) + aux_labels + remote_labels]
+    isometry = columns[rows[axis_permutation(dims, order)]]
+    layout = Layout(
+        (
+            ("A1", scheme.input_dim),
+            ("A2", extended.dim_of(aux_labels)),
+            ("B", extended.dim_of(remote_labels)),
+        )
+    )
+    aux_blocks = [
+        (b.labels, b.ket) for b in scheme.fixed_states if set(b.labels) <= set(aux_labels)
+    ]
+    remote_blocks = [
+        (b.labels, b.ket) for b in scheme.fixed_states if set(b.labels) <= set(scheme.bob_initial)
+    ]
+    remote_blocks.append((("mailbox",), mailbox_empty))
+    aux_state = assemble_ket(extended.restricted(aux_labels), aux_blocks)
+    remote_state = assemble_ket(extended.restricted(remote_labels), remote_blocks)
+    return layout, isometry, aux_state, remote_state
+
+
+def _localise_outcome(problem):
+    try:
+        result = localise(problem)
+    except LocalisationError as exc:
+        return type(exc), str(exc)
+    return result.branches.tobytes(), result.gram_residual, result.reconstruction_residual
+
+
+def _assert_bridge_matches_reference(scheme):
+    problem = localisation_problem_at_t1(scheme)
+    layout, isometry, aux_state, remote_state = _mailbox_bridge(scheme)
+    assert problem.layout == layout
+    assert np.array_equal(problem.isometry, isometry)
+    assert np.array_equal(problem.aux_state, aux_state)
+    assert np.array_equal(problem.remote_state, remote_state)
+    reference = LocalisationProblem(layout, None, aux_state, remote_state, isometry=isometry)
+    assert _localise_outcome(problem) == _localise_outcome(reference)
+
+
+@pytest.mark.parametrize(
+    "name", [name for name in sorted(_ISOMETRY_SCHEMES) if _ISOMETRY_SCHEMES[name][0] != "identity"]
+)
+def test_bridge_matches_mailbox_reference_on_catalog(name):
+    builder, params = _ISOMETRY_SCHEMES[name]
+    _assert_bridge_matches_reference(build_scheme(builder, **params))
+
+
+def _partition(data, labels):
+    """The labels, shuffled, cut into consecutive non-empty blocks."""
+    if not labels:
+        return []
+    shuffled = data.draw(st.permutations(labels))
+    cuts = sorted(data.draw(st.sets(st.integers(1, len(labels) - 1)))) if len(labels) > 1 else []
+    return [shuffled[a:b] for a, b in zip([0, *cuts], [*cuts, len(labels)])]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=80)
+@given(data=st.data())
+def test_bridge_matches_mailbox_reference_on_random_schemes(data):
+    # Random register dims and layout order; Bob may hold registers from the
+    # start; Alice sends a random non-empty subset of her registers, input
+    # included or not, listed in a random order; the fixed states are split
+    # into blocks on either side of the cut; the encryption has a random
+    # footprint on Alice's registers.
+    fixed = [f"r{i}" for i in range(data.draw(st.integers(2, 4)))]
+    dims = {label: data.draw(st.integers(2, 3)) for label in ["in", *fixed]}
+    layout = Layout(tuple((label, dims[label]) for label in data.draw(st.permutations(list(dims)))))
+    bob = data.draw(st.permutations(fixed))[: data.draw(st.integers(0, len(fixed) - 1))]
+    alice = ["in"] + [label for label in fixed if label not in bob]
+    send_input = data.draw(st.booleans())
+    count = data.draw(st.integers(1 - send_input, len(alice) - 1))
+    others = data.draw(st.permutations(alice[1:]))[:count]
+    sent = data.draw(st.permutations(["in"] * send_input + others))
+    assume(layout.dim * layout.dim_of(sent) <= MAX_TOTAL_DIM)
+    seed = data.draw(st.integers(0, 2**16))
+    rng = np.random.default_rng(seed)
+    blocks = data.draw(st.permutations(_partition(data, alice[1:]) + _partition(data, bob)))
+    states = tuple(RegisterState(tuple(b), haar_ket(rng, layout.dim_of(b))) for b in blocks)
+    footprint = data.draw(st.permutations(alice))[: data.draw(st.integers(1, len(alice)))]
+    message = (bob + sent)[0]
+    output = message if "in" in sent else "in"
+    scheme = QheScheme(
+        name="random-bridge",
+        layout=layout,
+        input_label="in",
+        output_label=output,
+        bob_initial=tuple(bob),
+        key_state=None,
+        resource_state=None,
+        ancilla_states=states,
+        encrypt_op=FootprintOp(tuple(footprint), random_unitary(layout.dim_of(footprint), seed)),
+        decrypt_op=FootprintOp((output,), np.eye(dims[output])),
+        evaluations=(
+            Evaluation("I", FootprintOp((message,), np.eye(dims[message])), np.eye(dims["in"])),
+        ),
+        send_to_bob=tuple(sent),
+        return_to_alice=(message,),
+    )
+    _assert_bridge_matches_reference(scheme)
+
+
+def test_bridge_rejects_problem_over_the_dimension_guard():
+    # The scheme fits the guard; with the mailbox, its problem does not.
+    eye = np.eye(2, dtype=complex)
+    scheme = QheScheme(
+        name="wide",
+        layout=Layout((("input", 2), ("key", MAX_TOTAL_DIM // 2))),
+        input_label="input",
+        output_label="input",
+        bob_initial=(),
+        key_state=RegisterState(("key",), basis_ket(MAX_TOTAL_DIM // 2, 0)),
+        resource_state=None,
+        ancilla_states=(),
+        encrypt_op=FootprintOp(("input",), eye),
+        decrypt_op=FootprintOp(("input",), eye),
+        evaluations=(Evaluation("I", FootprintOp(("input",), eye), eye),),
+        send_to_bob=("input",),
+        return_to_alice=("input",),
+    )
+    with pytest.raises(ValueError) as reference:
+        _mailbox_bridge(scheme)
+    with pytest.raises(ValueError) as info:
+        localisation_problem_at_t1(scheme)
+    assert str(info.value) == str(reference.value)
+    assert str(info.value) == (
+        f"total dimension {2 * MAX_TOTAL_DIM} exceeds the {MAX_TOTAL_DIM} guard"
+    )
+
+
+def test_bridge_of_a_scheme_that_sends_nothing():
+    # Bob's initial registers alone are the remote side; the mailbox is empty.
+    eye = np.eye(2, dtype=complex)
+    scheme = QheScheme(
+        name="silent",
+        layout=Layout((("input", 2), ("key", 2), ("bob", 2))),
+        input_label="input",
+        output_label="input",
+        bob_initial=("bob",),
+        key_state=RegisterState(("key",), basis_ket(2, 1)),
+        resource_state=None,
+        ancilla_states=(RegisterState(("bob",), random_ket(2, 3)),),
+        encrypt_op=FootprintOp(("input", "key"), random_unitary(4, 2)),
+        decrypt_op=FootprintOp(("input",), eye),
+        evaluations=(Evaluation("I", FootprintOp(("bob",), eye), eye),),
+        send_to_bob=(),
+        return_to_alice=("bob",),
+    )
+    problem = localisation_problem_at_t1(scheme)
+    assert problem.layout.dims == (2, 2, 2)
+    np.testing.assert_array_equal(problem.remote_state, scheme.ancilla_states[0].ket)
+    psi = random_ket(2, 9)
+    np.testing.assert_allclose(
+        problem.remote_reduced(psi), scheme.ciphertext(psi).matrix, rtol=0, atol=1e-12
+    )
+    assert localise(problem).rank == 1
 
 
 def test_evolve_batch_matches_pipeline_runs():
