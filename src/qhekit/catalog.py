@@ -12,15 +12,7 @@ from typing import Any, Mapping, Sequence
 
 import numpy as np
 
-from .checks import (
-    INAPPLICABLE,
-    PASS,
-    FAIL,
-    Report,
-    check_completeness,
-    check_security,
-    check_theorem1,
-)
+from .checks import FAIL, INAPPLICABLE, PASS, run_checks
 from .layout import Layout, axis_permutation
 from .linalg import basis_ket, dagger, haar_ket, haar_unitary, kron
 from .localiser import LocalisationProblem
@@ -344,20 +336,6 @@ def build_problem(builder: str, **params: Any) -> LocalisationProblem:
     return _PROBLEM_BUILDERS[builder](**params)
 
 
-def run_catalog_checks(entry: CatalogEntry) -> dict[str, Report]:
-    """All three scheme checkers on one catalog entry, sharing precondition runs."""
-    scheme = build_scheme(entry.builder, **entry.params)
-    security = check_security(scheme)
-    completeness = check_completeness(scheme)
-    theorem1 = check_theorem1(
-        scheme,
-        basis_ket(scheme.input_dim, 0),
-        security_report=security,
-        completeness_report=completeness,
-    )
-    return {"security": security, "completeness": completeness, "theorem1": theorem1}
-
-
 def verify_catalog() -> tuple[bool, list[tuple[str, str, str, str]]]:
     """Compare every entry's actual verdicts with its expectations.
 
@@ -367,7 +345,7 @@ def verify_catalog() -> tuple[bool, list[tuple[str, str, str, str]]]:
     rows = []
     all_match = True
     for entry in catalog():
-        reports = run_catalog_checks(entry)
+        reports = run_checks(build_scheme(entry.builder, **entry.params))
         for checker in sorted(entry.expected):
             actual = reports[checker].verdict
             rows.append((entry.name, checker, entry.expected[checker], actual))

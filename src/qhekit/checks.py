@@ -16,6 +16,7 @@ from .layout import Layout, reduced_from_ket
 from .linalg import (
     as_ket,
     as_square,
+    basis_ket,
     is_unitary,
     require_unitary,
     trace_distance,
@@ -34,6 +35,9 @@ REASON_SECURITY_FAILED = "security-precondition-failed"
 REASON_COMPLETENESS_FAILED = "completeness-precondition-failed"
 REASON_MESSAGE_CORRELATED = "message-correlated-with-retained-key"
 
+# The scheme checks, in the order run_checks runs them.
+CHECK_NAMES = ("security", "completeness", "theorem1")
+
 
 @dataclass(frozen=True)
 class Report:
@@ -49,6 +53,21 @@ class Report:
             raise ValueError(f"unknown verdict {self.verdict!r}")
         if self.verdict == INAPPLICABLE and not self.reason:
             raise ValueError("inapplicable verdicts must carry a reason code")
+
+
+def _verdict(
+    kind: str,
+    cases: Sequence[tuple[str, float]],
+    tol: float,
+    tol_name: str,
+    context: Sequence[tuple[str, float]] = (),
+) -> Report:
+    """A pass/fail report: pass iff the largest metric of `cases` (0.0 if none) is at most tol.
+
+    `context` rows are listed first in the report but do not decide it.
+    """
+    worst = max((metric for _, metric in cases), default=0.0)
+    return Report(kind, PASS if worst <= tol else FAIL, worst, (*context, *cases), {tol_name: tol})
 
 
 def check_security(
@@ -81,14 +100,7 @@ def check_security(
     for i in range(len(states) - 1):
         row = trace_distance(states[i], states[i + 1 :]).tolist()
         cases.extend((f"{labels[i]}|{labels[j]}", dist) for j, dist in enumerate(row, i + 1))
-    worst = max(0.0, *(dist for _, dist in cases))
-    return Report(
-        kind="security",
-        verdict=PASS if worst <= tol else FAIL,
-        worst_metric=worst,
-        cases=tuple(cases),
-        tolerances={"security": tol},
-    )
+    return _verdict("security", cases, tol, "security")
 
 
 def check_completeness(scheme: QheScheme, tol: float | None = None) -> Report:
@@ -126,14 +138,7 @@ def check_completeness(scheme: QheScheme, tol: float | None = None) -> Report:
     rel[:, np.arange(d), :, np.arange(d)] -= np.einsum("cjrj->cr", rel) / d
     deltas = np.linalg.norm(rel.reshape(n, -1, d), 2, axis=(1, 2))
     cases = [(f"{cid}/certificate", float(delta)) for cid, delta in zip(scheme.circuit_ids, deltas)]
-    worst = max(0.0, *(metric for _, metric in cases))
-    return Report(
-        kind="completeness",
-        verdict=PASS if worst <= tol else FAIL,
-        worst_metric=worst,
-        cases=tuple(cases),
-        tolerances={"completeness": tol},
-    )
+    return _verdict("completeness", cases, tol, "completeness")
 
 
 def check_theorem1(
@@ -160,28 +165,19 @@ def check_theorem1(
     """
     if tol is None:
         tol = DEFAULT_TOLERANCES.equality
+
+    def inapplicable(worst: float, cases: Sequence[tuple[str, float]], reason: str) -> Report:
+        tolerances = {"support-overlap": tol}
+        return Report("theorem1", INAPPLICABLE, worst, tuple(cases), tolerances, reason)
+
     security = security_report if security_report is not None else check_security(scheme)
     if security.verdict != PASS:
-        return Report(
-            kind="theorem1",
-            verdict=INAPPLICABLE,
-            worst_metric=security.worst_metric,
-            cases=(),
-            tolerances={"support-overlap": tol},
-            reason=REASON_SECURITY_FAILED,
-        )
+        return inapplicable(security.worst_metric, (), REASON_SECURITY_FAILED)
     completeness = (
         completeness_report if completeness_report is not None else check_completeness(scheme)
     )
     if completeness.verdict != PASS:
-        return Report(
-            kind="theorem1",
-            verdict=INAPPLICABLE,
-            worst_metric=completeness.worst_metric,
-            cases=(),
-            tolerances={"support-overlap": tol},
-            reason=REASON_COMPLETENESS_FAILED,
-        )
+        return inapplicable(completeness.worst_metric, (), REASON_COMPLETENESS_FAILED)
 
     psi_in = np.asarray(psi_in, dtype=complex).reshape(-1)  # evolve validates it
     circuit_ids = scheme.circuit_ids
@@ -194,20 +190,13 @@ def check_theorem1(
         ).tolist()
     else:
         deviations = [0.0] * len(circuit_ids)
-    cases = [(f"product-form/{cid}", dev) for cid, dev in zip(circuit_ids, deviations)]
+    products = [(f"product-form/{cid}", dev) for cid, dev in zip(circuit_ids, deviations)]
     product_worst = max(0.0, *deviations)
     if product_worst > tol:
-        return Report(
-            kind="theorem1",
-            verdict=INAPPLICABLE,
-            worst_metric=product_worst,
-            cases=tuple(cases),
-            tolerances={"support-overlap": tol},
-            reason=REASON_MESSAGE_CORRELATED,
-        )
+        return inapplicable(product_worst, products, REASON_MESSAGE_CORRELATED)
 
     bases = support_bases(reduced_from_ket(kets, scheme.layout, scheme.return_to_alice))
-    worst = 0.0
+    overlaps = []
     evaluations = scheme.evaluations
     for i in range(len(evaluations)):
         for j in range(i + 1, len(evaluations)):
@@ -215,15 +204,40 @@ def check_theorem1(
             if unitaries_equal_up_to_phase(a.target, b.target):
                 continue
             overlap = support_overlap(bases[i], bases[j])
-            cases.append((f"overlap/{a.circuit_id}|{b.circuit_id}", overlap))
-            worst = max(worst, overlap)
-    return Report(
-        kind="theorem1",
-        verdict=PASS if worst <= tol else FAIL,
-        worst_metric=worst,
-        cases=tuple(cases),
-        tolerances={"support-overlap": tol},
-    )
+            overlaps.append((f"overlap/{a.circuit_id}|{b.circuit_id}", overlap))
+    return _verdict("theorem1", overlaps, tol, "support-overlap", context=products)
+
+
+def run_checks(
+    scheme: QheScheme,
+    which: Sequence[str] = CHECK_NAMES,
+    tols: Mapping[str, float] | None = None,
+) -> dict[str, Report]:
+    """The named scheme checks, keyed in the order given.
+
+    The one place that orders the checks: theorem 1 runs on basis_ket(d, 0)
+    with this run's security and completeness reports as its preconditions,
+    so each check runs at most once.  tols maps check names to verdict
+    thresholds; a check it does not name uses the default.
+    """
+    tols = tols or {}
+    unknown = [name for name in (*which, *tols) if name not in CHECK_NAMES]
+    if unknown:
+        raise ValueError(f"unknown checks {unknown}; known: {', '.join(CHECK_NAMES)}")
+    reports = {}
+    if "security" in which or "theorem1" in which:
+        reports["security"] = check_security(scheme, tols.get("security"))
+    if "completeness" in which or "theorem1" in which:
+        reports["completeness"] = check_completeness(scheme, tols.get("completeness"))
+    if "theorem1" in which:
+        reports["theorem1"] = check_theorem1(
+            scheme,
+            basis_ket(scheme.input_dim, 0),
+            tols.get("theorem1"),
+            security_report=reports["security"],
+            completeness_report=reports["completeness"],
+        )
+    return {name: reports[name] for name in which}
 
 
 def check_no_programming(
@@ -280,22 +294,15 @@ def check_no_programming(
         cases.append((f"program-{i}/determinism", leak))
         extracted[i] = w
 
-    worst = 0.0
+    overlaps = []
     ids = sorted(extracted)
     for a_pos, i in enumerate(ids):
         for j in ids[a_pos + 1 :]:
             if unitaries_equal_up_to_phase(extracted[i], extracted[j]):
                 continue
             overlap = float(abs(np.vdot(kets[i], kets[j])))
-            cases.append((f"overlap/program-{i}|program-{j}", overlap))
-            worst = max(worst, overlap)
-    return Report(
-        kind="no-programming",
-        verdict=PASS if worst <= tol else FAIL,
-        worst_metric=worst,
-        cases=tuple(cases),
-        tolerances={"support-overlap": tol},
-    )
+            overlaps.append((f"overlap/program-{i}|program-{j}", overlap))
+    return _verdict("no-programming", overlaps, tol, "support-overlap", context=cases)
 
 
 @dataclass(frozen=True)

@@ -11,22 +11,20 @@ import argparse
 import functools
 import json
 import sys
-from typing import Any
+from typing import Any, Callable
 
 from ._version import __version__
 from .catalog import build_problem, build_scheme, catalog, verify_catalog
 from .checks import (
+    CHECK_NAMES,
     FAIL,
     INAPPLICABLE,
     PASS,
     Report,
     audit_dimension,
     audit_reversible_classical,
-    check_completeness,
-    check_security,
-    check_theorem1,
+    run_checks,
 )
-from .linalg import basis_ket
 from .localiser import LeakageDetected, LocalisationError, localise
 from .serialize import (
     audit_to_json,
@@ -39,10 +37,9 @@ from .serialize import (
 from .tolerances import DEFAULT_TOLERANCES
 
 _MAX_TEXT_CASES = 12
-_CHECK_NAMES = ("security", "completeness", "theorem1")
 # The tolerance names each command reads: check's verdict thresholds, and
 # localise's leakage threshold plus the two numerical ones it uses.
-_TOL_NAMES = {"check": _CHECK_NAMES, "localise": ("leakage", "hermiticity", "rank")}
+_TOL_NAMES = {"check": CHECK_NAMES, "localise": ("leakage", "hermiticity", "rank")}
 
 
 class CliError(Exception):
@@ -57,49 +54,65 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(message)
 
 
-def _parse_params(pairs: list[str], builder: str, reads: tuple[str, ...]) -> dict[str, str]:
-    """The KEY=VALUE pairs of --params; a key the builder does not read exits 1."""
-    params = {}
-    for pair in pairs:
-        if "=" not in pair:
-            raise CliError(f"parameter {pair!r} is not of the form KEY=VALUE")
-        key, value = pair.split("=", 1)
-        key = key.strip()
-        if key not in reads:
-            raise CliError(
-                f"builder {builder!r} does not read parameter {key!r}; it reads: {', '.join(reads)}"
-            )
-        if key in params:
-            raise CliError(f"parameter {key!r} is given twice")
-        params[key] = value.strip()
-    return params
+def _parse_pairs(
+    pairs: list[str],
+    kind: str,
+    accepted: tuple[str, ...],
+    unknown: str,
+    convert: Callable[[str, str], Any] | None = None,
+) -> dict[str, Any]:
+    """The NAME=VALUE pairs of --params or --tol, each value passed through convert(name, value).
 
-
-def _parse_tols(pairs: list[str], accepted: tuple[str, ...]) -> dict[str, float]:
-    tols = {}
+    A pair without "=", a name outside accepted (reported by the unknown
+    template) and a name given twice exit 1.
+    """
+    values = {}
     for pair in pairs:
-        if "=" not in pair:
-            raise CliError(f"tolerance {pair!r} is not of the form NAME=VALUE")
-        name, value = pair.split("=", 1)
-        name = name.strip()
+        name, eq, value = (part.strip() for part in pair.partition("="))
+        if not eq:
+            form = "KEY=VALUE" if kind == "parameter" else "NAME=VALUE"
+            raise CliError(f"{kind} {pair!r} is not of the form {form}")
         if name not in accepted:
-            raise CliError(f"unknown tolerance {name!r}; accepted: {', '.join(accepted)}")
-        try:
-            parsed = float(value)
-        except ValueError:
-            raise CliError(f"tolerance {name!r} has non-numeric value {value!r}") from None
-        if not parsed > 0:
-            raise CliError(f"tolerance {name!r} must be positive, got {parsed}")
-        tols[name] = parsed
-    return tols
+            raise CliError(unknown.format(name, ", ".join(accepted)))
+        if name in values:
+            raise CliError(f"{kind} {name!r} is given twice")
+        values[name] = convert(name, value) if convert else value
+    return values
+
+
+def _builder_params(builder: str, pairs: list[str], reads: tuple[str, ...]) -> dict[str, str]:
+    unknown = f"builder {builder!r} does not read parameter {{!r}}; it reads: {{}}"
+    return _parse_pairs(pairs, "parameter", reads, unknown)
+
+
+def _integer(key: str, text: str | int) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise CliError(f"parameter {key!r} has non-integer value {text!r}") from None
+
+
+def _tolerance(name: str, text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise CliError(f"tolerance {name!r} has non-numeric value {text!r}") from None
+    if not value > 0:
+        raise CliError(f"tolerance {name!r} must be positive, got {value}")
+    return value
+
+
+def _tolerances(args: argparse.Namespace) -> dict[str, float]:
+    unknown = "unknown tolerance {!r}; accepted: {}"
+    return _parse_pairs(args.tol, "tolerance", _TOL_NAMES[args.command], unknown, _tolerance)
 
 
 def _scheme_params(builder: str, pairs: list[str]) -> dict[str, Any]:
     reads = ("n", "S") if builder == "tag-evaluate" else ("n",)
-    params = _parse_params(pairs, builder, reads)
-    out: dict[str, Any] = {}
-    if "n" in params:
-        out["n"] = int(params["n"])
+    params = _builder_params(builder, pairs, reads)
+    if "n" not in params:
+        raise CliError("scheme builders need n=N (e.g. n=1)")
+    out: dict[str, Any] = {"n": _integer("n", params["n"])}
     if builder == "tag-evaluate":
         if not params.get("S"):
             raise CliError("tag-evaluate needs S=WORD,WORD,... (e.g. S=I,X,Z)")
@@ -108,16 +121,17 @@ def _scheme_params(builder: str, pairs: list[str]) -> dict[str, Any]:
 
 
 def _problem_params(builder: str, pairs: list[str], seed: int | None) -> dict[str, Any]:
-    params = _parse_params(pairs, builder, ("dims", "seed"))
+    params = _builder_params(builder, pairs, ("dims", "seed"))
     if "seed" in params and seed is not None:
         raise CliError("the seed is given both as --seed and as seed= in --params; give one")
     dims = params.get("dims")
     if not dims:
         raise CliError("problem builders need dims=D1,D2,D3")
-    parts = [int(x) for x in dims.split(",")]
+    parts = [_integer("dims", x) for x in dims.split(",")]
     if len(parts) != 3:
         raise CliError(f"dims must have three components, got {dims!r}")
-    return {"dims": tuple(parts), "seed": int(params.get("seed", 0 if seed is None else seed))}
+    seed = _integer("seed", params.get("seed", 0 if seed is None else seed))
+    return {"dims": tuple(parts), "seed": seed}
 
 
 def _load_json(path: str) -> Any:
@@ -196,42 +210,27 @@ def _verdict_exit(verdicts: list[str]) -> int:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
+    tols = _tolerances(args)
     scheme = _get_scheme(args)
-    tols = _parse_tols(args.tol, _TOL_NAMES[args.command])
-    wanted = _CHECK_NAMES if args.which == "all" else (args.which,)
-    security = completeness = None
-    if "security" in wanted or "theorem1" in wanted:
-        security = check_security(scheme, tols.get("security"))
-    if "completeness" in wanted or "theorem1" in wanted:
-        completeness = check_completeness(scheme, tols.get("completeness"))
-    # Only the wanted reports are read below.
-    reports = {"security": security, "completeness": completeness}
-    if "theorem1" in wanted:
-        reports["theorem1"] = check_theorem1(
-            scheme,
-            basis_ket(scheme.input_dim, 0),
-            tols.get("theorem1"),
-            security_report=security,
-            completeness_report=completeness,
-        )
+    reports = run_checks(scheme, CHECK_NAMES if args.which == "all" else (args.which,), tols)
     # Each format builds only its own output.
     if args.format == "json":
         payload = {
             "scheme": scheme.name,
-            "reports": {name: report_to_json(reports[name]) for name in wanted},
+            "reports": {name: report_to_json(report) for name, report in reports.items()},
         }
         _emit(args, "", payload)
     else:
         lines = [f"scheme: {scheme.name}"]
-        for name in wanted:
-            lines.extend(_report_lines(reports[name]))
+        for report in reports.values():
+            lines.extend(_report_lines(report))
         _emit(args, "\n".join(lines), None)
-    return _verdict_exit([reports[name].verdict for name in wanted])
+    return _verdict_exit([report.verdict for report in reports.values()])
 
 
 def _cmd_localise(args: argparse.Namespace) -> int:
+    tols = _tolerances(args)
     problem = _get_problem(args)
-    tols = _parse_tols(args.tol, _TOL_NAMES[args.command])
     if "leakage" in tols:
         tols["equality"] = tols.pop("leakage")
     base = DEFAULT_TOLERANCES.replace(**tols)
@@ -375,7 +374,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_check = sub.add_parser("check", help="run scheme checkers")
     add_source(p_check, "--scheme", "scheme", "identity | qotp | tag-evaluate")
     p_check.add_argument(
-        "--which", choices=_CHECK_NAMES + ("all",), default="all", help="which checker to run"
+        "--which", choices=CHECK_NAMES + ("all",), default="all", help="which checker to run"
     )
     add_params(p_check)
     add_tol(p_check)

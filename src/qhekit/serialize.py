@@ -28,6 +28,24 @@ class SchemeFormatError(ValueError):
         self.location = location
 
 
+class _located:
+    """Turn a ValueError or TypeError raised in the body into a SchemeFormatError at where.
+
+    A class, not a @contextmanager generator, whose entry costs about four
+    times as much: reading one scheme file enters it a few dozen times.
+    """
+
+    def __init__(self, where: str):
+        self.where = where
+
+    def __enter__(self) -> None:
+        pass
+
+    def __exit__(self, kind, exc, tb) -> None:
+        if isinstance(exc, (TypeError, ValueError)) and not isinstance(exc, SchemeFormatError):
+            raise SchemeFormatError(self.where, str(exc)) from None
+
+
 def _require(obj: Mapping, key: str, where: str) -> Any:
     if not isinstance(obj, Mapping):
         raise SchemeFormatError(where, f"expected an object, got {type(obj).__name__}")
@@ -59,8 +77,9 @@ def matrix_to_json(m: np.ndarray) -> dict:
 
 
 def matrix_from_json(obj: Mapping, where: str = "matrix") -> np.ndarray:
-    rows = int(_require(obj, "rows", where))
-    cols = int(_require(obj, "cols", where))
+    with _located(where):
+        rows = int(_require(obj, "rows", where))
+        cols = int(_require(obj, "cols", where))
     if rows < 1 or cols < 1:
         raise SchemeFormatError(where, f"non-positive shape ({rows}, {cols})")
     entries = _pairs_to_complex(_require(obj, "entries", where), rows * cols, f"{where}.entries")
@@ -75,7 +94,8 @@ def ket_to_json(v: np.ndarray) -> dict:
 
 
 def ket_from_json(obj: Mapping, where: str = "ket") -> np.ndarray:
-    dim = int(_require(obj, "dim", where))
+    with _located(where):
+        dim = int(_require(obj, "dim", where))
     if dim < 1:
         raise SchemeFormatError(where, f"non-positive dimension {dim}")
     return _pairs_to_complex(_require(obj, "amplitudes", where), dim, f"{where}.amplitudes")
@@ -92,11 +112,10 @@ def layout_from_json(obj: Any, where: str = "registers") -> Layout:
     for i, item in enumerate(obj):
         if not isinstance(item, list) or len(item) != 2:
             raise SchemeFormatError(f"{where}[{i}]", "expected a [label, dim] pair")
-        regs.append((str(item[0]), int(item[1])))
-    try:
+        with _located(f"{where}[{i}]"):
+            regs.append((str(item[0]), int(item[1])))
+    with _located(where):
         return Layout(tuple(regs))
-    except ValueError as exc:
-        raise SchemeFormatError(where, str(exc)) from None
 
 
 def density_to_json(rho: DensityOp) -> dict:
@@ -106,10 +125,8 @@ def density_to_json(rho: DensityOp) -> dict:
 def density_from_json(obj: Mapping, where: str = "density") -> DensityOp:
     layout = layout_from_json(_require(obj, "registers", where), f"{where}.registers")
     matrix = matrix_from_json(obj, where)
-    try:
+    with _located(where):
         return DensityOp(layout, matrix)
-    except ValueError as exc:
-        raise SchemeFormatError(where, str(exc)) from None
 
 
 def _roles(scheme: QheScheme) -> dict[str, str]:
@@ -137,10 +154,8 @@ def _footprint_from_json(obj: Mapping, where: str) -> FootprintOp:
     labels = _require(obj, "labels", where)
     if not isinstance(labels, list) or not labels:
         raise SchemeFormatError(f"{where}.labels", "expected a non-empty label list")
-    try:
+    with _located(where):
         return FootprintOp(tuple(str(l) for l in labels), matrix_from_json(obj, where))
-    except ValueError as exc:
-        raise SchemeFormatError(where, str(exc)) from None
 
 
 def scheme_to_json(scheme: QheScheme) -> dict:
@@ -170,7 +185,15 @@ def scheme_to_json(scheme: QheScheme) -> dict:
     }
 
 
-_ROLE_NAMES = {"input", "key", "anc_a", "anc_b", "res_a", "res_b"}
+def _labels(obj: Mapping, key: str, where: str) -> tuple[str, ...]:
+    labels = _require(obj, key, where)
+    if not isinstance(labels, list):
+        raise SchemeFormatError(f"{where}.{key}", "expected a list of labels")
+    return tuple(str(l) for l in labels)
+
+
+# A tuple, not a set: a role read from JSON may be an unhashable list.
+_ROLE_NAMES = ("input", "key", "anc_a", "anc_b", "res_a", "res_b")
 
 
 def scheme_from_json(obj: Mapping, where: str = "scheme") -> QheScheme:
@@ -205,10 +228,8 @@ def scheme_from_json(obj: Mapping, where: str = "scheme") -> QheScheme:
         if not isinstance(labels_raw, list) or not labels_raw:
             raise SchemeFormatError(f"{here}.labels", "expected a non-empty label list")
         labels = tuple(str(l) for l in labels_raw)
-        try:
+        with _located(here):
             block = RegisterState(labels, ket_from_json(item, here))
-        except ValueError as exc:
-            raise SchemeFormatError(here, str(exc)) from None
         label_set = set(labels)
         if label_set <= key_labels:
             if key_state is not None:
@@ -229,7 +250,7 @@ def scheme_from_json(obj: Mapping, where: str = "scheme") -> QheScheme:
     evaluations = []
     for i, item in enumerate(evals_raw):
         here = f"{where}.evaluations[{i}]"
-        try:
+        with _located(here):
             evaluations.append(
                 Evaluation(
                     str(_require(item, "id", here)),
@@ -237,12 +258,8 @@ def scheme_from_json(obj: Mapping, where: str = "scheme") -> QheScheme:
                     matrix_from_json(_require(item, "target", here), f"{here}.target"),
                 )
             )
-        except ValueError as exc:
-            if isinstance(exc, SchemeFormatError):
-                raise
-            raise SchemeFormatError(here, str(exc)) from None
 
-    try:
+    with _located(where):
         return QheScheme(
             name=str(obj.get("name", "unnamed")),
             layout=layout,
@@ -255,17 +272,9 @@ def scheme_from_json(obj: Mapping, where: str = "scheme") -> QheScheme:
             encrypt_op=_footprint_from_json(_require(obj, "encrypt", where), f"{where}.encrypt"),
             decrypt_op=_footprint_from_json(_require(obj, "decrypt", where), f"{where}.decrypt"),
             evaluations=tuple(evaluations),
-            send_to_bob=tuple(
-                str(l) for l in _require(obj, "send_to_bob", where)
-            ),
-            return_to_alice=tuple(
-                str(l) for l in _require(obj, "return_to_alice", where)
-            ),
+            send_to_bob=_labels(obj, "send_to_bob", where),
+            return_to_alice=_labels(obj, "return_to_alice", where),
         )
-    except ValueError as exc:
-        if isinstance(exc, SchemeFormatError):
-            raise
-        raise SchemeFormatError(where, str(exc)) from None
 
 
 def problem_to_json(problem: LocalisationProblem) -> dict:
@@ -286,17 +295,13 @@ def problem_to_json(problem: LocalisationProblem) -> dict:
 
 def problem_from_json(obj: Mapping, where: str = "problem") -> LocalisationProblem:
     layout = layout_from_json(_require(obj, "registers", where), f"{where}.registers")
-    try:
+    with _located(where):
         return LocalisationProblem(
             layout,
             matrix_from_json(_require(obj, "unitary", where), f"{where}.unitary"),
             ket_from_json(_require(obj, "aux_state", where), f"{where}.aux_state"),
             ket_from_json(_require(obj, "remote_state", where), f"{where}.remote_state"),
         )
-    except ValueError as exc:
-        if isinstance(exc, SchemeFormatError):
-            raise
-        raise SchemeFormatError(where, str(exc)) from None
 
 
 def result_to_json(result: LocalisationResult) -> dict:

@@ -11,9 +11,9 @@ from qhekit.catalog import (
     catalog,
     pauli_word_matrix,
     pauli_words,
-    run_catalog_checks,
     verify_catalog,
 )
+from qhekit.checks import run_checks
 from qhekit.layout import reduced_from_ket
 from qhekit.linalg import basis_ket, kron
 from qhekit.qinfo import orthogonal_support
@@ -47,11 +47,12 @@ def test_catalog_entries_have_complete_expectations():
         assert all(v in ("pass", "fail", "inapplicable") for v in entry.expected.values())
 
 
-def test_run_catalog_checks_reports_are_reports():
+def test_run_checks_reports_are_reports():
     entry = catalog()[0]
-    reports = run_catalog_checks(entry)
-    assert reports["security"].kind == "security"
-    assert reports["theorem1"].kind == "theorem1"
+    reports = run_checks(build_scheme(entry.builder, **entry.params))
+    assert list(reports) == ["security", "completeness", "theorem1"]
+    assert all(report.kind == name for name, report in reports.items())
+    assert {name: report.verdict for name, report in reports.items()} == dict(entry.expected)
 
 
 def test_tag_evaluate_message_supports_exactly_orthogonal():

@@ -20,6 +20,7 @@ from qhekit.catalog import (
     pauli_words,
 )
 from qhekit.checks import (
+    CHECK_NAMES,
     INAPPLICABLE,
     PASS,
     FAIL,
@@ -34,6 +35,7 @@ from qhekit.checks import (
     check_security,
     check_theorem1,
     qubits_for_set,
+    run_checks,
 )
 from qhekit.layout import Layout
 from qhekit.linalg import (
@@ -659,3 +661,63 @@ def test_theorem1_reports_each_circuits_own_product_deviation():
     deviations = dict(report.cases)
     assert deviations["product-form/swap"] <= 1e-12
     assert deviations["product-form/keep"] > deviations["product-form/partial"] > 0.1
+
+
+def test_theorem1_passes_with_no_pair_to_test():
+    # Every target equals the others up to a global phase, so no pair needs
+    # orthogonal messages: worst 0.0 and pass, with only product-form rows.
+    scheme = build_tag_evaluate_scheme(1, ("I", ("minus-I", -np.eye(2))))
+    report = check_theorem1(scheme, basis_ket(2, 0))
+    assert (report.verdict, report.worst_metric) == (PASS, 0.0)
+    assert [case_id for case_id, _ in report.cases] == ["product-form/I", "product-form/minus-I"]
+
+
+@pytest.mark.parametrize("which", [("theorem1", "security"), ("completeness",), CHECK_NAMES])
+def test_run_checks_keys_reports_in_the_order_given(which):
+    reports = run_checks(_scheme("tag-evaluate-2q"), which)
+    assert list(reports) == list(which)
+    assert all(report.kind == name for name, report in reports.items())
+
+
+@pytest.mark.parametrize(
+    "which, runs",
+    [
+        (CHECK_NAMES, ["security", "completeness", "theorem1"]),
+        (("theorem1",), ["security", "completeness", "theorem1"]),
+        (("completeness", "security"), ["security", "completeness"]),
+        (("completeness",), ["completeness"]),
+    ],
+)
+def test_run_checks_runs_each_check_at_most_once(monkeypatch, which, runs):
+    calls = []
+    for name in CHECK_NAMES:
+        original = getattr(qhekit.checks, f"check_{name}")
+
+        def counting(*args, _name=name, _original=original, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(qhekit.checks, f"check_{name}", counting)
+    run_checks(_scheme("tag-evaluate-2q"), which)
+    assert calls == runs
+
+
+def test_run_checks_tolerance_reaches_only_its_check():
+    scheme = build_qotp_scheme(1)
+    default = run_checks(scheme)
+    strict = run_checks(scheme, tols={"security": 1e-300})
+    assert (default["security"].verdict, strict["security"].verdict) == (PASS, FAIL)
+    assert strict["security"].tolerances == {"security": 1e-300}
+    for name in ("completeness", "theorem1"):
+        assert strict[name].verdict == default[name].verdict
+        assert strict[name].tolerances == default[name].tolerances
+    # Theorem 1 reads this run's security report as its precondition.
+    assert strict["theorem1"].reason == REASON_SECURITY_FAILED
+
+
+def test_run_checks_rejects_unknown_names():
+    scheme = build_qotp_scheme(1)
+    with pytest.raises(ValueError, match="unknown checks"):
+        run_checks(scheme, ("security", "leakage"))
+    with pytest.raises(ValueError, match="unknown checks"):
+        run_checks(scheme, tols={"equality": 1e-3})

@@ -1,4 +1,6 @@
+import functools
 import json
+import operator
 
 import numpy as np
 import pytest
@@ -124,6 +126,47 @@ def test_params_the_builder_does_not_read_rejected(capsys, argv, named):
     assert run_cli(*argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and named in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        pytest.param(
+            ("check", "--builder", "qotp", "--params", "n=x"),
+            "parameter 'n' has non-integer value 'x'",
+            id="value-not-integer",
+        ),
+        pytest.param(
+            ("localise", "--builder", "leaky", "--params", "dims=2,2,a"),
+            "parameter 'dims' has non-integer value 'a'",
+            id="dims-not-integers",
+        ),
+        pytest.param(
+            ("check", "--builder", "qotp", "--params", "n=1", "--tol", "security=1", "security=2"),
+            "tolerance 'security' is given twice",
+            id="tolerance-twice",
+        ),
+        pytest.param(
+            ("check", "--builder", "qotp"), "scheme builders need n=N (e.g. n=1)", id="key-missing"
+        ),
+    ],
+)
+def test_bad_params_and_tolerances_named(capsys, argv, message):
+    assert run_cli(*argv) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_options_parsed_before_the_builder_runs(monkeypatch, capsys):
+    built = []
+    for name in ("build_scheme", "build_problem"):
+        monkeypatch.setattr(qhekit.cli, name, lambda *args, **kwargs: built.append(args))
+    for source in (
+        ("check", "--builder", "qotp", "--params", "n=1"),
+        ("localise", "--builder", "leaky", "--params", "dims=2,2,2"),
+    ):
+        assert run_cli(*source, "--tol", "bogus=1") == 1
+        assert "unknown tolerance 'bogus'" in capsys.readouterr().err
+    assert built == []
 
 
 def test_scheme_commands_reject_seed(capsys):
@@ -499,3 +542,31 @@ def test_parser_is_built_once_and_reused(monkeypatch, capsys):
     assert run_sequence(fresh=False) == expected
     # The top-level parser is the only one constructed with prog="qhekit".
     assert builds.count("qhekit") == 1
+
+
+@pytest.mark.parametrize(
+    "path, value, location",
+    [
+        pytest.param(("registers", 0, 1), None, "scheme.registers[0]", id="register-dim-null"),
+        pytest.param(("encrypt", "rows"), None, "scheme.encrypt", id="matrix-rows-null"),
+        pytest.param(("states", 0, "dim"), [4], "scheme.states[0]", id="state-dim-list"),
+        pytest.param(("send_to_bob",), 5, "scheme.send_to_bob", id="send-to-bob-number"),
+        pytest.param(
+            ("return_to_alice",), "input", "scheme.return_to_alice", id="return-to-alice-string"
+        ),
+        pytest.param(("aux_state", "dim"), None, "problem.aux_state", id="problem-aux-dim-null"),
+    ],
+)
+def test_malformed_files_exit_one_with_one_located_line(tmp_path, capsys, path, value, location):
+    if location.startswith("problem"):
+        command, obj = "localise", problem_to_json(build_constructed_secure_problem((2, 2, 2), 7))
+    else:
+        command, obj = "check", scheme_to_json(build_qotp_scheme(1))
+    functools.reduce(operator.getitem, path[:-1], obj)[path[-1]] = value
+    bad = tmp_path / "input.json"
+    bad.write_text(json.dumps(obj))
+    assert run_cli(command, f"--{location.split('.')[0]}", str(bad)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {location}: ") and err.count("\n") == 1
+    if location.endswith(("send_to_bob", "return_to_alice")):
+        assert err == f"error: {location}: expected a list of labels\n"

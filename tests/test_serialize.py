@@ -120,6 +120,10 @@ def _scale_target(obj):
     obj["evaluations"][2]["target"]["entries"][0] = [3.0, 0.0]
 
 
+def _list_as_role(obj):
+    obj["roles"]["key"] = ["key"]
+
+
 @pytest.mark.parametrize(
     "corrupt, location, message",
     [
@@ -129,6 +133,7 @@ def _scale_target(obj):
         (_inf_in_encrypt, r"scheme\.encrypt", "non-finite entries"),
         (_scale_decrypt, r"scheme\.decrypt", "is not unitary within tolerance"),
         (_scale_target, r"scheme\.evaluations\[2\]", "target of 'Z' is not unitary within tolerance"),
+        (_list_as_role, r"scheme\.roles\.key", r"expected one of .*, got \['key'\]"),
     ],
     ids=[
         "non-object-field",
@@ -137,6 +142,7 @@ def _scale_target(obj):
         "inf-encrypt",
         "non-unitary-operator",
         "non-unitary-target",
+        "list-as-role",
     ],
 )
 def test_scheme_from_json_reports_bad_fields_at_their_location(corrupt, location, message):
