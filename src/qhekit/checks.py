@@ -19,11 +19,9 @@ from .linalg import (
     basis_ket,
     is_unitary,
     require_unitary,
-    trace_distance,
     unitaries_equal_up_to_phase,
 )
-from .localiser import probe_labels, probe_states
-from .qinfo import product_deviation_from_ket, support_bases, support_overlap
+from .qinfo import plaintext_dependence, product_deviation_from_ket, support_bases, support_overlap
 from .scheme import QheScheme, encrypt_and_evaluate, evolve
 from .tolerances import DEFAULT_TOLERANCES
 
@@ -77,29 +75,23 @@ def check_security(
 ) -> Report:
     """Is Bob's t1 reduced state independent of the plaintext?
 
-    Evaluates the ciphertext for every informationally complete probe
-    plaintext and reports the maximum pairwise trace distance.  The
-    ciphertext is linear in the plaintext projector, so the probe set is
-    conclusive.  probe_rotation conjugates the probe basis by a fixed
+    Bob's state is linear in the plaintext, so one plaintext_dependence call
+    on the encryption isometry decides it for every plaintext: case
+    "block-<j>-<k>", j <= k, is eps_jk (see qinfo.plaintext_dependence for
+    its bounds).  probe_rotation changes the plaintext basis by a fixed
     unitary; the verdict must not depend on it.
     """
     if tol is None:
         tol = DEFAULT_TOLERANCES.equality
     d = scheme.input_dim
-    probes = np.stack(probe_states(d), axis=1)
-    labels = probe_labels(d)
+    isometry = scheme.encryption_isometry
     if probe_rotation is not None:
         rot = require_unitary(probe_rotation, where="probe rotation")
         if rot.shape[0] != d:
             raise ValueError(f"probe rotation dimension {rot.shape[0]} != plaintext dimension {d}")
-        probes = rot @ probes
-    states = reduced_from_ket(scheme.encryption_isometry @ probes, scheme.layout, scheme.bob_t1)
-    cases = []
-    # One row of pairs at a time: stacking every pair at once would hold
-    # d^4 / 2 ciphertext-sized matrices.
-    for i in range(len(states) - 1):
-        row = trace_distance(states[i], states[i + 1 :]).tolist()
-        cases.extend((f"{labels[i]}|{labels[j]}", dist) for j, dist in enumerate(row, i + 1))
+        isometry = isometry @ rot
+    eps, _ = plaintext_dependence(isometry, scheme.layout, scheme.bob_t1)
+    cases = [(f"block-{j}-{k}", float(eps[j, k])) for j in range(d) for k in range(j, d)]
     return _verdict("security", cases, tol, "security")
 
 
@@ -238,6 +230,20 @@ def run_checks(
             completeness_report=reports["completeness"],
         )
     return {name: reports[name] for name in which}
+
+
+def probe_states(d: int) -> list[np.ndarray]:
+    """Informationally complete probe kets for a d-dimensional input.
+
+    The d basis kets plus, for every pair j < j', the real and imaginary
+    superpositions (|j> + |j'>)/sqrt(2) and (|j> + i|j'>)/sqrt(2): d^2 states
+    whose projectors span the Hermitian operators on the input space.
+    """
+    if d < 1:
+        raise ValueError(f"dimension must be >= 1, got {d}")
+    basis = [basis_ket(d, j) for j in range(d)]
+    pairs = [(j, k) for j in range(d) for k in range(j + 1, d)]
+    return basis + [(basis[j] + c * basis[k]) / np.sqrt(2.0) for j, k in pairs for c in (1, 1j)]
 
 
 def check_no_programming(

@@ -14,7 +14,9 @@ import sys
 from typing import Any, Callable
 
 from ._version import __version__
-from .catalog import build_problem, build_scheme, catalog, verify_catalog
+from .catalog import (
+    _PROBLEM_BUILDERS, _SCHEME_BUILDERS, build_problem, build_scheme, catalog, verify_catalog
+)
 from .checks import (
     CHECK_NAMES,
     FAIL,
@@ -151,7 +153,7 @@ def _reject_unread(args: argparse.Namespace, options: tuple[str, ...], why: str)
         raise CliError(f"{', '.join(given)} does not apply {why}")
 
 
-# The parser makes the file and --builder options one required choice.
+# The parser makes file and --builder one required choice, and checks the builder name first.
 def _get_scheme(args: argparse.Namespace):
     if args.scheme is not None:
         _reject_unread(args, ("params",), "to a scheme read from a file")
@@ -360,10 +362,10 @@ def _build_parser() -> argparse.ArgumentParser:
             "--tol", nargs="*", default=[], metavar="NAME=VAL", help="tolerance overrides"
         )
 
-    def add_source(p: argparse.ArgumentParser, file_option: str, what: str, builders: str) -> None:
+    def add_source(p: argparse.ArgumentParser, file_option: str, what: str, builders: dict) -> None:
         source = p.add_mutually_exclusive_group(required=True)
         source.add_argument(file_option, help=f"{what} JSON file")
-        source.add_argument("--builder", help=builders)
+        source.add_argument("--builder", choices=tuple(builders), help=f"{what} builder")
 
     def add_out(p: argparse.ArgumentParser) -> None:
         p.add_argument("--out", help="write the output to this file instead of stdout")
@@ -372,7 +374,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("text", "json"), default="text")
 
     p_check = sub.add_parser("check", help="run scheme checkers")
-    add_source(p_check, "--scheme", "scheme", "identity | qotp | tag-evaluate")
+    add_source(p_check, "--scheme", "scheme", _SCHEME_BUILDERS)
     p_check.add_argument(
         "--which", choices=CHECK_NAMES + ("all",), default="all", help="which checker to run"
     )
@@ -383,7 +385,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_check.set_defaults(func=_cmd_check)
 
     p_loc = sub.add_parser("localise", help="run the data-localisation construction")
-    add_source(p_loc, "--problem", "localisation problem", "constructed-secure | leaky")
+    add_source(p_loc, "--problem", "localisation problem", _PROBLEM_BUILDERS)
     p_loc.add_argument("--seed", type=int, help="problem builder seed (default 0)")
     add_params(p_loc)
     add_tol(p_loc)
@@ -401,7 +403,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_audit.set_defaults(func=_cmd_audit)
 
     p_export = sub.add_parser("export-scheme", help="write a built scheme as JSON")
-    add_source(p_export, "--scheme", "scheme", "identity | qotp | tag-evaluate")
+    add_source(p_export, "--scheme", "scheme", _SCHEME_BUILDERS)
     add_params(p_export)
     add_out(p_export)
     p_export.set_defaults(func=_cmd_export_scheme)

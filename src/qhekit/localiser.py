@@ -4,9 +4,10 @@ Given a tripartite system (data, aux, remote) prepared as
 psi ⊗ aux_state ⊗ remote_state and evolved by a unitary, the remote side's
 reduced state carrying zero information about psi implies that a single
 psi-independent unitary on the retained side factors its reduced state into
-psi times a fixed residual.  This module tests the zero-leakage hypothesis
-on an informationally complete probe set and, when it holds, builds that
-unitary explicitly, reporting numerical residuals for every step.
+psi times a fixed residual.  One qinfo.plaintext_dependence call decides
+that zero-leakage hypothesis for every input by linearity; when it holds,
+this module builds that unitary explicitly, reporting numerical residuals
+for every step.
 """
 
 from dataclasses import dataclass
@@ -15,18 +16,8 @@ from functools import cached_property
 import numpy as np
 
 from .layout import Layout, reduced_from_ket
-from .linalg import (
-    as_ket,
-    as_matrix,
-    basis_ket,
-    eig_hermitian,
-    haar_ket,
-    is_isometry,
-    is_unitary,
-    kron,
-    trace_distance,
-)
-from .qinfo import DensityOp
+from .linalg import as_ket, as_matrix, eig_hermitian, haar_ket, is_isometry, is_unitary, kron
+from .qinfo import DensityOp, plaintext_dependence
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
 # Refusal threshold on the conditional-branch Gram matrix: beyond this the
@@ -41,7 +32,7 @@ class LocalisationError(RuntimeError):
 
 
 class LeakageDetected(LocalisationError):
-    """The remote side's reduced state depends on the input."""
+    """The remote state depends on the input; deviation is check_zero_leakage's."""
 
     def __init__(self, deviation: float):
         super().__init__(
@@ -75,33 +66,6 @@ class ExtractionError(RuntimeError):
         )
         self.purity = purity
         self.outside_weight = outside_weight
-
-
-def _probes(d: int):
-    """(label, ket) for every probe of a d-dimensional input, in case order."""
-    for j in range(d):
-        yield f"basis-{j}", basis_ket(d, j)
-    for j in range(d):
-        for j2 in range(j + 1, d):
-            yield f"plus-{j}-{j2}", (basis_ket(d, j) + basis_ket(d, j2)) / np.sqrt(2.0)
-            yield f"imag-{j}-{j2}", (basis_ket(d, j) + 1j * basis_ket(d, j2)) / np.sqrt(2.0)
-
-
-def probe_states(d: int) -> list[np.ndarray]:
-    """Informationally complete probe kets for a d-dimensional input.
-
-    The d basis kets plus, for every pair j < j', the real and imaginary
-    superpositions (|j> + |j'>)/sqrt(2) and (|j> + i|j'>)/sqrt(2): d^2 states
-    whose projectors span the Hermitian operators on the input space.
-    """
-    if d < 1:
-        raise ValueError(f"dimension must be >= 1, got {d}")
-    return [ket for _, ket in _probes(d)]
-
-
-def probe_labels(d: int) -> list[str]:
-    """Stable case identifiers matching probe_states order."""
-    return [label for label, _ in _probes(d)]
 
 
 @dataclass(frozen=True)
@@ -191,9 +155,8 @@ class LocalisationProblem:
     def remote_reduced(self, psi: np.ndarray) -> np.ndarray:
         """The remote side's reduced state for one input.
 
-        No code in the package calls this: check_zero_leakage reduces every
-        probe in one batch.  It is kept as the one-input reference the tests
-        check that batch against.
+        No code in the package calls this: it is the per-input reference the
+        tests bound check_zero_leakage with.
         """
         return reduced_from_ket(self.output_ket(psi), self.layout, [self.remote_label])
 
@@ -284,19 +247,16 @@ def _factored_trace_distance(
 def check_zero_leakage(
     problem: LocalisationProblem, tol: float | None = None
 ) -> tuple[bool, float]:
-    """Probe whether the remote reduced state is independent of the input.
+    """Is the remote reduced state independent of the input?
 
-    Runs every informationally complete probe in one batch through the
-    problem's input isometry and reports the maximum trace distance from the
-    first basis probe's remote state.  The remote state is linear in the
-    input projector, so passing on this set certifies independence for all
-    inputs.
+    The deviation is max eps of qinfo.plaintext_dependence on the problem's
+    input isometry: 0 iff the remote state is the same for every input, and
+    any two inputs' remote states are within trace distance data_dim times it.
     """
     if tol is None:
         tol = DEFAULT_TOLERANCES.equality
-    probes = np.stack(probe_states(problem.data_dim), axis=1)
-    states = reduced_from_ket(problem.isometry @ probes, problem.layout, [problem.remote_label])
-    deviation = float(trace_distance(states[1:], states[0]).max())
+    eps, _ = plaintext_dependence(problem.isometry, problem.layout, [problem.remote_label])
+    deviation = float(eps.max())
     return deviation <= tol, deviation
 
 
@@ -317,9 +277,10 @@ def localise(
 ) -> LocalisationResult:
     """Build the input-independent localising unitary for a zero-leakage problem.
 
-    Steps: (1) estimate the remote reduced state as the average over the data
-    basis probes and fix its eigenbasis once; (2) project each evolved basis
-    probe onto those eigenvectors to get the conditional branch vectors;
+    Steps: (1) read the zero-leakage deviation and the remote state averaged
+    over the data basis inputs from one plaintext_dependence call, and fix
+    that state's eigenbasis once; (2) project each evolved basis input onto
+    those eigenvectors to get the conditional branch vectors;
     (3) verify the branches are orthonormal and keep them as the isometry
     the localising unitary takes to |j> ⊗ |k> (result.unitary completes it
     to the full retained space on first access); (4) measure the
@@ -328,16 +289,15 @@ def localise(
     Raises LeakageDetected or GramCheckFailed instead of returning a result
     whose premises do not hold.
     """
-    ok, deviation = check_zero_leakage(problem, tolerances.equality)
-    if not ok:
+    eps, rho_remote = plaintext_dependence(problem.isometry, problem.layout, [problem.remote_label])
+    deviation = float(eps.max())
+    if not deviation <= tolerances.equality:
         raise LeakageDetected(deviation)
 
     d1, d2, db = problem.layout.dims
     d_retained = d1 * d2
     # outputs[:, j, :] is the evolved basis input j, split (retained, remote).
     outputs = problem.isometry.reshape(d_retained, db, d1).transpose(0, 2, 1)
-    flat = outputs.reshape(d_retained * d1, db)
-    rho_remote = (flat.T @ flat.conj()) / d1
 
     evals, evecs = eig_hermitian(rho_remote, tolerances.hermiticity)
     kept = evals > tolerances.rank

@@ -156,6 +156,35 @@ def is_product(rho: DensityOp, side_a: Iterable[str], tol: float | None = None) 
     return product_deviation(rho, side_a) <= tol
 
 
+def plaintext_dependence(
+    isometry: np.ndarray, layout: Layout, keep: Iterable[str]
+) -> tuple[np.ndarray, np.ndarray]:
+    """How the kept registers' state depends on the plaintext: (eps, sigma_bar).
+
+    Column j of W = isometry (layout.dim x d) is the output for plaintext |j>.
+    One Gram product of W, rows ordered (rest, plaintext), gives every block
+    sigma_jk = Tr_rest(W|j><k|W†); eps_jk = ||sigma_jk - delta_jk sigma_bar||_1,
+    sigma_bar = (1/d) sum_j sigma_jj, is 0 iff no plaintext changes the kept
+    state.  (a) Any two plaintexts give kept states within trace distance
+    d max eps: rho(psi) - sigma_bar = sum_jk psi_j psi_k^* (sigma_jk - delta_jk
+    sigma_bar) has trace norm <= (sum_j |psi_j|)^2 max eps <= d max eps.
+    (b) eps <= 4D, D the largest trace distance between two probe_states' kept
+    states: sigma_jj - sigma_bar = (1/d) sum_k (rho_basis-j - rho_basis-k), and
+    sigma_jk = (rho_plus-j-k - m) + i (rho_imag-j-k - m) by polarisation, with
+    m = (rho_basis-j + rho_basis-k) / 2, each term of trace norm <= 2D.
+    """
+    kept = layout.ordered(keep)
+    d = isometry.shape[1]
+    dk = layout.dim_of(kept)
+    axes = layout.positions(layout.complement(kept)) + (len(layout.dims),) + layout.positions(kept)
+    flat = isometry.reshape(layout.dims + (d,)).transpose(axes).reshape(-1, dk)
+    sigma_bar = flat.T @ flat.conj() / d
+    by_rest = flat.reshape(-1, d * dk)
+    blocks = (by_rest.T @ by_rest.conj()).reshape(d, dk, d, dk).swapaxes(1, 2)
+    blocks[np.arange(d), np.arange(d)] -= sigma_bar
+    return np.linalg.svd(blocks, compute_uv=False).sum(axis=-1), sigma_bar
+
+
 def _support_of_factor(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Eigenbasis, eigenvalues and kept counts of rho = m m† from stacked factors m.
 

@@ -54,6 +54,13 @@ def _require(obj: Mapping, key: str, where: str) -> Any:
     return obj[key]
 
 
+def _integer(value: Any, name: str, where: str) -> int:
+    """A JSON integer field; a float, string or boolean is refused, never truncated."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise SchemeFormatError(where, f"{name} must be an integer, got {value!r}")
+    return value
+
+
 def _pairs_to_complex(pairs: Any, count: int, where: str) -> np.ndarray:
     if not isinstance(pairs, list) or len(pairs) != count:
         raise SchemeFormatError(where, f"expected {count} [re, im] pairs")
@@ -77,9 +84,7 @@ def matrix_to_json(m: np.ndarray) -> dict:
 
 
 def matrix_from_json(obj: Mapping, where: str = "matrix") -> np.ndarray:
-    with _located(where):
-        rows = int(_require(obj, "rows", where))
-        cols = int(_require(obj, "cols", where))
+    rows, cols = (_integer(_require(obj, key, where), key, where) for key in ("rows", "cols"))
     if rows < 1 or cols < 1:
         raise SchemeFormatError(where, f"non-positive shape ({rows}, {cols})")
     entries = _pairs_to_complex(_require(obj, "entries", where), rows * cols, f"{where}.entries")
@@ -94,8 +99,7 @@ def ket_to_json(v: np.ndarray) -> dict:
 
 
 def ket_from_json(obj: Mapping, where: str = "ket") -> np.ndarray:
-    with _located(where):
-        dim = int(_require(obj, "dim", where))
+    dim = _integer(_require(obj, "dim", where), "dim", where)
     if dim < 1:
         raise SchemeFormatError(where, f"non-positive dimension {dim}")
     return _pairs_to_complex(_require(obj, "amplitudes", where), dim, f"{where}.amplitudes")
@@ -112,8 +116,7 @@ def layout_from_json(obj: Any, where: str = "registers") -> Layout:
     for i, item in enumerate(obj):
         if not isinstance(item, list) or len(item) != 2:
             raise SchemeFormatError(f"{where}[{i}]", "expected a [label, dim] pair")
-        with _located(f"{where}[{i}]"):
-            regs.append((str(item[0]), int(item[1])))
+        regs.append((str(item[0]), _integer(item[1], "dim", f"{where}[{i}]")))
     with _located(where):
         return Layout(tuple(regs))
 

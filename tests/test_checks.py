@@ -10,8 +10,10 @@ from hypothesis import strategies as st
 import qhekit
 from qhekit.catalog import (
     CatalogEntry,
+    build_constructed_secure_problem,
     build_controlled_flip_gate,
     build_identity_scheme,
+    build_leaky_problem,
     build_qotp_scheme,
     build_scheme,
     build_tag_evaluate_scheme,
@@ -34,12 +36,14 @@ from qhekit.checks import (
     check_no_programming,
     check_security,
     check_theorem1,
+    probe_states,
     qubits_for_set,
     run_checks,
 )
-from qhekit.layout import Layout
+from qhekit.layout import Layout, reduced_from_ket
 from qhekit.linalg import (
     basis_ket,
+    dagger,
     haar_ket,
     kron,
     random_ket,
@@ -47,9 +51,16 @@ from qhekit.linalg import (
     trace_distance,
     unitaries_equal_up_to_phase,
 )
-from qhekit.localiser import probe_labels, probe_states
-from qhekit.qinfo import orthogonal_support, product_deviation_from_ket
-from qhekit.scheme import Evaluation, FootprintOp, QheScheme, RegisterState, run_pipeline
+from qhekit.localiser import LeakageDetected, check_zero_leakage, localise
+from qhekit.qinfo import orthogonal_support, plaintext_dependence, product_deviation_from_ket
+from qhekit.scheme import (
+    Evaluation,
+    FootprintOp,
+    QheScheme,
+    RegisterState,
+    localisation_problem_at_t1,
+    run_pipeline,
+)
 from qhekit.tolerances import DEFAULT_TOLERANCES
 
 
@@ -64,8 +75,6 @@ def test_security_qotp_passes_with_maximally_mixed_ciphertext():
     report = check_security(scheme)
     assert report.verdict == PASS
     assert report.worst_metric <= 1e-10
-    from qhekit.localiser import probe_states
-
     for probe in probe_states(2):
         np.testing.assert_allclose(scheme.ciphertext(probe).matrix, np.eye(2) / 2, atol=1e-10)
 
@@ -248,14 +257,20 @@ def test_audit_rejects_oversize():
 
 def _per_plaintext_security(scheme):
     # Reference: one ciphertext DensityOp per probe, one trace distance per pair.
-    d = scheme.input_dim
-    states = [scheme.ciphertext(p).matrix for p in probe_states(d)]
-    labels = probe_labels(d)
+    states = [scheme.ciphertext(p).matrix for p in probe_states(scheme.input_dim)]
     return [
-        (f"{labels[i]}|{labels[j]}", trace_distance(states[i], states[j]))
+        (f"{i}|{j}", trace_distance(states[i], states[j]))
         for i in range(len(states))
         for j in range(i + 1, len(states))
     ]
+
+
+def _assert_dependence_bounds(eps, distances, d):
+    # plaintext_dependence's docstring: every probe-pair trace distance is at
+    # most d max eps, and every eps_jk at most 4 times the largest of them.
+    worst = max(distances, default=0.0)
+    assert worst <= d * np.max(eps) + 1e-12
+    assert np.max(eps) <= 4 * worst + 1e-12
 
 
 def _per_plaintext_completeness(scheme):
@@ -268,7 +283,7 @@ def _per_plaintext_completeness(scheme):
     cases = []
     for index, ev in enumerate(scheme.evaluations):
         rng = np.random.default_rng([0xC0DE, index])
-        plaintexts = list(zip(probe_labels(d), probe_states(d)))
+        plaintexts = [(f"probe-{i}", p) for i, p in enumerate(probe_states(d))]
         plaintexts += [(f"haar-{i}", haar_ket(rng, d)) for i in range(10)]
         for name, psi in plaintexts:
             infidelity, deviation = _sampled_metrics(scheme, ev, psi, rest)
@@ -293,13 +308,14 @@ def _completeness_bound(delta):
     return max(delta**2, 3.0 * delta)
 
 
-def _assert_cases_match(report, reference, tol):
-    assert [case_id for case_id, _ in report.cases] == [case_id for case_id, _ in reference]
-    for (_, got), (_, want) in zip(report.cases, reference):
-        assert abs(got - want) <= 1e-12
-    worst = max(metric for _, metric in reference)
-    assert abs(report.worst_metric - worst) <= 1e-12
-    assert report.verdict == (PASS if worst <= tol else FAIL)
+def _assert_security_bounds_probe_pairs(report, reference, d, tol):
+    # One row per block j <= k; the probe-pair reference and the blocks bound
+    # each other, and the verdicts agree.
+    blocks = [f"block-{j}-{k}" for j in range(d) for k in range(j, d)]
+    assert [case_id for case_id, _ in report.cases] == blocks
+    distances = [metric for _, metric in reference]
+    _assert_dependence_bounds(np.array([metric for _, metric in report.cases]), distances, d)
+    assert report.verdict == (PASS if max(distances, default=0.0) <= tol else FAIL)
 
 
 def _assert_certificate_bounds_samples(scheme, report, tol):
@@ -322,7 +338,8 @@ def test_batched_checkers_match_per_plaintext_reference(entry):
     scheme = build_scheme(entry.builder, **entry.params)
     tol = DEFAULT_TOLERANCES.equality
     security = check_security(scheme)
-    _assert_cases_match(security, _per_plaintext_security(scheme), tol)
+    reference = _per_plaintext_security(scheme)
+    _assert_security_bounds_probe_pairs(security, reference, scheme.input_dim, tol)
     completeness = check_completeness(scheme)
     _assert_certificate_bounds_samples(scheme, completeness, tol)
     for checker, report in (("security", security), ("completeness", completeness)):
@@ -390,6 +407,49 @@ def test_negative_controls_fail_both_routes(name):
     assert report.verdict == FAIL
     assert max(metric for _, metric in _per_plaintext_completeness(scheme)) > tol
     _assert_certificate_bounds_samples(scheme, report, tol)
+
+
+def _coherence_leak_scheme():
+    """Encryption puts a retained ancilla in |+> by H, then CNOTs it onto the
+    input, which goes to Bob.  Both basis ciphertexts are I/2, yet
+    sigma_01 = X/2: only an off-diagonal block sees the plaintext."""
+    hadamard = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
+    encrypt = _controlled(pauli_word_matrix("X")) @ kron(hadamard, np.eye(2))
+    return QheScheme(
+        name="coherence-leak",
+        layout=Layout((("input", 2), ("anc", 2))),
+        input_label="input",
+        output_label="input",
+        bob_initial=(),
+        key_state=None,
+        resource_state=None,
+        ancilla_states=(RegisterState(("anc",), basis_ket(2, 0)),),
+        encrypt_op=FootprintOp(("anc", "input"), encrypt),
+        decrypt_op=FootprintOp(("anc", "input"), dagger(encrypt)),
+        evaluations=(Evaluation("I", FootprintOp(("input",), np.eye(2)), np.eye(2)),),
+        send_to_bob=("input",),
+        return_to_alice=("input",),
+    )
+
+
+def test_security_catches_a_leak_in_a_coherence_only():
+    scheme = _coherence_leak_scheme()
+    for j in range(2):
+        ciphertext = scheme.ciphertext(basis_ket(2, j)).matrix
+        np.testing.assert_allclose(ciphertext, np.eye(2) / 2, rtol=0, atol=1e-12)
+    report = check_security(scheme)
+    assert report.verdict == FAIL
+    blocks = dict(report.cases)
+    assert abs(blocks["block-0-1"] - 1.0) <= 1e-12
+    assert blocks["block-0-0"] <= 1e-12 and blocks["block-1-1"] <= 1e-12
+
+
+def test_zero_leakage_catches_a_leak_in_a_coherence_only():
+    problem = localisation_problem_at_t1(_coherence_leak_scheme())
+    ok, deviation = check_zero_leakage(problem)
+    assert not ok and abs(deviation - 1.0) <= 1e-12
+    with pytest.raises(LeakageDetected):
+        localise(problem)
 
 
 _CERTIFIED = [*catalog(), CatalogEntry("qotp-2", "qotp", {"n": 2}, {})]
@@ -522,6 +582,64 @@ def _scheme(name):
 @functools.cache
 def _preconditions(name):
     return check_security(_scheme(name)), check_completeness(_scheme(name))
+
+
+_SWEEP_DIMS = {
+    build_constructed_secure_problem: ((2, 2, 2), (2, 4, 2), (3, 2, 4), (2, 2, 8)),
+    build_leaky_problem: ((2, 2, 2), (2, 4, 2), (2, 2, 8), (3, 2, 6)),
+}
+
+
+@functools.cache
+def _scheme_dependence(name):
+    # (eps, probe-pair trace distances, d), the distances by the per-plaintext route.
+    scheme = _coherence_leak_scheme() if name == "coherence-leak" else _scheme(name)
+    eps, _ = plaintext_dependence(scheme.encryption_isometry, scheme.layout, scheme.bob_t1)
+    return eps, [metric for _, metric in _per_plaintext_security(scheme)], scheme.input_dim
+
+
+def _problem_dependence(build, dims, seed):
+    problem = build(dims, seed)
+    eps, _ = plaintext_dependence(problem.isometry, problem.layout, [problem.remote_label])
+    states = [problem.remote_reduced(p) for p in probe_states(problem.data_dim)]
+    distances = [trace_distance(a, b) for i, a in enumerate(states) for b in states[i + 1 :]]
+    return eps, distances, problem.data_dim
+
+
+def _random_dependence(dims, keep_bits, d, seed):
+    layout = Layout(tuple((f"r{i}", dim) for i, dim in enumerate(dims)))
+    keep = [label for i, label in enumerate(layout.labels) if (keep_bits >> i) & 1] or ["r0"]
+    d = min(d, layout.dim)
+    w = random_unitary(layout.dim, seed)[:, :d]
+    eps, _ = plaintext_dependence(w, layout, keep)
+    states = [reduced_from_ket(w @ p, layout, keep) for p in probe_states(d)]
+    distances = [trace_distance(a, b) for i, a in enumerate(states) for b in states[i + 1 :]]
+    return eps, distances, d
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=80)
+@given(
+    case=st.one_of(
+        st.sampled_from([*sorted(_THEOREM1_ENTRIES), "coherence-leak"]).map(_scheme_dependence),
+        st.sampled_from(sorted(_SWEEP_DIMS, key=lambda b: b.__name__)).flatmap(
+            lambda build: st.builds(
+                _problem_dependence,
+                st.just(build),
+                st.sampled_from(_SWEEP_DIMS[build]),
+                st.integers(0, 2**31 - 1),
+            )
+        ),
+        st.builds(
+            _random_dependence,
+            st.lists(st.integers(2, 3), min_size=1, max_size=3),
+            st.integers(1, 7),
+            st.integers(1, 4),
+            _seeds,
+        ),
+    )
+)
+def test_plaintext_dependence_and_probe_pairs_bound_each_other(case):
+    _assert_dependence_bounds(*case)
 
 
 def _per_circuit_theorem1(scheme, psi_in, security, completeness, tol):
@@ -703,16 +821,17 @@ def test_run_checks_runs_each_check_at_most_once(monkeypatch, which, runs):
 
 
 def test_run_checks_tolerance_reaches_only_its_check():
-    scheme = build_qotp_scheme(1)
+    scheme = build_identity_scheme(1)
     default = run_checks(scheme)
-    strict = run_checks(scheme, tols={"security": 1e-300})
-    assert (default["security"].verdict, strict["security"].verdict) == (PASS, FAIL)
-    assert strict["security"].tolerances == {"security": 1e-300}
+    loose = run_checks(scheme, tols={"security": 2.0})
+    assert (default["security"].verdict, loose["security"].verdict) == (FAIL, PASS)
+    assert loose["security"].tolerances == {"security": 2.0}
+    assert loose["completeness"].verdict == default["completeness"].verdict
     for name in ("completeness", "theorem1"):
-        assert strict[name].verdict == default[name].verdict
-        assert strict[name].tolerances == default[name].tolerances
+        assert loose[name].tolerances == default[name].tolerances
     # Theorem 1 reads this run's security report as its precondition.
-    assert strict["theorem1"].reason == REASON_SECURITY_FAILED
+    assert default["theorem1"].reason == REASON_SECURITY_FAILED
+    assert (loose["theorem1"].verdict, loose["theorem1"].reason) == (FAIL, None)
 
 
 def test_run_checks_rejects_unknown_names():

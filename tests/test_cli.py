@@ -5,8 +5,10 @@ import operator
 import numpy as np
 import pytest
 
+import qhekit.checks
 import qhekit.cli
 import qhekit.localiser
+import qhekit.qinfo
 from qhekit.catalog import build_constructed_secure_problem, build_qotp_scheme
 from qhekit.checks import check_completeness, check_security, check_theorem1
 from qhekit.cli import main
@@ -418,6 +420,20 @@ def test_unread_options_rejected(tmp_path, capsys, argv, option, message):
     assert option in err and message in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(("check", "--builder", "nope", "--params", "x=1"), id="check-params"),
+        pytest.param(("check", "--builder", "nope"), id="check"),
+        pytest.param(("export-scheme", "--builder", "nope", "--params", "n=1"), id="export-scheme"),
+        pytest.param(("localise", "--builder", "nope", "--params", "x=1"), id="localise"),
+    ],
+)
+def test_unknown_builder_is_named_before_its_parameters(capsys, argv):
+    assert run_cli(*argv) == 1
+    assert "argument --builder: invalid choice: 'nope'" in capsys.readouterr().err
+
+
 def test_usage_errors_exit_one(capsys):
     assert run_cli("check", "--which", "nonsense") == 1
     err = capsys.readouterr().err
@@ -493,19 +509,19 @@ def test_input_is_exactly_one_of_file_or_builder(
 )
 @pytest.mark.parametrize("fmt", ["text", "json"])
 def test_localise_checks_zero_leakage_once(monkeypatch, capsys, builder, params, code, fmt):
-    calls = []
-    original = qhekit.localiser.check_zero_leakage
+    calls = {"plaintext_dependence": 0, "probe_states": 0}
+    for module in (qhekit.qinfo, qhekit.checks, qhekit.localiser, qhekit.cli):
+        for name in calls:
+            if hasattr(module, name):
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return original(*args, **kwargs)
+                def counting(*args, _name=name, _original=getattr(module, name), **kwargs):
+                    calls[_name] += 1
+                    return _original(*args, **kwargs)
 
-    for module in (qhekit.localiser, qhekit.cli):
-        if hasattr(module, "check_zero_leakage"):
-            monkeypatch.setattr(module, "check_zero_leakage", counting)
+                monkeypatch.setattr(module, name, counting)
     assert run_cli("localise", "--builder", builder, "--params", *params, "--format", fmt) == code
     assert "max_deviation" in capsys.readouterr().out
-    assert calls == [1]
+    assert calls == {"plaintext_dependence": 1, "probe_states": 0}
 
 
 def test_parser_is_built_once_and_reused(monkeypatch, capsys):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qhekit.layout import Layout, reduced_from_ket
+from qhekit.layout import Layout, partial_trace, reduced_from_ket
 from qhekit.linalg import (
     basis_ket,
     eig_hermitian,
@@ -18,6 +18,7 @@ from qhekit.qinfo import (
     is_product,
     mutual_information,
     orthogonal_support,
+    plaintext_dependence,
     product_deviation,
     product_deviation_from_ket,
     support,
@@ -279,3 +280,30 @@ def test_product_deviation_from_ket_matches_dense_reference(dims, order, ranks, 
     for k in range(len(ranks)):
         dense = product_deviation(DensityOp.reduced(batch[:, k], layout, ["a", "b"]), ["a"])
         assert abs(factored[k] - dense) <= 1e-12
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(
+    dims=st.lists(st.integers(2, 3), min_size=1, max_size=3),
+    keep_bits=st.integers(1, 7),
+    d=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_plaintext_dependence_matches_its_definition(dims, keep_bits, d, seed):
+    # Reference: each sigma_jk = Tr_rest(W|j><k|W†) by a dense partial trace,
+    # and its trace norm by SVD.
+    layout = Layout(tuple((f"r{i}", dim) for i, dim in enumerate(dims)))
+    keep = [label for i, label in enumerate(layout.labels) if (keep_bits >> i) & 1] or ["r0"]
+    d = min(d, layout.dim)
+    w = random_unitary(layout.dim, seed)[:, :d]
+    sigma = [
+        [partial_trace(np.outer(w[:, j], w[:, k].conj()), layout, keep) for k in range(d)]
+        for j in range(d)
+    ]
+    sigma_bar = sum(sigma[j][j] for j in range(d)) / d
+    eps, got_bar = plaintext_dependence(w, layout, keep)
+    np.testing.assert_allclose(got_bar, sigma_bar, rtol=0, atol=1e-12)
+    for j in range(d):
+        for k in range(d):
+            block = sigma[j][k] - (sigma_bar if j == k else 0)
+            assert abs(eps[j, k] - np.linalg.svd(block, compute_uv=False).sum()) <= 1e-12

@@ -1,5 +1,7 @@
+import functools
 import json
 import math
+import operator
 import re
 
 import numpy as np
@@ -150,6 +152,30 @@ def test_scheme_from_json_reports_bad_fields_at_their_location(corrupt, location
     corrupt(obj)
     with pytest.raises(SchemeFormatError, match=f"^{location}: .*{message}") as info:
         scheme_from_json(obj)
+    assert re.fullmatch(location, info.value.location)
+
+
+# (path in a QOTP n=1 scheme file, error location, field name) per integer field.
+_INTEGER_FIELDS = {
+    "register-dim": (("registers", 0, 1), r"scheme\.registers\[0\]", "dim"),
+    "matrix-rows": (("encrypt", "rows"), r"scheme\.encrypt", "rows"),
+    "matrix-cols": (("encrypt", "cols"), r"scheme\.encrypt", "cols"),
+    "ket-dim": (("states", 0, "dim"), r"scheme\.states\[0\]", "dim"),
+}
+
+
+@pytest.mark.parametrize("kind", ["float", "string", "bool"])
+@pytest.mark.parametrize("field", sorted(_INTEGER_FIELDS))
+def test_integer_fields_accept_only_json_integers(field, kind):
+    # 2.9 and "2" used to load as 2, and true as 1.
+    path, location, name = _INTEGER_FIELDS[field]
+    obj = scheme_to_json(build_qotp_scheme(1))
+    parent = functools.reduce(operator.getitem, path[:-1], obj)
+    value = parent[path[-1]]
+    parent[path[-1]] = {"float": value + 0.9, "string": str(value), "bool": True}[kind]
+    message = f"^{location}: {name} must be an integer, got "
+    with pytest.raises(SchemeFormatError, match=message) as info:
+        scheme_from_json(json.loads(json.dumps(obj)))
     assert re.fullmatch(location, info.value.location)
 
 
