@@ -14,7 +14,7 @@ import numpy as np
 
 from .checks import FAIL, INAPPLICABLE, PASS, run_checks
 from .layout import Layout, axis_permutation
-from .linalg import basis_ket, dagger, haar_ket, haar_unitary, kron
+from .linalg import basis_ket, haar_ket, haar_unitary, kron
 from .localiser import LocalisationProblem
 from .scheme import Evaluation, FootprintOp, QheScheme, RegisterState
 
@@ -48,6 +48,24 @@ def _swap_matrix(d: int) -> np.ndarray:
     return np.eye(d * d, dtype=complex)[axis_permutation((d, d), (1, 0))]
 
 
+def _block_diagonal(blocks: np.ndarray) -> np.ndarray:
+    """The sum of kron(|k><k|, blocks[k]) over a stack (m, b, b), as an (m, b, m, b) array.
+
+    Adding into zeros turns every -0.0 into +0.0, as that sum does.
+    """
+    m, b = blocks.shape[:2]
+    out = np.zeros((m, b, m, b), dtype=complex)
+    ar = np.arange(m)
+    out[ar, :, ar, :] += blocks
+    return out
+
+
+def _flip_evaluations(n: int) -> list[Evaluation]:
+    """One evaluation per flip word on the input register, its own target."""
+    matrices = {word: pauli_word_matrix(word) for word in pauli_words(n)}
+    return [Evaluation(w, FootprintOp(("input",), m), m) for w, m in matrices.items()]
+
+
 def build_identity_scheme(n: int) -> QheScheme:
     """No encryption at all: the plaintext ships to Bob in the clear.
 
@@ -59,10 +77,7 @@ def build_identity_scheme(n: int) -> QheScheme:
     d = 2**n
     layout = Layout((("input", d),))
     identity = np.eye(d, dtype=complex)
-    evaluations = [
-        Evaluation(word, FootprintOp(("input",), pauli_word_matrix(word)), pauli_word_matrix(word))
-        for word in pauli_words(n)
-    ]
+    evaluations = _flip_evaluations(n)
     if n >= 2:
         swap01 = kron(_swap_matrix(2), np.eye(2 ** (n - 2)))
         evaluations.append(Evaluation("SWAP01", FootprintOp(("input",), swap01), swap01))
@@ -91,6 +106,10 @@ def build_qotp_scheme(n: int) -> QheScheme:
     the key-controlled flip to the plaintext, which then ships to Bob.  The
     evaluation set is the 4^n phase-free flip words, which commute with the
     pad up to phases that cancel in the reduced output.
+
+    Key k = a d + b pads with the signed permutation X^a Z^b |j> =
+    (-1)^popcount(b & j) |j xor a> (qubit 0 the most significant bit),
+    written by index; each key-controlled operator is one assignment.
     """
     if not 1 <= n <= 2:
         raise ValueError(f"one-time-pad scheme supports 1..2 qubits, got {n}")
@@ -98,30 +117,20 @@ def build_qotp_scheme(n: int) -> QheScheme:
     keys = 4**n
     layout = Layout((("input", d), ("key", keys), ("key_purifier", keys)))
 
+    ar = np.arange(keys)
     key_ket = np.zeros(keys * keys, dtype=complex)
-    for k in range(keys):
-        key_ket[k * keys + k] = 1.0 / d
+    key_ket[ar * (keys + 1)] = 1.0 / d  # sum_k |k>|k> / d
 
-    def pad(k: int) -> np.ndarray:
-        a, b = k >> n, k & (d - 1)
-        factors = [
-            np.linalg.matrix_power(PAULI_X, (a >> (n - 1 - i)) & 1)
-            @ np.linalg.matrix_power(PAULI_Z, (b >> (n - 1 - i)) & 1)
-            for i in range(n)
-        ]
-        return kron(*factors)
-
-    encrypt = np.zeros((d * keys, d * keys), dtype=complex)
-    decrypt = np.zeros((d * keys, d * keys), dtype=complex)
-    for k in range(keys):
-        marker = np.zeros((keys, keys))
-        marker[k, k] = 1.0
-        encrypt += kron(pad(k), marker)
-        decrypt += kron(dagger(pad(k)), marker)
-
-    evaluations = tuple(
-        Evaluation(word, FootprintOp(("input",), pauli_word_matrix(word)), pauli_word_matrix(word))
-        for word in pauli_words(n)
+    j = np.arange(d)
+    a, b = np.divmod(ar, d)
+    parity = sum(((b[:, None] & j) >> bit) & 1 for bit in range(n)) % 2
+    pads = np.zeros((keys, d, d), dtype=complex)
+    pads[ar[:, None], a[:, None] ^ j, j] = 1 - 2 * parity
+    # The pads are real, so each one's inverse is its transpose.  Axes go from
+    # (key, input, key, input) to the footprint's (input, key, input, key).
+    encrypt, decrypt = (
+        _block_diagonal(blocks).transpose(1, 0, 3, 2).reshape(d * keys, d * keys)
+        for blocks in (pads, pads.transpose(0, 2, 1))
     )
     return QheScheme(
         name=f"qotp(n={n})",
@@ -134,7 +143,7 @@ def build_qotp_scheme(n: int) -> QheScheme:
         ancilla_states=(),
         encrypt_op=FootprintOp(("input", "key"), encrypt),
         decrypt_op=FootprintOp(("input", "key"), decrypt),
-        evaluations=evaluations,
+        evaluations=tuple(_flip_evaluations(n)),
         send_to_bob=("input",),
         return_to_alice=("input",),
     )
@@ -167,19 +176,13 @@ def build_tag_evaluate_scheme(n: int, circuit_set: Sequence[Any]) -> QheScheme:
     tag_dim = max(2, len(circuits))
     layout = Layout((("input", d), ("hold", d), ("tag", tag_dim)))
 
-    decrypt = np.zeros((tag_dim * d, tag_dim * d), dtype=complex)
-    for i in range(tag_dim):
-        marker = np.zeros((tag_dim, tag_dim))
-        marker[i, i] = 1.0
-        block = circuits[i][1] if i < len(circuits) else np.eye(d)
-        decrypt += kron(marker, block)
-
-    evaluations = []
-    for i, (cid, target) in enumerate(circuits):
-        shift = np.zeros((tag_dim, tag_dim), dtype=complex)
-        for m in range(tag_dim):
-            shift[(m + i) % tag_dim, m] = 1.0
-        evaluations.append(Evaluation(cid, FootprintOp(("tag",), shift), target))
+    blocks = [matrix for _, matrix in circuits] + [np.eye(d)] * (tag_dim - len(circuits))
+    decrypt = _block_diagonal(np.stack(blocks)).reshape(tag_dim * d, tag_dim * d)
+    # Circuit i adds i to the tag: the identity's rows shifted cyclically by i.
+    evaluations = [
+        Evaluation(cid, FootprintOp(("tag",), np.roll(np.eye(tag_dim, dtype=complex), i, 0)), t)
+        for i, (cid, t) in enumerate(circuits)
+    ]
 
     return QheScheme(
         name=f"tag-evaluate(n={n},S={','.join(cid for cid, _ in circuits)})",
@@ -250,12 +253,8 @@ def build_controlled_flip_gate(n: int = 1) -> tuple[np.ndarray, Layout]:
     """Gate array applying the program-indexed flip word to the data register."""
     d = 2**n
     words = pauli_words(n)
-    gate = np.zeros((len(words) * d, len(words) * d), dtype=complex)
-    for k, word in enumerate(words):
-        marker = np.zeros((len(words), len(words)))
-        marker[k, k] = 1.0
-        gate += kron(marker, pauli_word_matrix(word))
-    return gate, Layout((("program", len(words)), ("data", d)))
+    gate = _block_diagonal(np.stack([pauli_word_matrix(word) for word in words]))
+    return gate.reshape(len(words) * d, -1), Layout((("program", len(words)), ("data", d)))
 
 
 @dataclass(frozen=True)

@@ -36,6 +36,10 @@ REASON_MESSAGE_CORRELATED = "message-correlated-with-retained-key"
 # The scheme checks, in the order run_checks runs them.
 CHECK_NAMES = ("security", "completeness", "theorem1")
 
+# check_completeness holds each (dim, circuits, d) ket array of at most this
+# many bytes, and at least one circuit, at a time.
+_COMPLETENESS_CHUNK_BYTES = 32 * 2**20
+
 
 @dataclass(frozen=True)
 class Report:
@@ -105,8 +109,9 @@ def check_completeness(scheme: QheScheme, tol: float | None = None) -> Report:
     Case "<c>/certificate" is delta = ||R - I ⊗ r||_op, R taken as a
     (d_out d_rest) x d matrix and r = (1/d) sum_j R[j, :, j].  delta = 0 iff
     every plaintext psi decrypts to T psi in a product with one fixed state
-    of all other registers.  Every circuit goes through one evolve call,
-    and the certificates are one stacked product and one stacked norm.
+    of all other registers.  The circuits go through evolve in chunks, each
+    chunk's kets within _COMPLETENESS_CHUNK_BYTES, and each chunk's
+    certificates are one stacked product and one stacked norm.
 
     Bound: for a unit psi, phi = (T† ⊗ I) K psi is a unit ket within delta
     of psi ⊗ r.  With P = |psi><psi| ⊗ I, which fixes psi ⊗ r, the output's
@@ -119,17 +124,23 @@ def check_completeness(scheme: QheScheme, tol: float | None = None) -> Report:
     if tol is None:
         tol = DEFAULT_TOLERANCES.equality
     d = scheme.input_dim
-    n = len(scheme.evaluations)
     dims = scheme.layout.dims
     out = scheme.layout.position(scheme.output_label)
-    _, _, kets = evolve(scheme, scheme.circuit_ids, np.eye(d))
-    # (circuit, output register, rest..., plaintext), flattened to K per circuit.
-    k = np.moveaxis(kets.reshape(dims + (n, d)), (len(dims), out), (0, 1)).reshape(n, dims[out], -1)
-    targets = np.stack([ev.target for ev in scheme.evaluations])
-    rel = (targets.conj().swapaxes(1, 2) @ k).reshape(n, dims[out], -1, d)  # R; then R - I ⊗ r
-    rel[:, np.arange(d), :, np.arange(d)] -= np.einsum("cjrj->cr", rel) / d
-    deltas = np.linalg.norm(rel.reshape(n, -1, d), 2, axis=(1, 2))
-    cases = [(f"{cid}/certificate", float(delta)) for cid, delta in zip(scheme.circuit_ids, deltas)]
+    ids = scheme.circuit_ids
+    chunk = max(1, _COMPLETENESS_CHUNK_BYTES // (scheme.layout.dim * d * 16))
+    cases = []
+    for start in range(0, len(ids), chunk):
+        chunk_ids = ids[start : start + chunk]
+        n = len(chunk_ids)
+        _, _, kets = evolve(scheme, chunk_ids, np.eye(d))
+        # (circuit, output register, rest..., plaintext), flattened to K per circuit.
+        k = np.moveaxis(kets.reshape(dims + (n, d)), (len(dims), out), (0, 1))
+        targets = np.stack([ev.target for ev in scheme.evaluations[start : start + chunk]])
+        rel = targets.conj().swapaxes(1, 2) @ k.reshape(n, dims[out], -1)
+        rel = rel.reshape(n, dims[out], -1, d)  # R; then R - I ⊗ r
+        rel[:, np.arange(d), :, np.arange(d)] -= np.einsum("cjrj->cr", rel) / d
+        deltas = np.linalg.norm(rel.reshape(n, -1, d), 2, axis=(1, 2))
+        cases += [(f"{cid}/certificate", float(delta)) for cid, delta in zip(chunk_ids, deltas)]
     return _verdict("completeness", cases, tol, "completeness")
 
 
@@ -162,14 +173,18 @@ def check_theorem1(
         tolerances = {"support-overlap": tol}
         return Report("theorem1", INAPPLICABLE, worst, tuple(cases), tolerances, reason)
 
+    # A failed precondition's own metric is a case row; no theorem 1
+    # quantity was measured, so worst_metric is 0.0.
     security = security_report if security_report is not None else check_security(scheme)
     if security.verdict != PASS:
-        return inapplicable(security.worst_metric, (), REASON_SECURITY_FAILED)
+        row = ("precondition/security", security.worst_metric)
+        return inapplicable(0.0, (row,), REASON_SECURITY_FAILED)
     completeness = (
         completeness_report if completeness_report is not None else check_completeness(scheme)
     )
     if completeness.verdict != PASS:
-        return inapplicable(completeness.worst_metric, (), REASON_COMPLETENESS_FAILED)
+        row = ("precondition/completeness", completeness.worst_metric)
+        return inapplicable(0.0, (row,), REASON_COMPLETENESS_FAILED)
 
     psi_in = np.asarray(psi_in, dtype=complex).reshape(-1)  # evolve validates it
     circuit_ids = scheme.circuit_ids

@@ -1,11 +1,18 @@
+import dataclasses
+import importlib
 import json
 
 import numpy as np
 import pytest
 
 from qhekit.catalog import (
+    PAULI_X,
+    PAULI_Z,
+    CatalogEntry,
     build_constructed_secure_problem,
+    build_controlled_flip_gate,
     build_leaky_problem,
+    build_qotp_scheme,
     build_scheme,
     build_tag_evaluate_scheme,
     catalog,
@@ -15,10 +22,13 @@ from qhekit.catalog import (
 )
 from qhekit.checks import run_checks
 from qhekit.layout import reduced_from_ket
-from qhekit.linalg import basis_ket, kron
+from qhekit.linalg import basis_ket, dagger, kron
 from qhekit.qinfo import orthogonal_support
-from qhekit.scheme import run_pipeline
+from qhekit.scheme import Evaluation, FootprintOp, RegisterState, run_pipeline
 from qhekit.serialize import scheme_to_json
+
+# The module, not the catalog() function the package exports under that name.
+qhekit_catalog = importlib.import_module("qhekit.catalog")
 
 
 def test_pauli_words_cover_all_flip_pairs():
@@ -115,3 +125,144 @@ def test_scheme_serialization_is_bit_stable():
 def test_build_scheme_rejects_unknown_builder():
     with pytest.raises(ValueError, match="unknown scheme builder"):
         build_scheme("nope")
+
+
+# Reference constructions: the key- and word-controlled operators as sums of
+# kron(marker, block) products, one per key or word, as the builders once
+# formed them.  The builders write them by index and must match bit for bit.
+
+
+def _marker(m, k):
+    marker = np.zeros((m, m))
+    marker[k, k] = 1.0
+    return marker
+
+
+def _reference_qotp(n):
+    d, keys = 2**n, 4**n
+    key_ket = np.zeros(keys * keys, dtype=complex)
+    for k in range(keys):
+        key_ket[k * keys + k] = 1.0 / d
+
+    def pad(k):
+        a, b = k >> n, k & (d - 1)
+        return kron(
+            *[
+                np.linalg.matrix_power(PAULI_X, (a >> (n - 1 - i)) & 1)
+                @ np.linalg.matrix_power(PAULI_Z, (b >> (n - 1 - i)) & 1)
+                for i in range(n)
+            ]
+        )
+
+    encrypt = np.zeros((d * keys, d * keys), dtype=complex)
+    decrypt = np.zeros((d * keys, d * keys), dtype=complex)
+    for k in range(keys):
+        encrypt += kron(pad(k), _marker(keys, k))
+        decrypt += kron(dagger(pad(k)), _marker(keys, k))
+    return encrypt, decrypt, key_ket
+
+
+def _reference_controlled_flip_gate(n):
+    d, words = 2**n, pauli_words(n)
+    gate = np.zeros((len(words) * d, len(words) * d), dtype=complex)
+    for k, word in enumerate(words):
+        gate += kron(_marker(len(words), k), pauli_word_matrix(word))
+    return gate
+
+
+def _reference_tag_operators(n, blocks):
+    d, tag_dim = 2**n, max(2, len(blocks))
+    decrypt = np.zeros((tag_dim * d, tag_dim * d), dtype=complex)
+    for i in range(tag_dim):
+        decrypt += kron(_marker(tag_dim, i), blocks[i] if i < len(blocks) else np.eye(d))
+    shifts = []
+    for i in range(len(blocks)):
+        shift = np.zeros((tag_dim, tag_dim), dtype=complex)
+        for m in range(tag_dim):
+            shift[(m + i) % tag_dim, m] = 1.0
+        shifts.append(shift)
+    return decrypt, shifts
+
+
+def _reference_scheme(entry):
+    """The entry's scheme rebuilt from the references, with a fresh matrix for
+    each flip word's operator and target."""
+    scheme = build_scheme(entry.builder, **entry.params)
+    n = entry.params["n"]
+    changes = {}
+    if entry.builder == "qotp":
+        encrypt, decrypt, key_ket = _reference_qotp(n)
+        changes = {
+            "key_state": RegisterState(scheme.key_state.labels, key_ket),
+            "encrypt_op": FootprintOp(scheme.encrypt_op.labels, encrypt),
+            "decrypt_op": FootprintOp(scheme.decrypt_op.labels, decrypt),
+        }
+    if entry.builder == "tag-evaluate":
+        decrypt, shifts = _reference_tag_operators(n, [ev.target for ev in scheme.evaluations])
+        changes["decrypt_op"] = FootprintOp(scheme.decrypt_op.labels, decrypt)
+        operators = [FootprintOp(("tag",), shift) for shift in shifts]
+    else:
+        operators = [
+            FootprintOp(("input",), pauli_word_matrix(cid)) if cid in pauli_words(n) else ev.operator
+            for cid, ev in zip(scheme.circuit_ids, scheme.evaluations)
+        ]
+    changes["evaluations"] = tuple(
+        Evaluation(ev.circuit_id, op, ev.target) for ev, op in zip(scheme.evaluations, operators)
+    )
+    return dataclasses.replace(scheme, **changes)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_qotp_operators_match_kron_sums_bit_for_bit(n):
+    scheme = build_qotp_scheme(n)
+    encrypt, decrypt, key_ket = _reference_qotp(n)
+    assert scheme.encrypt_op.matrix.tobytes() == encrypt.tobytes()
+    assert scheme.decrypt_op.matrix.tobytes() == decrypt.tobytes()
+    assert scheme.key_state.ket.tobytes() == key_ket.tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_controlled_flip_gate_matches_kron_sum_bit_for_bit(n):
+    gate, layout = build_controlled_flip_gate(n)
+    assert gate.tobytes() == _reference_controlled_flip_gate(n).tobytes()
+    assert layout.dims == (4**n, 2**n)
+
+
+@pytest.mark.parametrize(
+    "n, circuit_set",
+    [
+        *[(e.params["n"], e.params["circuit_set"]) for e in catalog() if e.builder == "tag-evaluate"],
+        # Negative entries: pauli_word_matrix and -X carry -0.0, which the
+        # sums turned into +0.0.
+        (1, ("I", ("minus-X", -PAULI_X), "XZ")),
+        (1, ("X",)),
+    ],
+)
+def test_tag_evaluate_operators_match_kron_sums_bit_for_bit(n, circuit_set):
+    scheme = build_tag_evaluate_scheme(n, circuit_set)
+    decrypt, shifts = _reference_tag_operators(n, [ev.target for ev in scheme.evaluations])
+    assert scheme.decrypt_op.matrix.tobytes() == decrypt.tobytes()
+    for ev, shift in zip(scheme.evaluations, shifts):
+        assert ev.operator.matrix.tobytes() == shift.tobytes()
+
+
+@pytest.mark.parametrize(
+    "entry", [*catalog(), CatalogEntry("qotp-2", "qotp", {"n": 2}, {})], ids=lambda e: e.name
+)
+def test_exported_schemes_match_kron_sum_builds_byte_for_byte(entry):
+    built = json.dumps(scheme_to_json(build_scheme(entry.builder, **entry.params)), sort_keys=True)
+    reference = json.dumps(scheme_to_json(_reference_scheme(entry)), sort_keys=True)
+    assert built == reference
+
+
+def test_qotp_build_makes_no_kron_call_per_key(monkeypatch):
+    calls = []
+
+    def counting(*factors):
+        calls.append(len(factors))
+        return kron(*factors)
+
+    monkeypatch.setattr(qhekit_catalog, "kron", counting)
+    build_qotp_scheme(2)
+    # At most one per flip word's matrix, none per key.
+    assert len(calls) <= len(pauli_words(2)) == 16

@@ -156,6 +156,30 @@ def test_theorem1_gated_by_security():
     assert report.reason == REASON_SECURITY_FAILED
 
 
+def test_theorem1_reports_failed_security_as_its_own_row():
+    security = check_security(build_identity_scheme(2))
+    report = check_theorem1(build_identity_scheme(2), basis_ket(4, 0), security_report=security)
+    assert (report.verdict, report.reason) == (INAPPLICABLE, REASON_SECURITY_FAILED)
+    # Security's metric is a case row; theorem 1 measured nothing.
+    assert report.cases == (("precondition/security", security.worst_metric),)
+    assert security.worst_metric > 1.0
+    assert report.worst_metric == 0.0
+    assert report.tolerances == {"support-overlap": DEFAULT_TOLERANCES.equality}
+
+
+def test_theorem1_reports_failed_completeness_as_its_own_row():
+    completeness = Report("completeness", FAIL, 0.75, (("X/certificate", 0.75),), {"completeness": 1e-9})
+    report = check_theorem1(
+        build_qotp_scheme(1),
+        basis_ket(2, 0),
+        security_report=Report("security", PASS, 0.0, ()),
+        completeness_report=completeness,
+    )
+    assert (report.verdict, report.reason) == (INAPPLICABLE, REASON_COMPLETENESS_FAILED)
+    assert report.cases == (("precondition/completeness", 0.75),)
+    assert report.worst_metric == 0.0
+
+
 def test_no_programming_textbook_controlled_not():
     cnot = np.array(
         [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
@@ -541,6 +565,23 @@ def test_completeness_runs_one_batch_per_circuit(monkeypatch):
 
 
 @pytest.mark.parametrize("name", ["tag-evaluate-2q", "qotp-2"])
+def test_completeness_chunks_match_one_batch(monkeypatch, name):
+    scheme = _scheme(name)
+    whole = check_completeness(scheme)
+    # A budget below one circuit's kets: every circuit is its own chunk.
+    monkeypatch.setattr(qhekit.checks, "_COMPLETENESS_CHUNK_BYTES", 1)
+    evolved = _record_evolve(monkeypatch)
+    chunked = check_completeness(scheme)
+    d = scheme.input_dim
+    assert evolved == [((cid,), (d, d)) for cid in scheme.circuit_ids]
+    assert chunked.verdict == whole.verdict == PASS
+    assert [c for c, _ in chunked.cases] == [c for c, _ in whole.cases]
+    for (_, got), (_, want) in zip(chunked.cases, whole.cases):
+        assert abs(got - want) <= 1e-12
+    assert abs(chunked.worst_metric - whole.worst_metric) <= 1e-12
+
+
+@pytest.mark.parametrize("name", ["tag-evaluate-2q", "qotp-2"])
 def test_theorem1_runs_one_batch_for_all_circuits(monkeypatch, name):
     scheme = _scheme(name)
     security, completeness = _preconditions(name)
@@ -647,9 +688,11 @@ def _per_circuit_theorem1(scheme, psi_in, security, completeness, tol):
     per circuit and orthogonal_support per pair on the pipelines' rho_message.
     Returns (cases, verdict, reason) as check_theorem1 would report them."""
     if security.verdict != PASS:
-        return [], INAPPLICABLE, REASON_SECURITY_FAILED
+        row = ("precondition/security", security.worst_metric)
+        return [row], INAPPLICABLE, REASON_SECURITY_FAILED
     if completeness.verdict != PASS:
-        return [], INAPPLICABLE, REASON_COMPLETENESS_FAILED
+        row = ("precondition/completeness", completeness.worst_metric)
+        return [row], INAPPLICABLE, REASON_COMPLETENESS_FAILED
     traces = {cid: run_pipeline(scheme, cid, psi_in) for cid in scheme.circuit_ids}
     retained = scheme.alice_t1
     cases = []
