@@ -173,6 +173,9 @@ def build_tag_evaluate_scheme(n: int, circuit_set: Sequence[Any]) -> QheScheme:
         else:
             cid, matrix = entry
             circuits.append((str(cid), np.asarray(matrix, dtype=complex)))
+    for cid, matrix in circuits:
+        if matrix.shape != (d, d):
+            raise ValueError(f"circuit {cid!r} has shape {matrix.shape}, expected {(d, d)}")
     tag_dim = max(2, len(circuits))
     layout = Layout((("input", d), ("hold", d), ("tag", tag_dim)))
 

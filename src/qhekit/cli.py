@@ -261,11 +261,7 @@ def _cmd_localise(args: argparse.Namespace) -> int:
             f"reconstruction_residual: {result.reconstruction_residual:.3e}",
         ]
     )
-    # result_to_json completes the full unitary, so only JSON output pays for it.
-    payload = None
-    if args.format == "json":
-        payload = {"verdict": PASS, "max_deviation": deviation, **result_to_json(result)}
-    _emit(args, text, payload)
+    _emit(args, text, {"verdict": PASS, "max_deviation": deviation, **result_to_json(result)})
     return 0
 
 

@@ -15,6 +15,11 @@ from .tolerances import DEFAULT_TOLERANCES
 _KET_STREAM = 0x6B65
 _UNITARY_STREAM = 0x7561
 
+# How far from 1 a norm may be in a ket that as_ket or QheScheme.plaintext
+# accepts.  A fixed constant, not a verdict threshold: it refuses malformed
+# input, whatever tolerances the checks use.
+NORM_TOL = 1e-10
+
 
 def as_matrix(m, where: str = "matrix") -> np.ndarray:
     """Coerce to a finite 2-d complex array."""
@@ -44,16 +49,16 @@ def _as_square_stack(m, where: str) -> np.ndarray:
     return a
 
 
-def as_ket(v, where: str = "ket", norm_tol: float = 1e-10) -> np.ndarray:
-    """Coerce to a unit-norm complex vector."""
+def as_ket(v, where: str = "ket") -> np.ndarray:
+    """Coerce to a complex vector whose norm is 1 within NORM_TOL."""
     a = np.asarray(v, dtype=complex).reshape(-1)
     if a.size == 0:
         raise ValueError(f"{where}: empty vector")
     if not np.all(np.isfinite(a)):
         raise ValueError(f"{where}: non-finite amplitudes")
     n = np.linalg.norm(a)
-    if abs(n - 1.0) > norm_tol:
-        raise ValueError(f"{where}: norm {n!r} is not 1 within {norm_tol}")
+    if abs(n - 1.0) > NORM_TOL:
+        raise ValueError(f"{where}: norm {n!r} is not 1 within {NORM_TOL}")
     return a
 
 
@@ -98,26 +103,18 @@ def is_unitary(u: np.ndarray, tol: float | None = None, where: str = "unitary") 
     return _orthonormal_columns(as_square(u, where), tol)
 
 
-def require_unitary(u: np.ndarray, tol: float | None = None, where: str = "operator") -> np.ndarray:
-    u = np.asarray(u, dtype=complex)
-    if not is_unitary(u, tol, where):
-        raise ValueError(f"{where}: not unitary within tolerance")
-    return u
-
-
-def unitaries_equal_up_to_phase(u: np.ndarray, v: np.ndarray, tol: float | None = None) -> bool:
+def unitaries_equal_up_to_phase(u: np.ndarray, v: np.ndarray) -> bool:
     """True iff U and V implement the same operation modulo a global phase.
 
-    Criterion: |Tr(U†V)| >= d - tol, which holds exactly when V = e^{iθ}U.
+    Criterion: |Tr(U†V)| >= d - tol with tol the equality tolerance; it
+    holds exactly when V = e^{iθ}U.
     """
     u = as_square(u, "left operand")
     v = as_square(v, "right operand")
     if u.shape != v.shape:
         raise ValueError(f"dimension mismatch: {u.shape} vs {v.shape}")
-    if tol is None:
-        tol = DEFAULT_TOLERANCES.equality
     d = u.shape[0]
-    return abs(np.trace(dagger(u) @ v)) >= d - tol
+    return abs(np.trace(dagger(u) @ v)) >= d - DEFAULT_TOLERANCES.equality
 
 
 def _phase_fix_columns(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .layout import Layout, reduced_from_ket
 from .linalg import as_ket, as_matrix, eig_hermitian, haar_ket, is_isometry, is_unitary, kron
-from .qinfo import DensityOp, plaintext_dependence
+from .qinfo import plaintext_dependence
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
 # Refusal threshold on the conditional-branch Gram matrix: beyond this the
@@ -166,15 +166,14 @@ class LocalisationProblem:
 
 @dataclass(frozen=True)
 class LocalisationResult:
-    """A localisation: the branch isometry, its residual state and residuals.
+    """A localisation: the branch isometry, its residual weights and residuals.
 
     branches is the d_retained x (data_dim * rank) isometry whose column
     j * rank + k is the retained-side branch of data basis ket j on the
     residual's k-th eigenvector; the localising unitary maps it to
     |j> ⊗ |k>.  factor_dims records the (data, residual) split, and
     residual_weights the rank nonzero eigenvalues of the fixed state on the
-    residual factor, normalised to sum 1; residual_state builds that
-    diagonal state as a dense DensityOp on first access.
+    residual factor, normalised to sum 1.
     leakage_deviation is the zero-leakage deviation the input passed with;
     gram_residual is the worst deviation of the branch Gram matrix from the
     identity; reconstruction_residual is the worst trace distance between
@@ -189,14 +188,6 @@ class LocalisationResult:
     leakage_deviation: float
     gram_residual: float
     reconstruction_residual: float
-
-    @cached_property
-    def residual_state(self) -> DensityOp:
-        """The diagonal fixed state on the residual factor, for export."""
-        d2 = self.factor_dims[1]
-        sigma = np.zeros((d2, d2), dtype=complex)
-        sigma[np.arange(self.rank), np.arange(self.rank)] = self.residual_weights
-        return DensityOp(Layout((("residual", d2),)), sigma)
 
     @cached_property
     def unitary(self) -> np.ndarray:
@@ -315,8 +306,9 @@ def localise(
     if gram_residual > GRAM_REFUSAL:
         raise GramCheckFailed(gram_residual)
 
-    # The trace and division run over the zero-padded complex diagonal, the
-    # arithmetic of the dense d2 x d2 state, so exported values keep their bits.
+    # The sum and division run over the zero-padded complex diagonal, which
+    # keeps the weights bit-identical to earlier exports' dense residual
+    # state; a plain float sum differs in the last bit on some problems.
     padded = np.zeros(d2, dtype=complex)
     padded[:rank] = weights
     residual_weights = np.real(padded / np.real(padded.sum()))[:rank]
@@ -346,7 +338,7 @@ def localise(
     return result
 
 
-def extract_plaintext(result: LocalisationResult, rho_retained) -> np.ndarray:
+def extract_plaintext(result: LocalisationResult, rho_retained: np.ndarray) -> np.ndarray:
     """Recover the input ket from a retained-side state of the localised form.
 
     Works in the span of the branch isometry V: the data factor is V† rho V
@@ -356,8 +348,7 @@ def extract_plaintext(result: LocalisationResult, rho_retained) -> np.ndarray:
     ExtractionError, reporting the outside weight, when its purity is below
     0.99.
     """
-    matrix = getattr(rho_retained, "matrix", rho_retained)
-    matrix = np.asarray(matrix, dtype=complex)
+    matrix = np.asarray(rho_retained, dtype=complex)
     d1, d2 = result.factor_dims
     if matrix.shape != (d1 * d2, d1 * d2):
         raise ValueError(f"state shape {matrix.shape} != retained dimension {d1 * d2}")

@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .layout import Layout, apply_operator, assemble_ket, axis_permutation
-from .linalg import as_ket, basis_ket, is_unitary, kron
+from .linalg import NORM_TOL, as_ket, basis_ket, is_unitary, kron
 from .localiser import LocalisationProblem
 from .qinfo import DensityOp
 from .tolerances import DEFAULT_TOLERANCES
@@ -210,8 +210,8 @@ class QheScheme:
         if not np.isfinite(psi_in).all():
             raise ValueError("plaintext: non-finite amplitudes")
         norms = np.linalg.norm(psi_in, axis=0)
-        if (np.abs(norms - 1.0) > 1e-10).any():
-            raise ValueError(f"plaintext: norms {norms!r} are not all 1 within 1e-10")
+        if (np.abs(norms - 1.0) > NORM_TOL).any():
+            raise ValueError(f"plaintext: norms {norms!r} are not all 1 within {NORM_TOL}")
         return psi_in
 
     def initial_ket(self, psi_in: np.ndarray) -> np.ndarray:

@@ -1,7 +1,9 @@
 """JSON wire formats for every value the toolkit exchanges.
 
 Matrices are {"rows", "cols", "entries"} with row-major [re, im] pairs;
-kets are {"dim", "amplitudes"}; density operators add a register header.
+kets are {"dim", "amplitudes"}.  A localisation result is written as its
+factors, the branch isometry and the residual weights; a completed unitary
+is not written, since its spare columns are arbitrary.
 Values are read back as IEEE doubles; bit-exact decimal round-trips are not
 promised.  Index convention everywhere: the first register is the most
 significant digit of the flat index.
@@ -16,7 +18,6 @@ from ._version import __version__
 from .checks import DimensionAudit, Report
 from .layout import Layout
 from .localiser import LocalisationProblem, LocalisationResult
-from .qinfo import DensityOp
 from .scheme import Evaluation, FootprintOp, QheScheme, RegisterState
 
 
@@ -119,17 +120,6 @@ def layout_from_json(obj: Any, where: str = "registers") -> Layout:
         regs.append((str(item[0]), _integer(item[1], "dim", f"{where}[{i}]")))
     with _located(where):
         return Layout(tuple(regs))
-
-
-def density_to_json(rho: DensityOp) -> dict:
-    return {"registers": layout_to_json(rho.layout), **matrix_to_json(rho.matrix)}
-
-
-def density_from_json(obj: Mapping, where: str = "density") -> DensityOp:
-    layout = layout_from_json(_require(obj, "registers", where), f"{where}.registers")
-    matrix = matrix_from_json(obj, where)
-    with _located(where):
-        return DensityOp(layout, matrix)
 
 
 def _roles(scheme: QheScheme) -> dict[str, str]:
@@ -311,8 +301,8 @@ def result_to_json(result: LocalisationResult) -> dict:
     return {
         "format": "qhekit-localisation-result",
         "toolkit_version": __version__,
-        "unitary": matrix_to_json(result.unitary),
-        "residual_state": density_to_json(result.residual_state),
+        "branches": matrix_to_json(result.branches),
+        "residual_weights": [float(w) for w in result.residual_weights],
         "rank": result.rank,
         "factor_dims": list(result.factor_dims),
         "gram_residual": result.gram_residual,

@@ -80,6 +80,19 @@ def test_tag_register_dimension_matches_set_size():
     assert scheme.layout.dim_of(["tag"]) == 4
 
 
+@pytest.mark.parametrize(
+    "entry, named",
+    [
+        (("bad", np.eye(4)), r"circuit 'bad' has shape \(4, 4\), expected \(2, 2\)"),
+        (("row", np.ones(2)), r"circuit 'row' has shape \(2,\), expected \(2, 2\)"),
+        ("I.X", r"circuit 'I.X' has shape \(4, 4\), expected \(2, 2\)"),
+    ],
+)
+def test_tag_evaluate_names_a_circuit_of_the_wrong_shape(entry, named):
+    with pytest.raises(ValueError, match=named):
+        build_tag_evaluate_scheme(1, ("I", entry))
+
+
 def test_constructed_secure_rank_matches_independent_spectrum():
     # The remote reduced state equals the mixer's action on the fixed kets.
     dims = (3, 2, 4)

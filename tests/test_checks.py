@@ -51,7 +51,7 @@ from qhekit.linalg import (
     trace_distance,
     unitaries_equal_up_to_phase,
 )
-from qhekit.localiser import LeakageDetected, check_zero_leakage, localise
+from qhekit.localiser import LeakageDetected, check_zero_leakage, complete_orthonormal, localise
 from qhekit.qinfo import orthogonal_support, plaintext_dependence, product_deviation_from_ket
 from qhekit.scheme import (
     Evaluation,
@@ -87,12 +87,17 @@ def test_security_tag_evaluate_passes():
 
 @pytest.mark.parametrize("seed", range(3))
 def test_security_verdict_is_probe_basis_independent(seed):
+    # The certificate taken in a rotated plaintext basis gives the same verdict.
     rotation = random_unitary(2, seed)
     for scheme, expected in (
         (build_qotp_scheme(1), PASS),
         (build_identity_scheme(1), FAIL),
     ):
-        assert check_security(scheme, probe_rotation=rotation).verdict == expected
+        eps, _ = plaintext_dependence(
+            scheme.encryption_isometry @ rotation, scheme.layout, scheme.bob_t1
+        )
+        rotated = PASS if eps.max() <= DEFAULT_TOLERANCES.equality else FAIL
+        assert rotated == check_security(scheme).verdict == expected
 
 
 def test_completeness_identity_scheme_exact():
@@ -221,6 +226,22 @@ def test_no_programming_extracts_the_selected_unitaries():
     for k, word in enumerate(words):
         out = (gate @ kron(basis_ket(4, k), basis_ket(2, 0))).reshape(4, 2)
         np.testing.assert_allclose(out[k], pauli_word_matrix(word)[:, 0], atol=1e-12)
+
+
+def test_no_programming_determinism_is_the_worst_case_over_all_inputs():
+    # Program |0> selects W = I - (1 - sqrt(1 - eps))|-><-|, leaking weight eps
+    # into program |1> on data input |-> only: every probe state sees at most
+    # eps / 2, so only the worst case over all unit inputs exceeds tol.
+    eps = 1.5e-9
+    minus = np.array([1, -1]) / np.sqrt(2)
+    w = np.eye(2) - (1 - np.sqrt(1 - eps)) * np.outer(minus, minus)
+    k = np.sqrt(eps) * np.outer(basis_ket(2, 1), minus)
+    gate = complete_orthonormal(np.vstack([w, k]))
+    layout = Layout((("program", 2), ("data", 2)))
+    report = check_no_programming(gate, layout, [basis_ket(2, 0)])
+    (case, metric), = report.cases
+    assert case == "program-0/non-deterministic"
+    assert abs(metric - eps) <= 1e-15
 
 
 def test_no_programming_same_unitary_needs_no_orthogonality():

@@ -134,9 +134,8 @@ def test_localise_identity_unitary():
     problem = trivial_problem()
     result = localise(problem)
     assert result.rank == 1
-    np.testing.assert_allclose(
-        result.residual_state.matrix, np.diag([1.0, 0.0]).astype(complex), atol=1e-12
-    )
+    assert result.factor_dims == (2, 2)
+    np.testing.assert_allclose(result.residual_weights, [1.0], atol=1e-12)
     psi = random_ket(2, 8)
     expected = kron(np.outer(psi, psi.conj()), np.outer(problem.aux_state, problem.aux_state.conj()))
     assert np.max(np.abs(result.reconstruct(psi) - expected)) <= 1e-10
@@ -159,36 +158,24 @@ def test_localise_residual_matches_remote_spectrum():
     result = localise(problem)
     remote = problem.remote_reduced(basis_ket(3, 0))
     remote_evals = np.sort(np.linalg.eigvalsh(remote))[::-1]
-    sigma_evals = np.sort(np.real(np.diagonal(result.residual_state.matrix)))[::-1]
-    np.testing.assert_allclose(sigma_evals[: result.rank], remote_evals[: result.rank], atol=1e-9)
-    assert np.all(np.abs(sigma_evals[result.rank :]) <= 1e-12)
+    assert result.residual_weights.shape == (result.rank,)
+    sigma_evals = np.sort(result.residual_weights)[::-1]
+    np.testing.assert_allclose(sigma_evals, remote_evals[: result.rank], atol=1e-9)
+    assert np.all(np.abs(remote_evals[result.rank :]) <= 1e-12)
 
 
-def test_localise_keeps_residual_weights_and_builds_the_state_on_first_access(monkeypatch):
-    built = []
-    original = DensityOp.__post_init__
-
-    def recording(self):
-        built.append(self.dim)
-        original(self)
-
-    monkeypatch.setattr(DensityOp, "__post_init__", recording)
+def test_localise_keeps_normalised_residual_weights():
     result = localise(build_constructed_secure_problem((2, 4, 2), seed=3))
-    assert built == []
     weights = result.residual_weights
     assert weights.shape == (result.rank,)
     assert abs(weights.sum() - 1) <= 1e-12
-    sigma = result.residual_state
-    assert built == [4]
-    assert result.residual_state is sigma
-    np.testing.assert_array_equal(sigma.matrix, np.diag(np.pad(weights, (0, 4 - result.rank))))
 
 
 @pytest.mark.parametrize("dims", [(2, 4, 2), (3, 2, 4), (2, 16, 4), (3, 9, 2)])
 def test_residual_weights_equal_the_dense_normalised_diagonal(monkeypatch, dims):
     # Reference: the trace-normalised dense d2 x d2 diagonal state, whose
-    # entries the JSON export has always carried; the weights must keep
-    # those exact bits.
+    # entries earlier JSON exports carried as the residual state; the
+    # weights must keep those exact bits.
     spectra = []
     original = qhekit.localiser.eig_hermitian
 
@@ -205,7 +192,6 @@ def test_residual_weights_equal_the_dense_normalised_diagonal(monkeypatch, dims)
         sigma[np.arange(result.rank), np.arange(result.rank)] = evals
         expected = np.real(np.diagonal(sigma / np.real(np.trace(sigma))))[: result.rank]
         assert result.residual_weights.tobytes() == expected.tobytes()
-        assert result.residual_state.matrix.tobytes() == (sigma / np.real(np.trace(sigma))).tobytes()
 
 
 def test_localise_is_deterministic_and_input_independent():
