@@ -226,7 +226,7 @@ def build_constructed_secure_problem(
     remote = haar_ket(rng, db)
     unitary = kron(retained, np.eye(db)) @ kron(np.eye(d1), mixer)
     layout = Layout((("A1", d1), ("A2", d2), ("B", db)))
-    return LocalisationProblem(layout, unitary, aux, remote)
+    return LocalisationProblem(layout, unitary.reshape(-1, d1, d2 * db) @ kron(aux, remote))
 
 
 def build_leaky_problem(dims: tuple[int, int, int], seed: int) -> LocalisationProblem:
@@ -238,6 +238,8 @@ def build_leaky_problem(dims: tuple[int, int, int], seed: int) -> LocalisationPr
     distinguishable remotely.
     """
     d1, d2, db = (int(x) for x in dims)
+    if d1 * d2 * db > 2**12:
+        raise ValueError(f"total dimension {d1 * d2 * db} exceeds the 2^12 generator guard")
     if db % d1 != 0:
         raise ValueError(f"data dimension {d1} must divide remote dimension {db}")
     rng = np.random.default_rng([_LEAKY_STREAM, seed])
@@ -249,7 +251,7 @@ def build_leaky_problem(dims: tuple[int, int, int], seed: int) -> LocalisationPr
     swap = axis_permutation((d1, d2, d1, rest), (2, 1, 0, 3))
     unitary = kron(scramble_retained, scramble_remote)[:, swap]
     layout = Layout((("A1", d1), ("A2", d2), ("B", db)))
-    return LocalisationProblem(layout, unitary, aux, remote)
+    return LocalisationProblem(layout, unitary.reshape(-1, d1, d2 * db) @ kron(aux, remote))
 
 
 def build_controlled_flip_gate(n: int = 1) -> tuple[np.ndarray, Layout]:

@@ -229,20 +229,6 @@ def run_checks(
     return {name: reports[name] for name in which}
 
 
-def probe_states(d: int) -> list[np.ndarray]:
-    """Informationally complete probe kets for a d-dimensional input.
-
-    The d basis kets plus, for every pair j < j', the real and imaginary
-    superpositions (|j> + |j'>)/sqrt(2) and (|j> + i|j'>)/sqrt(2): d^2 states
-    whose projectors span the Hermitian operators on the input space.
-    """
-    if d < 1:
-        raise ValueError(f"dimension must be >= 1, got {d}")
-    basis = [basis_ket(d, j) for j in range(d)]
-    pairs = [(j, k) for j in range(d) for k in range(j + 1, d)]
-    return basis + [(basis[j] + c * basis[k]) / np.sqrt(2.0) for j, k in pairs for c in (1, 1j)]
-
-
 def check_no_programming(
     gate: np.ndarray,
     layout: Layout,

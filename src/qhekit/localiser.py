@@ -1,13 +1,13 @@
 """Constructive data localisation.
 
-Given a tripartite system (data, aux, remote) prepared as
-psi ⊗ aux_state ⊗ remote_state and evolved by a unitary, the remote side's
-reduced state carrying zero information about psi implies that a single
-psi-independent unitary on the retained side factors its reduced state into
-psi times a fixed residual.  One qinfo.plaintext_dependence call decides
-that zero-leakage hypothesis for every input by linearity; when it holds,
-this module builds that unitary explicitly, reporting numerical residuals
-for every step.
+Given a tripartite system (data, aux, remote) prepared as psi ⊗ aux ⊗ remote
+and evolved by a unitary, a problem is the input isometry of that map.  The
+remote side's reduced state carrying zero information about psi implies that
+a single psi-independent unitary on the retained side factors its reduced
+state into psi times a fixed residual.  One qinfo.plaintext_dependence call
+decides that zero-leakage hypothesis for every input by linearity; when it
+holds, this module builds that unitary explicitly, reporting numerical
+residuals for every step.
 """
 
 from dataclasses import dataclass
@@ -16,7 +16,7 @@ from functools import cached_property
 import numpy as np
 
 from .layout import Layout, reduced_from_ket
-from .linalg import as_ket, as_matrix, eig_hermitian, haar_ket, is_isometry, is_unitary, kron
+from .linalg import as_ket, as_matrix, eig_hermitian, haar_ket, is_isometry, kron
 from .qinfo import plaintext_dependence
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
@@ -70,22 +70,18 @@ class ExtractionError(RuntimeError):
 
 @dataclass(frozen=True)
 class LocalisationProblem:
-    """The map psi -> U (psi ⊗ aux_state ⊗ remote_state) on (data, aux, remote).
+    """The map psi -> W psi on (data, aux, remote), given by its input isometry W.
 
-    The localiser reads a problem only through its input isometry
-    W = U (· ⊗ aux_state ⊗ remote_state), a dim x data_dim matrix computed
-    once.  A problem built from a dense unitary has that unitary checked in
-    full, since files, builders and user matrices enter here.  With
-    unitary=None the isometry is given directly (the composed form
-    localisation_problem_at_t1 builds); only W†W = I is checked then, and
-    there is no dense unitary.
+    W is the dim x data_dim matrix psi -> U (psi ⊗ aux ⊗ remote) for an
+    evolution U and fixed aux and remote kets; the localiser reads a problem
+    only through it.  A problem built from a dense unitary passes
+    U.reshape(layout.dim, data_dim, -1) @ kron(aux, remote).  Files, builders
+    and user matrices enter here, so W is checked in full: three registers,
+    finite entries, shape (dim, data_dim) and W†W = I.
     """
 
     layout: Layout
-    unitary: np.ndarray | None
-    aux_state: np.ndarray
-    remote_state: np.ndarray
-    isometry: np.ndarray | None = None
+    isometry: np.ndarray
 
     def __post_init__(self) -> None:
         if len(self.layout.registers) != 3:
@@ -93,50 +89,19 @@ class LocalisationProblem:
                 f"layout must have exactly the (data, aux, remote) registers, "
                 f"got {self.layout.labels}"
             )
-        aux = as_ket(self.aux_state, "aux state")
-        remote = as_ket(self.remote_state, "remote state")
-        if aux.size != self.aux_dim:
-            raise ValueError(f"aux state dimension {aux.size} != register dimension {self.aux_dim}")
-        if remote.size != self.remote_dim:
+        w = as_matrix(self.isometry, "input isometry")
+        if w.shape != (self.layout.dim, self.data_dim):
             raise ValueError(
-                f"remote state dimension {remote.size} != register dimension {self.remote_dim}"
+                f"input isometry shape {w.shape} != ({self.layout.dim}, {self.data_dim}) "
+                "for this layout"
             )
-        d = self.layout.dim
-        if self.unitary is not None:
-            if self.isometry is not None:
-                raise ValueError("give the problem's dense unitary or its input isometry, not both")
-            u = np.asarray(self.unitary, dtype=complex)
-            if u.shape != (d, d):
-                raise ValueError(f"unitary shape {u.shape} != layout dimension {d}")
-            if not is_unitary(u, DEFAULT_TOLERANCES.unitarity):
-                raise ValueError("problem operator is not unitary within tolerance")
-            object.__setattr__(self, "unitary", u)
-            w = u.reshape(d, self.data_dim, -1) @ kron(aux, remote)
-        elif self.isometry is not None:
-            w = as_matrix(self.isometry, "input isometry")
-            if w.shape != (d, self.data_dim):
-                raise ValueError(
-                    f"input isometry shape {w.shape} != ({d}, {self.data_dim}) for this layout"
-                )
-            if not is_isometry(w, DEFAULT_TOLERANCES.unitarity):
-                raise ValueError("input isometry columns are not orthonormal within tolerance")
-        else:
-            raise ValueError("a problem needs a dense unitary or an input isometry")
+        if not is_isometry(w, DEFAULT_TOLERANCES.unitarity):
+            raise ValueError("input isometry columns are not orthonormal within tolerance")
         object.__setattr__(self, "isometry", w)
-        object.__setattr__(self, "aux_state", aux)
-        object.__setattr__(self, "remote_state", remote)
 
     @property
     def data_dim(self) -> int:
         return self.layout.dims[0]
-
-    @property
-    def aux_dim(self) -> int:
-        return self.layout.dims[1]
-
-    @property
-    def remote_dim(self) -> int:
-        return self.layout.dims[2]
 
     @property
     def retained_labels(self) -> tuple[str, str]:

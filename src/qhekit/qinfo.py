@@ -48,12 +48,6 @@ class DensityOp:
         psi = as_ket(psi, "state")
         return cls(layout, np.outer(psi, psi.conj()))
 
-    def reduce(self, keep: Iterable[str]) -> "DensityOp":
-        kept = self.layout.ordered(keep)
-        if not kept:
-            raise ValueError("cannot reduce onto an empty register set")
-        return DensityOp(self.layout.restricted(kept), partial_trace(self.matrix, self.layout, kept))
-
     @classmethod
     def reduced(cls, psi: np.ndarray, layout: Layout, keep: Iterable[str]) -> "DensityOp":
         """Reduction of a pure full-space state onto the kept registers."""
@@ -61,16 +55,6 @@ class DensityOp:
         if not kept:
             raise ValueError("cannot reduce onto an empty register set")
         return cls(layout.restricted(kept), reduced_from_ket(psi, layout, kept))
-
-    def purity(self) -> float:
-        return float(np.real(np.trace(self.matrix @ self.matrix)))
-
-
-@dataclass(frozen=True)
-class SupportProjector:
-    layout: Layout
-    projector: np.ndarray
-    rank: int
 
 
 def von_neumann_entropy(rho: DensityOp, rank_tol: float | None = None) -> float:
@@ -81,19 +65,6 @@ def von_neumann_entropy(rho: DensityOp, rank_tol: float | None = None) -> float:
     evals = evals[evals > rank_tol]
     s = float(-np.sum(evals * np.log2(evals)))
     return min(max(s, 0.0), float(np.log2(rho.dim)))
-
-
-def mutual_information(rho: DensityOp, side_a: Iterable[str], rank_tol: float | None = None) -> float:
-    """S(A) + S(B) - S(AB) across the register bipartition (side_a | rest)."""
-    a = rho.layout.ordered(side_a)
-    b = rho.layout.complement(a)
-    if not a or not b:
-        raise ValueError("mutual information needs a non-degenerate bipartition")
-    return (
-        von_neumann_entropy(rho.reduce(a), rank_tol)
-        + von_neumann_entropy(rho.reduce(b), rank_tol)
-        - von_neumann_entropy(rho, rank_tol)
-    )
 
 
 def support_bases(states: np.ndarray, rank_tol: float | None = None) -> list[np.ndarray]:
@@ -112,12 +83,6 @@ def support_bases(states: np.ndarray, rank_tol: float | None = None) -> list[np.
 def support_overlap(va: np.ndarray, vb: np.ndarray) -> float:
     """Tr(P_a P_b) = ||V_a† V_b||_F^2 for orthonormal support bases V_a, V_b."""
     return float(np.linalg.norm(dagger(va) @ vb) ** 2)
-
-
-def support(rho: DensityOp, rank_tol: float | None = None) -> SupportProjector:
-    """Projector onto the span of eigenvectors with eigenvalue above rank_tol."""
-    (cols,) = support_bases(rho.matrix[None], rank_tol)
-    return SupportProjector(rho.layout, cols @ dagger(cols), cols.shape[1])
 
 
 def orthogonal_support(
@@ -149,13 +114,6 @@ def product_deviation(rho: DensityOp, side_a: Iterable[str]) -> float:
     return trace_distance(rho.matrix[np.ix_(perm, perm)], kron(rho_a, rho_b))
 
 
-def is_product(rho: DensityOp, side_a: Iterable[str], tol: float | None = None) -> bool:
-    """True iff rho is within tol trace distance of the product of its marginals."""
-    if tol is None:
-        tol = DEFAULT_TOLERANCES.equality
-    return product_deviation(rho, side_a) <= tol
-
-
 def plaintext_dependence(
     isometry: np.ndarray, layout: Layout, keep: Iterable[str]
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -168,8 +126,10 @@ def plaintext_dependence(
     state.  (a) Any two plaintexts give kept states within trace distance
     d max eps: rho(psi) - sigma_bar = sum_jk psi_j psi_k^* (sigma_jk - delta_jk
     sigma_bar) has trace norm <= (sum_j |psi_j|)^2 max eps <= d max eps.
-    (b) eps <= 4D, D the largest trace distance between two probe_states' kept
-    states: sigma_jj - sigma_bar = (1/d) sum_k (rho_basis-j - rho_basis-k), and
+    (b) eps <= 4D, D the largest trace distance between two kept states of
+    the probe kets |j>, (|j> + |k>)/sqrt(2) and (|j> + i|k>)/sqrt(2), whose
+    kept states are rho_basis-j, rho_plus-j-k and rho_imag-j-k:
+    sigma_jj - sigma_bar = (1/d) sum_k (rho_basis-j - rho_basis-k), and
     sigma_jk = (rho_plus-j-k - m) + i (rho_imag-j-k - m) by polarisation, with
     m = (rho_basis-j + rho_basis-k) / 2, each term of trace norm <= 2D.
     """

@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .layout import Layout, apply_operator, assemble_ket, axis_permutation
-from .linalg import NORM_TOL, as_ket, basis_ket, is_unitary, kron
+from .linalg import NORM_TOL, as_ket, is_unitary, kron
 from .localiser import LocalisationProblem
 from .qinfo import DensityOp
 from .tolerances import DEFAULT_TOLERANCES
@@ -274,30 +274,24 @@ def encrypt_and_evaluate(
 
 
 def evolve(
-    scheme: QheScheme, circuit_ids: str | Sequence[str], plaintexts: np.ndarray
+    scheme: QheScheme, circuit_ids: Sequence[str], plaintexts: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The global kets at t1, t2 and after decryption for the given plaintexts.
 
     plaintexts is one unit ket of shape (input_dim,) or a batch of them as
     the columns of an (input_dim, m) array; the t1 kets have shape (dim,)
-    or (dim, m) to match.  For one circuit id the t2 and final kets have
-    that shape too.  For a sequence of n ids they carry a circuit axis,
-    (dim, n) or (dim, n, m), in the order given.  Encryption is the
-    scheme's encryption isometry; each circuit's evaluation acts on Bob's
-    registers of the shared t1 kets, and the decryption on Alice's acts
-    once on every circuit's t2 kets together, each through its register
-    footprint.
+    or (dim, m) to match.  For the n circuit ids the t2 and final kets
+    carry a circuit axis, (dim, n) or (dim, n, m), in the order given.
+    Encryption is the scheme's encryption isometry; each circuit's
+    evaluation acts on Bob's registers of the shared t1 kets, and the
+    decryption on Alice's acts once on every circuit's t2 kets together,
+    each through its register footprint.
     """
-    single = isinstance(circuit_ids, str)
-    ket_t1, ket_t2 = encrypt_and_evaluate(
-        scheme, (circuit_ids,) if single else circuit_ids, plaintexts
-    )
+    ket_t1, ket_t2 = encrypt_and_evaluate(scheme, circuit_ids, plaintexts)
     layout = scheme.layout
     ket_final = apply_operator(
         ket_t2.reshape(layout.dim, -1), layout, scheme.decrypt_op.matrix, scheme.decrypt_op.labels
     ).reshape(ket_t2.shape)
-    if single:
-        return ket_t1, ket_t2[:, 0], ket_final[:, 0]
     return ket_t1, ket_t2, ket_final
 
 
@@ -365,7 +359,8 @@ def run_pipeline(scheme: QheScheme, circuit_id: str, psi_in: np.ndarray) -> Pipe
     run, and tests use it as the per-circuit reference.
     """
     psi_in = np.asarray(psi_in, dtype=complex).reshape(-1)  # evolve validates it
-    return PipelineTrace(scheme, circuit_id, psi_in, *evolve(scheme, circuit_id, psi_in))
+    ket_t1, ket_t2, ket_final = evolve(scheme, (circuit_id,), psi_in)
+    return PipelineTrace(scheme, circuit_id, psi_in, ket_t1, ket_t2[:, 0], ket_final[:, 0])
 
 
 def localisation_problem_at_t1(scheme: QheScheme) -> LocalisationProblem:
@@ -416,15 +411,4 @@ def localisation_problem_at_t1(scheme: QheScheme) -> LocalisationProblem:
     isometry = np.zeros(problem_dims + [d], dtype=complex)
     isometry[tuple(0 if l in sent else slice(None) for l in slots)] = encrypted
 
-    aux_blocks = [(b.labels, b.ket) for b in scheme.fixed_states if set(b.labels) <= set(aux_labels)]
-    aux_state = assemble_ket(layout.restricted(aux_labels), aux_blocks)
-    bob_blocks = [(b.labels, b.ket) for b in scheme.fixed_states if set(b.labels) <= set(bob)]
-    bob_state = assemble_ket(layout.restricted(bob), bob_blocks) if bob else np.ones(1)
-    remote_state = kron(bob_state, basis_ket(mail_dim, 0))
-
-    # An isometry by construction (a validated FootprintOp, a transpose and an
-    # embedding at the mailbox's |0>), so the problem checks only that the
-    # columns stay orthonormal.
-    return LocalisationProblem(
-        problem_layout, None, aux_state, remote_state, isometry=isometry.reshape(-1, d)
-    )
+    return LocalisationProblem(problem_layout, isometry.reshape(-1, d))

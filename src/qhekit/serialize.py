@@ -1,9 +1,11 @@
 """JSON wire formats for every value the toolkit exchanges.
 
 Matrices are {"rows", "cols", "entries"} with row-major [re, im] pairs;
-kets are {"dim", "amplitudes"}.  A localisation result is written as its
-factors, the branch isometry and the residual weights; a completed unitary
-is not written, since its spare columns are arbitrary.
+kets are {"dim", "amplitudes"}.  A localisation problem is written as its
+input isometry, the dim x data_dim matrix psi -> U (psi ⊗ aux ⊗ remote), and
+a localisation result as its factors, the branch isometry and the residual
+weights; neither file holds a dense unitary, and a completed localising
+unitary is not written, since its spare columns are arbitrary.
 Values are read back as IEEE doubles; bit-exact decimal round-trips are not
 promised.  Index convention everywhere: the first register is the most
 significant digit of the flat index.
@@ -271,30 +273,19 @@ def scheme_from_json(obj: Mapping, where: str = "scheme") -> QheScheme:
 
 
 def problem_to_json(problem: LocalisationProblem) -> dict:
-    if problem.unitary is None:
-        raise ValueError(
-            "this localisation problem was built from its input isometry and has no "
-            "dense unitary to export"
-        )
     return {
         "format": "qhekit-localisation-problem",
         "toolkit_version": __version__,
         "registers": layout_to_json(problem.layout),
-        "unitary": matrix_to_json(problem.unitary),
-        "aux_state": ket_to_json(problem.aux_state),
-        "remote_state": ket_to_json(problem.remote_state),
+        "isometry": matrix_to_json(problem.isometry),
     }
 
 
 def problem_from_json(obj: Mapping, where: str = "problem") -> LocalisationProblem:
     layout = layout_from_json(_require(obj, "registers", where), f"{where}.registers")
+    isometry = matrix_from_json(_require(obj, "isometry", where), f"{where}.isometry")
     with _located(where):
-        return LocalisationProblem(
-            layout,
-            matrix_from_json(_require(obj, "unitary", where), f"{where}.unitary"),
-            ket_from_json(_require(obj, "aux_state", where), f"{where}.aux_state"),
-            ket_from_json(_require(obj, "remote_state", where), f"{where}.remote_state"),
-        )
+        return LocalisationProblem(layout, isometry)
 
 
 def result_to_json(result: LocalisationResult) -> dict:

@@ -1,0 +1,31 @@
+"""Test-only references and input constructors; no package code calls them.
+
+probe_states is the per-input route that plaintext_dependence's bounds are
+checked against; dense_problem turns a dense unitary into a problem.
+"""
+
+import numpy as np
+
+from qhekit.layout import Layout
+from qhekit.linalg import basis_ket, kron
+from qhekit.localiser import LocalisationProblem
+
+
+def probe_states(d: int) -> list[np.ndarray]:
+    """Informationally complete probe kets for a d-dimensional input.
+
+    The d basis kets plus, for every pair j < j', the real and imaginary
+    superpositions (|j> + |j'>)/sqrt(2) and (|j> + i|j'>)/sqrt(2): d^2 states
+    whose projectors span the Hermitian operators on the input space.
+    """
+    if d < 1:
+        raise ValueError(f"dimension must be >= 1, got {d}")
+    basis = [basis_ket(d, j) for j in range(d)]
+    pairs = [(j, k) for j in range(d) for k in range(j + 1, d)]
+    return basis + [(basis[j] + c * basis[k]) / np.sqrt(2.0) for j, k in pairs for c in (1, 1j)]
+
+
+def dense_problem(layout: Layout, unitary, aux, remote) -> LocalisationProblem:
+    """The problem psi -> unitary (psi ⊗ aux ⊗ remote), from its dense unitary."""
+    w = np.asarray(unitary, dtype=complex).reshape(layout.dim, layout.dims[0], -1)
+    return LocalisationProblem(layout, w @ kron(aux, remote))

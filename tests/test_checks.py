@@ -36,7 +36,6 @@ from qhekit.checks import (
     check_no_programming,
     check_security,
     check_theorem1,
-    probe_states,
     qubits_for_set,
     run_checks,
 )
@@ -62,6 +61,7 @@ from qhekit.scheme import (
     run_pipeline,
 )
 from qhekit.tolerances import DEFAULT_TOLERANCES
+from qhekit_reference import probe_states
 
 
 def test_security_identity_scheme_fails_maximally():

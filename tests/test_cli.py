@@ -14,8 +14,17 @@ from qhekit.checks import check_completeness, check_security, check_theorem1
 from qhekit.cli import main
 from qhekit.layout import Layout
 from qhekit.linalg import basis_ket
-from qhekit.localiser import LocalisationProblem, check_zero_leakage, localise
-from qhekit.serialize import problem_to_json, report_to_json, result_to_json, scheme_to_json
+from qhekit.localiser import check_zero_leakage, localise
+from qhekit.serialize import (
+    ket_to_json,
+    layout_to_json,
+    matrix_to_json,
+    problem_to_json,
+    report_to_json,
+    result_to_json,
+    scheme_to_json,
+)
+from qhekit_reference import dense_problem
 
 
 def run_cli(*argv):
@@ -191,9 +200,7 @@ def test_localise_leaky_refused(tmp_path):
 
 def test_localise_identity_problem_file(tmp_path):
     layout = Layout((("A1", 2), ("A2", 2), ("B", 2)))
-    problem = LocalisationProblem(
-        layout, np.eye(8, dtype=complex), basis_ket(2, 0), basis_ket(2, 0)
-    )
+    problem = dense_problem(layout, np.eye(8, dtype=complex), basis_ket(2, 0), basis_ket(2, 0))
     path = tmp_path / "problem.json"
     path.write_text(json.dumps(problem_to_json(problem)))
     out = tmp_path / "result.json"
@@ -325,9 +332,7 @@ def test_localise_text_output_skips_unitary_completion(tmp_path, monkeypatch, ca
 
 def _problem_file(tmp_path):
     layout = Layout((("A1", 2), ("A2", 2), ("B", 2)))
-    problem = LocalisationProblem(
-        layout, np.eye(8, dtype=complex), basis_ket(2, 0), basis_ket(2, 0)
-    )
+    problem = dense_problem(layout, np.eye(8, dtype=complex), basis_ket(2, 0), basis_ket(2, 0))
     path = tmp_path / "problem.json"
     path.write_text(json.dumps(problem_to_json(problem)))
     return str(path)
@@ -507,7 +512,7 @@ def test_input_is_exactly_one_of_file_or_builder(
 )
 @pytest.mark.parametrize("fmt", ["text", "json"])
 def test_localise_checks_zero_leakage_once(monkeypatch, capsys, builder, params, code, fmt):
-    calls = {"plaintext_dependence": 0, "probe_states": 0}
+    calls = {"plaintext_dependence": 0}
     for module in (qhekit.qinfo, qhekit.checks, qhekit.localiser, qhekit.cli):
         for name in calls:
             if hasattr(module, name):
@@ -519,7 +524,7 @@ def test_localise_checks_zero_leakage_once(monkeypatch, capsys, builder, params,
                 monkeypatch.setattr(module, name, counting)
     assert run_cli("localise", "--builder", builder, "--params", *params, "--format", fmt) == code
     assert "max_deviation" in capsys.readouterr().out
-    assert calls == {"plaintext_dependence": 1, "probe_states": 0}
+    assert calls == {"plaintext_dependence": 1}
 
 
 def test_parser_is_built_once_and_reused(monkeypatch, capsys):
@@ -568,7 +573,9 @@ def test_parser_is_built_once_and_reused(monkeypatch, capsys):
         pytest.param(
             ("return_to_alice",), "input", "scheme.return_to_alice", id="return-to-alice-string"
         ),
-        pytest.param(("aux_state", "dim"), None, "problem.aux_state", id="problem-aux-dim-null"),
+        pytest.param(
+            ("isometry", "rows"), None, "problem.isometry", id="problem-isometry-rows-null"
+        ),
     ],
 )
 def test_malformed_files_exit_one_with_one_located_line(tmp_path, capsys, path, value, location):
@@ -584,3 +591,37 @@ def test_malformed_files_exit_one_with_one_located_line(tmp_path, capsys, path, 
     assert err.startswith(f"error: {location}: ") and err.count("\n") == 1
     if location.endswith(("send_to_bob", "return_to_alice")):
         assert err == f"error: {location}: expected a list of labels\n"
+
+
+def test_problem_file_without_isometry_is_refused(tmp_path, capsys):
+    # A dense unitary with aux and remote kets is not a problem file.
+    layout = Layout((("A1", 2), ("A2", 2), ("B", 2)))
+    old = {
+        "format": "qhekit-localisation-problem",
+        "registers": layout_to_json(layout),
+        "unitary": matrix_to_json(np.eye(8)),
+        "aux_state": ket_to_json(basis_ket(2, 0)),
+        "remote_state": ket_to_json(basis_ket(2, 0)),
+    }
+    path = tmp_path / "old.json"
+    path.write_text(json.dumps(old))
+    assert run_cli("localise", "--problem", str(path)) == 1
+    assert capsys.readouterr().err == "error: problem: missing field 'isometry'\n"
+
+
+def test_problem_file_with_non_orthonormal_isometry_is_refused(tmp_path, capsys):
+    obj = problem_to_json(build_constructed_secure_problem((2, 2, 2), 7))
+    obj["isometry"]["entries"][0] = [2.0, 0.0]
+    path = tmp_path / "skewed.json"
+    path.write_text(json.dumps(obj))
+    assert run_cli("localise", "--problem", str(path)) == 1
+    assert capsys.readouterr().err == (
+        "error: problem: input isometry columns are not orthonormal within tolerance\n"
+    )
+
+
+@pytest.mark.parametrize("builder", ["constructed-secure", "leaky"])
+def test_problem_builder_guard_runs_before_any_dense_work(capsys, builder):
+    # 2 * 2 * 1026 > 2^12: refused before a Haar unitary is drawn.
+    assert run_cli("localise", "--builder", builder, "--params", "dims=2,2,1026") == 1
+    assert "total dimension 4104 exceeds the 2^12 generator guard" in capsys.readouterr().err

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,7 @@ import qhekit.checks
 import qhekit.localiser
 import qhekit.qinfo
 from qhekit.catalog import build_constructed_secure_problem, build_leaky_problem, build_qotp_scheme
-from qhekit.checks import check_security, probe_states
+from qhekit.checks import check_security
 from qhekit.layout import Layout, axis_permutation
 from qhekit.linalg import (
     basis_ket,
@@ -25,19 +27,17 @@ from qhekit.localiser import (
     extract_plaintext,
     localise,
 )
-from qhekit.qinfo import DensityOp, mutual_information
+from qhekit.qinfo import DensityOp, von_neumann_entropy
 from qhekit.scheme import localisation_problem_at_t1
 from qhekit.tolerances import DEFAULT_TOLERANCES
+from qhekit_reference import dense_problem, probe_states
 
 
-def trivial_problem(dims=(2, 2, 2), unitary=None, seed=0):
+def trivial_problem(dims=(2, 2, 2), unitary=None):
     layout = Layout((("A1", dims[0]), ("A2", dims[1]), ("B", dims[2])))
-    rng = np.random.default_rng(seed)
-    aux = basis_ket(dims[1], 0)
-    remote = basis_ket(dims[2], 0)
     if unitary is None:
         unitary = np.eye(layout.dim, dtype=complex)
-    return LocalisationProblem(layout, unitary, aux, remote)
+    return dense_problem(layout, unitary, basis_ket(dims[1], 0), basis_ket(dims[2], 0))
 
 
 def test_probe_states_dimension_one():
@@ -65,7 +65,7 @@ def test_probe_projectors_span_operator_space():
 def test_zero_leakage_local_unitary_passes():
     layout = Layout((("A1", 2), ("A2", 2), ("B", 2)))
     u = kron(random_unitary(4, 5), np.eye(2))
-    problem = LocalisationProblem(layout, u, basis_ket(2, 0), basis_ket(2, 0))
+    problem = dense_problem(layout, u, basis_ket(2, 0), basis_ket(2, 0))
     ok, deviation = check_zero_leakage(problem)
     assert ok and deviation <= 1e-12
 
@@ -110,7 +110,7 @@ def test_zero_leakage_matches_per_probe_reference(kind, dims):
 def test_each_check_computes_plaintext_dependence_once(monkeypatch):
     scheme = build_qotp_scheme(1)
     problem = build_constructed_secure_problem((3, 2, 4), seed=7)
-    calls = {"plaintext_dependence": 0, "probe_states": 0}
+    calls = {"plaintext_dependence": 0}
     for module in (qhekit.qinfo, qhekit.checks, qhekit.localiser):
         for name in calls:
             if hasattr(module, name):
@@ -126,7 +126,7 @@ def test_each_check_computes_plaintext_dependence_once(monkeypatch):
         lambda: localise(problem),
     ):
         check()
-        assert calls == {"plaintext_dependence": 1, "probe_states": 0}
+        assert calls == {"plaintext_dependence": 1}
         calls.update(plaintext_dependence=0)
 
 
@@ -137,7 +137,8 @@ def test_localise_identity_unitary():
     assert result.factor_dims == (2, 2)
     np.testing.assert_allclose(result.residual_weights, [1.0], atol=1e-12)
     psi = random_ket(2, 8)
-    expected = kron(np.outer(psi, psi.conj()), np.outer(problem.aux_state, problem.aux_state.conj()))
+    aux = basis_ket(2, 0)
+    expected = kron(np.outer(psi, psi.conj()), np.outer(aux, aux.conj()))
     assert np.max(np.abs(result.reconstruct(psi) - expected)) <= 1e-10
 
 
@@ -215,8 +216,9 @@ def test_localise_refuses_leaky_problem():
 def test_leaky_problem_mutual_information_diagnostic():
     problem = build_leaky_problem((2, 2, 4), seed=2)
     plus = np.array([1, 1]) / np.sqrt(2)
-    rho = DensityOp.from_ket(problem.layout, problem.output_ket(plus))
-    assert mutual_information(rho, ["A1", "A2"]) > 0.9
+    # The output is pure, so I(A1 A2 : B) = 2 S(A1 A2).
+    rho = DensityOp.reduced(problem.output_ket(plus), problem.layout, ["A1", "A2"])
+    assert 2 * von_neumann_entropy(rho) > 0.9
 
 
 def test_extract_plaintext_inverts_localised_form():
@@ -263,19 +265,18 @@ def test_complete_orthonormal_extends_to_unitary():
 
 def test_problem_from_isometry_checks_its_columns():
     layout = Layout((("A1", 2), ("A2", 2), ("B", 2)))
-    aux, remote = basis_ket(2, 0), basis_ket(2, 0)
     w = np.eye(8, dtype=complex)[:, [3, 5]]
-    problem = LocalisationProblem(layout, None, aux, remote, isometry=w)
-    assert problem.unitary is None
+    problem = LocalisationProblem(layout, w)
+    assert [f.name for f in dataclasses.fields(problem)] == ["layout", "isometry"]
     np.testing.assert_array_equal(problem.output_ket(basis_ket(2, 1)), w[:, 1])
     with pytest.raises(ValueError, match="orthonormal"):
-        LocalisationProblem(layout, None, aux, remote, isometry=2 * w)
+        LocalisationProblem(layout, 2 * w)
     with pytest.raises(ValueError, match="shape"):
-        LocalisationProblem(layout, None, aux, remote, isometry=np.eye(8, dtype=complex))
-    with pytest.raises(ValueError, match="not both"):
-        LocalisationProblem(layout, np.eye(8), aux, remote, isometry=w)
-    with pytest.raises(ValueError, match="needs"):
-        LocalisationProblem(layout, None, aux, remote)
+        LocalisationProblem(layout, np.eye(8, dtype=complex))
+    with pytest.raises(ValueError, match="non-finite"):
+        LocalisationProblem(layout, np.where(w == 1, np.nan, w))
+    with pytest.raises(ValueError, match="registers"):
+        LocalisationProblem(Layout((("A1", 2), ("B", 4))), w)
 
 
 def test_result_unitary_places_branches_in_their_slots():

@@ -174,18 +174,22 @@ def test_scheme_from_json_rejects_two_inputs():
 
 def test_problem_round_trip_preserves_localisation():
     problem = build_constructed_secure_problem((2, 2, 2), seed=3)
-    back = problem_from_json(json.loads(json.dumps(problem_to_json(problem))))
-    np.testing.assert_array_equal(back.unitary, problem.unitary)
+    obj = problem_to_json(problem)
+    assert sorted(obj) == ["format", "isometry", "registers", "toolkit_version"]
+    back = problem_from_json(json.loads(json.dumps(obj)))
+    assert back.isometry.tobytes() == problem.isometry.tobytes()
     a = localise(problem)
     b = localise(back)
     np.testing.assert_array_equal(a.unitary, b.unitary)
     assert a.rank == b.rank
 
 
-def test_problem_to_json_refuses_isometry_problem():
+def test_t1_bridge_problem_round_trips():
     problem = localisation_problem_at_t1(build_qotp_scheme(1))
-    with pytest.raises(ValueError, match="input isometry"):
-        problem_to_json(problem)
+    back = problem_from_json(json.loads(json.dumps(problem_to_json(problem))))
+    assert back.layout == problem.layout
+    assert back.isometry.tobytes() == problem.isometry.tobytes()
+    assert result_to_json(localise(back)) == result_to_json(localise(problem))
 
 
 def test_result_to_json_shape():
