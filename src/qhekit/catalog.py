@@ -87,9 +87,7 @@ def build_identity_scheme(n: int) -> QheScheme:
         input_label="input",
         output_label="input",
         bob_initial=(),
-        key_state=None,
-        resource_state=None,
-        ancilla_states=(),
+        fixed_states=(),
         encrypt_op=FootprintOp(("input",), identity),
         decrypt_op=FootprintOp(("input",), identity),
         evaluations=tuple(evaluations),
@@ -138,9 +136,7 @@ def build_qotp_scheme(n: int) -> QheScheme:
         input_label="input",
         output_label="input",
         bob_initial=(),
-        key_state=RegisterState(("key", "key_purifier"), key_ket),
-        resource_state=None,
-        ancilla_states=(),
+        fixed_states=(RegisterState(("key", "key_purifier"), key_ket),),
         encrypt_op=FootprintOp(("input", "key"), encrypt),
         decrypt_op=FootprintOp(("input", "key"), decrypt),
         evaluations=tuple(_flip_evaluations(n)),
@@ -193,9 +189,7 @@ def build_tag_evaluate_scheme(n: int, circuit_set: Sequence[Any]) -> QheScheme:
         input_label="input",
         output_label="hold",
         bob_initial=("tag",),
-        key_state=None,
-        resource_state=None,
-        ancilla_states=(
+        fixed_states=(
             RegisterState(("hold",), basis_ket(d, 0)),
             RegisterState(("tag",), basis_ket(tag_dim, 0)),
         ),
@@ -207,6 +201,16 @@ def build_tag_evaluate_scheme(n: int, circuit_set: Sequence[Any]) -> QheScheme:
     )
 
 
+def _problem_dims(dims: Sequence[int]) -> tuple[int, int, int]:
+    """dims as integers, each at least 2 and within the 2^12 guard, checked before any draw."""
+    d1, d2, db = (int(x) for x in dims)
+    if min(d1, d2, db) < 2:
+        raise ValueError(f"dims must each be at least 2, got {d1},{d2},{db}")
+    if d1 * d2 * db > 2**12:
+        raise ValueError(f"total dimension {d1 * d2 * db} exceeds the 2^12 generator guard")
+    return d1, d2, db
+
+
 def build_constructed_secure_problem(
     dims: tuple[int, int, int], seed: int
 ) -> LocalisationProblem:
@@ -216,9 +220,7 @@ def build_constructed_secure_problem(
     scrambles the whole retained side, so the remote reduced state can only
     depend on the fixed aux/remote kets.
     """
-    d1, d2, db = (int(x) for x in dims)
-    if d1 * d2 * db > 2**12:
-        raise ValueError(f"total dimension {d1 * d2 * db} exceeds the 2^12 generator guard")
+    d1, d2, db = _problem_dims(dims)
     rng = np.random.default_rng([_CONSTRUCTED_STREAM, seed])
     retained = haar_unitary(rng, d1 * d2)
     mixer = haar_unitary(rng, d2 * db)
@@ -237,9 +239,7 @@ def build_leaky_problem(dims: tuple[int, int, int], seed: int) -> LocalisationPr
     scrambling cannot undo the handover, so orthogonal inputs stay perfectly
     distinguishable remotely.
     """
-    d1, d2, db = (int(x) for x in dims)
-    if d1 * d2 * db > 2**12:
-        raise ValueError(f"total dimension {d1 * d2 * db} exceeds the 2^12 generator guard")
+    d1, d2, db = _problem_dims(dims)
     if db % d1 != 0:
         raise ValueError(f"data dimension {d1} must divide remote dimension {db}")
     rng = np.random.default_rng([_LEAKY_STREAM, seed])

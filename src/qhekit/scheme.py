@@ -1,8 +1,11 @@
 """Four-component homomorphic-encryption scheme model and pipeline simulator.
 
-A scheme consists of a key state, an encryption unitary, a family of
+A scheme consists of its fixed states, an encryption unitary, a family of
 evaluation unitaries with their intended plaintext-space targets, and a
-decryption unitary, wired over an explicit register layout.  Register
+decryption unitary, wired over an explicit register layout.  The fixed
+states are one list of pure blocks whose product covers every register but
+the plaintext's; a key, a shared resource and an ancilla are all such
+blocks, and nothing here tells them apart.  Register
 ownership is tracked through the run: Alice holds everything except Bob's
 initial registers, hands over send_to_bob after encrypting, and receives
 return_to_alice (the message) after evaluation.
@@ -71,9 +74,7 @@ class QheScheme:
     input_label: str
     output_label: str
     bob_initial: tuple[str, ...]
-    key_state: RegisterState | None
-    resource_state: RegisterState | None
-    ancilla_states: tuple[RegisterState, ...]
+    fixed_states: tuple[RegisterState, ...]
     encrypt_op: FootprintOp
     decrypt_op: FootprintOp
     evaluations: tuple[Evaluation, ...]
@@ -84,7 +85,7 @@ class QheScheme:
         object.__setattr__(self, "bob_initial", self.layout.ordered(self.bob_initial))
         object.__setattr__(self, "send_to_bob", self.layout.ordered(self.send_to_bob))
         object.__setattr__(self, "return_to_alice", self.layout.ordered(self.return_to_alice))
-        object.__setattr__(self, "ancilla_states", tuple(self.ancilla_states))
+        object.__setattr__(self, "fixed_states", tuple(self.fixed_states))
         object.__setattr__(self, "evaluations", tuple(self.evaluations))
 
         labels = set(self.layout.labels)
@@ -150,16 +151,6 @@ class QheScheme:
                 f"{what} operator dimension {op.matrix.shape[0]} does not match "
                 f"its footprint {op.labels}"
             )
-
-    @cached_property
-    def fixed_states(self) -> tuple[RegisterState, ...]:
-        blocks: list[RegisterState] = []
-        if self.key_state is not None:
-            blocks.append(self.key_state)
-        if self.resource_state is not None:
-            blocks.append(self.resource_state)
-        blocks.extend(self.ancilla_states)
-        return tuple(blocks)
 
     @cached_property
     def input_dim(self) -> int:
@@ -313,40 +304,20 @@ class PipelineTrace:
     ket_t2: np.ndarray
     ket_final: np.ndarray
 
-    @property
-    def layout(self) -> Layout:
-        return self.scheme.layout
-
-    @property
-    def alice_t1(self) -> tuple[str, ...]:
-        return self.scheme.alice_t1
-
-    @property
-    def bob_t1(self) -> tuple[str, ...]:
-        return self.scheme.bob_t1
-
-    @property
-    def alice_t2(self) -> tuple[str, ...]:
-        return self.scheme.alice_t2
-
-    @property
-    def bob_t2(self) -> tuple[str, ...]:
-        return self.scheme.bob_t2
-
     @cached_property
     def rho_bob_t1(self) -> DensityOp:
         """Bob's state at t1: the ciphertext."""
-        return DensityOp.reduced(self.ket_t1, self.layout, self.bob_t1)
+        return DensityOp.reduced(self.ket_t1, self.scheme.layout, self.scheme.bob_t1)
 
     @cached_property
     def rho_message(self) -> DensityOp:
         """The message Bob returns at t2."""
-        return DensityOp.reduced(self.ket_t2, self.layout, self.scheme.return_to_alice)
+        return DensityOp.reduced(self.ket_t2, self.scheme.layout, self.scheme.return_to_alice)
 
     @cached_property
     def output(self) -> DensityOp:
         """The output register after decryption."""
-        return DensityOp.reduced(self.ket_final, self.layout, [self.scheme.output_label])
+        return DensityOp.reduced(self.ket_final, self.scheme.layout, [self.scheme.output_label])
 
 
 def run_pipeline(scheme: QheScheme, circuit_id: str, psi_in: np.ndarray) -> PipelineTrace:

@@ -1,11 +1,14 @@
 """JSON wire formats for every value the toolkit exchanges.
 
 Matrices are {"rows", "cols", "entries"} with row-major [re, im] pairs;
-kets are {"dim", "amplitudes"}.  A localisation problem is written as its
-input isometry, the dim x data_dim matrix psi -> U (psi ⊗ aux ⊗ remote), and
-a localisation result as its factors, the branch isometry and the residual
-weights; neither file holds a dense unitary, and a completed localising
-unitary is not written, since its spare columns are arbitrary.
+kets are {"dim", "amplitudes"}.  A scheme file mirrors the QheScheme
+constructor: the input, output and Bob's initial registers by name, and the
+fixed states as one list of blocks in the scheme's order.  A localisation
+problem is written as its input isometry, the dim x data_dim matrix
+psi -> U (psi ⊗ aux ⊗ remote), and a localisation result as its factors, the
+branch isometry and the residual weights; neither file holds a dense
+unitary, and a completed localising unitary is not written, since its spare
+columns are arbitrary.
 Values are read back as IEEE doubles; bit-exact decimal round-trips are not
 promised.  Index convention everywhere: the first register is the most
 significant digit of the flat index.
@@ -124,23 +127,6 @@ def layout_from_json(obj: Any, where: str = "registers") -> Layout:
         return Layout(tuple(regs))
 
 
-def _roles(scheme: QheScheme) -> dict[str, str]:
-    alice = set(scheme.alice_initial)
-    roles = {scheme.input_label: "input"}
-    key_labels = scheme.key_state.labels if scheme.key_state else ()
-    res_labels = scheme.resource_state.labels if scheme.resource_state else ()
-    for label in scheme.layout.labels:
-        if label in roles:
-            continue
-        if label in key_labels:
-            roles[label] = "key"
-        elif label in res_labels:
-            roles[label] = "res_a" if label in alice else "res_b"
-        else:
-            roles[label] = "anc_a" if label in alice else "anc_b"
-    return roles
-
-
 def _footprint_to_json(op: FootprintOp) -> dict:
     return {"labels": list(op.labels), **matrix_to_json(op.matrix)}
 
@@ -159,8 +145,9 @@ def scheme_to_json(scheme: QheScheme) -> dict:
         "toolkit_version": __version__,
         "name": scheme.name,
         "registers": layout_to_json(scheme.layout),
-        "roles": _roles(scheme),
+        "input": scheme.input_label,
         "output": scheme.output_label,
+        "bob_initial": list(scheme.bob_initial),
         "states": [
             {"labels": list(block.labels), **ket_to_json(block.ket)}
             for block in scheme.fixed_states
@@ -187,57 +174,21 @@ def _labels(obj: Mapping, key: str, where: str) -> tuple[str, ...]:
     return tuple(str(l) for l in labels)
 
 
-# A tuple, not a set: a role read from JSON may be an unhashable list.
-_ROLE_NAMES = ("input", "key", "anc_a", "anc_b", "res_a", "res_b")
-
-
 def scheme_from_json(obj: Mapping, where: str = "scheme") -> QheScheme:
     layout = layout_from_json(_require(obj, "registers", where), f"{where}.registers")
-    roles_raw = _require(obj, "roles", where)
-    if not isinstance(roles_raw, Mapping):
-        raise SchemeFormatError(f"{where}.roles", "expected a label -> role object")
-    roles: dict[str, str] = {}
-    for label in layout.labels:
-        role = roles_raw.get(label)
-        if role not in _ROLE_NAMES:
-            raise SchemeFormatError(
-                f"{where}.roles.{label}", f"expected one of {sorted(_ROLE_NAMES)}, got {role!r}"
-            )
-        roles[label] = role
-    inputs = [l for l, r in roles.items() if r == "input"]
-    if len(inputs) != 1:
-        raise SchemeFormatError(f"{where}.roles", f"need exactly one input register, got {inputs}")
-    key_labels = {l for l, r in roles.items() if r == "key"}
-    res_labels = {l for l, r in roles.items() if r in ("res_a", "res_b")}
-    bob_initial = tuple(l for l in layout.labels if roles[l] in ("anc_b", "res_b"))
-
-    key_state = None
-    resource_state = None
-    ancillas: list[RegisterState] = []
     states_raw = _require(obj, "states", where)
     if not isinstance(states_raw, list):
         raise SchemeFormatError(f"{where}.states", "expected a list of state blocks")
+    fixed_states = []
     for i, item in enumerate(states_raw):
         here = f"{where}.states[{i}]"
         labels_raw = _require(item, "labels", here)
         if not isinstance(labels_raw, list) or not labels_raw:
             raise SchemeFormatError(f"{here}.labels", "expected a non-empty label list")
-        labels = tuple(str(l) for l in labels_raw)
         with _located(here):
-            block = RegisterState(labels, ket_from_json(item, here))
-        label_set = set(labels)
-        if label_set <= key_labels:
-            if key_state is not None:
-                raise SchemeFormatError(here, "second key state block")
-            key_state = block
-        elif label_set <= res_labels:
-            if resource_state is not None:
-                raise SchemeFormatError(here, "second resource state block")
-            resource_state = block
-        elif label_set & (key_labels | res_labels):
-            raise SchemeFormatError(here, "state block mixes key/resource and other roles")
-        else:
-            ancillas.append(block)
+            fixed_states.append(
+                RegisterState(tuple(str(l) for l in labels_raw), ket_from_json(item, here))
+            )
 
     evals_raw = _require(obj, "evaluations", where)
     if not isinstance(evals_raw, list) or not evals_raw:
@@ -258,12 +209,10 @@ def scheme_from_json(obj: Mapping, where: str = "scheme") -> QheScheme:
         return QheScheme(
             name=str(obj.get("name", "unnamed")),
             layout=layout,
-            input_label=inputs[0],
+            input_label=str(_require(obj, "input", where)),
             output_label=str(_require(obj, "output", where)),
-            bob_initial=bob_initial,
-            key_state=key_state,
-            resource_state=resource_state,
-            ancilla_states=tuple(ancillas),
+            bob_initial=_labels(obj, "bob_initial", where),
+            fixed_states=tuple(fixed_states),
             encrypt_op=_footprint_from_json(_require(obj, "encrypt", where), f"{where}.encrypt"),
             decrypt_op=_footprint_from_json(_require(obj, "decrypt", where), f"{where}.decrypt"),
             evaluations=tuple(evaluations),

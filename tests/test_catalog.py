@@ -205,7 +205,7 @@ def _reference_scheme(entry):
     if entry.builder == "qotp":
         encrypt, decrypt, key_ket = _reference_qotp(n)
         changes = {
-            "key_state": RegisterState(scheme.key_state.labels, key_ket),
+            "fixed_states": (RegisterState(scheme.fixed_states[0].labels, key_ket),),
             "encrypt_op": FootprintOp(scheme.encrypt_op.labels, encrypt),
             "decrypt_op": FootprintOp(scheme.decrypt_op.labels, decrypt),
         }
@@ -230,7 +230,8 @@ def test_qotp_operators_match_kron_sums_bit_for_bit(n):
     encrypt, decrypt, key_ket = _reference_qotp(n)
     assert scheme.encrypt_op.matrix.tobytes() == encrypt.tobytes()
     assert scheme.decrypt_op.matrix.tobytes() == decrypt.tobytes()
-    assert scheme.key_state.ket.tobytes() == key_ket.tobytes()
+    (key_state,) = scheme.fixed_states
+    assert key_state.ket.tobytes() == key_ket.tobytes()
 
 
 @pytest.mark.parametrize("n", [1, 2])

@@ -402,9 +402,7 @@ def _control_scheme(evaluate, decrypt, target, bob_ket=basis_ket(2, 0)):
         input_label="input",
         output_label="input",
         bob_initial=("bob",),
-        key_state=None,
-        resource_state=None,
-        ancilla_states=(
+        fixed_states=(
             RegisterState(("anc",), basis_ket(2, 0)),
             RegisterState(("bob",), bob_ket),
         ),
@@ -466,9 +464,7 @@ def _coherence_leak_scheme():
         input_label="input",
         output_label="input",
         bob_initial=(),
-        key_state=None,
-        resource_state=None,
-        ancilla_states=(RegisterState(("anc",), basis_ket(2, 0)),),
+        fixed_states=(RegisterState(("anc",), basis_ket(2, 0)),),
         encrypt_op=FootprintOp(("anc", "input"), encrypt),
         decrypt_op=FootprintOp(("anc", "input"), dagger(encrypt)),
         evaluations=(Evaluation("I", FootprintOp(("input",), np.eye(2)), np.eye(2)),),
@@ -818,9 +814,10 @@ def _graded_correlation_scheme():
         input_label="input",
         output_label="input",
         bob_initial=("bob",),
-        key_state=RegisterState(("key",), np.ones(2) / np.sqrt(2)),
-        resource_state=None,
-        ancilla_states=(RegisterState(("bob",), basis_ket(2, 0)),),
+        fixed_states=(
+            RegisterState(("key",), np.ones(2) / np.sqrt(2)),
+            RegisterState(("bob",), basis_ket(2, 0)),
+        ),
         encrypt_op=FootprintOp(("key", "input"), flip),
         decrypt_op=FootprintOp(("key", "input"), flip),
         evaluations=(

@@ -1,4 +1,5 @@
 import functools
+import importlib
 import json
 import operator
 
@@ -573,6 +574,8 @@ def test_parser_is_built_once_and_reused(monkeypatch, capsys):
         pytest.param(
             ("return_to_alice",), "input", "scheme.return_to_alice", id="return-to-alice-string"
         ),
+        pytest.param(("bob_initial",), "key", "scheme.bob_initial", id="bob-initial-string"),
+        pytest.param(("input",), "nowhere", "scheme", id="input-unknown-register"),
         pytest.param(
             ("isometry", "rows"), None, "problem.isometry", id="problem-isometry-rows-null"
         ),
@@ -589,8 +592,21 @@ def test_malformed_files_exit_one_with_one_located_line(tmp_path, capsys, path, 
     assert run_cli(command, f"--{location.split('.')[0]}", str(bad)) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {location}: ") and err.count("\n") == 1
-    if location.endswith(("send_to_bob", "return_to_alice")):
+    if location.endswith(("send_to_bob", "return_to_alice", "bob_initial")):
         assert err == f"error: {location}: expected a list of labels\n"
+    if path == ("input",):
+        assert err == "error: scheme: input register 'nowhere' not in layout\n"
+
+
+def test_scheme_file_with_role_tags_is_refused(tmp_path, capsys):
+    # Per-register role tags do not name the input register; a scheme file must.
+    obj = scheme_to_json(build_qotp_scheme(1))
+    del obj["input"], obj["bob_initial"]
+    obj["roles"] = {"input": "input", "key": "key", "key_purifier": "key"}
+    path = tmp_path / "old.json"
+    path.write_text(json.dumps(obj))
+    assert run_cli("check", "--scheme", str(path)) == 1
+    assert capsys.readouterr().err == "error: scheme: missing field 'input'\n"
 
 
 def test_problem_file_without_isometry_is_refused(tmp_path, capsys):
@@ -620,8 +636,29 @@ def test_problem_file_with_non_orthonormal_isometry_is_refused(tmp_path, capsys)
     )
 
 
-@pytest.mark.parametrize("builder", ["constructed-secure", "leaky"])
-def test_problem_builder_guard_runs_before_any_dense_work(capsys, builder):
-    # 2 * 2 * 1026 > 2^12: refused before a Haar unitary is drawn.
-    assert run_cli("localise", "--builder", builder, "--params", "dims=2,2,1026") == 1
-    assert "total dimension 4104 exceeds the 2^12 generator guard" in capsys.readouterr().err
+_GUARD = "total dimension 4104 exceeds the 2^12 generator guard"
+
+
+@pytest.mark.parametrize(
+    "builder, dims, message",
+    [
+        # 2 * 2 * 1026 > 2^12.
+        pytest.param("constructed-secure", "2,2,1026", _GUARD, id="constructed-secure"),
+        pytest.param("leaky", "2,2,1026", _GUARD, id="leaky"),
+        *[
+            pytest.param(b, d, f"dims must each be at least 2, got {d}", id=f"{b}-dims={d}")
+            for b in ("constructed-secure", "leaky")
+            for d in ("0,2,2", "-2,-2,2", "2,0,2", "1,2,2")
+        ],
+    ],
+)
+def test_problem_builder_guard_runs_before_any_dense_work(
+    monkeypatch, capsys, builder, dims, message
+):
+    def no_draws(*args):
+        raise AssertionError("a Haar draw ran before the dims check")
+
+    for name in ("haar_unitary", "haar_ket"):
+        monkeypatch.setattr(importlib.import_module("qhekit.catalog"), name, no_draws)
+    assert run_cli("localise", "--builder", builder, "--params", f"dims={dims}") == 1
+    assert capsys.readouterr().err == f"error: {message}\n"

@@ -95,7 +95,7 @@ def test_pipeline_global_purity_and_ownership():
     for ket in (trace.ket_t1, trace.ket_t2):
         rho = DensityOp.from_ket(scheme.layout, ket).matrix
         assert abs(np.real(np.trace(rho @ rho)) - 1) <= 1e-9
-    for alice, bob in ((trace.alice_t1, trace.bob_t1), (trace.alice_t2, trace.bob_t2)):
+    for alice, bob in ((scheme.alice_t1, scheme.bob_t1), (scheme.alice_t2, scheme.bob_t2)):
         assert sorted(alice + bob) == sorted(scheme.layout.labels)
         assert not set(alice) & set(bob)
 
@@ -148,9 +148,7 @@ def test_scheme_requires_state_cover():
             input_label="input",
             output_label="input",
             bob_initial=(),
-            key_state=None,
-            resource_state=None,
-            ancilla_states=(),
+            fixed_states=(),
             encrypt_op=FootprintOp(("input",), eye),
             decrypt_op=FootprintOp(("input",), eye),
             evaluations=(Evaluation("I", FootprintOp(("input",), eye), eye),),
@@ -212,9 +210,7 @@ def test_bridge_rejects_cross_cut_resource():
         input_label="input",
         output_label="input",
         bob_initial=("res_b",),
-        key_state=None,
-        resource_state=RegisterState(("res_a", "res_b"), bell),
-        ancilla_states=(),
+        fixed_states=(RegisterState(("res_a", "res_b"), bell),),
         encrypt_op=FootprintOp(("input",), eye),
         decrypt_op=FootprintOp(("input",), eye),
         evaluations=(Evaluation("I", FootprintOp(("input",), eye), eye),),
@@ -233,7 +229,9 @@ def test_builders_are_deterministic():
     a = build_qotp_scheme(1)
     b = build_qotp_scheme(1)
     np.testing.assert_array_equal(a.encrypt_op.matrix, b.encrypt_op.matrix)
-    np.testing.assert_array_equal(a.key_state.ket, b.key_state.ket)
+    for block_a, block_b in zip(a.fixed_states, b.fixed_states, strict=True):
+        assert block_a.labels == block_b.labels
+        np.testing.assert_array_equal(block_a.ket, block_b.ket)
     t1 = build_tag_evaluate_scheme(1, ("I", "X"))
     t2 = build_tag_evaluate_scheme(1, ("I", "X"))
     np.testing.assert_array_equal(t1.decrypt_op.matrix, t2.decrypt_op.matrix)
@@ -363,9 +361,7 @@ def test_encryption_isometry_with_random_fixed_blocks_in_shuffled_order(data):
         input_label="in",
         output_label="in",
         bob_initial=(),
-        key_state=None,
-        resource_state=None,
-        ancilla_states=states,
+        fixed_states=states,
         encrypt_op=FootprintOp(tuple(footprint), random_unitary(layout.dim_of(footprint), seed)),
         decrypt_op=FootprintOp(("in",), np.eye(dims["in"])),
         evaluations=(
@@ -503,9 +499,7 @@ def test_bridge_matches_mailbox_reference_on_random_schemes(data):
         input_label="in",
         output_label=output,
         bob_initial=tuple(bob),
-        key_state=None,
-        resource_state=None,
-        ancilla_states=states,
+        fixed_states=states,
         encrypt_op=FootprintOp(tuple(footprint), random_unitary(layout.dim_of(footprint), seed)),
         decrypt_op=FootprintOp((output,), np.eye(dims[output])),
         evaluations=(
@@ -526,9 +520,7 @@ def test_bridge_rejects_problem_over_the_dimension_guard():
         input_label="input",
         output_label="input",
         bob_initial=(),
-        key_state=RegisterState(("key",), basis_ket(MAX_TOTAL_DIM // 2, 0)),
-        resource_state=None,
-        ancilla_states=(),
+        fixed_states=(RegisterState(("key",), basis_ket(MAX_TOTAL_DIM // 2, 0)),),
         encrypt_op=FootprintOp(("input",), eye),
         decrypt_op=FootprintOp(("input",), eye),
         evaluations=(Evaluation("I", FootprintOp(("input",), eye), eye),),
@@ -554,9 +546,10 @@ def test_bridge_of_a_scheme_that_sends_nothing():
         input_label="input",
         output_label="input",
         bob_initial=("bob",),
-        key_state=RegisterState(("key",), basis_ket(2, 1)),
-        resource_state=None,
-        ancilla_states=(RegisterState(("bob",), random_ket(2, 3)),),
+        fixed_states=(
+            RegisterState(("key",), basis_ket(2, 1)),
+            RegisterState(("bob",), random_ket(2, 3)),
+        ),
         encrypt_op=FootprintOp(("input", "key"), random_unitary(4, 2)),
         decrypt_op=FootprintOp(("input",), eye),
         evaluations=(Evaluation("I", FootprintOp(("bob",), eye), eye),),

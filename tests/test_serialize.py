@@ -71,17 +71,30 @@ def test_scheme_json_round_trip(build):
     assert back.circuit_ids == scheme.circuit_ids
     np.testing.assert_array_equal(back.encrypt_op.matrix, scheme.encrypt_op.matrix)
     np.testing.assert_array_equal(back.decrypt_op.matrix, scheme.decrypt_op.matrix)
-    if scheme.key_state is not None:
-        np.testing.assert_array_equal(back.key_state.ket, scheme.key_state.ket)
+    assert len(back.fixed_states) == len(scheme.fixed_states)
+    for block, original in zip(back.fixed_states, scheme.fixed_states):
+        assert block.labels == original.labels
+        assert block.ket.tobytes() == original.ket.tobytes()
     # behavioural equality: the round-tripped scheme produces the same verdict
     assert check_security(back).verdict == check_security(scheme).verdict
 
 
-def test_scheme_from_json_rejects_missing_role():
+def test_exported_scheme_file_has_exactly_the_constructor_fields():
+    obj = scheme_to_json(build_tag_evaluate_scheme(1, ("I", "X")))
+    assert sorted(obj) == [
+        "bob_initial", "decrypt", "encrypt", "evaluations", "format", "input", "name",
+        "output", "registers", "return_to_alice", "send_to_bob", "states", "toolkit_version",
+    ]
+    assert (obj["input"], obj["output"], obj["bob_initial"]) == ("input", "hold", ["tag"])
+    assert [block["labels"] for block in obj["states"]] == [["hold"], ["tag"]]
+
+
+def test_scheme_from_json_rejects_missing_bob_initial():
     obj = scheme_to_json(build_qotp_scheme(1))
-    del obj["roles"]["key"]
-    with pytest.raises(SchemeFormatError, match=r"roles\.key"):
+    del obj["bob_initial"]
+    with pytest.raises(SchemeFormatError) as info:
         scheme_from_json(obj)
+    assert str(info.value) == "scheme: missing field 'bob_initial'"
 
 
 def _set_encrypt_to_list(obj):
@@ -108,8 +121,8 @@ def _scale_target(obj):
     obj["evaluations"][2]["target"]["entries"][0] = [3.0, 0.0]
 
 
-def _list_as_role(obj):
-    obj["roles"]["key"] = ["key"]
+def _drop_input(obj):
+    del obj["input"]
 
 
 @pytest.mark.parametrize(
@@ -121,7 +134,7 @@ def _list_as_role(obj):
         (_inf_in_encrypt, r"scheme\.encrypt", "non-finite entries"),
         (_scale_decrypt, r"scheme\.decrypt", "is not unitary within tolerance"),
         (_scale_target, r"scheme\.evaluations\[2\]", "target of 'Z' is not unitary within tolerance"),
-        (_list_as_role, r"scheme\.roles\.key", r"expected one of .*, got \['key'\]"),
+        (_drop_input, r"scheme", "missing field 'input'"),
     ],
     ids=[
         "non-object-field",
@@ -130,7 +143,7 @@ def _list_as_role(obj):
         "inf-encrypt",
         "non-unitary-operator",
         "non-unitary-target",
-        "list-as-role",
+        "missing-input",
     ],
 )
 def test_scheme_from_json_reports_bad_fields_at_their_location(corrupt, location, message):
@@ -165,11 +178,15 @@ def test_integer_fields_accept_only_json_integers(field, kind):
     assert re.fullmatch(location, info.value.location)
 
 
-def test_scheme_from_json_rejects_two_inputs():
+def test_scheme_from_json_rejects_an_input_a_fixed_state_covers():
     obj = scheme_to_json(build_qotp_scheme(1))
-    obj["roles"]["key"] = "input"
-    with pytest.raises(SchemeFormatError, match="exactly one input"):
+    obj["input"] = "key"
+    with pytest.raises(SchemeFormatError) as info:
         scheme_from_json(obj)
+    assert str(info.value) == (
+        "scheme: fixed states cover ['key', 'key_purifier'], expected every register "
+        "except the input: ['input', 'key_purifier']"
+    )
 
 
 def test_problem_round_trip_preserves_localisation():
