@@ -54,15 +54,17 @@ def _verdict(
     kind: str,
     cases: Sequence[tuple[str, float]],
     tol: float,
-    tol_name: str,
+    tol_names: Sequence[str],
     context: Sequence[tuple[str, float]] = (),
 ) -> Report:
     """A pass/fail report: pass iff the largest metric of `cases` (0.0 if none) is at most tol.
 
-    `context` rows are listed first in the report but do not decide it.
+    `context` rows are listed first in the report but do not decide it; the
+    report names tol once per entry of `tol_names`.
     """
     worst = max((metric for _, metric in cases), default=0.0)
-    return Report(kind, PASS if worst <= tol else FAIL, worst, (*context, *cases), {tol_name: tol})
+    verdict = PASS if worst <= tol else FAIL
+    return Report(kind, verdict, worst, (*context, *cases), dict.fromkeys(tol_names, tol))
 
 
 def check_security(scheme: QheScheme, tol: float | None = None) -> Report:
@@ -78,7 +80,7 @@ def check_security(scheme: QheScheme, tol: float | None = None) -> Report:
     d = scheme.input_dim
     eps, _ = plaintext_dependence(scheme.encryption_isometry, scheme.layout, scheme.bob_t1)
     cases = [(f"block-{j}-{k}", float(eps[j, k])) for j in range(d) for k in range(j, d)]
-    return _verdict("security", cases, tol, "security")
+    return _verdict("security", cases, tol, ("security",))
 
 
 def check_completeness(scheme: QheScheme, tol: float | None = None) -> Report:
@@ -123,7 +125,7 @@ def check_completeness(scheme: QheScheme, tol: float | None = None) -> Report:
         rel[:, np.arange(d), :, np.arange(d)] -= np.einsum("cjrj->cr", rel) / d
         deltas = np.linalg.norm(rel.reshape(n, -1, d), 2, axis=(1, 2))
         cases += [(f"{cid}/certificate", float(delta)) for cid, delta in zip(chunk_ids, deltas)]
-    return _verdict("completeness", cases, tol, "completeness")
+    return _verdict("completeness", cases, tol, ("completeness",))
 
 
 def check_theorem1(
@@ -144,15 +146,18 @@ def check_theorem1(
     deviations reported.  Stage 2 computes the pairwise support overlap
     Tr(P_a P_b) = ||V_a† V_b||_F^2 of the message states for every pair of
     circuits whose targets differ by more than a global phase; pass iff
-    every overlap is at most tol.  Every circuit runs on psi_in in one
-    encrypt_and_evaluate call, which stops at t2 since no stage reads the
-    decrypted kets, and each stage reads all of the t2 kets in one batch.
+    every overlap is at most tol.  Both stages compare against the one tol,
+    which the report names as "product-form" and "support-overlap".  Every
+    circuit runs on psi_in in one encrypt_and_evaluate call, which stops at
+    t2 since no stage reads the decrypted kets, and each stage reads all of
+    the t2 kets in one batch.
     """
     if tol is None:
         tol = DEFAULT_TOLERANCES.equality
+    tol_names = ("product-form", "support-overlap")
 
     def inapplicable(worst: float, cases: Sequence[tuple[str, float]], reason: str) -> Report:
-        tolerances = {"support-overlap": tol}
+        tolerances = dict.fromkeys(tol_names, tol)
         return Report("theorem1", INAPPLICABLE, worst, tuple(cases), tolerances, reason)
 
     # A failed precondition's own metric is a case row; no theorem 1
@@ -194,7 +199,7 @@ def check_theorem1(
                 continue
             overlap = support_overlap(bases[i], bases[j])
             overlaps.append((f"overlap/{a.circuit_id}|{b.circuit_id}", overlap))
-    return _verdict("theorem1", overlaps, tol, "support-overlap", context=products)
+    return _verdict("theorem1", overlaps, tol, tol_names, context=products)
 
 
 def run_checks(
@@ -230,10 +235,7 @@ def run_checks(
 
 
 def check_no_programming(
-    gate: np.ndarray,
-    layout: Layout,
-    programs: Sequence[np.ndarray],
-    tol: float | None = None,
+    gate: np.ndarray, layout: Layout, programs: Sequence[np.ndarray]
 ) -> Report:
     """Programs selecting distinct operations must be orthogonal.
 
@@ -243,7 +245,7 @@ def check_no_programming(
     failing that are flagged non-deterministic and excluded from the
     pairwise orthogonality assertion; for the rest, any two whose extracted
     unitaries differ beyond a global phase must have overlap
-    |<p_i|p_j>| <= tol.
+    |<p_i|p_j>| <= tol, the equality tolerance.
 
     The output is linear in the data input, so one contraction per program
     decides it for every input: X[p, o, j] = sum_q G[(p, o), (q, j)]
@@ -258,15 +260,14 @@ def check_no_programming(
     every entry of W†W - I is within tol and W needs no separate
     unitarity test.
     """
-    if tol is None:
-        tol = DEFAULT_TOLERANCES.equality
+    tol = DEFAULT_TOLERANCES.equality
     if len(layout.registers) != 2:
         raise ValueError(f"layout must hold (program, data) registers, got {layout.labels}")
     d_prog, d_data = layout.dims
     gate = as_square(gate, "gate array")
     if gate.shape[0] != layout.dim:
         raise ValueError(f"gate dimension {gate.shape[0]} != layout dimension {layout.dim}")
-    if not is_unitary(gate, DEFAULT_TOLERANCES.unitarity):
+    if not is_unitary(gate):
         raise ValueError("gate array is not unitary within tolerance")
 
     blocks = gate.reshape(d_prog, d_data, d_prog, d_data)
@@ -296,7 +297,7 @@ def check_no_programming(
                 continue
             overlap = float(abs(np.vdot(kets[i], kets[j])))
             overlaps.append((f"overlap/program-{i}|program-{j}", overlap))
-    return _verdict("no-programming", overlaps, tol, "support-overlap", context=cases)
+    return _verdict("no-programming", overlaps, tol, ("support-overlap",), context=cases)
 
 
 @dataclass(frozen=True)

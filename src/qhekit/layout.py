@@ -216,10 +216,7 @@ def reduced_from_ket(psi: np.ndarray, layout: Layout, keep: Iterable[str]) -> np
 
 
 def schmidt(
-    psi: np.ndarray,
-    layout: Layout,
-    left: Iterable[str],
-    tol: float | None = None,
+    psi: np.ndarray, layout: Layout, left: Iterable[str]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Schmidt decomposition of a pure state across a register bipartition.
 
@@ -234,14 +231,12 @@ def schmidt(
     right_labels = layout.complement(left_labels)
     if not left_labels or not right_labels:
         raise ValueError("both sides of the cut must be non-empty")
-    if tol is None:
-        # Squared coefficients are reduced-state eigenvalues; align thresholds.
-        tol = float(np.sqrt(DEFAULT_TOLERANCES.rank))
     front, back = _grouped_axes(layout, left_labels)
     d_left = int(np.prod([layout.dims[p] for p in front], dtype=object))
     m = psi.reshape(layout.dims).transpose(front + back).reshape(d_left, -1)
     u, s, vh = np.linalg.svd(m, full_matrices=False)
-    r = max(1, int(np.sum(s > tol)))
+    # Squared coefficients are reduced-state eigenvalues; align thresholds.
+    r = max(1, int(np.sum(s > np.sqrt(DEFAULT_TOLERANCES.rank))))
     # Fix the joint phase freedom per Schmidt pair for determinism.
     u, phases = _phase_fix_columns(u[:, :r])
     return s[:r].astype(float), u, (vh[:r, :].T * phases)

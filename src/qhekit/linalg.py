@@ -2,23 +2,18 @@
 
 Matrices and kets are plain numpy arrays of dtype complex128.  Row-major
 order everywhere; the first tensor factor is the most significant digit of
-a flat index (see layout.Layout).
+a flat index (see layout.Layout).  Every threshold comes from tolerances.py.
 """
 
 from functools import reduce
 
 import numpy as np
 
-from .tolerances import DEFAULT_TOLERANCES
+from .tolerances import DEFAULT_TOLERANCES, NORM_TOL, UNITARITY_TOL
 
 # Seed stream tags so that unrelated internal draws never collide.
 _KET_STREAM = 0x6B65
 _UNITARY_STREAM = 0x7561
-
-# How far from 1 a norm may be in a ket that as_ket or QheScheme.plaintext
-# accepts.  A fixed constant, not a verdict threshold: it refuses malformed
-# input, whatever tolerances the checks use.
-NORM_TOL = 1e-10
 
 
 def as_matrix(m, where: str = "matrix") -> np.ndarray:
@@ -82,25 +77,23 @@ def kron(*factors) -> np.ndarray:
     return reduce(np.kron, arrays)
 
 
-def _orthonormal_columns(w: np.ndarray, tol: float | None) -> bool:
-    """The one unitarity test, on a matrix already coerced: max-entry norm of W†W - I <= tol."""
-    if tol is None:
-        tol = DEFAULT_TOLERANCES.unitarity
-    return float(np.abs(dagger(w) @ w - np.eye(w.shape[1])).max()) <= tol
+def _orthonormal_columns(w: np.ndarray) -> bool:
+    """The one unitarity test on a coerced matrix: max-entry norm of W†W - I <= UNITARITY_TOL."""
+    return float(np.abs(dagger(w) @ w - np.eye(w.shape[1])).max()) <= UNITARITY_TOL
 
 
-def is_isometry(w: np.ndarray, tol: float | None = None) -> bool:
-    """True iff max-entry norm of W†W - I is at most tol (orthonormal columns)."""
-    return _orthonormal_columns(as_matrix(w, "isometry"), tol)
+def is_isometry(w: np.ndarray) -> bool:
+    """True iff max-entry norm of W†W - I is at most UNITARITY_TOL (orthonormal columns)."""
+    return _orthonormal_columns(as_matrix(w, "isometry"))
 
 
-def is_unitary(u: np.ndarray, tol: float | None = None, where: str = "unitary") -> bool:
-    """True iff max-entry norm of U†U - I is at most tol.
+def is_unitary(u: np.ndarray, *, where: str = "unitary") -> bool:
+    """True iff max-entry norm of U†U - I is at most UNITARITY_TOL.
 
     u is coerced and finiteness-checked once, as as_square(u, where) does,
     so a caller that keeps np.asarray(u, dtype=complex) has it validated.
     """
-    return _orthonormal_columns(as_square(u, where), tol)
+    return _orthonormal_columns(as_square(u, where))
 
 
 def unitaries_equal_up_to_phase(u: np.ndarray, v: np.ndarray) -> bool:

@@ -7,7 +7,8 @@ a single psi-independent unitary on the retained side factors its reduced
 state into psi times a fixed residual.  One qinfo.plaintext_dependence call
 decides that zero-leakage hypothesis for every input by linearity; when it
 holds, this module builds that unitary explicitly, reporting numerical
-residuals for every step.
+residuals for every step.  Thresholds: localise's Tolerances, and the fixed
+GRAM_REFUSAL and EXTRACTION_PURITY of tolerances.py.
 """
 
 from dataclasses import dataclass
@@ -18,11 +19,8 @@ import numpy as np
 from .layout import Layout, reduced_from_ket
 from .linalg import as_ket, as_matrix, eig_hermitian, haar_ket, is_isometry, kron
 from .qinfo import plaintext_dependence
-from .tolerances import DEFAULT_TOLERANCES, Tolerances
+from .tolerances import DEFAULT_TOLERANCES, EXTRACTION_PURITY, GRAM_REFUSAL, Tolerances
 
-# Refusal threshold on the conditional-branch Gram matrix: beyond this the
-# zero-leakage hypothesis is numerically untenable and no unitary is built.
-GRAM_REFUSAL = 1e-6
 _RECONSTRUCTION_SAMPLES = 20
 _RECONSTRUCTION_SEED = 0x4C0C
 
@@ -61,8 +59,8 @@ class ExtractionError(RuntimeError):
 
     def __init__(self, purity: float, outside_weight: float):
         super().__init__(
-            f"extracted state purity {purity:.6f} < 0.99 (weight outside the branch span "
-            f"{outside_weight:.3e}); extraction failed"
+            f"extracted state purity {purity:.6f} < {EXTRACTION_PURITY} (weight outside the "
+            f"branch span {outside_weight:.3e}); extraction failed"
         )
         self.purity = purity
         self.outside_weight = outside_weight
@@ -95,7 +93,7 @@ class LocalisationProblem:
                 f"input isometry shape {w.shape} != ({self.layout.dim}, {self.data_dim}) "
                 "for this layout"
             )
-        if not is_isometry(w, DEFAULT_TOLERANCES.unitarity):
+        if not is_isometry(w):
             raise ValueError("input isometry columns are not orthonormal within tolerance")
         object.__setattr__(self, "isometry", w)
 
@@ -200,20 +198,17 @@ def _factored_trace_distance(
     return float(0.5 * np.sum(np.abs(np.linalg.eigvalsh(delta))))
 
 
-def check_zero_leakage(
-    problem: LocalisationProblem, tol: float | None = None
-) -> tuple[bool, float]:
+def check_zero_leakage(problem: LocalisationProblem) -> tuple[bool, float]:
     """Is the remote reduced state independent of the input?
 
     The deviation is max eps of qinfo.plaintext_dependence on the problem's
     input isometry: 0 iff the remote state is the same for every input, and
     any two inputs' remote states are within trace distance data_dim times it.
+    It passes within the equality tolerance, as localise's default does.
     """
-    if tol is None:
-        tol = DEFAULT_TOLERANCES.equality
     eps, _ = plaintext_dependence(problem.isometry, problem.layout, [problem.remote_label])
     deviation = float(eps.max())
-    return deviation <= tol, deviation
+    return deviation <= DEFAULT_TOLERANCES.equality, deviation
 
 
 def complete_orthonormal(columns: np.ndarray) -> np.ndarray:
@@ -311,7 +306,7 @@ def extract_plaintext(result: LocalisationResult, rho_retained: np.ndarray) -> n
     outside that span is not renormalised away, so it can only lower the
     purity.  Returns the dominant eigenvector of the data factor; raises
     ExtractionError, reporting the outside weight, when its purity is below
-    0.99.
+    EXTRACTION_PURITY.
     """
     matrix = np.asarray(rho_retained, dtype=complex)
     d1, d2 = result.factor_dims
@@ -326,7 +321,7 @@ def extract_plaintext(result: LocalisationResult, rho_retained: np.ndarray) -> n
     outside_weight = float(1.0 - np.real(np.trace(data_part)) / total)
     data_part /= total
     purity = float(np.real(np.trace(data_part @ data_part)))
-    if purity < 0.99:
+    if purity < EXTRACTION_PURITY:
         raise ExtractionError(purity, outside_weight)
     _, vecs = eig_hermitian(data_part)
     return vecs[:, 0]

@@ -11,11 +11,7 @@ import numpy as np
 
 from .layout import Layout, axis_permutation, partial_trace, reduced_from_ket
 from .linalg import as_ket, as_square, dagger, kron, trace_distance
-from .tolerances import DEFAULT_TOLERANCES
-
-# Marginal eigenvalues below this are treated as numerically zero support
-# when product_deviation_from_ket projects onto marginal supports.
-_SUPPORT_CUTOFF = 1e-12
+from .tolerances import DEFAULT_TOLERANCES, NORM_TOL
 
 
 @dataclass(frozen=True)
@@ -35,7 +31,7 @@ class DensityOp:
         if herm > DEFAULT_TOLERANCES.hermiticity:
             raise ValueError(f"density operator is not Hermitian (residual {herm:.3e})")
         tr = complex(np.trace(m))
-        if abs(tr - 1.0) > 1e-10:
+        if abs(tr - 1.0) > NORM_TOL:
             raise ValueError(f"density operator has trace {tr!r}, expected 1")
         object.__setattr__(self, "matrix", m)
 
@@ -57,27 +53,23 @@ class DensityOp:
         return cls(layout.restricted(kept), reduced_from_ket(psi, layout, kept))
 
 
-def von_neumann_entropy(rho: DensityOp, rank_tol: float | None = None) -> float:
+def von_neumann_entropy(rho: DensityOp) -> float:
     """Entropy in bits; eigenvalues at or below the rank threshold are dropped."""
-    if rank_tol is None:
-        rank_tol = DEFAULT_TOLERANCES.rank
     evals = np.linalg.eigvalsh(rho.matrix)
-    evals = evals[evals > rank_tol]
+    evals = evals[evals > DEFAULT_TOLERANCES.rank]
     s = float(-np.sum(evals * np.log2(evals)))
     return min(max(s, 0.0), float(np.log2(rho.dim)))
 
 
-def support_bases(states: np.ndarray, rank_tol: float | None = None) -> list[np.ndarray]:
+def support_bases(states: np.ndarray) -> list[np.ndarray]:
     """Orthonormal bases of the supports of a stack of Hermitian matrices.
 
     states has shape (s, d, d); item i gives a (d, r_i) array whose columns
-    are the eigenvectors with eigenvalue above rank_tol, from one stacked
-    eigh.  The support projector is P_i = V_i V_i†.
+    are the eigenvectors with eigenvalue above the rank threshold, from one
+    stacked eigh.  The support projector is P_i = V_i V_i†.
     """
-    if rank_tol is None:
-        rank_tol = DEFAULT_TOLERANCES.rank
     evals, evecs = np.linalg.eigh(states)
-    return [vecs[:, kept] for vecs, kept in zip(evecs, evals > rank_tol)]
+    return [vecs[:, kept] for vecs, kept in zip(evecs, evals > DEFAULT_TOLERANCES.rank)]
 
 
 def support_overlap(va: np.ndarray, vb: np.ndarray) -> float:
@@ -85,16 +77,12 @@ def support_overlap(va: np.ndarray, vb: np.ndarray) -> float:
     return float(np.linalg.norm(dagger(va) @ vb) ** 2)
 
 
-def orthogonal_support(
-    a: DensityOp, b: DensityOp, tol: float | None = None, rank_tol: float | None = None
-) -> tuple[bool, float]:
-    """(supports orthogonal?, overlap Tr(P_a P_b)) for two same-layout states."""
+def orthogonal_support(a: DensityOp, b: DensityOp) -> tuple[bool, float]:
+    """(overlap within the equality tolerance?, overlap Tr(P_a P_b)) for two same-layout states."""
     if a.layout != b.layout:
         raise ValueError(f"layout mismatch: {a.layout.registers} vs {b.layout.registers}")
-    if tol is None:
-        tol = DEFAULT_TOLERANCES.equality
-    overlap = support_overlap(*support_bases(np.stack([a.matrix, b.matrix]), rank_tol))
-    return overlap <= tol, overlap
+    overlap = support_overlap(*support_bases(np.stack([a.matrix, b.matrix])))
+    return overlap <= DEFAULT_TOLERANCES.equality, overlap
 
 
 def product_deviation(rho: DensityOp, side_a: Iterable[str]) -> float:
@@ -150,11 +138,11 @@ def _support_of_factor(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarra
 
     For a stack of shape (s, d, k): eigenvectors as columns of (s, d, r) in
     ascending eigenvalue order, eigenvalues (s, r), and per item the number
-    of eigenvalues above the support cutoff, which are the last ones.
+    of eigenvalues above the rank threshold, which are the last ones.
     """
     q, r = np.linalg.qr(m)
     evals, evecs = np.linalg.eigh(r @ r.conj().swapaxes(-1, -2))
-    return q @ evecs, evals, np.sum(evals > _SUPPORT_CUTOFF, axis=-1)
+    return q @ evecs, evals, np.sum(evals > DEFAULT_TOLERANCES.rank, axis=-1)
 
 
 def product_deviation_from_ket(

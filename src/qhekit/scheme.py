@@ -18,10 +18,10 @@ from typing import Sequence
 import numpy as np
 
 from .layout import Layout, apply_operator, assemble_ket, axis_permutation
-from .linalg import NORM_TOL, as_ket, is_unitary, kron
+from .linalg import as_ket, is_unitary, kron
 from .localiser import LocalisationProblem
 from .qinfo import DensityOp
-from .tolerances import DEFAULT_TOLERANCES
+from .tolerances import NORM_TOL
 
 
 @dataclass(frozen=True)
@@ -47,7 +47,7 @@ class FootprintOp:
         object.__setattr__(self, "labels", tuple(str(l) for l in self.labels))
         # Coerced once here; is_unitary checks its shape and finiteness.
         m = np.asarray(self.matrix, dtype=complex)
-        if not is_unitary(m, DEFAULT_TOLERANCES.unitarity, f"operator on {self.labels}"):
+        if not is_unitary(m, where=f"operator on {self.labels}"):
             raise ValueError(f"operator on {self.labels} is not unitary within tolerance")
         object.__setattr__(self, "matrix", m)
 
@@ -62,7 +62,7 @@ class Evaluation:
 
     def __post_init__(self) -> None:
         t = np.asarray(self.target, dtype=complex)
-        if not is_unitary(t, DEFAULT_TOLERANCES.unitarity, f"target of {self.circuit_id!r}"):
+        if not is_unitary(t, where=f"target of {self.circuit_id!r}"):
             raise ValueError(f"target of {self.circuit_id!r} is not unitary within tolerance")
         object.__setattr__(self, "target", t)
 

@@ -60,6 +60,21 @@ def _require(obj: Mapping, key: str, where: str) -> Any:
     return obj[key]
 
 
+def _label(value: Any, where: str) -> str:
+    """A JSON string field: a register label, circuit id or name, never coerced."""
+    if not isinstance(value, str):
+        raise SchemeFormatError(where, f"expected a string, got {value!r}")
+    return value
+
+
+def _labels(obj: Mapping, key: str, where: str, non_empty: bool = False) -> tuple[str, ...]:
+    labels = _require(obj, key, where)
+    if not isinstance(labels, list) or (non_empty and not labels):
+        message = "expected a non-empty label list" if non_empty else "expected a list of labels"
+        raise SchemeFormatError(f"{where}.{key}", message)
+    return tuple(_label(label, f"{where}.{key}[{i}]") for i, label in enumerate(labels))
+
+
 def _integer(value: Any, name: str, where: str) -> int:
     """A JSON integer field; a float, string or boolean is refused, never truncated."""
     if isinstance(value, bool) or not isinstance(value, int):
@@ -122,7 +137,7 @@ def layout_from_json(obj: Any, where: str = "registers") -> Layout:
     for i, item in enumerate(obj):
         if not isinstance(item, list) or len(item) != 2:
             raise SchemeFormatError(f"{where}[{i}]", "expected a [label, dim] pair")
-        regs.append((str(item[0]), _integer(item[1], "dim", f"{where}[{i}]")))
+        regs.append((_label(item[0], f"{where}[{i}]"), _integer(item[1], "dim", f"{where}[{i}]")))
     with _located(where):
         return Layout(tuple(regs))
 
@@ -132,11 +147,9 @@ def _footprint_to_json(op: FootprintOp) -> dict:
 
 
 def _footprint_from_json(obj: Mapping, where: str) -> FootprintOp:
-    labels = _require(obj, "labels", where)
-    if not isinstance(labels, list) or not labels:
-        raise SchemeFormatError(f"{where}.labels", "expected a non-empty label list")
+    labels = _labels(obj, "labels", where, non_empty=True)
     with _located(where):
-        return FootprintOp(tuple(str(l) for l in labels), matrix_from_json(obj, where))
+        return FootprintOp(labels, matrix_from_json(obj, where))
 
 
 def scheme_to_json(scheme: QheScheme) -> dict:
@@ -167,13 +180,6 @@ def scheme_to_json(scheme: QheScheme) -> dict:
     }
 
 
-def _labels(obj: Mapping, key: str, where: str) -> tuple[str, ...]:
-    labels = _require(obj, key, where)
-    if not isinstance(labels, list):
-        raise SchemeFormatError(f"{where}.{key}", "expected a list of labels")
-    return tuple(str(l) for l in labels)
-
-
 def scheme_from_json(obj: Mapping, where: str = "scheme") -> QheScheme:
     layout = layout_from_json(_require(obj, "registers", where), f"{where}.registers")
     states_raw = _require(obj, "states", where)
@@ -182,13 +188,9 @@ def scheme_from_json(obj: Mapping, where: str = "scheme") -> QheScheme:
     fixed_states = []
     for i, item in enumerate(states_raw):
         here = f"{where}.states[{i}]"
-        labels_raw = _require(item, "labels", here)
-        if not isinstance(labels_raw, list) or not labels_raw:
-            raise SchemeFormatError(f"{here}.labels", "expected a non-empty label list")
+        labels = _labels(item, "labels", here, non_empty=True)
         with _located(here):
-            fixed_states.append(
-                RegisterState(tuple(str(l) for l in labels_raw), ket_from_json(item, here))
-            )
+            fixed_states.append(RegisterState(labels, ket_from_json(item, here)))
 
     evals_raw = _require(obj, "evaluations", where)
     if not isinstance(evals_raw, list) or not evals_raw:
@@ -199,7 +201,7 @@ def scheme_from_json(obj: Mapping, where: str = "scheme") -> QheScheme:
         with _located(here):
             evaluations.append(
                 Evaluation(
-                    str(_require(item, "id", here)),
+                    _label(_require(item, "id", here), f"{here}.id"),
                     _footprint_from_json(_require(item, "operator", here), f"{here}.operator"),
                     matrix_from_json(_require(item, "target", here), f"{here}.target"),
                 )
@@ -207,10 +209,10 @@ def scheme_from_json(obj: Mapping, where: str = "scheme") -> QheScheme:
 
     with _located(where):
         return QheScheme(
-            name=str(obj.get("name", "unnamed")),
+            name=_label(obj.get("name", "unnamed"), f"{where}.name"),
             layout=layout,
-            input_label=str(_require(obj, "input", where)),
-            output_label=str(_require(obj, "output", where)),
+            input_label=_label(_require(obj, "input", where), f"{where}.input"),
+            output_label=_label(_require(obj, "output", where), f"{where}.output"),
             bob_initial=_labels(obj, "bob_initial", where),
             fixed_states=tuple(fixed_states),
             encrypt_op=_footprint_from_json(_require(obj, "encrypt", where), f"{where}.encrypt"),

@@ -1,13 +1,14 @@
 """Test-only references and input constructors; no package code calls them.
 
 probe_states is the per-input route that plaintext_dependence's bounds are
-checked against; dense_problem turns a dense unitary into a problem.
+checked against; dense_problem turns a dense unitary into a problem;
+unitarity_residual is the number is_unitary compares with UNITARITY_TOL.
 """
 
 import numpy as np
 
 from qhekit.layout import Layout
-from qhekit.linalg import basis_ket, kron
+from qhekit.linalg import basis_ket, dagger, kron
 from qhekit.localiser import LocalisationProblem
 
 
@@ -29,3 +30,9 @@ def dense_problem(layout: Layout, unitary, aux, remote) -> LocalisationProblem:
     """The problem psi -> unitary (psi ⊗ aux ⊗ remote), from its dense unitary."""
     w = np.asarray(unitary, dtype=complex).reshape(layout.dim, layout.dims[0], -1)
     return LocalisationProblem(layout, w @ kron(aux, remote))
+
+
+def unitarity_residual(u) -> float:
+    """Max-entry norm of U†U - I, so a test can bound it at its own tolerance."""
+    u = np.asarray(u, dtype=complex)
+    return float(np.abs(dagger(u) @ u - np.eye(u.shape[1])).max())

@@ -56,7 +56,7 @@ def test_criterion_1_localisation_round_trip():
     leak_fail = 0
     for seed in range(50):
         problem = build_constructed_secure_problem(CONSTRUCTED_DIMS[seed % 4], seed)
-        ok, _ = check_zero_leakage(problem, 1e-9)
+        ok, _ = check_zero_leakage(problem)
         if not ok:
             leak_fail += 1
             continue

@@ -71,7 +71,7 @@ def test_tag_evaluate_message_supports_exactly_orthogonal():
     messages = [run_pipeline(scheme, cid, psi).rho_message for cid in scheme.circuit_ids]
     for i in range(len(messages)):
         for j in range(i + 1, len(messages)):
-            ok, overlap = orthogonal_support(messages[i], messages[j], 1e-12)
+            ok, overlap = orthogonal_support(messages[i], messages[j])
             assert ok and abs(overlap) <= 1e-12
 
 

@@ -153,6 +153,9 @@ def test_theorem1_qotp_inapplicable_with_product_deviation():
     assert report.reason == REASON_MESSAGE_CORRELATED
     deviations = [metric for case, metric in report.cases if case.startswith("product-form/")]
     assert deviations and max(deviations) > 0.5  # the message is key-correlated
+    # The product-form deviations decided the verdict, so their threshold is named.
+    tol = DEFAULT_TOLERANCES.equality
+    assert report.tolerances == {"product-form": tol, "support-overlap": tol}
 
 
 def test_theorem1_gated_by_security():
@@ -169,7 +172,8 @@ def test_theorem1_reports_failed_security_as_its_own_row():
     assert report.cases == (("precondition/security", security.worst_metric),)
     assert security.worst_metric > 1.0
     assert report.worst_metric == 0.0
-    assert report.tolerances == {"support-overlap": DEFAULT_TOLERANCES.equality}
+    tol = DEFAULT_TOLERANCES.equality
+    assert report.tolerances == {"product-form": tol, "support-overlap": tol}
 
 
 def test_theorem1_reports_failed_completeness_as_its_own_row():
@@ -728,7 +732,7 @@ def _per_circuit_theorem1(scheme, psi_in, security, completeness, tol):
             if unitaries_equal_up_to_phase(a.target, b.target):
                 continue
             _, overlap = orthogonal_support(
-                traces[a.circuit_id].rho_message, traces[b.circuit_id].rho_message, tol
+                traces[a.circuit_id].rho_message, traces[b.circuit_id].rho_message
             )
             cases.append((f"overlap/{a.circuit_id}|{b.circuit_id}", overlap))
             worst = max(worst, overlap)

@@ -302,12 +302,35 @@ def test_bad_tolerance_rejected(capsys):
     assert "positive" in capsys.readouterr().err
 
 
-def test_tolerance_override_changes_verdict():
-    # With an absurdly loose tolerance even the identity scheme "passes".
-    assert run_cli(
-        "check", "--builder", "identity", "--params", "n=1",
-        "--which", "security", "--tol", "security=2.0",
-    ) == 0
+def _swapped_targets_file(tmp_path):
+    """A QOTP n=1 export whose evaluations 0 and 1 have swapped targets: incomplete."""
+    obj = scheme_to_json(build_qotp_scheme(1))
+    first, second = obj["evaluations"][:2]
+    first["target"], second["target"] = second["target"], first["target"]
+    path = tmp_path / "swapped.json"
+    path.write_text(json.dumps(obj))
+    return ("--scheme", str(path))
+
+
+@pytest.mark.parametrize(
+    "name, source, loose, exits",
+    [
+        # With an absurdly loose tolerance even the identity scheme "passes".
+        pytest.param(
+            "security", ("--builder", "identity", "--params", "n=1"), "2.0", (2, 0), id="security"
+        ),
+        # Swapped targets give certificates below 2.
+        pytest.param("completeness", None, "2.0", (2, 0), id="completeness"),
+        # QOTP's message is key-correlated, so stage 1 makes theorem 1
+        # inapplicable; at 1.0 stage 1 passes and the overlaps fail stage 2.
+        pytest.param(
+            "theorem1", ("--builder", "qotp", "--params", "n=1"), "1.0", (3, 2), id="theorem1"
+        ),
+    ],
+)
+def test_tolerance_override_changes_verdict(tmp_path, name, source, loose, exits):
+    argv = ("check", *(source or _swapped_targets_file(tmp_path)), "--which", name)
+    assert (run_cli(*argv), run_cli(*argv, "--tol", f"{name}={loose}")) == exits
 
 
 def test_localise_text_output_skips_unitary_completion(tmp_path, monkeypatch, capsys):
@@ -564,9 +587,36 @@ def test_parser_is_built_once_and_reused(monkeypatch, capsys):
     assert builds.count("qhekit") == 1
 
 
+# One non-string value per label field of a scheme file, and the register
+# labels of a problem file: each is refused at its own field, never coerced.
+_NON_STRING_LABELS = [
+    pytest.param(("registers", 0, 0), 5, "scheme.registers[0]", id="register-label-number"),
+    pytest.param(("input",), ["input"], "scheme.input", id="input-list"),
+    pytest.param(("output",), None, "scheme.output", id="output-null"),
+    pytest.param(("bob_initial",), [["key"]], "scheme.bob_initial[0]", id="bob-initial-entry-list"),
+    pytest.param(("send_to_bob", 0), 1, "scheme.send_to_bob[0]", id="send-to-bob-entry-number"),
+    pytest.param(
+        ("return_to_alice", 0), None, "scheme.return_to_alice[0]", id="return-to-alice-entry-null"
+    ),
+    pytest.param(
+        ("states", 0, "labels", 1), 4, "scheme.states[0].labels[1]", id="state-label-number"
+    ),
+    pytest.param(
+        ("evaluations", 2, "operator", "labels", 0),
+        True,
+        "scheme.evaluations[2].operator.labels[0]",
+        id="operator-label-bool",
+    ),
+    pytest.param(("evaluations", 0, "id"), 7, "scheme.evaluations[0].id", id="evaluation-id-number"),
+    pytest.param(("name",), ["x"], "scheme.name", id="name-list"),
+    pytest.param(("registers", 1, 0), None, "problem.registers[1]", id="problem-register-label-null"),
+]
+
+
 @pytest.mark.parametrize(
     "path, value, location",
     [
+        *_NON_STRING_LABELS,
         pytest.param(("registers", 0, 1), None, "scheme.registers[0]", id="register-dim-null"),
         pytest.param(("encrypt", "rows"), None, "scheme.encrypt", id="matrix-rows-null"),
         pytest.param(("states", 0, "dim"), [4], "scheme.states[0]", id="state-dim-list"),
@@ -594,8 +644,10 @@ def test_malformed_files_exit_one_with_one_located_line(tmp_path, capsys, path, 
     assert err.startswith(f"error: {location}: ") and err.count("\n") == 1
     if location.endswith(("send_to_bob", "return_to_alice", "bob_initial")):
         assert err == f"error: {location}: expected a list of labels\n"
-    if path == ("input",):
+    if path == ("input",) and value == "nowhere":
         assert err == "error: scheme: input register 'nowhere' not in layout\n"
+    if any(case.values == (path, value, location) for case in _NON_STRING_LABELS):
+        assert err.startswith(f"error: {location}: expected a string, got ")
 
 
 def test_scheme_file_with_role_tags_is_refused(tmp_path, capsys):

@@ -12,6 +12,7 @@ from qhekit.linalg import (
     trace_distance,
     unitaries_equal_up_to_phase,
 )
+from qhekit_reference import unitarity_residual
 
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -81,18 +82,29 @@ def test_eig_hermitian_deterministic_on_degenerate_spectrum():
 
 
 def test_is_unitary_hadamard():
-    assert is_unitary(HADAMARD, 1e-12)
+    assert is_unitary(HADAMARD)
+    assert unitarity_residual(HADAMARD) <= 1e-12
 
 
 def test_is_unitary_rejects_scaling():
-    assert not is_unitary(np.diag([1.0, 2.0]).astype(complex), 1e-6)
+    scaled = np.diag([1.0, 2.0]).astype(complex)
+    assert not is_unitary(scaled)
+    assert unitarity_residual(scaled) > 1e-6
+
+
+def test_is_unitary_where_is_keyword_only():
+    # A tolerance passed where one used to go must not be taken as `where`.
+    with pytest.raises(TypeError):
+        is_unitary(HADAMARD, 1e-12)
+    with pytest.raises(ValueError, match="^gate: expected a square matrix"):
+        is_unitary(np.ones((2, 3)), where="gate")
 
 
 def test_unitary_product_closure():
     u = np.eye(2, dtype=complex)
     for seed in range(50):
         u = u @ random_unitary(2, seed)
-    assert is_unitary(u, 1e-9)
+    assert unitarity_residual(u) <= 1e-9
 
 
 def test_random_unitary_dim_one_is_phase():

@@ -1,3 +1,5 @@
+import ast
+import dataclasses
 import functools
 import importlib
 import importlib.util
@@ -28,3 +30,24 @@ def test_every_traced_name_resolves(module, attr):
 def test_every_exported_name_resolves():
     missing = [name for name in qhekit.__all__ if not hasattr(qhekit, name)]
     assert missing == []
+
+
+def test_tolerances_holds_only_the_overridable_thresholds():
+    assert [f.name for f in dataclasses.fields(qhekit.Tolerances)] == [
+        "hermiticity",
+        "rank",
+        "equality",
+    ]
+
+
+def test_threshold_values_are_written_only_in_tolerances():
+    # Halves, units and doubles are arithmetic; any other float literal is a threshold.
+    found = []
+    for path in sorted(Path(qhekit.__file__).parent.glob("*.py")):
+        if path.name == "tolerances.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Constant) and type(node.value) is float:
+                if node.value not in (0.0, 0.5, 1.0, 2.0):
+                    found.append((path.name, node.lineno, node.value))
+    assert found == []

@@ -147,13 +147,13 @@ def test_support_projector_fixes_state(seed):
 def test_orthogonal_support_basis_states():
     a = DensityOp.from_ket(QUBIT, basis_ket(2, 0))
     b = DensityOp.from_ket(QUBIT, basis_ket(2, 1))
-    ok, overlap = orthogonal_support(a, b, 1e-10)
+    ok, overlap = orthogonal_support(a, b)
     assert ok and abs(overlap) < 1e-12
 
 
 def test_orthogonal_support_self_full_rank():
     rho = qubit_state(np.eye(2) / 2)
-    ok, overlap = orthogonal_support(rho, rho, 1e-10)
+    ok, overlap = orthogonal_support(rho, rho)
     assert not ok
     assert abs(overlap - 2.0) < 1e-9
 
@@ -161,7 +161,7 @@ def test_orthogonal_support_self_full_rank():
 def test_orthogonal_support_overlapping_pure_states():
     a = DensityOp.from_ket(QUBIT, basis_ket(2, 0))
     b = DensityOp.from_ket(QUBIT, PLUS)
-    ok, overlap = orthogonal_support(a, b, 1e-10)
+    ok, overlap = orthogonal_support(a, b)
     assert not ok
     assert abs(overlap - 0.5) < 1e-9
 
