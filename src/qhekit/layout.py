@@ -7,15 +7,31 @@ axis per register with no reordering.
 """
 
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .linalg import _phase_fix_columns, as_ket, as_square, kron
+from .linalg import _as_square_stack, _phase_fix_columns, as_ket, as_square, kron
 from .tolerances import DEFAULT_TOLERANCES
 
 MAX_TOTAL_DIM = 2**14
+
+
+def register_label(label) -> str:
+    """label itself if it is a string; never coerced, so 7 cannot become '7'."""
+    if not isinstance(label, str):
+        raise TypeError(f"register label {label!r} is not a string")
+    return label
+
+
+def _register_dim(label: str, dim) -> int:
+    """dim as an int if it is an integer (numpy integers too); 2.9 or '3' is refused."""
+    try:
+        return operator.index(dim)
+    except TypeError:
+        raise TypeError(f"register {label!r} has dimension {dim!r}, not an integer") from None
 
 
 @dataclass(frozen=True)
@@ -29,7 +45,7 @@ class Layout:
     _positions: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        regs = tuple((str(label), int(dim)) for label, dim in self.registers)
+        regs = tuple((register_label(l), _register_dim(l, dim)) for l, dim in self.registers)
         object.__setattr__(self, "registers", regs)
         if not regs:
             raise ValueError("layout needs at least one register")
@@ -131,14 +147,17 @@ def apply_operator(
     """Apply an operator living on the given registers to a full-space ket.
 
     psi is one ket of shape (dim,) or a batch of kets as the columns of a
-    (dim, m) array; the result has the same shape.
+    (dim, m) array; the result has the same shape.  op is one (block, block)
+    matrix, or a stack of n of them, shape (n, block, block), whose n
+    results come back on a circuit axis after the first: (dim, n) or
+    (dim, n, m).
     """
-    op = as_square(op, f"operator on {tuple(labels)}")
+    op = _as_square_stack(op, f"operator on {tuple(labels)}")
     pos = [layout.position(label) for label in labels]
     if len(set(pos)) != len(pos):
         raise ValueError(f"repeated labels in footprint {tuple(labels)}")
     block = math.prod(layout.dims[p] for p in pos)
-    if op.shape != (block, block):
+    if op.shape[-2:] != (block, block):
         raise ValueError(f"operator shape {op.shape} does not match footprint dimension {block}")
     psi = np.asarray(psi, dtype=complex)
     n = len(layout.dims)
@@ -146,8 +165,12 @@ def apply_operator(
     # the batch axis, if any, stays last.
     order = pos + [p for p in range(n) if p not in pos] + list(range(n, n + psi.ndim - 1))
     grouped = psi.reshape(layout.dims + psi.shape[1:]).transpose(order)
-    out = (op @ grouped.reshape(block, -1)).reshape(grouped.shape)
-    return out.transpose(np.argsort(order)).reshape(psi.shape)
+    stack = op.shape[:-2]
+    out = (op @ grouped.reshape(block, -1)).reshape(stack + grouped.shape)
+    # Registers back in layout order; a stack's axis goes after them, before the batch axis.
+    back = [len(stack) + axis for axis in np.argsort(order)]
+    back[n:n] = range(len(stack))
+    return out.transpose(back).reshape(psi.shape[:1] + stack + psi.shape[1:])
 
 
 def embed_operator(op: np.ndarray, layout: Layout, labels: Sequence[str]) -> np.ndarray:

@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .layout import Layout, apply_operator, assemble_ket, axis_permutation
+from .layout import Layout, apply_operator, assemble_ket, axis_permutation, register_label
 from .linalg import as_ket, is_unitary, kron
 from .localiser import LocalisationProblem
 from .qinfo import DensityOp
@@ -32,7 +32,7 @@ class RegisterState:
     ket: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "labels", tuple(str(l) for l in self.labels))
+        object.__setattr__(self, "labels", tuple(register_label(l) for l in self.labels))
         object.__setattr__(self, "ket", as_ket(self.ket, f"state on {self.labels}"))
 
 
@@ -44,7 +44,7 @@ class FootprintOp:
     matrix: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "labels", tuple(str(l) for l in self.labels))
+        object.__setattr__(self, "labels", tuple(register_label(l) for l in self.labels))
         # Coerced once here; is_unitary checks its shape and finiteness.
         m = np.asarray(self.matrix, dtype=complex)
         if not is_unitary(m, where=f"operator on {self.labels}"):
@@ -254,13 +254,14 @@ def encrypt_and_evaluate(
     plaintexts = scheme.plaintext(plaintexts)
     evaluations = [scheme.evaluation(c) for c in circuit_ids]
     ket_t1 = scheme.encryption_isometry @ plaintexts
-    ket_t2 = np.stack(
-        [
-            apply_operator(ket_t1, scheme.layout, ev.operator.matrix, ev.operator.labels)
-            for ev in evaluations
-        ],
-        axis=1,
-    )
+    # One apply_operator call per footprint, on the stack of its circuits.
+    groups: dict[tuple[str, ...], list[int]] = {}
+    for i, ev in enumerate(evaluations):
+        groups.setdefault(ev.operator.labels, []).append(i)
+    ket_t2 = np.empty(ket_t1.shape[:1] + (len(evaluations),) + ket_t1.shape[1:], dtype=complex)
+    for labels, members in groups.items():
+        stack = np.stack([evaluations[i].operator.matrix for i in members])
+        ket_t2[:, members] = apply_operator(ket_t1, scheme.layout, stack, labels)
     return ket_t1, ket_t2
 
 

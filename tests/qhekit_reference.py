@@ -2,14 +2,22 @@
 
 probe_states is the per-input route that plaintext_dependence's bounds are
 checked against; dense_problem turns a dense unitary into a problem;
-unitarity_residual is the number is_unitary compares with UNITARITY_TOL.
+unitarity_residual is the number is_unitary compares with UNITARITY_TOL;
+per_sample_reconstruction_residual is localise's residual taken input by
+input on the retained space.
 """
 
 import numpy as np
 
 from qhekit.layout import Layout
-from qhekit.linalg import basis_ket, dagger, kron
-from qhekit.localiser import LocalisationProblem
+from qhekit.linalg import basis_ket, dagger, haar_ket, kron
+from qhekit.localiser import (
+    _RECONSTRUCTION_SAMPLES,
+    _RECONSTRUCTION_SEED,
+    LocalisationProblem,
+    LocalisationResult,
+    _factored_trace_distance,
+)
 
 
 def probe_states(d: int) -> list[np.ndarray]:
@@ -36,3 +44,28 @@ def unitarity_residual(u) -> float:
     """Max-entry norm of U†U - I, so a test can bound it at its own tolerance."""
     u = np.asarray(u, dtype=complex)
     return float(np.abs(dagger(u) @ u - np.eye(u.shape[1])).max())
+
+
+def per_sample_reconstruction_residual(
+    problem: LocalisationProblem, result: LocalisationResult
+) -> float:
+    """The reconstruction residual on localise's seeded inputs, one by one.
+
+    For each input the simulated factor is the problem's output ket and the
+    predicted one the branches times kron(psi, I_rank), both with
+    d_retained rows, compared by their own QR.
+    """
+    d1, d2, db = problem.layout.dims
+    d_retained = d1 * d2
+    rng = np.random.default_rng([_RECONSTRUCTION_SEED])
+    worst = 0.0
+    for _ in range(_RECONSTRUCTION_SAMPLES):
+        psi = haar_ket(rng, d1)
+        # Both states have rank <= remote_dim; compare them in factored form.
+        simulated = problem.output_ket(psi).reshape(d_retained, db)
+        columns = result.branches @ kron(psi.reshape(-1, 1), np.eye(result.rank))
+        worst = max(
+            worst,
+            _factored_trace_distance(simulated, np.ones(db), columns, result.residual_weights),
+        )
+    return float(worst)

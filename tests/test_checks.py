@@ -885,6 +885,15 @@ def test_run_checks_runs_each_check_at_most_once(monkeypatch, which, runs):
     assert calls == runs
 
 
+def test_run_checks_on_qotp2_makes_four_operator_applications(monkeypatch):
+    scheme = build_qotp_scheme(2)
+    calls = _count_calls(monkeypatch, ("apply_operator",))
+    run_checks(scheme)
+    # The encryption isometry once; completeness evaluates every circuit in
+    # one stacked call and decrypts once; theorem 1 evaluates once more.
+    assert calls["apply_operator"] == 4
+
+
 def test_run_checks_tolerance_reaches_only_its_check():
     scheme = build_identity_scheme(1)
     default = run_checks(scheme)

@@ -29,6 +29,26 @@ def test_layout_rejects_duplicate_labels():
         Layout((("a", 2), ("a", 2)))
 
 
+@pytest.mark.parametrize(
+    "registers, message",
+    [
+        (((7, 2), ("b", 3)), "register label 7 is not a string"),
+        ((("a", 2.9), ("b", 3)), "register 'a' has dimension 2.9, not an integer"),
+        ((("a", 2), ("b", "3")), "register 'b' has dimension '3', not an integer"),
+    ],
+    ids=["int-label", "float-dim", "string-dim"],
+)
+def test_layout_refuses_non_string_labels_and_non_integer_dims(registers, message):
+    with pytest.raises(TypeError, match=message):
+        Layout(registers)
+
+
+def test_layout_reads_numpy_integer_dims_as_int():
+    layout = Layout((("a", np.int64(2)), ("b", np.uint8(3))))
+    assert layout.registers == (("a", 2), ("b", 3))
+    assert all(type(dim) is int for dim in layout.dims)
+
+
 def test_layout_rejects_dimension_one():
     with pytest.raises(ValueError, match="dimension 1"):
         Layout((("a", 1),))
@@ -243,6 +263,17 @@ def test_apply_operator_batch_matches_columns():
         np.testing.assert_allclose(
             batched[:, k], apply_operator(kets[:, k], layout, op, ("c", "b")), rtol=0, atol=1e-14
         )
+
+
+@pytest.mark.parametrize("batch", [None, 3])
+def test_apply_operator_stack_matches_one_call_per_operator(batch):
+    layout = Layout((("a", 2), ("b", 3), ("c", 2)))
+    ops = np.stack([random_unitary(6, seed) for seed in range(4)])
+    kets = random_kets(12, range(30, 33)) if batch else random_ket(12, 30)
+    stacked = apply_operator(kets, layout, ops, ("c", "b"))
+    assert stacked.shape == (12, 4) + kets.shape[1:]
+    for k, op in enumerate(ops):
+        assert np.array_equal(stacked[:, k], apply_operator(kets, layout, op, ("c", "b")))
 
 
 def test_reduced_from_ket_batch_matches_columns():

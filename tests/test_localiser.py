@@ -6,7 +6,13 @@ import pytest
 import qhekit.checks
 import qhekit.localiser
 import qhekit.qinfo
-from qhekit.catalog import build_constructed_secure_problem, build_leaky_problem, build_qotp_scheme
+from qhekit.catalog import (
+    build_constructed_secure_problem,
+    build_leaky_problem,
+    build_qotp_scheme,
+    build_scheme,
+    catalog,
+)
 from qhekit.checks import check_security
 from qhekit.layout import Layout, axis_permutation
 from qhekit.linalg import (
@@ -29,7 +35,12 @@ from qhekit.localiser import (
 from qhekit.qinfo import DensityOp, von_neumann_entropy
 from qhekit.scheme import localisation_problem_at_t1
 from qhekit.tolerances import DEFAULT_TOLERANCES
-from qhekit_reference import dense_problem, probe_states, unitarity_residual
+from qhekit_reference import (
+    dense_problem,
+    per_sample_reconstruction_residual,
+    probe_states,
+    unitarity_residual,
+)
 
 
 def trivial_problem(dims=(2, 2, 2), unitary=None):
@@ -151,6 +162,70 @@ def test_localise_constructed_secure(dims):
     psi = random_ket(dims[0], 17)
     recovered = extract_plaintext(result, problem.retained_reduced(psi))
     assert fidelity_pure(psi, recovered) >= 1 - 1e-8
+
+
+_CORE_DIMS = [(2, 2, 2), (2, 4, 2), (3, 2, 4), (2, 2, 8), (2, 64, 2)]
+_TAG_EVALUATE = next(e for e in catalog() if e.builder == "tag-evaluate")
+
+
+def _bridge(name):
+    if name == "tag-evaluate":
+        return localisation_problem_at_t1(build_scheme("tag-evaluate", **_TAG_EVALUATE.params))
+    return localisation_problem_at_t1(build_qotp_scheme(int(name[-1])))
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        pytest.param(lambda d=d, s=s: build_constructed_secure_problem(d, s), id=f"{d}-seed{s}")
+        for d in _CORE_DIMS
+        for s in range(4)
+    ]
+    + [
+        pytest.param(lambda n=n: _bridge(n), id=f"t1-{n}")
+        for n in ("qotp1", "qotp2", "tag-evaluate")
+    ],
+)
+def test_reconstruction_residual_matches_per_sample_reference(make):
+    problem = make()
+    result = localise(problem)
+    reference = per_sample_reconstruction_residual(problem, result)
+    assert abs(result.reconstruction_residual - reference) <= 1e-12
+
+
+def test_reconstruction_core_sees_a_wrong_prediction():
+    problem = build_constructed_secure_problem((2, 4, 2), seed=1)
+    result = localise(problem)
+    # Turn branch 0 towards a direction outside every branch, so the
+    # branches stay orthonormal but predict the wrong retained state.
+    outside = complete_orthonormal(result.branches)[:, -1]
+    rotated = result.branches.copy()
+    rotated[:, 0] = np.cos(0.3) * rotated[:, 0] + np.sin(0.3) * outside
+    core = qhekit.localiser._reconstruction_residual(problem, rotated, result.residual_weights)
+    reference = per_sample_reconstruction_residual(
+        problem, dataclasses.replace(result, branches=rotated)
+    )
+    assert abs(core - reference) <= 1e-12
+    assert core > 1e-3 and reference > 1e-3
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: build_constructed_secure_problem((3, 2, 4), 0), lambda: _bridge("qotp2")],
+    ids=["constructed", "t1-qotp2"],
+)
+def test_localise_never_evaluates_the_problem_per_input(monkeypatch, make):
+    problem = make()
+    calls = {"output_ket": 0}
+    original = LocalisationProblem.output_ket
+
+    def counting(self, psi):
+        calls["output_ket"] += 1
+        return original(self, psi)
+
+    monkeypatch.setattr(LocalisationProblem, "output_ket", counting)
+    localise(problem)
+    assert calls == {"output_ket": 0}
 
 
 def test_localise_residual_matches_remote_spectrum():

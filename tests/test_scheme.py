@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -35,6 +36,7 @@ from qhekit.scheme import (
     FootprintOp,
     QheScheme,
     RegisterState,
+    encrypt_and_evaluate,
     evolve,
     localisation_problem_at_t1,
     run_pipeline,
@@ -111,6 +113,32 @@ def test_footprint_violation_rejected():
 def test_scheme_requires_unit_fixed_states():
     with pytest.raises(ValueError, match="norm"):
         RegisterState(("k",), np.array([1.0, 1.0]))
+
+
+@pytest.mark.parametrize("label", [7, ["input"], None, b"input"])
+def test_register_state_and_footprint_refuse_non_string_labels(label):
+    for build in (
+        lambda: RegisterState((label,), basis_ket(2, 0)),
+        lambda: FootprintOp((label,), np.eye(2)),
+    ):
+        with pytest.raises(TypeError, match=re.escape(f"register label {label!r} is not")):
+            build()
+
+
+def test_evaluations_on_two_footprints_keep_their_circuit_order():
+    base = build_tag_evaluate_scheme(1, ("I", "X", "Z"))
+    # Interleave circuits on ("input",) with the tag circuits on ("tag",).
+    extra = tuple(
+        Evaluation(f"U{k}", FootprintOp(("input",), random_unitary(2, k)), np.eye(2))
+        for k in range(2)
+    )
+    ev = base.evaluations
+    scheme = dataclasses.replace(base, evaluations=(extra[0], ev[0], ev[1], extra[1], ev[2]))
+    plaintexts = np.eye(2, dtype=complex)
+    ket_t1, ket_t2 = encrypt_and_evaluate(scheme, scheme.circuit_ids, plaintexts)
+    for k, e in enumerate(scheme.evaluations):
+        expected = apply_operator(ket_t1, scheme.layout, e.operator.matrix, e.operator.labels)
+        assert np.array_equal(ket_t2[:, k], expected)
 
 
 _NAN = np.array([[np.nan, 0.0], [0.0, 1.0]])
