@@ -6,6 +6,7 @@ verdicts it is expected to produce, so it doubles as an end-to-end test
 fixture for the whole toolkit.
 """
 
+import operator
 from dataclasses import dataclass
 from itertools import product
 from typing import Any, Mapping, Sequence
@@ -168,7 +169,7 @@ def build_tag_evaluate_scheme(n: int, circuit_set: Sequence[Any]) -> QheScheme:
             circuits.append((entry, pauli_word_matrix(entry)))
         else:
             cid, matrix = entry
-            circuits.append((str(cid), np.asarray(matrix, dtype=complex)))
+            circuits.append((cid, np.asarray(matrix, dtype=complex)))
     for cid, matrix in circuits:
         if matrix.shape != (d, d):
             raise ValueError(f"circuit {cid!r} has shape {matrix.shape}, expected {(d, d)}")
@@ -202,8 +203,14 @@ def build_tag_evaluate_scheme(n: int, circuit_set: Sequence[Any]) -> QheScheme:
 
 
 def _problem_dims(dims: Sequence[int]) -> tuple[int, int, int]:
-    """dims as integers, each at least 2 and within the 2^12 guard, checked before any draw."""
-    d1, d2, db = (int(x) for x in dims)
+    """dims as integers, each at least 2 and within the 2^12 guard, checked before any draw.
+
+    A non-integer such as 2.9 is refused, as Layout refuses it, not truncated.
+    """
+    try:
+        d1, d2, db = map(operator.index, dims)
+    except TypeError:
+        raise TypeError(f"dims must be integers, got {', '.join(map(repr, dims))}") from None
     if min(d1, d2, db) < 2:
         raise ValueError(f"dims must each be at least 2, got {d1},{d2},{db}")
     if d1 * d2 * db > 2**12:
@@ -218,17 +225,17 @@ def build_constructed_secure_problem(
 
     The unitary first scrambles (aux, remote) by a seeded Haar unitary, then
     scrambles the whole retained side, so the remote reduced state can only
-    depend on the fixed aux/remote kets.
+    depend on the fixed aux/remote kets.  The draws are contracted straight
+    into the input isometry; the dense unitary is never formed.
     """
     d1, d2, db = _problem_dims(dims)
     rng = np.random.default_rng([_CONSTRUCTED_STREAM, seed])
     retained = haar_unitary(rng, d1 * d2)
     mixer = haar_unitary(rng, d2 * db)
-    aux = haar_ket(rng, d2)
-    remote = haar_ket(rng, db)
-    unitary = kron(retained, np.eye(db)) @ kron(np.eye(d1), mixer)
+    aux, remote = haar_ket(rng, d2), haar_ket(rng, db)
+    w = retained.reshape(-1, d1, d2) @ (mixer @ kron(aux, remote)).reshape(d2, db)
     layout = Layout((("A1", d1), ("A2", d2), ("B", db)))
-    return LocalisationProblem(layout, unitary.reshape(-1, d1, d2 * db) @ kron(aux, remote))
+    return LocalisationProblem(layout, w.transpose(0, 2, 1).reshape(-1, d1))
 
 
 def build_leaky_problem(dims: tuple[int, int, int], seed: int) -> LocalisationProblem:
@@ -237,7 +244,8 @@ def build_leaky_problem(dims: tuple[int, int, int], seed: int) -> LocalisationPr
     The data register is exchanged with an equal-dimension slice of the
     remote register, then seeded Haar unitaries scramble each side; local
     scrambling cannot undo the handover, so orthogonal inputs stay perfectly
-    distinguishable remotely.
+    distinguishable remotely.  The draws are contracted straight into the
+    input isometry; the dense unitary is never formed.
     """
     d1, d2, db = _problem_dims(dims)
     if db % d1 != 0:
@@ -245,13 +253,12 @@ def build_leaky_problem(dims: tuple[int, int, int], seed: int) -> LocalisationPr
     rng = np.random.default_rng([_LEAKY_STREAM, seed])
     scramble_retained = haar_unitary(rng, d1 * d2)
     scramble_remote = haar_unitary(rng, db)
-    aux = haar_ket(rng, d2)
-    remote = haar_ket(rng, db)
+    aux, remote = haar_ket(rng, d2), haar_ket(rng, db)
     rest = db // d1
-    swap = axis_permutation((d1, d2, d1, rest), (2, 1, 0, 3))
-    unitary = kron(scramble_retained, scramble_remote)[:, swap]
+    kept = (scramble_retained.reshape(-1, d1, d2) @ aux) @ remote.reshape(d1, rest)
+    w = np.einsum("xk,yjk->xyj", kept, scramble_remote.reshape(db, d1, rest))
     layout = Layout((("A1", d1), ("A2", d2), ("B", db)))
-    return LocalisationProblem(layout, unitary.reshape(-1, d1, d2 * db) @ kron(aux, remote))
+    return LocalisationProblem(layout, w.reshape(-1, d1))
 
 
 def build_controlled_flip_gate(n: int = 1) -> tuple[np.ndarray, Layout]:

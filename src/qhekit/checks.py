@@ -7,8 +7,10 @@ always carries a reason code.
 """
 
 import math
+import operator
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from itertools import combinations
+from typing import Any, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -65,6 +67,12 @@ def _verdict(
     worst = max((metric for _, metric in cases), default=0.0)
     verdict = PASS if worst <= tol else FAIL
     return Report(kind, verdict, worst, (*context, *cases), dict.fromkeys(tol_names, tol))
+
+
+def _distinct_pairs(items: Iterable[tuple[Any, np.ndarray]]) -> list[tuple[Any, Any]]:
+    """Keys (a, b), a listed before b, of (key, operator) items that differ beyond a phase."""
+    pairs = combinations(items, 2)
+    return [(a, b) for (a, u), (b, v) in pairs if not unitaries_equal_up_to_phase(u, v)]
 
 
 def check_security(scheme: QheScheme, tol: float | None = None) -> Report:
@@ -162,13 +170,11 @@ def check_theorem1(
 
     # A failed precondition's own metric is a case row; no theorem 1
     # quantity was measured, so worst_metric is 0.0.
-    security = security_report if security_report is not None else check_security(scheme)
+    security = security_report or check_security(scheme)
     if security.verdict != PASS:
         row = ("precondition/security", security.worst_metric)
         return inapplicable(0.0, (row,), REASON_SECURITY_FAILED)
-    completeness = (
-        completeness_report if completeness_report is not None else check_completeness(scheme)
-    )
+    completeness = completeness_report or check_completeness(scheme)
     if completeness.verdict != PASS:
         row = ("precondition/completeness", completeness.worst_metric)
         return inapplicable(0.0, (row,), REASON_COMPLETENESS_FAILED)
@@ -190,15 +196,10 @@ def check_theorem1(
         return inapplicable(product_worst, products, REASON_MESSAGE_CORRELATED)
 
     bases = support_bases(reduced_from_ket(kets, scheme.layout, scheme.return_to_alice))
-    overlaps = []
-    evaluations = scheme.evaluations
-    for i in range(len(evaluations)):
-        for j in range(i + 1, len(evaluations)):
-            a, b = evaluations[i], evaluations[j]
-            if unitaries_equal_up_to_phase(a.target, b.target):
-                continue
-            overlap = support_overlap(bases[i], bases[j])
-            overlaps.append((f"overlap/{a.circuit_id}|{b.circuit_id}", overlap))
+    overlaps = [
+        (f"overlap/{circuit_ids[i]}|{circuit_ids[j]}", support_overlap(bases[i], bases[j]))
+        for i, j in _distinct_pairs(enumerate(ev.target for ev in scheme.evaluations))
+    ]
     return _verdict("theorem1", overlaps, tol, tol_names, context=products)
 
 
@@ -276,27 +277,20 @@ def check_no_programming(
     kets = [as_ket(p, f"program {i}") for i, p in enumerate(programs)]
     for i, program in enumerate(kets):
         if program.size != d_prog:
-            raise ValueError(
-                f"program {i} has dimension {program.size}, register has {d_prog}"
-            )
+            raise ValueError(f"program {i} has dimension {program.size}, register has {d_prog}")
         x = np.einsum("poqj,q->poj", blocks, program)
         u, _, _ = np.linalg.svd(x[:, :, 0])
         w = np.einsum("p,poj->oj", u[:, 0].conj(), x)
         leak = float(1.0 - np.linalg.svd(w, compute_uv=False)[-1] ** 2)
-        if leak > tol:
-            cases.append((f"program-{i}/non-deterministic", leak))
-            continue
-        cases.append((f"program-{i}/determinism", leak))
-        extracted[i] = w
+        kind = "determinism" if leak <= tol else "non-deterministic"
+        cases.append((f"program-{i}/{kind}", leak))
+        if leak <= tol:
+            extracted[i] = w
 
-    overlaps = []
-    ids = sorted(extracted)
-    for a_pos, i in enumerate(ids):
-        for j in ids[a_pos + 1 :]:
-            if unitaries_equal_up_to_phase(extracted[i], extracted[j]):
-                continue
-            overlap = float(abs(np.vdot(kets[i], kets[j])))
-            overlaps.append((f"overlap/program-{i}|program-{j}", overlap))
+    overlaps = [
+        (f"overlap/program-{i}|program-{j}", float(abs(np.vdot(kets[i], kets[j]))))
+        for i, j in _distinct_pairs(extracted.items())
+    ]
     return _verdict("no-programming", overlaps, tol, ("support-overlap",), context=cases)
 
 
@@ -321,15 +315,20 @@ class DimensionAudit:
 
 
 def qubits_for_set(set_size: int) -> int:
-    """Exact ceil(log2(set_size)) via big-integer bit structure."""
+    """Exact ceil(log2(set_size)) via big-integer bit structure; 2.5 is refused, not truncated."""
+    try:
+        set_size = operator.index(set_size)
+    except TypeError:
+        raise TypeError(f"set size {set_size!r} is not an integer") from None
     if set_size < 1:
         raise ValueError(f"set size must be >= 1, got {set_size}")
-    return int(set_size - 1).bit_length()
+    return (set_size - 1).bit_length()
 
 
 def audit_dimension(set_size: int) -> DimensionAudit:
     """Minimum qubits able to carry one orthogonal message state per circuit."""
-    return DimensionAudit(verdict=PASS, set_size=int(set_size), qubits_required=qubits_for_set(set_size))
+    qubits = qubits_for_set(set_size)  # refuses a non-integer set_size
+    return DimensionAudit(verdict=PASS, set_size=operator.index(set_size), qubits_required=qubits)
 
 
 def audit_reversible_classical(n: int) -> DimensionAudit:

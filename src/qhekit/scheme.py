@@ -61,6 +61,8 @@ class Evaluation:
     target: np.ndarray
 
     def __post_init__(self) -> None:
+        if not isinstance(self.circuit_id, str):
+            raise TypeError(f"circuit id {self.circuit_id!r} is not a string")
         t = np.asarray(self.target, dtype=complex)
         if not is_unitary(t, where=f"target of {self.circuit_id!r}"):
             raise ValueError(f"target of {self.circuit_id!r} is not unitary within tolerance")
@@ -82,6 +84,8 @@ class QheScheme:
     return_to_alice: tuple[str, ...]
 
     def __post_init__(self) -> None:
+        if not isinstance(self.name, str):
+            raise TypeError(f"scheme name {self.name!r} is not a string")
         object.__setattr__(self, "bob_initial", self.layout.ordered(self.bob_initial))
         object.__setattr__(self, "send_to_bob", self.layout.ordered(self.send_to_bob))
         object.__setattr__(self, "return_to_alice", self.layout.ordered(self.return_to_alice))

@@ -2,6 +2,9 @@
 
 probe_states is the per-input route that plaintext_dependence's bounds are
 checked against; dense_problem turns a dense unitary into a problem;
+dense_constructed_secure_problem and dense_leaky_problem are the problem
+builders as they once formed the full dense unitary, with the builders'
+own streams and draw order, for the factored builders to match;
 unitarity_residual is the number is_unitary compares with UNITARITY_TOL;
 per_sample_reconstruction_residual is localise's residual taken input by
 input on the retained space.
@@ -9,8 +12,9 @@ input on the retained space.
 
 import numpy as np
 
-from qhekit.layout import Layout
-from qhekit.linalg import basis_ket, dagger, haar_ket, kron
+from qhekit.catalog import _CONSTRUCTED_STREAM, _LEAKY_STREAM
+from qhekit.layout import Layout, axis_permutation
+from qhekit.linalg import basis_ket, dagger, haar_ket, haar_unitary, kron
 from qhekit.localiser import (
     _RECONSTRUCTION_SAMPLES,
     _RECONSTRUCTION_SEED,
@@ -38,6 +42,31 @@ def dense_problem(layout: Layout, unitary, aux, remote) -> LocalisationProblem:
     """The problem psi -> unitary (psi ⊗ aux ⊗ remote), from its dense unitary."""
     w = np.asarray(unitary, dtype=complex).reshape(layout.dim, layout.dims[0], -1)
     return LocalisationProblem(layout, w @ kron(aux, remote))
+
+
+def dense_constructed_secure_problem(dims, seed) -> LocalisationProblem:
+    """build_constructed_secure_problem via its dense unitary: I ⊗ mixer, then retained ⊗ I."""
+    d1, d2, db = dims
+    rng = np.random.default_rng([_CONSTRUCTED_STREAM, seed])
+    retained = haar_unitary(rng, d1 * d2)
+    mixer = haar_unitary(rng, d2 * db)
+    aux = haar_ket(rng, d2)
+    remote = haar_ket(rng, db)
+    unitary = kron(retained, np.eye(db)) @ kron(np.eye(d1), mixer)
+    return dense_problem(Layout((("A1", d1), ("A2", d2), ("B", db))), unitary, aux, remote)
+
+
+def dense_leaky_problem(dims, seed) -> LocalisationProblem:
+    """build_leaky_problem via its dense unitary: swap data into the remote side, then scramble."""
+    d1, d2, db = dims
+    rng = np.random.default_rng([_LEAKY_STREAM, seed])
+    scramble_retained = haar_unitary(rng, d1 * d2)
+    scramble_remote = haar_unitary(rng, db)
+    aux = haar_ket(rng, d2)
+    remote = haar_ket(rng, db)
+    swap = axis_permutation((d1, d2, d1, db // d1), (2, 1, 0, 3))
+    unitary = kron(scramble_retained, scramble_remote)[:, swap]
+    return dense_problem(Layout((("A1", d1), ("A2", d2), ("B", db))), unitary, aux, remote)
 
 
 def unitarity_residual(u) -> float:

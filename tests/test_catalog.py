@@ -1,6 +1,8 @@
 import dataclasses
 import importlib
 import json
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,6 +28,7 @@ from qhekit.linalg import basis_ket, dagger, kron
 from qhekit.qinfo import orthogonal_support
 from qhekit.scheme import Evaluation, FootprintOp, RegisterState, run_pipeline
 from qhekit.serialize import scheme_to_json
+from qhekit_reference import dense_constructed_secure_problem, dense_leaky_problem
 
 # The module, not the catalog() function the package exports under that name.
 qhekit_catalog = importlib.import_module("qhekit.catalog")
@@ -119,6 +122,54 @@ def test_problem_builders_deterministic():
     c = build_leaky_problem((2, 2, 2), seed=9)
     d = build_leaky_problem((2, 2, 2), seed=9)
     assert c.isometry.tobytes() == d.isometry.tobytes()
+
+
+_BUILDER_DIMS = [(2, 2, 2), (2, 4, 2), (3, 2, 4), (2, 2, 8), (2, 64, 2), (3, 2, 6)]
+
+
+@pytest.mark.parametrize("dims", _BUILDER_DIMS, ids=lambda d: ",".join(map(str, d)))
+def test_problem_builders_match_their_dense_unitaries(dims):
+    pairs = [(build_constructed_secure_problem, dense_constructed_secure_problem)]
+    if dims[2] % dims[0] == 0:
+        pairs.append((build_leaky_problem, dense_leaky_problem))
+    for build, reference in pairs:
+        for seed in range(6):
+            diff = np.abs(build(dims, seed).isometry - reference(dims, seed).isometry)
+            assert diff.max() <= 1e-14, (build.__name__, seed)
+
+
+@pytest.mark.parametrize("build", [build_constructed_secure_problem, build_leaky_problem])
+def test_problem_builders_never_form_the_dense_unitary(build):
+    # At (16, 16, 16) the dense 4096 x 4096 unitary alone would take 256 MiB.
+    tracemalloc.start()
+    try:
+        build((16, 16, 16), 3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
+
+
+@pytest.mark.parametrize("build", [build_constructed_secure_problem, build_leaky_problem])
+@pytest.mark.parametrize(
+    "dims, named",
+    [((2.9, 2, 2), "2.9, 2, 2"), ((2, 2, "2"), "2, 2, '2'")],
+    ids=["float", "str"],
+)
+def test_problem_builders_refuse_non_integer_dims_before_any_draw(monkeypatch, build, dims, named):
+    def no_draws(*args):
+        raise AssertionError("a Haar draw ran before the dims check")
+
+    for name in ("haar_unitary", "haar_ket"):
+        monkeypatch.setattr(qhekit_catalog, name, no_draws)
+    with pytest.raises(TypeError, match=re.escape(f"dims must be integers, got {named}")):
+        build(dims, 0)
+
+
+def test_problem_builders_read_numpy_integer_dims():
+    dims = tuple(np.int64(d) for d in (2, 4, 2))
+    for build in (build_constructed_secure_problem, build_leaky_problem):
+        assert build(dims, 1).isometry.tobytes() == build((2, 4, 2), 1).isometry.tobytes()
 
 
 def test_leaky_builder_requires_divisibility():

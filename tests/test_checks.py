@@ -267,6 +267,18 @@ def test_qubits_for_set_exact_values():
     assert audit_dimension(4).qubits_required == 2
 
 
+@pytest.mark.parametrize("set_size", [2.5, 4.0, "4"])
+def test_audit_refuses_a_non_integer_set_size(set_size):
+    for audit in (qubits_for_set, audit_dimension):
+        with pytest.raises(TypeError, match=f"set size {set_size!r} is not an integer"):
+            audit(set_size)
+
+
+def test_audit_reads_numpy_integers_as_ints():
+    audit = audit_dimension(np.int64(5))
+    assert audit == audit_dimension(5) and type(audit.set_size) is int
+
+
 def test_audit_factorial_of_four_states():
     audit = audit_reversible_classical(2)
     assert audit.set_size == math.factorial(4) == 24

@@ -125,6 +125,17 @@ def test_register_state_and_footprint_refuse_non_string_labels(label):
             build()
 
 
+@pytest.mark.parametrize("value", [7, None, b"I"])
+def test_evaluation_and_scheme_refuse_non_string_ids_and_names(value):
+    # A scheme that held one would export a file its own loader refuses.
+    with pytest.raises(TypeError, match=re.escape(f"circuit id {value!r} is not a string")):
+        Evaluation(value, FootprintOp(("input",), np.eye(2)), np.eye(2))
+    with pytest.raises(TypeError, match=re.escape(f"circuit id {value!r} is not a string")):
+        build_tag_evaluate_scheme(1, ("I", (value, pauli_word_matrix("X"))))
+    with pytest.raises(TypeError, match=re.escape(f"scheme name {value!r} is not a string")):
+        dataclasses.replace(build_qotp_scheme(1), name=value)
+
+
 def test_evaluations_on_two_footprints_keep_their_circuit_order():
     base = build_tag_evaluate_scheme(1, ("I", "X", "Z"))
     # Interleave circuits on ("input",) with the tag circuits on ("tag",).
