@@ -102,8 +102,11 @@ def check_completeness(scheme: QheScheme, tol: float | None = None) -> Report:
     (d_out d_rest) x d matrix and r = (1/d) sum_j R[j, :, j].  delta = 0 iff
     every plaintext psi decrypts to T psi in a product with one fixed state
     of all other registers.  The circuits go through evolve in chunks, each
-    chunk's kets within _COMPLETENESS_CHUNK_BYTES, and each chunk's
-    certificates are one stacked product and one stacked norm.
+    chunk's kets within _COMPLETENESS_CHUNK_BYTES.  Each chunk's matrices
+    R - I ⊗ r come from one stacked product.  Each is tall, (d_out d_rest)
+    x d, so delta is the top singular value of the d x d triangular factor
+    of its R-only QR, one stacked QR per chunk: a matrix and that factor
+    share their singular values, and no decomposition reads the long side.
 
     Bound: for a unit psi, phi = (T† ⊗ I) K psi is a unit ket within delta
     of psi ⊗ r.  With P = |psi><psi| ⊗ I, which fixes psi ⊗ r, the output's
@@ -131,7 +134,9 @@ def check_completeness(scheme: QheScheme, tol: float | None = None) -> Report:
         rel = targets.conj().swapaxes(1, 2) @ k.reshape(n, dims[out], -1)
         rel = rel.reshape(n, dims[out], -1, d)  # R; then R - I ⊗ r
         rel[:, np.arange(d), :, np.arange(d)] -= np.einsum("cjrj->cr", rel) / d
-        deltas = np.linalg.norm(rel.reshape(n, -1, d), 2, axis=(1, 2))
+        # ||R - I ⊗ r||_op is the top singular value of its d x d QR triangle.
+        cores = np.linalg.qr(rel.reshape(n, -1, d), mode="r")
+        deltas = np.linalg.svd(cores, compute_uv=False)[:, 0]
         cases += [(f"{cid}/certificate", float(delta)) for cid, delta in zip(chunk_ids, deltas)]
     return _verdict("completeness", cases, tol, ("completeness",))
 

@@ -23,6 +23,10 @@ from .tolerances import DEFAULT_TOLERANCES, EXTRACTION_PURITY, GRAM_REFUSAL, Tol
 
 _RECONSTRUCTION_SAMPLES = 20
 _RECONSTRUCTION_SEED = 0x4C0C
+# _reconstruction_residual QRs J in row blocks of at most this many bytes,
+# and at least one row.  While J has at most 512 columns a block has at
+# least as many rows as J has columns, so the stacked Rs are smaller than J.
+_CORE_BLOCK_BYTES = 4 * 2**20
 
 
 class LocalisationError(RuntimeError):
@@ -141,7 +145,8 @@ class LocalisationResult:
     gram_residual is the worst deviation of the branch Gram matrix from the
     identity; reconstruction_residual is the worst trace distance between
     the simulated retained state and the predicted one over 20 seeded Haar
-    inputs, each pair compared in the R-core of one QR of their joint span.
+    inputs, each pair compared in the R-core of J (see
+    _reconstruction_residual).
     """
 
     branches: np.ndarray
@@ -184,12 +189,12 @@ def _factored_trace_distance(
 ) -> float:
     """Trace distance between m1 diag(w1) m1† and m2 diag(w2) m2†.
 
-    Exact: the difference lives in the joint column span, so only a
-    span-sized eigenproblem is solved.
+    Exact: the difference lives in the joint column span.  With
+    [m1, m2] = QR, Q orthonormal, it is Q (a diag(w1, -w2) a†) Q† for
+    a = R, so only a span-sized eigenproblem on R is solved and Q is
+    never formed.
     """
-    stacked = np.hstack([m1, m2])
-    q, _ = np.linalg.qr(stacked)
-    a = q.conj().T @ stacked
+    a = np.linalg.qr(np.hstack([m1, m2]), mode="r")
     weights = np.concatenate([np.asarray(w1, dtype=float), -np.asarray(w2, dtype=float)])
     delta = (a * weights) @ a.conj().T
     return float(0.5 * np.sum(np.abs(np.linalg.eigvalsh(delta))))
@@ -232,14 +237,28 @@ def _reconstruction_residual(
     the columns of J = [O_0 | V_0 | ... | O_{d1-1} | V_{d1-1}].  J = QR with
     orthonormal Q, so conjugating both states by Q† keeps their trace
     distance, and every input is compared on the same combination of R's
-    columns.  One QR, R only, per problem; nothing per input has the
-    retained size.
+    columns.  Nothing per input has the retained size, and J is never
+    whole: its rows go in blocks of at most _CORE_BLOCK_BYTES, each copied
+    to Fortran order and reduced to its R-only QR, and the stacked Rs, which
+    have J's Gram matrix, are reduced by one more.  Any R with R†R = J†J
+    gives the same residual, as the states differ only by a unitary on the
+    left of their factors.
     """
     d1, d2, db = problem.layout.dims
     d_retained = d1 * d2
     outputs = problem.isometry.reshape(d_retained, db, d1).transpose(0, 2, 1)
-    joint = np.concatenate([outputs, branches.reshape(d_retained, d1, -1)], axis=2)
-    core = np.linalg.qr(joint.reshape(d_retained, -1), mode="r").reshape(-1, d1, joint.shape[2])
+    by_input = branches.reshape(d_retained, d1, -1)
+    per_input = db + by_input.shape[2]  # columns of [O_j | V_j]
+    rows = max(1, _CORE_BLOCK_BYTES // (16 * d1 * per_input))
+    cores = []
+    for start in range(0, d_retained, rows):
+        stop = min(start + rows, d_retained)
+        block = np.empty((d1, per_input, stop - start), dtype=complex)  # J's rows, transposed
+        block[:, :db] = outputs[start:stop].transpose(1, 2, 0)
+        block[:, db:] = by_input[start:stop].transpose(1, 2, 0)
+        cores.append(np.linalg.qr(block.reshape(-1, stop - start).T, mode="r"))
+    core = cores[0] if len(cores) == 1 else np.linalg.qr(np.concatenate(cores), mode="r")
+    core = core.reshape(-1, d1, per_input)
     rng = np.random.default_rng([_RECONSTRUCTION_SEED])
     worst = 0.0
     for _ in range(_RECONSTRUCTION_SAMPLES):
@@ -267,7 +286,8 @@ def localise(
     the localising unitary takes to |j> ⊗ |k> (result.unitary completes it
     to the full retained space on first access); (4) measure the
     reconstruction residual on 20 seeded Haar inputs, each compared in the
-    R-core of one QR, so no input costs work of the retained size.
+    R-core of J, the R of its row blocks' stacked Rs, so no input costs work
+    of the retained size and J is never held whole.
 
     Raises LeakageDetected or GramCheckFailed instead of returning a result
     whose premises do not hold.
@@ -292,7 +312,10 @@ def localise(
             f"remote state rank {rank} exceeds the residual factor dimension {d2}"
         )
 
-    branches = ((outputs @ eigenbasis.conj()) / np.sqrt(weights)).reshape(d_retained, d1 * rank)
+    # One 2-D product over every (retained, input) row of the outputs.
+    branches = outputs.reshape(-1, db) @ eigenbasis.conj()
+    branches /= np.sqrt(weights)
+    branches = branches.reshape(d_retained, d1 * rank)
     gram = branches.conj().T @ branches
     gram_residual = float(np.max(np.abs(gram - np.eye(d1 * rank))))
     if gram_residual > GRAM_REFUSAL:

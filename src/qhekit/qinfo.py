@@ -133,16 +133,21 @@ def plaintext_dependence(
     return np.linalg.svd(blocks, compute_uv=False).sum(axis=-1), sigma_bar
 
 
-def _support_of_factor(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Eigenbasis, eigenvalues and kept counts of rho = m m† from stacked factors m.
+def _factor_spectrum(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Spectrum of rho = m m† for stacked factors m, read on the factor's short side.
 
-    For a stack of shape (s, d, k): eigenvectors as columns of (s, d, r) in
-    ascending eigenvalue order, eigenvalues (s, r), and per item the number
-    of eigenvalues above the rank threshold, which are the last ones.
+    For a stack of shape (s, d, k) returns (c, vecs, evals, kept): c is the
+    R-factor (s, k, k) of m's R-only QR when m is tall (d > k) and m itself
+    otherwise, so rho = Q c c† Q† with Q = I when m is not tall; vecs and
+    evals are the eigenpairs of c c†, in ascending eigenvalue order, and
+    kept counts per item the eigenvalues above the rank threshold, which
+    are the last ones.  Q is never formed: the support coordinates of m
+    itself are vecs† c, since (Q vecs)† m = vecs† c.
     """
-    q, r = np.linalg.qr(m)
-    evals, evecs = np.linalg.eigh(r @ r.conj().swapaxes(-1, -2))
-    return q @ evecs, evals, np.sum(evals > DEFAULT_TOLERANCES.rank, axis=-1)
+    if m.shape[1] > m.shape[2]:
+        m = np.linalg.qr(m, mode="r")
+    evals, evecs = np.linalg.eigh(m @ m.conj().swapaxes(-1, -2))
+    return m, evecs, evals, np.sum(evals > DEFAULT_TOLERANCES.rank, axis=-1)
 
 
 def product_deviation_from_ket(
@@ -153,39 +158,49 @@ def product_deviation_from_ket(
     Computes the same trace distance as product_deviation on the reduced
     DensityOp, but entirely in factored form: every reduced state of a pure
     state has rank at most the traced-out dimension, so no full-dimension
-    matrix is ever eigendecomposed.  psi is one ket of shape (dim,), giving
-    a float, or a batch of kets as the columns of a (dim, m) array, giving
-    m deviations.
+    matrix is ever eigendecomposed.  Each side's marginal is m m† for the
+    ket as a (side, everything else) matrix m; a tall m is reduced to the R
+    of its R-only QR and a wide one gives its Gram matrix directly, so no
+    decomposition reads a factor's long side.  The deviation is symmetric in
+    the two sides, so the one of them that may be tall is taken first and
+    projected through its R; the other, never tall, gives its support basis
+    explicitly.  psi is one ket of shape (dim,), giving a float, or a batch
+    of kets as the columns of a (dim, m) array, giving m deviations.
     """
     a = layout.ordered(side_a)
     b = layout.ordered(side_b)
     if not a or not b or set(a) & set(b):
         raise ValueError("product test needs two disjoint non-empty register sets")
     rest = layout.complement(a + b)
+    if layout.dim_of(b) > layout.dim_of(a):
+        a, b = b, a  # a is now the side that may be tall
     psi = np.asarray(psi, dtype=complex)
     kets = psi.reshape(layout.dim, -1)
     pos = (len(layout.dims),) + layout.positions(a) + layout.positions(b) + layout.positions(rest)
     da = layout.dim_of(a)
     db = layout.dim_of(b)
     dr = layout.dim_of(rest) if rest else 1
-    t = kets.reshape(layout.dims + (-1,)).transpose(pos).reshape(-1, da, db, dr)
+    # C-contiguous per item, whether psi is one ket or a batch, so every
+    # product below rounds the same for an item alone or in a batch.
+    t = np.ascontiguousarray(kets.reshape(layout.dims + (-1,)).transpose(pos))
+    t = t.reshape(-1, da, db, dr)
 
-    basis_a, wa, keep_a = _support_of_factor(t.reshape(-1, da, db * dr))
-    basis_b, wb, keep_b = _support_of_factor(t.swapaxes(1, 2).reshape(-1, db, da * dr))
-    # Squared norms as per-column inner products, which round as np.vdot does.
-    columns = kets.T[:, None, :]
-    norms = np.real(columns.conj() @ columns.swapaxes(1, 2))[:, 0, 0]
+    core_a, evecs_a, wa, keep_a = _factor_spectrum(t.reshape(-1, da, db * dr))
+    _, basis_b, wb, keep_b = _factor_spectrum(t.swapaxes(1, 2).reshape(-1, db, da * dr))
+    items = t.reshape(len(t), 1, -1)
+    norms = np.real(items.conj() @ items.swapaxes(1, 2))[:, 0, 0]
     deviations = np.empty(len(t))
     # Kept supports are suffixes of eigh's ascending order, so items with the
     # same pair of support ranks share every array shape below.
     for ra, rb in sorted(set(zip(keep_a.tolist(), keep_b.tolist()))):
         group = np.flatnonzero((keep_a == ra) & (keep_b == rb))
-        va = basis_a[group][:, :, basis_a.shape[2] - ra :]
+        ea = evecs_a[group][:, :, evecs_a.shape[2] - ra :]
         vb = basis_b[group][:, :, basis_b.shape[2] - rb :]
         wa_kept = wa[group][:, wa.shape[1] - ra :]
         wb_kept = wb[group][:, wb.shape[1] - rb :]
-        # Project onto the joint support factor by factor: V_a†, then V_b†.
-        proj = va.conj().swapaxes(1, 2) @ t[group].reshape(len(group), da, db * dr)
+        # Project onto the joint support factor by factor: V_a† (read on
+        # side a's core), then V_b†.
+        proj = ea.conj().swapaxes(1, 2) @ core_a[group]
         proj = vb.conj().swapaxes(1, 2)[:, None] @ proj.reshape(len(group), ra, db, dr)
         proj = proj.reshape(len(group), ra * rb, dr)
         product = (wa_kept[:, :, None] * wb_kept[:, None, :]).reshape(len(group), -1)

@@ -7,7 +7,13 @@ builders as they once formed the full dense unitary, with the builders'
 own streams and draw order, for the factored builders to match;
 unitarity_residual is the number is_unitary compares with UNITARITY_TOL;
 per_sample_reconstruction_residual is localise's residual taken input by
-input on the retained space.
+input on the retained space.  The formulas the package replaced by
+short-side decompositions stay here for it to match: completeness deltas
+by a full SVD norm (norm_completeness_deltas), the product deviation with
+explicit QR Q bases (q_basis_product_deviation_from_ket), the residual from
+one QR of the whole J (whole_j_reconstruction_residual) and the trace
+distance read through Q (q_form_trace_distance).  record_decompositions
+records the numpy decompositions a call makes, for shape guards.
 """
 
 import numpy as np
@@ -20,8 +26,9 @@ from qhekit.localiser import (
     _RECONSTRUCTION_SEED,
     LocalisationProblem,
     LocalisationResult,
-    _factored_trace_distance,
 )
+from qhekit.scheme import QheScheme, evolve
+from qhekit.tolerances import DEFAULT_TOLERANCES
 
 
 def probe_states(d: int) -> list[np.ndarray]:
@@ -95,6 +102,110 @@ def per_sample_reconstruction_residual(
         columns = result.branches @ kron(psi.reshape(-1, 1), np.eye(result.rank))
         worst = max(
             worst,
-            _factored_trace_distance(simulated, np.ones(db), columns, result.residual_weights),
+            q_form_trace_distance(simulated, np.ones(db), columns, result.residual_weights),
         )
     return float(worst)
+
+
+def q_form_trace_distance(m1, w1, m2, w2) -> float:
+    """Trace distance between m1 diag(w1) m1† and m2 diag(w2) m2†, read through Q† of a QR."""
+    stacked = np.hstack([m1, m2])
+    q, _ = np.linalg.qr(stacked)
+    a = q.conj().T @ stacked
+    weights = np.concatenate([np.asarray(w1, dtype=float), -np.asarray(w2, dtype=float)])
+    delta = (a * weights) @ a.conj().T
+    return float(0.5 * np.sum(np.abs(np.linalg.eigvalsh(delta))))
+
+
+def whole_j_reconstruction_residual(
+    problem: LocalisationProblem, branches: np.ndarray, residual_weights: np.ndarray
+) -> float:
+    """localise's residual on its seeded inputs from one R-only QR of the whole J."""
+    d1, d2, db = problem.layout.dims
+    d_retained = d1 * d2
+    outputs = problem.isometry.reshape(d_retained, db, d1).transpose(0, 2, 1)
+    joint = np.concatenate([outputs, branches.reshape(d_retained, d1, -1)], axis=2)
+    core = np.linalg.qr(joint.reshape(d_retained, -1), mode="r").reshape(-1, d1, joint.shape[2])
+    rng = np.random.default_rng([_RECONSTRUCTION_SEED])
+    worst = 0.0
+    for _ in range(_RECONSTRUCTION_SAMPLES):
+        factors = haar_ket(rng, d1) @ core
+        distance = q_form_trace_distance(
+            factors[:, :db], np.ones(db), factors[:, db:], residual_weights
+        )
+        worst = max(worst, distance)
+    return float(worst)
+
+
+def norm_completeness_deltas(scheme: QheScheme) -> np.ndarray:
+    """check_completeness's delta per circuit, all circuits at once, by a full SVD norm."""
+    d = scheme.input_dim
+    dims = scheme.layout.dims
+    out = scheme.layout.position(scheme.output_label)
+    n = len(scheme.circuit_ids)
+    _, _, kets = evolve(scheme, scheme.circuit_ids, np.eye(d))
+    k = np.moveaxis(kets.reshape(dims + (n, d)), (len(dims), out), (0, 1))
+    targets = np.stack([ev.target for ev in scheme.evaluations])
+    rel = (targets.conj().swapaxes(1, 2) @ k.reshape(n, dims[out], -1)).reshape(n, dims[out], -1, d)
+    rel[:, np.arange(d), :, np.arange(d)] -= np.einsum("cjrj->cr", rel) / d
+    return np.linalg.norm(rel.reshape(n, -1, d), 2, axis=(1, 2))
+
+
+def _q_support_of_factor(m):
+    # Eigenbasis (through the QR's Q), eigenvalues and kept counts of m m†.
+    q, r = np.linalg.qr(m)
+    evals, evecs = np.linalg.eigh(r @ r.conj().swapaxes(-1, -2))
+    return q @ evecs, evals, np.sum(evals > DEFAULT_TOLERANCES.rank, axis=-1)
+
+
+def q_basis_product_deviation_from_ket(psi, layout: Layout, side_a, side_b) -> np.ndarray:
+    """product_deviation_from_ket with both sides' support bases formed through Q.
+
+    psi is a (dim, m) batch of kets; returns m deviations.
+    """
+    a, b = layout.ordered(side_a), layout.ordered(side_b)
+    rest = layout.complement(a + b)
+    kets = np.asarray(psi, dtype=complex).reshape(layout.dim, -1)
+    pos = (len(layout.dims),) + layout.positions(a) + layout.positions(b) + layout.positions(rest)
+    da, db = layout.dim_of(a), layout.dim_of(b)
+    dr = layout.dim_of(rest) if rest else 1
+    t = kets.reshape(layout.dims + (-1,)).transpose(pos).reshape(-1, da, db, dr)
+    basis_a, wa, keep_a = _q_support_of_factor(t.reshape(-1, da, db * dr))
+    basis_b, wb, keep_b = _q_support_of_factor(t.swapaxes(1, 2).reshape(-1, db, da * dr))
+    deviations = np.empty(len(t))
+    for i in range(len(t)):
+        ra, rb = keep_a[i], keep_b[i]
+        va = basis_a[i][:, basis_a.shape[2] - ra :]
+        vb = basis_b[i][:, basis_b.shape[2] - rb :]
+        proj = (va.conj().T @ t[i].reshape(da, db * dr)).reshape(ra, db, dr)
+        proj = (vb.conj().T[None] @ proj).reshape(ra * rb, dr)
+        product = np.outer(wa[i][len(wa[i]) - ra :], wb[i][len(wb[i]) - rb :]).ravel()
+        delta = proj @ proj.conj().T - np.diag(product)
+        nuclear = np.sum(np.abs(np.linalg.eigvalsh(delta)))
+        dropped = np.vdot(kets[:, i], kets[:, i]).real ** 2 - product.sum()
+        deviations[i] = 0.5 * (nuclear + max(dropped, 0.0))
+    return deviations
+
+
+def record_decompositions(monkeypatch) -> list[tuple[str, tuple[int, ...], str | None]]:
+    """Record (name, input shape, QR mode) of each np.linalg qr/svd/eigh/eigvalsh call.
+
+    numpy's own module is patched too, so that np.linalg.norm(x, 2), which
+    calls svd there, is recorded as well.
+    """
+    calls = []
+
+    def recording(name, original):
+        def wrapper(a, *args, **kwargs):
+            mode = kwargs.get("mode", args[0] if args else "reduced") if name == "qr" else None
+            calls.append((name, np.shape(a), mode))
+            return original(a, *args, **kwargs)
+
+        return wrapper
+
+    internal = getattr(np.linalg, "_linalg", None) or np.linalg.linalg  # numpy 2, numpy 1
+    for name in ("qr", "svd", "eigh", "eigvalsh"):
+        wrapper = recording(name, getattr(np.linalg, name))
+        monkeypatch.setattr(np.linalg, name, wrapper)
+        monkeypatch.setattr(internal, name, wrapper)
+    return calls

@@ -61,7 +61,7 @@ from qhekit.scheme import (
     run_pipeline,
 )
 from qhekit.tolerances import DEFAULT_TOLERANCES
-from qhekit_reference import probe_states
+from qhekit_reference import norm_completeness_deltas, probe_states, record_decompositions
 
 
 def test_security_identity_scheme_fails_maximally():
@@ -612,6 +612,31 @@ def test_completeness_chunks_match_one_batch(monkeypatch, name):
     for (_, got), (_, want) in zip(chunked.cases, whole.cases):
         assert abs(got - want) <= 1e-12
     assert abs(chunked.worst_metric - whole.worst_metric) <= 1e-12
+
+
+@pytest.mark.parametrize("name", [*(e.name for e in catalog()), "qotp-2", "wrong-target"])
+def test_completeness_matches_the_full_svd_norm(name):
+    # delta from the R of each circuit's QR equals ||R - I ⊗ r||_op by a
+    # full SVD, on passing schemes and where delta is O(1).
+    scheme = NEGATIVE_CONTROLS[name]() if name == "wrong-target" else _scheme(name)
+    report = check_completeness(scheme)
+    reference = norm_completeness_deltas(scheme)
+    assert [c for c, _ in report.cases] == [f"{cid}/certificate" for cid in scheme.circuit_ids]
+    np.testing.assert_allclose([m for _, m in report.cases], reference, rtol=0, atol=1e-12)
+    if name == "wrong-target":
+        assert reference.max() > 0.5
+
+
+def test_run_checks_decomposes_only_short_sides(monkeypatch):
+    # Every QR is R-only, and every SVD and eigenproblem gets a small
+    # matrix: the tall factors (1024 rows for completeness, 256 for the
+    # product test) reach LAPACK only as the input of an R-only QR.
+    scheme = build_qotp_scheme(2)
+    calls = record_decompositions(monkeypatch)
+    run_checks(scheme)
+    assert {name for name, _, _ in calls} >= {"qr", "svd", "eigh", "eigvalsh"}
+    assert all(mode == "r" for name, _, mode in calls if name == "qr")
+    assert max(shape[-2] for name, shape, _ in calls if name != "qr") <= 64
 
 
 @pytest.mark.parametrize("name", ["tag-evaluate-2q", "qotp-2"])

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -39,7 +40,9 @@ from qhekit_reference import (
     dense_problem,
     per_sample_reconstruction_residual,
     probe_states,
+    record_decompositions,
     unitarity_residual,
+    whole_j_reconstruction_residual,
 )
 
 
@@ -164,6 +167,20 @@ def test_localise_constructed_secure(dims):
     assert fidelity_pure(psi, recovered) >= 1 - 1e-8
 
 
+def _core_width(problem, branches):
+    # J's column count, d1 (d_remote + rank).
+    d1, _, db = problem.layout.dims
+    return branches.shape[1] + d1 * db
+
+
+def _force_core_blocks(monkeypatch, problem, branches, blocks=4):
+    """Set the core's byte budget so J goes in at least `blocks` row blocks."""
+    d1, d2, _ = problem.layout.dims
+    rows = max(1, d1 * d2 // blocks)
+    budget = 16 * _core_width(problem, branches) * rows
+    monkeypatch.setattr(qhekit.localiser, "_CORE_BLOCK_BYTES", budget)
+
+
 _CORE_DIMS = [(2, 2, 2), (2, 4, 2), (3, 2, 4), (2, 2, 8), (2, 64, 2)]
 _TAG_EVALUATE = next(e for e in catalog() if e.builder == "tag-evaluate")
 
@@ -186,14 +203,26 @@ def _bridge(name):
         for n in ("qotp1", "qotp2", "tag-evaluate")
     ],
 )
-def test_reconstruction_residual_matches_per_sample_reference(make):
+def test_reconstruction_residual_matches_per_sample_reference(monkeypatch, make):
     problem = make()
     result = localise(problem)
     reference = per_sample_reconstruction_residual(problem, result)
     assert abs(result.reconstruction_residual - reference) <= 1e-12
+    whole = whole_j_reconstruction_residual(problem, result.branches, result.residual_weights)
+    assert abs(result.reconstruction_residual - whole) <= 1e-12
+    # J in row blocks: the stacked Rs give the single block's residual.
+    _force_core_blocks(monkeypatch, problem, result.branches)
+    calls = record_decompositions(monkeypatch)
+    blocked = qhekit.localiser._reconstruction_residual(
+        problem, result.branches, result.residual_weights
+    )
+    width = _core_width(problem, result.branches)
+    # Each block's QR and the QR of their stacked Rs read J's full width.
+    assert sum(1 for name, shape, _ in calls if name == "qr" and shape[-1] == width) >= 5
+    assert abs(blocked - result.reconstruction_residual) <= 1e-14
 
 
-def test_reconstruction_core_sees_a_wrong_prediction():
+def test_reconstruction_core_sees_a_wrong_prediction(monkeypatch):
     problem = build_constructed_secure_problem((2, 4, 2), seed=1)
     result = localise(problem)
     # Turn branch 0 towards a direction outside every branch, so the
@@ -207,6 +236,52 @@ def test_reconstruction_core_sees_a_wrong_prediction():
     )
     assert abs(core - reference) <= 1e-12
     assert core > 1e-3 and reference > 1e-3
+    assert abs(core - 0.197) <= 5e-4
+    _force_core_blocks(monkeypatch, problem, rotated)
+    blocked = qhekit.localiser._reconstruction_residual(problem, rotated, result.residual_weights)
+    assert abs(blocked - core) <= 1e-14
+
+
+def test_localise_decomposes_only_short_sides(monkeypatch):
+    # Every QR is R-only; every SVD and eigenproblem gets a small matrix.
+    problem = _bridge("qotp2")
+    calls = record_decompositions(monkeypatch)
+    localise(problem)
+    assert {name for name, _, _ in calls} >= {"qr", "svd", "eigh", "eigvalsh"}
+    assert all(mode == "r" for name, _, mode in calls if name == "qr")
+    assert max(shape[-2] for name, shape, _ in calls if name != "qr") <= 64
+
+
+def test_localise_never_holds_the_whole_j(monkeypatch):
+    # With J in 4 row blocks, the residual stage allocates less than J at
+    # any time, and the whole call less than twice J: J and the copy a QR of
+    # it makes are never held.  (plaintext_dependence alone holds twice the
+    # isometry, which on this problem is J's size, so the whole call cannot
+    # stay below J.)
+    problem = _bridge("qotp2")
+    result = localise(problem)
+    d1, d2, _ = problem.layout.dims
+    j_bytes = d1 * d2 * _core_width(problem, result.branches) * 16
+    _force_core_blocks(monkeypatch, problem, result.branches)
+    peaks = {}
+    original = qhekit.localiser._reconstruction_residual
+
+    def measured(*args):
+        start, peaks["before"] = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        residual = original(*args)
+        peaks["stage"] = tracemalloc.get_traced_memory()[1] - start
+        return residual
+
+    monkeypatch.setattr(qhekit.localiser, "_reconstruction_residual", measured)
+    tracemalloc.start()
+    try:
+        localise(problem)
+        peak = max(peaks["before"], tracemalloc.get_traced_memory()[1])
+    finally:
+        tracemalloc.stop()
+    assert peaks["stage"] < j_bytes
+    assert peak < 2 * j_bytes
 
 
 @pytest.mark.parametrize(

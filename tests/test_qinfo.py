@@ -22,6 +22,7 @@ from qhekit.qinfo import (
     support_bases,
     von_neumann_entropy,
 )
+from qhekit_reference import q_basis_product_deviation_from_ket
 
 QUBIT = Layout((("q", 2),))
 PAIR = Layout((("a", 2), ("b", 2)))
@@ -272,6 +273,28 @@ def _ket_with_marginal_ranks(rng, dims, ranks, order):
     present = ["a", "b", "r"] if dr > 1 else ["a", "b"]
     t = t.reshape([dict(zip("abr", dims))[label] for label in present])
     return t.transpose([present.index(label) for label in order if label in present]).ravel()
+
+
+@pytest.mark.parametrize(
+    "dims",
+    [(8, 2, 2), (6, 2, 1), (2, 8, 2), (4, 2, 2), (3, 3, 1), (2, 4, 2)],
+    ids=["a-tall", "a-tall-no-rest", "b-tall", "a-square", "both-square", "a-wide"],
+)
+@pytest.mark.parametrize("order", ["abr", "rba"])
+def test_product_deviation_from_ket_matches_q_basis_reference(dims, order):
+    # Reading a tall side through its R and a wide one through its Gram
+    # matrix gives the deviations of the explicit QR-basis route, and each
+    # batch column equals its single-ket value bit for bit.
+    rng = np.random.default_rng(sum(dims))
+    size = dict(zip("abr", dims))
+    layout = Layout(tuple((label, size[label]) for label in order if size[label] > 1))
+    ranks = [(1, 1), (2, 1), (1, 2), (2, 2), (3, 4), (8, 8)]
+    batch = np.stack([_ket_with_marginal_ranks(rng, dims, r, order) for r in ranks], axis=1)
+    got = product_deviation_from_ket(batch, layout, ["a"], ["b"])
+    want = q_basis_product_deviation_from_ket(batch, layout, ["a"], ["b"])
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+    for k in range(len(ranks)):
+        assert got[k] == product_deviation_from_ket(batch[:, k], layout, ["a"], ["b"])
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=60)
