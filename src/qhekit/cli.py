@@ -195,7 +195,9 @@ def _report_lines(report: Report) -> list[str]:
     if report.reason:
         head += f"  reason={report.reason}"
     lines = [head]
-    worst = sorted(report.cases, key=lambda c: -c[1])[:_MAX_TEXT_CASES]
+    # Rank by the value as printed, so metrics that print alike keep case
+    # order (sorted is stable) whatever their last bits.
+    worst = sorted(report.cases, key=lambda c: -float(f"{c[1]:.3e}"))[:_MAX_TEXT_CASES]
     for case_id, metric in worst:
         lines.append(f"  {case_id}  {metric:.3e}")
     if len(report.cases) > _MAX_TEXT_CASES:

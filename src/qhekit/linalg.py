@@ -5,6 +5,8 @@ order everywhere; the first tensor factor is the most significant digit of
 a flat index (see layout.Layout).  Every threshold comes from tolerances.py.
 """
 
+from __future__ import annotations  # so annotations naming np.random import nothing
+
 from functools import reduce
 
 import numpy as np

@@ -145,8 +145,8 @@ class LocalisationResult:
     gram_residual is the worst deviation of the branch Gram matrix from the
     identity; reconstruction_residual is the worst trace distance between
     the simulated retained state and the predicted one over 20 seeded Haar
-    inputs, each pair compared in the R-core of J (see
-    _reconstruction_residual).
+    inputs, each pair compared in the R-core of J and read on the small
+    side of its factor (see _reconstruction_residual).
     """
 
     branches: np.ndarray
@@ -182,22 +182,6 @@ class LocalisationResult:
         # Column k is sum_j psi_j times branch (j, k).
         cols = psi @ self.branches.reshape(-1, d1, self.rank)
         return (cols * self.residual_weights) @ cols.conj().T
-
-
-def _factored_trace_distance(
-    m1: np.ndarray, w1: np.ndarray, m2: np.ndarray, w2: np.ndarray
-) -> float:
-    """Trace distance between m1 diag(w1) m1† and m2 diag(w2) m2†.
-
-    Exact: the difference lives in the joint column span.  With
-    [m1, m2] = QR, Q orthonormal, it is Q (a diag(w1, -w2) a†) Q† for
-    a = R, so only a span-sized eigenproblem on R is solved and Q is
-    never formed.
-    """
-    a = np.linalg.qr(np.hstack([m1, m2]), mode="r")
-    weights = np.concatenate([np.asarray(w1, dtype=float), -np.asarray(w2, dtype=float)])
-    delta = (a * weights) @ a.conj().T
-    return float(0.5 * np.sum(np.abs(np.linalg.eigvalsh(delta))))
 
 
 def check_zero_leakage(problem: LocalisationProblem) -> tuple[bool, float]:
@@ -243,6 +227,12 @@ def _reconstruction_residual(
     have J's Gram matrix, are reduced by one more.  Any R with R†R = J†J
     gives the same residual, as the states differ only by a unitary on the
     left of their factors.
+
+    Each input's states differ by F D F†, with F = psi·R of shape
+    (k, d_remote + rank) and D = diag(1, ..., 1, -w), and that difference is
+    read on F's small side, as qinfo._factor_spectrum reads a factor: a tall
+    F is reduced to the R of its R-only QR first, and a square or wide one
+    gives its k x k matrix F D F† to the eigensolver directly.
     """
     d1, d2, db = problem.layout.dims
     d_retained = d1 * d2
@@ -259,17 +249,15 @@ def _reconstruction_residual(
         cores.append(np.linalg.qr(block.reshape(-1, stop - start).T, mode="r"))
     core = cores[0] if len(cores) == 1 else np.linalg.qr(np.concatenate(cores), mode="r")
     core = core.reshape(-1, d1, per_input)
+    signs = np.concatenate([np.ones(db), -residual_weights])  # D's diagonal
     rng = np.random.default_rng([_RECONSTRUCTION_SEED])
     worst = 0.0
     for _ in range(_RECONSTRUCTION_SAMPLES):
-        # Both states have rank <= remote_dim; compare them in factored form.
-        factors = haar_ket(rng, d1) @ core
-        worst = max(
-            worst,
-            _factored_trace_distance(
-                factors[:, :db], np.ones(db), factors[:, db:], residual_weights
-            ),
-        )
+        factor = haar_ket(rng, d1) @ core
+        if factor.shape[0] > per_input:
+            factor = np.linalg.qr(factor, mode="r")
+        delta = (factor * signs) @ factor.conj().T
+        worst = max(worst, 0.5 * np.sum(np.abs(np.linalg.eigvalsh(delta))))
     return float(worst)
 
 
@@ -287,7 +275,8 @@ def localise(
     to the full retained space on first access); (4) measure the
     reconstruction residual on 20 seeded Haar inputs, each compared in the
     R-core of J, the R of its row blocks' stacked Rs, so no input costs work
-    of the retained size and J is never held whole.
+    of the retained size and J is never held whole; an input's factor gets
+    an R-only QR only when it is tall, and is otherwise read as it is.
 
     Raises LeakageDetected or GramCheckFailed instead of returning a result
     whose premises do not hold.

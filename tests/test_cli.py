@@ -11,7 +11,7 @@ import qhekit.cli
 import qhekit.localiser
 import qhekit.qinfo
 from qhekit.catalog import build_constructed_secure_problem, build_qotp_scheme
-from qhekit.checks import check_completeness, check_security, check_theorem1
+from qhekit.checks import FAIL, Report, check_completeness, check_security, check_theorem1
 from qhekit.cli import main
 from qhekit.layout import Layout
 from qhekit.linalg import basis_ket
@@ -263,6 +263,23 @@ def test_reports_deterministic_across_runs(tmp_path):
     assert run_cli(*args, "--out", str(a)) == 3
     assert run_cli(*args, "--out", str(b)) == 3
     assert a.read_text() == b.read_text()
+
+
+def test_text_rows_rank_by_printed_value_then_case_order():
+    # 16 metrics that all print 9.375e-01, as QOTP n=2's product-form rows
+    # do, differing between two runs only in their last bits.
+    ids = [f"product-form/{k}" for k in range(16)]
+    first = [0.9375 if k % 3 else 0.9374999999999999 for k in range(16)]
+    second = [0.9375000000000002 if k % 2 else 0.9375 for k in range(16)]
+    lines = [
+        qhekit.cli._report_lines(
+            Report("theorem1", FAIL, 1.0, (("low", 0.5), *zip(ids, metrics), ("top", 1.0)))
+        )
+        for metrics in (first, second)
+    ]
+    assert lines[0] == lines[1]
+    assert [line.split()[0] for line in lines[0][1:13]] == ["top", *ids[:11]]
+    assert lines[0][13] == "  ... (6 more cases)"
 
 
 @pytest.mark.parametrize("fmt", ["json", "text"])

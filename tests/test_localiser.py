@@ -242,6 +242,33 @@ def test_reconstruction_core_sees_a_wrong_prediction(monkeypatch):
     assert abs(blocked - core) <= 1e-14
 
 
+@pytest.mark.parametrize(
+    "make, sample_qrs",
+    [
+        pytest.param(lambda d=d: build_constructed_secure_problem(d, 0), qrs, id=f"{d}")
+        for d, qrs in [((2, 2, 2), 0), ((3, 2, 4), 0), ((2, 2, 8), 0), ((2, 4, 2), 20)]
+    ]
+    + [pytest.param(lambda: _bridge("qotp2"), 20, id="t1-qotp2")],
+)
+def test_reconstruction_residual_reads_each_sample_on_its_small_side(
+    monkeypatch, make, sample_qrs
+):
+    # Only a tall per-sample factor (k, d_remote + rank) is QR'd; a square or
+    # wide one gives its k x k difference to eigvalsh directly.
+    problem = make()
+    result = localise(problem)
+    d1, d2, _ = problem.layout.dims
+    width = _core_width(problem, result.branches)
+    per_input, k = width // d1, min(d1 * d2, width)
+    calls = record_decompositions(monkeypatch)
+    qhekit.localiser._reconstruction_residual(problem, result.branches, result.residual_weights)
+    samples = [shape for name, shape, _ in calls if name == "qr" and shape[-1] == per_input]
+    assert len(samples) == sample_qrs
+    assert all(shape == (k, per_input) and k > per_input for shape in samples)
+    side = min(k, per_input)
+    assert [shape for name, shape, _ in calls if name == "eigvalsh"] == [(side, side)] * 20
+
+
 def test_localise_decomposes_only_short_sides(monkeypatch):
     # Every QR is R-only; every SVD and eigenproblem gets a small matrix.
     problem = _bridge("qotp2")

@@ -3,6 +3,9 @@ import dataclasses
 import functools
 import importlib
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -51,3 +54,21 @@ def test_threshold_values_are_written_only_in_tolerances():
                 if node.value not in (0.0, 0.5, 1.0, 2.0):
                     found.append((path.name, node.lineno, node.value))
     assert found == []
+
+
+def _loads_numpy_random(statement):
+    # A fresh interpreter, so nothing this process imported counts.
+    env = {**os.environ, "PYTHONPATH": str(Path(qhekit.__file__).resolve().parents[1])}
+    code = f"import sys; {statement}; print('numpy.random' in sys.modules)"
+    run = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    return run.stdout.strip() == "True"
+
+
+def test_importing_qhekit_leaves_numpy_random_unloaded():
+    # Only the builders and localise draw random numbers, so a plain
+    # `qhekit check` need not load numpy.random (and hashlib with it).
+    if _loads_numpy_random("import numpy"):
+        pytest.skip("import numpy alone loads numpy.random here (numpy 1.x)")
+    assert not _loads_numpy_random("import qhekit, qhekit.cli")
