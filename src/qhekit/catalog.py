@@ -22,21 +22,36 @@ from .scheme import Evaluation, FootprintOp, QheScheme, RegisterState
 _CONSTRUCTED_STREAM = 0x5EC
 _LEAKY_STREAM = 0x1EAC
 
-PAULI_I = np.eye(2, dtype=complex)
-PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
-PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
+_FACTOR_BITS = {"I": "00", "X": "10", "Z": "01", "XZ": "11"}  # each factor X^a Z^b as "ab"
 
-_FACTORS = {"I": PAULI_I, "X": PAULI_X, "Z": PAULI_Z, "XZ": PAULI_X @ PAULI_Z}
+
+def _pads(n: int) -> np.ndarray:
+    """Every X^a Z^b on n qubits, stacked by key k = a 2^n + b and written by index.
+
+    X^a Z^b |j> = (-1)^popcount(b & j) |j xor a>, qubit 0 the most
+    significant bit; every other entry is +0.0.
+    """
+    d = 2**n
+    k, j = np.arange(d * d)[:, None], np.arange(d)
+    a, b = np.divmod(k, d)
+    parity = sum(((b & j) >> bit) & 1 for bit in range(n)) % 2
+    pads = np.zeros((d * d, d, d), dtype=complex)
+    pads[k, a ^ j, j] = 1 - 2 * parity
+    return pads
+
+
+def _word_key(word: str) -> int:
+    """The key k = a 2^n + b of a flip word's pad: its a bits, then its b bits, in binary."""
+    try:
+        bits = [_FACTOR_BITS[token] for token in word.split(".")]
+    except KeyError as exc:
+        raise ValueError(f"unknown factor {exc.args[0]!r} in word {word!r}") from exc
+    return int("".join(a for a, _ in bits) + "".join(b for _, b in bits), 2)
 
 
 def pauli_word_matrix(word: str) -> np.ndarray:
-    """Matrix for a word like "X" or "X.XZ": per-qubit X^a Z^b factors joined by dots."""
-    tokens = word.split(".")
-    try:
-        factors = [_FACTORS[token] for token in tokens]
-    except KeyError as exc:
-        raise ValueError(f"unknown factor {exc.args[0]!r} in word {word!r}") from exc
-    return kron(*factors)
+    """Matrix for a word like "X" or "X.XZ" (X^a Z^b per qubit, joined by dots), by index."""
+    return _pads(word.count(".") + 1)[_word_key(word)]
 
 
 def pauli_words(n: int) -> tuple[str, ...]:
@@ -49,22 +64,10 @@ def _swap_matrix(d: int) -> np.ndarray:
     return np.eye(d * d, dtype=complex)[axis_permutation((d, d), (1, 0))]
 
 
-def _block_diagonal(blocks: np.ndarray) -> np.ndarray:
-    """The sum of kron(|k><k|, blocks[k]) over a stack (m, b, b), as an (m, b, m, b) array.
-
-    Adding into zeros turns every -0.0 into +0.0, as that sum does.
-    """
-    m, b = blocks.shape[:2]
-    out = np.zeros((m, b, m, b), dtype=complex)
-    ar = np.arange(m)
-    out[ar, :, ar, :] += blocks
-    return out
-
-
-def _flip_evaluations(n: int) -> list[Evaluation]:
-    """One evaluation per flip word on the input register, its own target."""
-    matrices = {word: pauli_word_matrix(word) for word in pauli_words(n)}
-    return [Evaluation(w, FootprintOp(("input",), m), m) for w, m in matrices.items()]
+def _flip_evaluations(pads: np.ndarray, n: int) -> list[Evaluation]:
+    """One evaluation per flip word on the input register, its own target, read off the pads."""
+    blocks = [(word, pads[_word_key(word)]) for word in pauli_words(n)]
+    return [Evaluation(w, FootprintOp(("input",), m), m) for w, m in blocks]
 
 
 def build_identity_scheme(n: int) -> QheScheme:
@@ -78,7 +81,7 @@ def build_identity_scheme(n: int) -> QheScheme:
     d = 2**n
     layout = Layout((("input", d),))
     identity = np.eye(d, dtype=complex)
-    evaluations = _flip_evaluations(n)
+    evaluations = _flip_evaluations(_pads(n), n)
     if n >= 2:
         swap01 = kron(_swap_matrix(2), np.eye(2 ** (n - 2)))
         evaluations.append(Evaluation("SWAP01", FootprintOp(("input",), swap01), swap01))
@@ -108,7 +111,8 @@ def build_qotp_scheme(n: int) -> QheScheme:
 
     Key k = a d + b pads with the signed permutation X^a Z^b |j> =
     (-1)^popcount(b & j) |j xor a> (qubit 0 the most significant bit),
-    written by index; each key-controlled operator is one assignment.
+    written by index.  Encryption and decryption are stored key-controlled as
+    the pads and their inverses; the evaluations read the same pads.
     """
     if not 1 <= n <= 2:
         raise ValueError(f"one-time-pad scheme supports 1..2 qubits, got {n}")
@@ -116,21 +120,10 @@ def build_qotp_scheme(n: int) -> QheScheme:
     keys = 4**n
     layout = Layout((("input", d), ("key", keys), ("key_purifier", keys)))
 
-    ar = np.arange(keys)
     key_ket = np.zeros(keys * keys, dtype=complex)
-    key_ket[ar * (keys + 1)] = 1.0 / d  # sum_k |k>|k> / d
+    key_ket[np.arange(keys) * (keys + 1)] = 1.0 / d  # sum_k |k>|k> / d
 
-    j = np.arange(d)
-    a, b = np.divmod(ar, d)
-    parity = sum(((b[:, None] & j) >> bit) & 1 for bit in range(n)) % 2
-    pads = np.zeros((keys, d, d), dtype=complex)
-    pads[ar[:, None], a[:, None] ^ j, j] = 1 - 2 * parity
-    # The pads are real, so each one's inverse is its transpose.  Axes go from
-    # (key, input, key, input) to the footprint's (input, key, input, key).
-    encrypt, decrypt = (
-        _block_diagonal(blocks).transpose(1, 0, 3, 2).reshape(d * keys, d * keys)
-        for blocks in (pads, pads.transpose(0, 2, 1))
-    )
+    pads = _pads(n)
     return QheScheme(
         name=f"qotp(n={n})",
         layout=layout,
@@ -138,9 +131,10 @@ def build_qotp_scheme(n: int) -> QheScheme:
         output_label="input",
         bob_initial=(),
         fixed_states=(RegisterState(("key", "key_purifier"), key_ket),),
-        encrypt_op=FootprintOp(("input", "key"), encrypt),
-        decrypt_op=FootprintOp(("input", "key"), decrypt),
-        evaluations=tuple(_flip_evaluations(n)),
+        encrypt_op=FootprintOp(("input",), pads, control="key"),
+        # The pads are real, so each one's inverse is its transpose.
+        decrypt_op=FootprintOp(("input",), pads.transpose(0, 2, 1), control="key"),
+        evaluations=tuple(_flip_evaluations(pads, n)),
         send_to_bob=("input",),
         return_to_alice=("input",),
     )
@@ -152,8 +146,10 @@ def build_tag_evaluate_scheme(n: int, circuit_set: Sequence[Any]) -> QheScheme:
     Encryption swaps the plaintext into a retained register and sends the
     freed register to Bob in a fixed state; each evaluation writes its index
     onto a tag register that returns to Alice, whose decryption applies the
-    tagged circuit directly.  Secure by construction, and the tag register
-    realises the log2|S| message cost with exactly orthogonal tag states.
+    tagged circuit directly, stored tag-controlled: block i is circuit i's
+    target, and identity blocks pad the tag register to at least 2.  Secure
+    by construction, and the tag register realises the log2|S| message cost
+    with exactly orthogonal tag states.
 
     circuit_set entries are flip words ("X", "I.XZ", ...) or (id, matrix)
     pairs for arbitrary targets.
@@ -176,8 +172,8 @@ def build_tag_evaluate_scheme(n: int, circuit_set: Sequence[Any]) -> QheScheme:
     tag_dim = max(2, len(circuits))
     layout = Layout((("input", d), ("hold", d), ("tag", tag_dim)))
 
-    blocks = [matrix for _, matrix in circuits] + [np.eye(d)] * (tag_dim - len(circuits))
-    decrypt = _block_diagonal(np.stack(blocks)).reshape(tag_dim * d, tag_dim * d)
+    # Adding +0.0 writes every zero entry of the blocks as +0.0, as in the flip words.
+    blocks = np.stack([m for _, m in circuits] + [np.eye(d)] * (tag_dim - len(circuits))) + 0.0
     # Circuit i adds i to the tag: the identity's rows shifted cyclically by i.
     evaluations = [
         Evaluation(cid, FootprintOp(("tag",), np.roll(np.eye(tag_dim, dtype=complex), i, 0)), t)
@@ -195,7 +191,7 @@ def build_tag_evaluate_scheme(n: int, circuit_set: Sequence[Any]) -> QheScheme:
             RegisterState(("tag",), basis_ket(tag_dim, 0)),
         ),
         encrypt_op=FootprintOp(("input", "hold"), _swap_matrix(d)),
-        decrypt_op=FootprintOp(("tag", "hold"), decrypt),
+        decrypt_op=FootprintOp(("hold",), blocks, control="tag"),
         evaluations=tuple(evaluations),
         send_to_bob=("input",),
         return_to_alice=("tag",),
@@ -262,10 +258,11 @@ def build_leaky_problem(dims: tuple[int, int, int], seed: int) -> LocalisationPr
 
 
 def build_controlled_flip_gate(n: int = 1) -> tuple[np.ndarray, Layout]:
-    """Gate array applying the program-indexed flip word to the data register."""
-    d = 2**n
-    words = pauli_words(n)
-    gate = _block_diagonal(np.stack([pauli_word_matrix(word) for word in words]))
+    """Gate array applying the program-indexed flip word to the data register, written by index."""
+    d, words = 2**n, pauli_words(n)
+    gate = np.zeros((len(words), d, len(words), d), dtype=complex)
+    ar = np.arange(len(words))
+    gate[ar, :, ar, :] = _pads(n)[[_word_key(word) for word in words]]
     return gate.reshape(len(words) * d, -1), Layout((("program", len(words)), ("data", d)))
 
 

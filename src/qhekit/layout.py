@@ -142,7 +142,11 @@ def assemble_ket(layout: Layout, blocks: Sequence[tuple[Sequence[str], np.ndarra
 
 
 def apply_operator(
-    psi: np.ndarray, layout: Layout, op: np.ndarray, labels: Sequence[str]
+    psi: np.ndarray,
+    layout: Layout,
+    op: np.ndarray,
+    labels: Sequence[str],
+    control: str | None = None,
 ) -> np.ndarray:
     """Apply an operator living on the given registers to a full-space ket.
 
@@ -150,23 +154,32 @@ def apply_operator(
     (dim, m) array; the result has the same shape.  op is one (block, block)
     matrix, or a stack of n of them, shape (n, block, block), whose n
     results come back on a circuit axis after the first: (dim, n) or
-    (dim, n, m).
+    (dim, n, m).  With a control register, op has one axis more, (c, block,
+    block) or (n, c, block, block), block k acting where the control holds |k>.
     """
     op = _as_square_stack(op, f"operator on {tuple(labels)}")
+    controls = [] if control is None else [layout.position(control)]
     pos = [layout.position(label) for label in labels]
-    if len(set(pos)) != len(pos):
+    if len(set(pos + controls)) != len(pos + controls):
         raise ValueError(f"repeated labels in footprint {tuple(labels)}")
     block = math.prod(layout.dims[p] for p in pos)
-    if op.shape[-2:] != (block, block):
+    c = math.prod(layout.dims[p] for p in controls)
+    stacked = op if controls else op[..., None, :, :]  # one block per control value
+    if stacked.shape[-3:] != (c, block, block):
         raise ValueError(f"operator shape {op.shape} does not match footprint dimension {block}")
     psi = np.asarray(psi, dtype=complex)
     n = len(layout.dims)
-    # Footprint axes first, as the rows of one (block, rest * batch) matrix;
-    # the batch axis, if any, stays last.
-    order = pos + [p for p in range(n) if p not in pos] + list(range(n, n + psi.ndim - 1))
+    # Footprint axes first, then the control's, as a (block, c, rest * batch)
+    # array; the batch axis, if any, stays last.
+    order = pos + controls
+    order += [p for p in range(n) if p not in order] + list(range(n, n + psi.ndim - 1))
     grouped = psi.reshape(layout.dims + psi.shape[1:]).transpose(order)
-    stack = op.shape[:-2]
-    out = (op @ grouped.reshape(block, -1)).reshape(stack + grouped.shape)
+    x = grouped.reshape(block, c, -1)
+    stack = stacked.shape[:-3]
+    out = np.empty(stack + x.shape, dtype=complex)
+    # Through swapped views: neither operand is copied to bring the control axis first.
+    np.matmul(stacked, x.swapaxes(0, 1), out=out.swapaxes(-3, -2))
+    out = out.reshape(stack + grouped.shape)
     # Registers back in layout order; a stack's axis goes after them, before the batch axis.
     back = [len(stack) + axis for axis in np.argsort(order)]
     back[n:n] = range(len(stack))

@@ -79,14 +79,14 @@ def kron(*factors) -> np.ndarray:
     return reduce(np.kron, arrays)
 
 
-def _orthonormal_columns(w: np.ndarray) -> bool:
-    """The one unitarity test on a coerced matrix: max-entry norm of W†W - I <= UNITARITY_TOL."""
-    return float(np.abs(dagger(w) @ w - np.eye(w.shape[1])).max()) <= UNITARITY_TOL
+def _unitarity_residuals(w: np.ndarray) -> np.ndarray:
+    """Max-entry norm of W†W - I, the one unitarity test's number, per matrix of a stack."""
+    return np.abs(w.conj().swapaxes(-1, -2) @ w - np.eye(w.shape[-1])).max(axis=(-2, -1))
 
 
 def is_isometry(w: np.ndarray) -> bool:
     """True iff max-entry norm of W†W - I is at most UNITARITY_TOL (orthonormal columns)."""
-    return _orthonormal_columns(as_matrix(w, "isometry"))
+    return float(_unitarity_residuals(as_matrix(w, "isometry"))) <= UNITARITY_TOL
 
 
 def is_unitary(u: np.ndarray, *, where: str = "unitary") -> bool:
@@ -95,7 +95,7 @@ def is_unitary(u: np.ndarray, *, where: str = "unitary") -> bool:
     u is coerced and finiteness-checked once, as as_square(u, where) does,
     so a caller that keeps np.asarray(u, dtype=complex) has it validated.
     """
-    return _orthonormal_columns(as_square(u, where))
+    return float(_unitarity_residuals(as_square(u, where))) <= UNITARITY_TOL
 
 
 def unitaries_equal_up_to_phase(u: np.ndarray, v: np.ndarray) -> bool:
@@ -139,10 +139,9 @@ def eig_hermitian(h: np.ndarray, tol: float | None = None) -> tuple[np.ndarray, 
         raise ValueError("input is not Hermitian within tolerance")
     w, v = np.linalg.eigh((h + dagger(h)) / 2.0)
     v, _ = _phase_fix_columns(v)
-    order = sorted(
-        range(w.size),
-        key=lambda k: (-round(float(w[k]), 12), np.round(v[:, k], 9).tobytes()),
-    )
+    primary = [-round(x, 12) for x in w.tolist()]
+    rounded = np.round(v, 9)
+    order = sorted(range(w.size), key=lambda k: (primary[k], rounded[:, k].tobytes()))
     return w[order].real, v[:, order]
 
 

@@ -18,10 +18,10 @@ from typing import Sequence
 import numpy as np
 
 from .layout import Layout, apply_operator, assemble_ket, axis_permutation, register_label
-from .linalg import as_ket, is_unitary, kron
+from .linalg import _as_square_stack, _unitarity_residuals, as_ket, is_unitary, kron
 from .localiser import LocalisationProblem
 from .qinfo import DensityOp
-from .tolerances import NORM_TOL
+from .tolerances import NORM_TOL, UNITARITY_TOL
 
 
 @dataclass(frozen=True)
@@ -38,17 +38,29 @@ class RegisterState:
 
 @dataclass(frozen=True)
 class FootprintOp:
-    """A unitary together with the ordered registers it acts on."""
+    """A unitary together with the ordered registers it acts on; with a control
+    register, a (control dim, b, b) stack whose block k acts where it holds |k>."""
 
     labels: tuple[str, ...]
     matrix: np.ndarray
+    control: str | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "labels", tuple(register_label(l) for l in self.labels))
-        # Coerced once here; is_unitary checks its shape and finiteness.
-        m = np.asarray(self.matrix, dtype=complex)
-        if not is_unitary(m, where=f"operator on {self.labels}"):
-            raise ValueError(f"operator on {self.labels} is not unitary within tolerance")
+        where = f"operator on {self.labels}"
+        if self.control is not None:
+            if register_label(self.control) in self.labels:
+                raise ValueError(f"{where}: control register {self.control!r} is in its footprint")
+            where += f" controlled by {self.control!r}"
+        # Coerced once here; shape and finiteness checked, then every block's U†U - I at once.
+        m = _as_square_stack(self.matrix, where)
+        axes = 2 if self.control is None else 3
+        if m.ndim != axes:
+            raise ValueError(f"{where}: expected {axes} axes, got shape {m.shape}")
+        residuals = _unitarity_residuals(m)
+        if residuals.max() > UNITARITY_TOL:
+            block = "" if m.ndim == 2 else f": block {np.argmax(residuals > UNITARITY_TOL)}"
+            raise ValueError(f"{where}{block} is not unitary within tolerance")
         object.__setattr__(self, "matrix", m)
 
 
@@ -144,16 +156,19 @@ class QheScheme:
             raise ValueError(f"output register {self.output_label!r} is not with Alice at t2")
 
     def _check_footprint(self, op: FootprintOp, owned: Sequence[str], what: str) -> None:
-        missing = set(op.labels) - set(owned)
+        controls = () if op.control is None else (op.control,)
+        missing = set(op.labels + controls) - set(owned)
         if missing:
             raise ValueError(
                 f"{what} operator touches {sorted(missing)} which the owner "
                 f"does not hold at that time"
             )
-        if op.matrix.shape[0] != self.layout.dim_of(op.labels):
+        b = self.layout.dim_of(op.labels)
+        shape = (b, b) if op.control is None else (self.layout.dim_of(controls), b, b)
+        if op.matrix.shape != shape:
             raise ValueError(
-                f"{what} operator dimension {op.matrix.shape[0]} does not match "
-                f"its footprint {op.labels}"
+                f"{what} operator has shape {op.matrix.shape}, but its control and "
+                f"footprint {controls + op.labels} need {shape}"
             )
 
     @cached_property
@@ -236,7 +251,8 @@ class QheScheme:
         grouped_dims = [layout.dims[p] for p in layout.positions(grouped)]
         rows = axis_permutation(grouped_dims, [grouped.index(l) for l in layout.labels])
         initial = kron(np.eye(d), fixed[:, None])[rows]
-        return apply_operator(initial, layout, self.encrypt_op.matrix, self.encrypt_op.labels)
+        op = self.encrypt_op
+        return apply_operator(initial, layout, op.matrix, op.labels, op.control)
 
     def encrypted_ket(self, psi_in: np.ndarray) -> np.ndarray:
         return self.encryption_isometry @ self.plaintext(psi_in)
@@ -259,13 +275,13 @@ def encrypt_and_evaluate(
     evaluations = [scheme.evaluation(c) for c in circuit_ids]
     ket_t1 = scheme.encryption_isometry @ plaintexts
     # One apply_operator call per footprint, on the stack of its circuits.
-    groups: dict[tuple[str, ...], list[int]] = {}
+    groups: dict[tuple[tuple[str, ...], str | None], list[int]] = {}
     for i, ev in enumerate(evaluations):
-        groups.setdefault(ev.operator.labels, []).append(i)
+        groups.setdefault((ev.operator.labels, ev.operator.control), []).append(i)
     ket_t2 = np.empty(ket_t1.shape[:1] + (len(evaluations),) + ket_t1.shape[1:], dtype=complex)
-    for labels, members in groups.items():
+    for (labels, control), members in groups.items():
         stack = np.stack([evaluations[i].operator.matrix for i in members])
-        ket_t2[:, members] = apply_operator(ket_t1, scheme.layout, stack, labels)
+        ket_t2[:, members] = apply_operator(ket_t1, scheme.layout, stack, labels, control)
     return ket_t1, ket_t2
 
 
@@ -284,9 +300,9 @@ def evolve(
     each through its register footprint.
     """
     ket_t1, ket_t2 = encrypt_and_evaluate(scheme, circuit_ids, plaintexts)
-    layout = scheme.layout
+    layout, op = scheme.layout, scheme.decrypt_op
     ket_final = apply_operator(
-        ket_t2.reshape(layout.dim, -1), layout, scheme.decrypt_op.matrix, scheme.decrypt_op.labels
+        ket_t2.reshape(layout.dim, -1), layout, op.matrix, op.labels, op.control
     ).reshape(ket_t2.shape)
     return ket_t1, ket_t2, ket_final
 

@@ -91,6 +91,11 @@ def _pairs_to_complex(pairs: Any, count: int, where: str) -> np.ndarray:
         raise SchemeFormatError(where, f"non-numeric entries: {exc}") from None
     if arr.shape != (count, 2):
         raise SchemeFormatError(where, f"expected shape ({count}, 2), got {arr.shape}")
+    # numpy reads "1" and true as 1.0 and null as nan; a JSON number is an int or a float.
+    for pair in pairs:
+        for value in pair:
+            if type(value) is not float and type(value) is not int:
+                raise SchemeFormatError(where, f"entries must be JSON numbers, got {value!r}")
     return arr[:, 0] + 1j * arr[:, 1]
 
 
@@ -143,13 +148,23 @@ def layout_from_json(obj: Any, where: str = "registers") -> Layout:
 
 
 def _footprint_to_json(op: FootprintOp) -> dict:
-    return {"labels": list(op.labels), **matrix_to_json(op.matrix)}
+    control = {} if op.control is None else {"control": op.control}
+    blocks = op.matrix.reshape(-1, op.matrix.shape[-1])  # a control's blocks, stacked row-wise
+    return {"labels": list(op.labels), **control, **matrix_to_json(blocks)}
 
 
-def _footprint_from_json(obj: Mapping, where: str) -> FootprintOp:
+def _footprint_from_json(parent: Mapping, key: str, where: str, layout: Layout) -> FootprintOp:
+    obj, where = _require(parent, key, where), f"{where}.{key}"
     labels = _labels(obj, "labels", where, non_empty=True)
+    matrix = matrix_from_json(obj, where)
+    control = _label(obj["control"], f"{where}.control") if "control" in obj else None
     with _located(where):
-        return FootprintOp(labels, matrix_from_json(obj, where))
+        if control is not None:
+            (rows, b), c = matrix.shape, layout.dim_of([control])
+            if rows != c * b:
+                raise ValueError(f"{rows} rows, expected control dimension {c} x {b}")
+            matrix = matrix.reshape(c, b, b)
+        return FootprintOp(labels, matrix, control)
 
 
 def scheme_to_json(scheme: QheScheme) -> dict:
@@ -202,7 +217,7 @@ def scheme_from_json(obj: Mapping, where: str = "scheme") -> QheScheme:
             evaluations.append(
                 Evaluation(
                     _label(_require(item, "id", here), f"{here}.id"),
-                    _footprint_from_json(_require(item, "operator", here), f"{here}.operator"),
+                    _footprint_from_json(item, "operator", here, layout),
                     matrix_from_json(_require(item, "target", here), f"{here}.target"),
                 )
             )
@@ -215,8 +230,8 @@ def scheme_from_json(obj: Mapping, where: str = "scheme") -> QheScheme:
             output_label=_label(_require(obj, "output", where), f"{where}.output"),
             bob_initial=_labels(obj, "bob_initial", where),
             fixed_states=tuple(fixed_states),
-            encrypt_op=_footprint_from_json(_require(obj, "encrypt", where), f"{where}.encrypt"),
-            decrypt_op=_footprint_from_json(_require(obj, "decrypt", where), f"{where}.decrypt"),
+            encrypt_op=_footprint_from_json(obj, "encrypt", where, layout),
+            decrypt_op=_footprint_from_json(obj, "decrypt", where, layout),
             evaluations=tuple(evaluations),
             send_to_bob=_labels(obj, "send_to_bob", where),
             return_to_alice=_labels(obj, "return_to_alice", where),

@@ -14,20 +14,24 @@ explicit QR Q bases (q_basis_product_deviation_from_ket), the residual from
 one QR of the whole J (whole_j_reconstruction_residual) and the trace
 distance read through Q (q_form_trace_distance).  record_decompositions
 records the numpy decompositions a call makes, for shape guards.
+block_diagonal and dense_footprint write a key-controlled operator out as
+the dense matrix the package never forms, and diagonal_blocks reads the
+blocks back off one.  per_column_eig_hermitian is eig_hermitian with its
+tie-break key rounded column by column.
 """
 
 import numpy as np
 
 from qhekit.catalog import _CONSTRUCTED_STREAM, _LEAKY_STREAM
 from qhekit.layout import Layout, axis_permutation
-from qhekit.linalg import basis_ket, dagger, haar_ket, haar_unitary, kron
+from qhekit.linalg import _phase_fix_columns, basis_ket, dagger, haar_ket, haar_unitary, kron
 from qhekit.localiser import (
     _RECONSTRUCTION_SAMPLES,
     _RECONSTRUCTION_SEED,
     LocalisationProblem,
     LocalisationResult,
 )
-from qhekit.scheme import QheScheme, evolve
+from qhekit.scheme import FootprintOp, QheScheme, evolve
 from qhekit.tolerances import DEFAULT_TOLERANCES
 
 
@@ -209,3 +213,42 @@ def record_decompositions(monkeypatch) -> list[tuple[str, tuple[int, ...], str |
         monkeypatch.setattr(np.linalg, name, wrapper)
         monkeypatch.setattr(internal, name, wrapper)
     return calls
+
+
+def block_diagonal(blocks) -> np.ndarray:
+    """The sum of kron(|k><k|, blocks[k]) over a stack (m, b, b), as an (m b, m b) matrix.
+
+    Adding into zeros turns every -0.0 into +0.0, as that sum does.
+    """
+    blocks = np.asarray(blocks, dtype=complex)
+    m, b = blocks.shape[:2]
+    out = np.zeros((m, b, m, b), dtype=complex)
+    ar = np.arange(m)
+    out[ar, :, ar, :] += blocks
+    return out.reshape(m * b, m * b)
+
+
+def diagonal_blocks(dense, m: int) -> np.ndarray:
+    """The m diagonal (b, b) blocks of an (m b, m b) matrix, as a contiguous stack."""
+    b = len(dense) // m
+    return dense.reshape(m, b, m, b)[np.arange(m), :, np.arange(m), :].copy()
+
+
+def dense_footprint(op: FootprintOp) -> tuple[np.ndarray, tuple[str, ...]]:
+    """op as one dense matrix with its footprint; a key-controlled one on (control, *labels)."""
+    if op.control is None:
+        return op.matrix, op.labels
+    return block_diagonal(op.matrix), (op.control,) + op.labels
+
+
+
+def per_column_eig_hermitian(h) -> tuple[np.ndarray, np.ndarray]:
+    """eig_hermitian with each column rounded on its own inside the tie-break sort key."""
+    h = np.asarray(h, dtype=complex)
+    w, v = np.linalg.eigh((h + dagger(h)) / 2.0)
+    v, _ = _phase_fix_columns(v)
+    order = sorted(
+        range(w.size),
+        key=lambda k: (-round(float(w[k]), 12), np.round(v[:, k], 9).tobytes()),
+    )
+    return w[order].real, v[:, order]

@@ -8,11 +8,10 @@ import numpy as np
 import pytest
 
 from qhekit.catalog import (
-    PAULI_X,
-    PAULI_Z,
     CatalogEntry,
     build_constructed_secure_problem,
     build_controlled_flip_gate,
+    build_identity_scheme,
     build_leaky_problem,
     build_qotp_scheme,
     build_scheme,
@@ -28,10 +27,18 @@ from qhekit.linalg import basis_ket, dagger, kron
 from qhekit.qinfo import orthogonal_support
 from qhekit.scheme import Evaluation, FootprintOp, RegisterState, run_pipeline
 from qhekit.serialize import scheme_to_json
-from qhekit_reference import dense_constructed_secure_problem, dense_leaky_problem
+from qhekit_reference import (
+    dense_constructed_secure_problem,
+    dense_footprint,
+    dense_leaky_problem,
+    diagonal_blocks,
+)
 
 # The module, not the catalog() function the package exports under that name.
 qhekit_catalog = importlib.import_module("qhekit.catalog")
+
+PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
+PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 
 def test_pauli_words_cover_all_flip_pairs():
@@ -192,7 +199,10 @@ def test_build_scheme_rejects_unknown_builder():
 
 # Reference constructions: the key- and word-controlled operators as sums of
 # kron(marker, block) products, one per key or word, as the builders once
-# formed them.  The builders write them by index and must match bit for bit.
+# formed them, and each flip word as the Kronecker product of its factors.
+# The builders write them by index, store the key-controlled ones as block
+# stacks, and must match bit for bit; the references' zero entries are made
+# +0.0 by the sums into zeros, and the flip words' by adding +0.0.
 
 
 def _marker(m, k):
@@ -201,7 +211,15 @@ def _marker(m, k):
     return marker
 
 
+_REFERENCE_FACTORS = {"I": np.eye(2), "X": PAULI_X, "Z": PAULI_Z, "XZ": PAULI_X @ PAULI_Z}
+
+
+def _reference_word(word):
+    return kron(*[_REFERENCE_FACTORS[token] for token in word.split(".")]) + 0.0
+
+
 def _reference_qotp(n):
+    """The key-controlled encryption and decryption on (key, input), and the key ket."""
     d, keys = 2**n, 4**n
     key_ket = np.zeros(keys * keys, dtype=complex)
     for k in range(keys):
@@ -220,8 +238,8 @@ def _reference_qotp(n):
     encrypt = np.zeros((d * keys, d * keys), dtype=complex)
     decrypt = np.zeros((d * keys, d * keys), dtype=complex)
     for k in range(keys):
-        encrypt += kron(pad(k), _marker(keys, k))
-        decrypt += kron(dagger(pad(k)), _marker(keys, k))
+        encrypt += kron(_marker(keys, k), pad(k))
+        decrypt += kron(_marker(keys, k), dagger(pad(k)))
     return encrypt, decrypt, key_ket
 
 
@@ -229,11 +247,12 @@ def _reference_controlled_flip_gate(n):
     d, words = 2**n, pauli_words(n)
     gate = np.zeros((len(words) * d, len(words) * d), dtype=complex)
     for k, word in enumerate(words):
-        gate += kron(_marker(len(words), k), pauli_word_matrix(word))
+        gate += kron(_marker(len(words), k), _reference_word(word))
     return gate
 
 
 def _reference_tag_operators(n, blocks):
+    """The tag-controlled decryption on (tag, hold), and each circuit's tag shift."""
     d, tag_dim = 2**n, max(2, len(blocks))
     decrypt = np.zeros((tag_dim * d, tag_dim * d), dtype=complex)
     for i in range(tag_dim):
@@ -247,42 +266,82 @@ def _reference_tag_operators(n, blocks):
     return decrypt, shifts
 
 
+def _controlled_reference(op, dense):
+    """A FootprintOp like op, whose blocks are read off the dense reference."""
+    return FootprintOp(op.labels, diagonal_blocks(dense, len(op.matrix)), op.control)
+
+
 def _reference_scheme(entry):
     """The entry's scheme rebuilt from the references, with a fresh matrix for
     each flip word's operator and target."""
     scheme = build_scheme(entry.builder, **entry.params)
     n = entry.params["n"]
+    words = pauli_words(n)
+    targets = [
+        _reference_word(ev.circuit_id) if ev.circuit_id in words else ev.target
+        for ev in scheme.evaluations
+    ]
     changes = {}
     if entry.builder == "qotp":
         encrypt, decrypt, key_ket = _reference_qotp(n)
         changes = {
             "fixed_states": (RegisterState(scheme.fixed_states[0].labels, key_ket),),
-            "encrypt_op": FootprintOp(scheme.encrypt_op.labels, encrypt),
-            "decrypt_op": FootprintOp(scheme.decrypt_op.labels, decrypt),
+            "encrypt_op": _controlled_reference(scheme.encrypt_op, encrypt),
+            "decrypt_op": _controlled_reference(scheme.decrypt_op, decrypt),
         }
     if entry.builder == "tag-evaluate":
-        decrypt, shifts = _reference_tag_operators(n, [ev.target for ev in scheme.evaluations])
-        changes["decrypt_op"] = FootprintOp(scheme.decrypt_op.labels, decrypt)
+        decrypt, shifts = _reference_tag_operators(n, targets)
+        changes["decrypt_op"] = _controlled_reference(scheme.decrypt_op, decrypt)
         operators = [FootprintOp(("tag",), shift) for shift in shifts]
     else:
         operators = [
-            FootprintOp(("input",), pauli_word_matrix(cid)) if cid in pauli_words(n) else ev.operator
+            FootprintOp(("input",), _reference_word(cid)) if cid in words else ev.operator
             for cid, ev in zip(scheme.circuit_ids, scheme.evaluations)
         ]
     changes["evaluations"] = tuple(
-        Evaluation(ev.circuit_id, op, ev.target) for ev, op in zip(scheme.evaluations, operators)
+        Evaluation(ev.circuit_id, op, target)
+        for ev, op, target in zip(scheme.evaluations, operators, targets)
     )
     return dataclasses.replace(scheme, **changes)
+
+
+def _assert_controlled_matches(op, reference, control, labels):
+    # Bit for bit twice: the blocks against the reference's diagonal, and
+    # the blocks written out densely against the whole reference, so every
+    # off-diagonal block of the reference is zero.
+    assert (op.control, op.labels) == (control, labels)
+    assert op.matrix.tobytes() == diagonal_blocks(reference, len(op.matrix)).tobytes()
+    dense, footprint = dense_footprint(op)
+    assert footprint == (control, *labels)
+    assert dense.tobytes() == reference.tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_pauli_word_matrix_is_the_kron_of_its_factors_bit_for_bit(n):
+    for word in pauli_words(n):
+        matrix = pauli_word_matrix(word)
+        assert matrix.tobytes() == _reference_word(word).tobytes(), word
+        parts = matrix.view(float)
+        assert not np.signbit(parts[parts == 0]).any(), word
 
 
 @pytest.mark.parametrize("n", [1, 2])
 def test_qotp_operators_match_kron_sums_bit_for_bit(n):
     scheme = build_qotp_scheme(n)
     encrypt, decrypt, key_ket = _reference_qotp(n)
-    assert scheme.encrypt_op.matrix.tobytes() == encrypt.tobytes()
-    assert scheme.decrypt_op.matrix.tobytes() == decrypt.tobytes()
+    _assert_controlled_matches(scheme.encrypt_op, encrypt, "key", ("input",))
+    _assert_controlled_matches(scheme.decrypt_op, decrypt, "key", ("input",))
     (key_state,) = scheme.fixed_states
     assert key_state.ket.tobytes() == key_ket.tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_qotp_evaluations_read_the_encryption_pads(n):
+    scheme = build_qotp_scheme(n)
+    pads = scheme.encrypt_op.matrix
+    for ev in scheme.evaluations:
+        assert ev.operator.matrix.base is pads and ev.target.base is pads
+        assert ev.target.tobytes() == _reference_word(ev.circuit_id).tobytes()
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -296,8 +355,8 @@ def test_controlled_flip_gate_matches_kron_sum_bit_for_bit(n):
     "n, circuit_set",
     [
         *[(e.params["n"], e.params["circuit_set"]) for e in catalog() if e.builder == "tag-evaluate"],
-        # Negative entries: pauli_word_matrix and -X carry -0.0, which the
-        # sums turned into +0.0.
+        # Negative entries: -X carries -0.0, which the sums turn into +0.0
+        # and the builder writes as +0.0 too.
         (1, ("I", ("minus-X", -PAULI_X), "XZ")),
         (1, ("X",)),
     ],
@@ -305,7 +364,7 @@ def test_controlled_flip_gate_matches_kron_sum_bit_for_bit(n):
 def test_tag_evaluate_operators_match_kron_sums_bit_for_bit(n, circuit_set):
     scheme = build_tag_evaluate_scheme(n, circuit_set)
     decrypt, shifts = _reference_tag_operators(n, [ev.target for ev in scheme.evaluations])
-    assert scheme.decrypt_op.matrix.tobytes() == decrypt.tobytes()
+    _assert_controlled_matches(scheme.decrypt_op, decrypt, "tag", ("hold",))
     for ev, shift in zip(scheme.evaluations, shifts):
         assert ev.operator.matrix.tobytes() == shift.tobytes()
 
@@ -319,14 +378,16 @@ def test_exported_schemes_match_kron_sum_builds_byte_for_byte(entry):
     assert built == reference
 
 
-def test_qotp_build_makes_no_kron_call_per_key(monkeypatch):
-    calls = []
+def test_no_builder_calls_kron_for_a_flip_word(monkeypatch):
+    # Every flip word, key-controlled operator and gate block is written by index.
+    def refuse(*factors):
+        raise AssertionError(f"kron called on {len(factors)} factors")
 
-    def counting(*factors):
-        calls.append(len(factors))
-        return kron(*factors)
-
-    monkeypatch.setattr(qhekit_catalog, "kron", counting)
+    monkeypatch.setattr(qhekit_catalog, "kron", refuse)
+    monkeypatch.setattr(np, "kron", refuse)
     build_qotp_scheme(2)
-    # At most one per flip word's matrix, none per key.
-    assert len(calls) <= len(pauli_words(2)) == 16
+    build_identity_scheme(1)
+    build_tag_evaluate_scheme(2, ("I.I", "X.I", "Z.Z", "X.XZ"))
+    build_controlled_flip_gate(2)
+    pauli_word_matrix("X.XZ")
+

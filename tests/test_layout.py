@@ -15,6 +15,7 @@ from qhekit.layout import (
     schmidt,
 )
 from qhekit.linalg import basis_ket, kron, random_ket, random_unitary
+from qhekit_reference import block_diagonal
 
 BELL = np.array([1, 0, 0, 1]) / np.sqrt(2)
 PLUS = np.array([1, 1]) / np.sqrt(2)
@@ -292,3 +293,47 @@ def test_reduced_from_ket_batch_matches_columns():
 def test_reduced_from_ket_empty_keep_is_squared_norm():
     psi = 0.5 * random_ket(4, 1)
     np.testing.assert_allclose(reduced_from_ket(psi, two_qubits(), []), [[0.25]], atol=1e-15)
+
+
+def _blocks(c, b, seed):
+    return np.stack([random_unitary(b, seed + k) for k in range(c)])
+
+
+@pytest.mark.parametrize(
+    "control, labels",
+    [("a", ("c",)), ("d", ("b",)), ("b", ("d", "a")), ("c", ("a", "d")), ("b", ("a",))],
+    ids=["before", "after", "between", "around", "adjacent"],
+)
+@pytest.mark.parametrize("batch", [None, 3])
+def test_apply_operator_with_control_matches_dense_block_diagonal(control, labels, batch):
+    blocks = _blocks(_FOUR.dim_of([control]), _FOUR.dim_of(labels), 40)
+    shape = (_FOUR.dim,) if batch is None else (_FOUR.dim, batch)
+    psi = random_ket(math.prod(shape), 7).reshape(shape)
+    out = apply_operator(psi, _FOUR, blocks, labels, control)
+    assert out.shape == shape
+    dense = embed_operator(block_diagonal(blocks), _FOUR, (control, *labels))
+    np.testing.assert_allclose(out, dense @ psi, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("batch", [None, 3])
+def test_apply_operator_with_control_stacks_operators_like_one_call_each(batch):
+    ops = np.stack([_blocks(2, 3, seed) for seed in (0, 10)])
+    kets = random_kets(_FOUR.dim, range(3)) if batch else random_ket(_FOUR.dim, 0)
+    stacked = apply_operator(kets, _FOUR, ops, ("b",), "d")
+    assert stacked.shape == (_FOUR.dim, 2) + kets.shape[1:]
+    for k, op in enumerate(ops):
+        assert np.array_equal(stacked[:, k], apply_operator(kets, _FOUR, op, ("b",), "d"))
+
+
+@pytest.mark.parametrize(
+    "op, labels, control, message",
+    [
+        (_blocks(3, 2, 0), ("a",), "c", r"operator shape \(3, 2, 2\) does not match"),
+        (random_unitary(2, 0), ("a",), "c", r"operator shape \(2, 2\) does not match"),
+        (_blocks(2, 2, 0), ("a",), "a", "repeated labels"),
+    ],
+    ids=["block-count", "no-control-axis", "control-in-footprint"],
+)
+def test_apply_operator_refuses_a_control_that_does_not_fit(op, labels, control, message):
+    with pytest.raises(ValueError, match=message):
+        apply_operator(random_ket(_FOUR.dim, 0), _FOUR, op, labels, control)

@@ -12,7 +12,7 @@ from qhekit.linalg import (
     trace_distance,
     unitaries_equal_up_to_phase,
 )
-from qhekit_reference import unitarity_residual
+from qhekit_reference import per_column_eig_hermitian, unitarity_residual
 
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -67,6 +67,25 @@ def test_eig_hermitian_reconstructs(seed):
     gram = evecs.conj().T @ evecs
     assert np.max(np.abs(gram - np.eye(6))) <= 1e-10
     assert np.all(np.diff(evals) <= 1e-12)
+
+
+def _degenerate_hermitian(rng, d):
+    # A random eigenbasis on a spectrum with repeated eigenvalues.
+    u = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))[0]
+    spectrum = rng.choice([0.0, 0.25, 0.5], size=d)
+    return (u * spectrum) @ u.conj().T
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 8])
+def test_eig_hermitian_matches_the_per_column_sort_key_bit_for_bit(d):
+    rng = np.random.default_rng([0xE16, d])
+    inputs = [np.eye(d) / d, np.diag(np.arange(d) % 2).astype(complex)]
+    for _ in range(40):
+        a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        inputs += [a + a.conj().T, _degenerate_hermitian(rng, d)]
+    for h in inputs:
+        for got, want in zip(eig_hermitian(h), per_column_eig_hermitian(h)):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 def test_eig_hermitian_rejects_non_hermitian():

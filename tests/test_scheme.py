@@ -41,6 +41,7 @@ from qhekit.scheme import (
     localisation_problem_at_t1,
     run_pipeline,
 )
+from qhekit_reference import block_diagonal, dense_footprint
 
 
 def test_identity_pipeline_identity_circuit():
@@ -177,6 +178,116 @@ def test_operators_and_targets_reject_nan_and_non_unitary(build, message):
         build()
 
 
+def _bad_block(k):
+    blocks = np.stack([np.eye(2, dtype=complex)] * 4)
+    blocks[k] *= 2
+    return blocks
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: FootprintOp(("a",), _bad_block(2), "k"), "by 'k': block 2 is not unitary"),
+        (lambda: FootprintOp(("a",), _bad_block(0)[1:], "k"), None),
+        (lambda: FootprintOp(("a", "k"), _bad_block(0)[1:], "k"), "register 'k' is in its footprint"),
+        (lambda: FootprintOp(("a",), np.eye(2), "k"), r"expected 3 axes, got shape \(2, 2\)"),
+        (lambda: FootprintOp(("a",), np.full((2, 2, 2), np.nan), "k"), "non-finite entries"),
+        (lambda: FootprintOp(("a",), np.eye(2), 7), "register label 7 is not a string"),
+        (lambda: FootprintOp(("a",), _bad_block(0)[1:]), r"expected 2 axes, got shape \(3, 2, 2\)"),
+    ],
+    ids=[
+        "non-unitary-block",
+        "unitary-blocks",
+        "control-in-labels",
+        "not-a-stack",
+        "nan",
+        "label",
+        "stack-without-control",
+    ],
+)
+def test_controlled_operators_check_every_block(build, message):
+    if message is None:
+        assert build().matrix.shape == (3, 2, 2)
+        return
+    with pytest.raises((TypeError, ValueError), match=message):
+        build()
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        (
+            lambda s: {"decrypt_op": FootprintOp(("input",), s.decrypt_op.matrix[:3], "key")},
+            r"decryption operator has shape \(3, 2, 2\), but its control and footprint "
+            r"\('key', 'input'\) need \(4, 2, 2\)",
+        ),
+        (
+            lambda s: {"decrypt_op": FootprintOp(("input",), s.decrypt_op.matrix, "key_purifier")},
+            None,
+        ),
+        (
+            lambda s: {
+                "evaluations": (
+                    Evaluation("X", FootprintOp(("input",), s.encrypt_op.matrix, "key"), np.eye(2)),
+                )
+            },
+            r"evaluation 'X' operator touches \['key'\] which the owner does not hold",
+        ),
+    ],
+    ids=["block-count", "other-control", "control-not-held"],
+)
+def test_scheme_checks_a_control_against_its_layout_and_owner(change, message):
+    scheme = build_qotp_scheme(1)
+    if message is None:
+        assert dataclasses.replace(scheme, **change(scheme)).decrypt_op.control == "key_purifier"
+        return
+    with pytest.raises(ValueError, match=message):
+        dataclasses.replace(scheme, **change(scheme))
+
+
+def test_controlled_evaluations_match_their_dense_block_diagonal():
+    # Bob flips the plaintext when his coin, in |+>, holds |1>.
+    layout = Layout((("input", 2), ("coin", 2)))
+    flips = np.stack([np.eye(2), pauli_word_matrix("X")])
+    eye = np.eye(2)
+    scheme = QheScheme(
+        name="coin-flip",
+        layout=layout,
+        input_label="input",
+        output_label="input",
+        bob_initial=("coin",),
+        fixed_states=(RegisterState(("coin",), np.ones(2) / np.sqrt(2)),),
+        encrypt_op=FootprintOp(("input",), eye),
+        decrypt_op=FootprintOp(("input",), eye),
+        evaluations=(
+            Evaluation("flip", FootprintOp(("input",), flips, "coin"), eye),
+            Evaluation("I", FootprintOp(("input",), eye), eye),
+        ),
+        send_to_bob=("input",),
+        return_to_alice=("input",),
+    )
+    plaintexts = np.stack([random_ket(2, seed) for seed in range(3)], axis=1)
+    ket_t1, ket_t2 = encrypt_and_evaluate(scheme, scheme.circuit_ids, plaintexts)
+    dense = embed_operator(block_diagonal(flips), layout, ("coin", "input"))
+    np.testing.assert_allclose(ket_t2[:, 0], dense @ ket_t1, rtol=0, atol=1e-15)
+    assert np.array_equal(ket_t2[:, 1], ket_t1)
+
+
+def test_qotp_completeness_applies_no_operator_wider_than_the_plaintext(monkeypatch):
+    # Every key-controlled operator goes to apply_operator as its 4 x 4 blocks.
+    widths = []
+    original = qhekit.scheme.apply_operator
+
+    def recording(psi, layout, op, labels, control=None):
+        widths.append(np.shape(op)[-1])
+        return original(psi, layout, op, labels, control)
+
+    monkeypatch.setattr(qhekit.scheme, "apply_operator", recording)
+    report = check_completeness(build_qotp_scheme(2))
+    assert report.verdict == "pass" and report.worst_metric == 0.0
+    assert widths and max(widths) <= 4
+
+
 def test_scheme_requires_state_cover():
     layout = Layout((("input", 2), ("extra", 2)))
     eye = np.eye(2, dtype=complex)
@@ -302,7 +413,8 @@ def test_t1_isometry_matches_dense_route(build):
     mail_dim = scheme.layout.dim_of(scheme.send_to_bob)
     extended = Layout(scheme.layout.registers + (("mailbox", mail_dim),))
     dims, n = extended.dims, len(extended.dims)
-    dense = embed_operator(scheme.encrypt_op.matrix, extended, scheme.encrypt_op.labels)
+    matrix, labels = dense_footprint(scheme.encrypt_op)
+    dense = embed_operator(matrix, extended, labels)
     send_pos = [extended.position(l) for l in scheme.send_to_bob]
     split_dims = list(dims[:-1]) + [dims[p] for p in send_pos]
     axes = list(range(len(split_dims)))
@@ -354,11 +466,12 @@ _ISOMETRY_SCHEMES = {
 
 
 def _per_basis_isometry(scheme):
-    """Reference: the encryption through its footprint on the stacked
-    initial kets, one assembled per basis plaintext."""
+    """Reference: the encryption as one dense matrix through its footprint on
+    the stacked initial kets, one assembled per basis plaintext."""
     d = scheme.input_dim
     initial = np.stack([scheme.initial_ket(basis_ket(d, j)) for j in range(d)], axis=1)
-    return apply_operator(initial, scheme.layout, scheme.encrypt_op.matrix, scheme.encrypt_op.labels)
+    matrix, labels = dense_footprint(scheme.encrypt_op)
+    return apply_operator(initial, scheme.layout, matrix, labels)
 
 
 def _assert_bit_identical(a, b):

@@ -7,7 +7,12 @@ import re
 import numpy as np
 import pytest
 
-from qhekit.catalog import build_constructed_secure_problem, build_qotp_scheme, build_tag_evaluate_scheme
+from qhekit.catalog import (
+    build_constructed_secure_problem,
+    build_qotp_scheme,
+    build_tag_evaluate_scheme,
+    catalog,
+)
 from qhekit.checks import audit_reversible_classical, check_security
 from qhekit.linalg import random_ket, random_unitary
 from qhekit.localiser import localise
@@ -236,3 +241,112 @@ def test_audit_json_exact_big_integers():
     assert obj["set_size"] == math.factorial(8)
     text = json.dumps(obj)
     assert str(math.factorial(8)) in text
+
+
+# (path in a QOTP n=1 scheme file, error location) per kind of complex array.
+_COMPLEX_FIELDS = {
+    "matrix": (
+        ("evaluations", 2, "target", "entries", 0),
+        r"scheme\.evaluations\[2\]\.target\.entries",
+    ),
+    "ket": (("states", 0, "amplitudes", 0), r"scheme\.states\[0\]\.amplitudes"),
+}
+
+
+@pytest.mark.parametrize("kind", ["string", "bool", "null"])
+@pytest.mark.parametrize("field", sorted(_COMPLEX_FIELDS))
+def test_complex_entries_accept_only_json_numbers(field, kind):
+    # numpy read ["1", "0"] and [true, false] as 1+0j, and null as nan.
+    path, location = _COMPLEX_FIELDS[field]
+    obj = scheme_to_json(build_qotp_scheme(1))
+    pair = functools.reduce(operator.getitem, path, obj)
+    pair[0] = {"string": str(pair[0]), "bool": True, "null": None}[kind]
+    message = f"^{location}: entries must be JSON numbers, got "
+    with pytest.raises(SchemeFormatError, match=message) as info:
+        scheme_from_json(json.loads(json.dumps(obj)))
+    assert re.fullmatch(location, info.value.location)
+
+
+_CONTROLLED = {
+    "qotp-1": lambda: build_qotp_scheme(1),
+    "qotp-2": lambda: build_qotp_scheme(2),
+    **{
+        e.name: functools.partial(build_tag_evaluate_scheme, **e.params)
+        for e in catalog()
+        if e.builder == "tag-evaluate"
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(_CONTROLLED))
+def test_controlled_footprints_round_trip(name):
+    scheme = _CONTROLLED[name]()
+    obj = json.loads(json.dumps(scheme_to_json(scheme)))
+    control = scheme.decrypt_op.control
+    c, b = scheme.layout.dim_of([control]), scheme.decrypt_op.matrix.shape[-1]
+    assert obj["decrypt"]["control"] == control
+    assert (obj["decrypt"]["rows"], obj["decrypt"]["cols"]) == (c * b, b)
+    back = scheme_from_json(obj)
+    pairs = [(back.encrypt_op, scheme.encrypt_op), (back.decrypt_op, scheme.decrypt_op)]
+    pairs += [(e.operator, f.operator) for e, f in zip(back.evaluations, scheme.evaluations)]
+    for got, want in pairs:
+        assert (got.labels, got.control) == (want.labels, want.control)
+        assert got.matrix.shape == want.matrix.shape
+        assert got.matrix.tobytes() == want.matrix.tobytes()
+    assert scheme_to_json(back) == obj
+
+
+def _scale_block(k):
+    def corrupt(obj):
+        entries = obj["decrypt"]["entries"]  # block k is rows 2k, 2k + 1: four pairs
+        entries[4 * k : 4 * k + 4] = [[2 * re, 2 * im] for re, im in entries[4 * k : 4 * k + 4]]
+
+    return corrupt
+
+
+def _set_control(label):
+    def corrupt(obj):
+        obj["decrypt"]["control"] = label
+
+    return corrupt
+
+
+def _control_its_own_register(obj):
+    # Two identity blocks, so the row count fits the input register as control.
+    obj["decrypt"].update(control="input", rows=4, entries=[[1, 0], [0, 0], [0, 0], [1, 0]] * 2)
+
+
+def _drop_a_block(obj):
+    obj["encrypt"]["rows"] = 6
+    del obj["encrypt"]["entries"][12:]
+
+
+def _drop_the_control(obj):
+    del obj["encrypt"]["control"]
+
+
+@pytest.mark.parametrize(
+    "corrupt, location, message",
+    [
+        (_scale_block(2), r"scheme\.decrypt", r"controlled by 'key': block 2 is not unitary"),
+        (_set_control("lock"), r"scheme\.decrypt", r"label 'lock' not in layout"),
+        (_control_its_own_register, r"scheme\.decrypt", r"register 'input' is in its footprint"),
+        (_set_control(3), r"scheme\.decrypt\.control", r"expected a string, got 3"),
+        (_drop_a_block, r"scheme\.encrypt", r"6 rows, expected control dimension 4 x 2$"),
+        (_drop_the_control, r"scheme\.encrypt", r"expected a square matrix, got shape \(8, 2\)"),
+    ],
+    ids=[
+        "non-unitary-block",
+        "control-outside-layout",
+        "control-in-labels",
+        "control-not-a-label",
+        "row-count",
+        "no-control",
+    ],
+)
+def test_controlled_footprints_are_refused_at_their_location(corrupt, location, message):
+    obj = scheme_to_json(build_qotp_scheme(1))
+    corrupt(obj)
+    with pytest.raises(SchemeFormatError, match=f"^{location}: .*{message}") as info:
+        scheme_from_json(obj)
+    assert re.fullmatch(location, info.value.location)
