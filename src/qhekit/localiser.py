@@ -71,6 +71,28 @@ class ExtractionError(RuntimeError):
 
 
 @dataclass(frozen=True)
+class RetainedState:
+    """A retained-side state rho = M M† given by its factor M (d_retained x k).
+
+    For a pure global state, M is the output ket split (retained, remote),
+    so k is the remote dimension; a mixture sum_i p_i M_i M_i† is the
+    stacked factor [sqrt(p_0) M_0 | sqrt(p_1) M_1 | ...].  M is user input,
+    so it is checked to be a finite matrix; rho itself is formed only on a
+    request for matrix.
+    """
+
+    factor: np.ndarray
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "factor", as_matrix(self.factor, "retained state factor"))
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The dense d_retained x d_retained density matrix M M†."""
+        return self.factor @ self.factor.conj().T
+
+
+@dataclass(frozen=True)
 class LocalisationProblem:
     """The map psi -> W psi on (data, aux, remote), given by its input isometry W.
 
@@ -127,8 +149,14 @@ class LocalisationProblem:
         """
         return reduced_from_ket(self.output_ket(psi), self.layout, [self.remote_label])
 
-    def retained_reduced(self, psi: np.ndarray) -> np.ndarray:
-        return reduced_from_ket(self.output_ket(psi), self.layout, self.retained_labels)
+    def retained_reduced(self, psi: np.ndarray) -> RetainedState:
+        """The retained side's state for one input, as its factor.
+
+        The output ket reshaped to d_retained x d_remote: the remote register
+        is the layout's last, so this M has M M† = Tr_remote |out><out|.
+        """
+        d1, d2, db = self.layout.dims
+        return RetainedState(self.output_ket(psi).reshape(d1 * d2, db))
 
 
 @dataclass(frozen=True)
@@ -173,15 +201,18 @@ class LocalisationResult:
         unitary[:, :, self.rank :] = basis[:, split:].reshape(n, d1, d2 - self.rank)
         return unitary.reshape(n, n)
 
-    def reconstruct(self, psi: np.ndarray) -> np.ndarray:
-        """The retained-side state this localisation predicts for input psi."""
+    def reconstruct(self, psi: np.ndarray) -> RetainedState:
+        """The retained-side state this localisation predicts for input psi.
+
+        Its factor has rank columns: column k is sum_j psi_j times branch
+        (j, k), scaled by the square root of residual weight k.
+        """
         psi = as_ket(psi, "input")
         d1 = self.factor_dims[0]
         if psi.size != d1:
             raise ValueError(f"input dimension {psi.size} != data dimension {d1}")
-        # Column k is sum_j psi_j times branch (j, k).
         cols = psi @ self.branches.reshape(-1, d1, self.rank)
-        return (cols * self.residual_weights) @ cols.conj().T
+        return RetainedState(cols * np.sqrt(self.residual_weights))
 
 
 def check_zero_leakage(problem: LocalisationProblem) -> tuple[bool, float]:
@@ -328,29 +359,48 @@ def localise(
     )
 
 
-def extract_plaintext(result: LocalisationResult, rho_retained: np.ndarray) -> np.ndarray:
-    """Recover the input ket from a retained-side state of the localised form.
+def _data_factor(
+    result: LocalisationResult, state: RetainedState
+) -> tuple[np.ndarray, float, float]:
+    """The normalised data factor of state, its purity and its weight outside the branch span.
 
-    Works in the span of the branch isometry V: the data factor is V† rho V
-    with the residual index traced out, divided by tr rho.  Weight of rho
-    outside that span is not renormalised away, so it can only lower the
-    purity.  Returns the dominant eigenvector of the data factor; raises
-    ExtractionError, reporting the outside weight, when its purity is below
-    EXTRACTION_PURITY.
+    With V the branch isometry and M the state's factor, G = V†M has rows
+    (j, k), data index j and residual index k; the data factor is
+    Tr_k(G G†) = G' G'† with G' = G reshaped (d1, rank * columns), divided
+    by tr rho = ||M||_F^2.  Only M† V is formed, so neither rho nor a
+    conjugate of V is.
     """
-    matrix = np.asarray(rho_retained, dtype=complex)
+    if not isinstance(state, RetainedState):
+        raise TypeError(f"state must be a RetainedState (rho = M M†), got {type(state).__name__}")
+    factor = state.factor
     d1, d2 = result.factor_dims
-    if matrix.shape != (d1 * d2, d1 * d2):
-        raise ValueError(f"state shape {matrix.shape} != retained dimension {d1 * d2}")
-    v = result.branches
-    inner = v.conj().T @ matrix @ v
-    data_part = np.einsum("ikjk->ij", inner.reshape(d1, result.rank, d1, result.rank))
-    total = np.real(np.trace(matrix))
+    if factor.shape[0] != d1 * d2:
+        raise ValueError(f"state factor shape {factor.shape} != retained dimension {d1 * d2}")
+    total = np.real(np.vdot(factor, factor))
     if not total > 0:
         raise ValueError(f"state trace {total!r} is not positive")
+    projected = (factor.conj().T @ result.branches).conj().T.reshape(d1, -1)
+    data_part = projected @ projected.conj().T
     outside_weight = float(1.0 - np.real(np.trace(data_part)) / total)
     data_part /= total
     purity = float(np.real(np.trace(data_part @ data_part)))
+    return data_part, purity, outside_weight
+
+
+def extract_plaintext(result: LocalisationResult, state: RetainedState) -> np.ndarray:
+    """Recover the input ket from a retained-side state of the localised form.
+
+    state is a RetainedState, the state as its factor M with rho = M M†, as
+    problem.retained_reduced and result.reconstruct return it; a dense
+    array raises TypeError.  Works in the span of the branch isometry V:
+    the data factor is V† rho V with the residual index traced out, divided
+    by tr rho, and is formed from V†M, so no d_retained x d_retained array
+    is.  Weight of rho outside that span is not renormalised away, so it
+    can only lower the purity.  Returns the dominant eigenvector of the
+    data factor; raises ExtractionError, reporting the outside weight, when
+    its purity is below EXTRACTION_PURITY.
+    """
+    data_part, purity, outside_weight = _data_factor(result, state)
     if purity < EXTRACTION_PURITY:
         raise ExtractionError(purity, outside_weight)
     _, vecs = eig_hermitian(data_part)

@@ -17,22 +17,33 @@ records the numpy decompositions a call makes, for shape guards.
 block_diagonal and dense_footprint write a key-controlled operator out as
 the dense matrix the package never forms, and diagonal_blocks reads the
 blocks back off one.  per_column_eig_hermitian is eig_hermitian with its
-tie-break key rounded column by column.
+tie-break key rounded column by column.  dense_extract_plaintext is
+extract_plaintext as it read the dense d_retained x d_retained state, for
+the factored path to match.
 """
 
 import numpy as np
 
 from qhekit.catalog import _CONSTRUCTED_STREAM, _LEAKY_STREAM
 from qhekit.layout import Layout, axis_permutation
-from qhekit.linalg import _phase_fix_columns, basis_ket, dagger, haar_ket, haar_unitary, kron
+from qhekit.linalg import (
+    _phase_fix_columns,
+    basis_ket,
+    dagger,
+    eig_hermitian,
+    haar_ket,
+    haar_unitary,
+    kron,
+)
 from qhekit.localiser import (
     _RECONSTRUCTION_SAMPLES,
     _RECONSTRUCTION_SEED,
+    ExtractionError,
     LocalisationProblem,
     LocalisationResult,
 )
 from qhekit.scheme import FootprintOp, QheScheme, evolve
-from qhekit.tolerances import DEFAULT_TOLERANCES
+from qhekit.tolerances import DEFAULT_TOLERANCES, EXTRACTION_PURITY
 
 
 def probe_states(d: int) -> list[np.ndarray]:
@@ -252,3 +263,30 @@ def per_column_eig_hermitian(h) -> tuple[np.ndarray, np.ndarray]:
         key=lambda k: (-round(float(w[k]), 12), np.round(v[:, k], 9).tobytes()),
     )
     return w[order].real, v[:, order]
+
+
+def dense_extract_plaintext(
+    result: LocalisationResult, rho_retained
+) -> tuple[np.ndarray, float, float]:
+    """extract_plaintext on a dense retained state: (ket, purity, outside weight).
+
+    The data factor is V† rho V with the residual index traced out, divided
+    by tr rho; it refuses as extract_plaintext does.
+    """
+    matrix = np.asarray(rho_retained, dtype=complex)
+    d1, d2 = result.factor_dims
+    if matrix.shape != (d1 * d2, d1 * d2):
+        raise ValueError(f"state shape {matrix.shape} != retained dimension {d1 * d2}")
+    v = result.branches
+    inner = v.conj().T @ matrix @ v
+    data_part = np.einsum("ikjk->ij", inner.reshape(d1, result.rank, d1, result.rank))
+    total = np.real(np.trace(matrix))
+    if not total > 0:
+        raise ValueError(f"state trace {total!r} is not positive")
+    outside_weight = float(1.0 - np.real(np.trace(data_part)) / total)
+    data_part /= total
+    purity = float(np.real(np.trace(data_part @ data_part)))
+    if purity < EXTRACTION_PURITY:
+        raise ExtractionError(purity, outside_weight)
+    _, vecs = eig_hermitian(data_part)
+    return vecs[:, 0], purity, outside_weight

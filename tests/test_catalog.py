@@ -344,6 +344,13 @@ def test_qotp_evaluations_read_the_encryption_pads(n):
         assert ev.target.tobytes() == _reference_word(ev.circuit_id).tobytes()
 
 
+@pytest.mark.parametrize("build", [build_qotp_scheme, build_identity_scheme])
+def test_flip_evaluations_share_one_array_with_their_target(build):
+    # So Evaluation checks each pad's unitarity once, as its operator.
+    for ev in build(2).evaluations:
+        assert ev.target is ev.operator.matrix
+
+
 @pytest.mark.parametrize("n", [1, 2])
 def test_controlled_flip_gate_matches_kron_sum_bit_for_bit(n):
     gate, layout = build_controlled_flip_gate(n)

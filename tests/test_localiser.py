@@ -15,10 +15,11 @@ from qhekit.catalog import (
     catalog,
 )
 from qhekit.checks import check_security
-from qhekit.layout import Layout, axis_permutation
+from qhekit.layout import Layout, axis_permutation, reduced_from_ket
 from qhekit.linalg import (
     basis_ket,
     fidelity_pure,
+    haar_ket,
     kron,
     random_ket,
     random_unitary,
@@ -28,6 +29,8 @@ from qhekit.localiser import (
     ExtractionError,
     LeakageDetected,
     LocalisationProblem,
+    RetainedState,
+    _data_factor,
     check_zero_leakage,
     complete_orthonormal,
     extract_plaintext,
@@ -37,6 +40,7 @@ from qhekit.qinfo import DensityOp, von_neumann_entropy
 from qhekit.scheme import localisation_problem_at_t1
 from qhekit.tolerances import DEFAULT_TOLERANCES
 from qhekit_reference import (
+    dense_extract_plaintext,
     dense_problem,
     per_sample_reconstruction_residual,
     probe_states,
@@ -152,7 +156,7 @@ def test_localise_identity_unitary():
     psi = random_ket(2, 8)
     aux = basis_ket(2, 0)
     expected = kron(np.outer(psi, psi.conj()), np.outer(aux, aux.conj()))
-    assert np.max(np.abs(result.reconstruct(psi) - expected)) <= 1e-10
+    assert np.max(np.abs(result.reconstruct(psi).matrix - expected)) <= 1e-10
 
 
 @pytest.mark.parametrize("dims", [(2, 2, 2), (2, 4, 2), (3, 2, 4), (2, 2, 8)])
@@ -189,6 +193,12 @@ def _bridge(name):
     if name == "tag-evaluate":
         return localisation_problem_at_t1(build_scheme("tag-evaluate", **_TAG_EVALUATE.params))
     return localisation_problem_at_t1(build_qotp_scheme(int(name[-1])))
+
+
+_EXTRACTION_PROBLEMS = [
+    pytest.param(lambda d=d: build_constructed_secure_problem(d, 7), id=str(d))
+    for d in [(2, 2, 2), (2, 4, 2), (3, 2, 4), (2, 2, 8), (2, 64, 2)]
+] + [pytest.param(lambda n=n: _bridge(f"qotp{n}"), id=f"t1-qotp{n}") for n in (1, 2)]
 
 
 @pytest.mark.parametrize(
@@ -378,8 +388,8 @@ def test_localise_is_deterministic_and_input_independent():
     np.testing.assert_array_equal(first.unitary, second.unitary)
     for seed in range(5):
         psi = random_ket(2, seed)
-        simulated = problem.retained_reduced(psi)
-        assert np.max(np.abs(first.reconstruct(psi) - simulated)) <= 1e-8
+        simulated = problem.retained_reduced(psi).matrix
+        assert np.max(np.abs(first.reconstruct(psi).matrix - simulated)) <= 1e-8
 
 
 def test_localise_refuses_leaky_problem():
@@ -408,7 +418,8 @@ def test_extract_plaintext_inverts_localised_form():
 def test_extract_plaintext_flags_mixed_state():
     problem = build_constructed_secure_problem((2, 2, 2), seed=4)
     result = localise(problem)
-    mixed = (result.reconstruct(basis_ket(2, 0)) + result.reconstruct(basis_ket(2, 1))) / 2
+    halves = [np.sqrt(0.5) * result.reconstruct(basis_ket(2, j)).factor for j in range(2)]
+    mixed = RetainedState(np.hstack(halves))
     with pytest.raises(ExtractionError) as info:
         extract_plaintext(result, mixed)
     assert info.value.purity < 0.99
@@ -470,9 +481,81 @@ def test_extract_plaintext_reports_weight_outside_branch_span():
     outside = np.linalg.qr(result.branches, mode="complete")[0][:, -1]
     weight = 0.25
     psi = random_ket(2, 3)
-    mixed = (1 - weight) * result.reconstruct(psi) + weight * np.outer(outside, outside.conj())
+    inside = np.sqrt(1 - weight) * result.reconstruct(psi).factor
+    mixed = RetainedState(np.hstack([inside, np.sqrt(weight) * outside[:, None]]))
     with pytest.raises(ExtractionError, match="outside the branch span") as info:
         extract_plaintext(result, mixed)
     assert abs(info.value.outside_weight - weight) <= 1e-12
+    with pytest.raises(ExtractionError) as dense:
+        dense_extract_plaintext(result, mixed.matrix)
+    assert abs(info.value.purity - dense.value.purity) <= 1e-12
     with pytest.raises(ValueError, match="trace"):
-        extract_plaintext(result, np.zeros((8, 8)))
+        extract_plaintext(result, RetainedState(np.zeros((8, 1))))
+
+
+def test_retained_state_checks_its_factor():
+    factor = np.arange(6).reshape(3, 2)
+    state = RetainedState(factor)
+    assert state.factor.dtype == complex
+    np.testing.assert_array_equal(state.matrix, factor @ factor.T)
+    with pytest.raises(ValueError, match="expected a matrix"):
+        RetainedState(np.ones(4))
+    with pytest.raises(ValueError, match="non-finite"):
+        RetainedState(np.array([[1.0], [np.inf]]))
+
+
+def test_extract_plaintext_refuses_a_dense_or_misshapen_state():
+    problem = build_constructed_secure_problem((2, 2, 2), seed=4)
+    result = localise(problem)
+    state = problem.retained_reduced(basis_ket(2, 0))
+    with pytest.raises(TypeError, match="RetainedState"):
+        extract_plaintext(result, state.matrix)
+    with pytest.raises(ValueError, match="retained dimension 4"):
+        extract_plaintext(result, RetainedState(np.ones((8, 1))))
+
+
+@pytest.mark.parametrize("make", _EXTRACTION_PROBLEMS)
+def test_retained_states_match_their_dense_forms(make):
+    problem = make()
+    result = localise(problem)
+    d1 = result.factor_dims[0]
+    for seed in range(3):
+        psi = random_ket(d1, seed)
+        dense = reduced_from_ket(problem.output_ket(psi), problem.layout, problem.retained_labels)
+        assert np.max(np.abs(problem.retained_reduced(psi).matrix - dense)) <= 1e-12
+        cols = psi @ result.branches.reshape(-1, d1, result.rank)
+        predicted = (cols * result.residual_weights) @ cols.conj().T
+        assert np.max(np.abs(result.reconstruct(psi).matrix - predicted)) <= 1e-12
+
+
+@pytest.mark.parametrize("make", _EXTRACTION_PROBLEMS)
+def test_extract_plaintext_matches_the_dense_reference(make):
+    # Fidelity, purity and outside weight of the factored path against the
+    # dense d_retained x d_retained one, over 8 seeded Haar plaintexts.
+    problem = make()
+    result = localise(problem)
+    rng = np.random.default_rng(24)
+    for _ in range(8):
+        psi = haar_ket(rng, result.factor_dims[0])
+        state = problem.retained_reduced(psi)
+        ref_ket, ref_purity, ref_outside = dense_extract_plaintext(result, state.matrix)
+        _, purity, outside = _data_factor(result, state)
+        recovered = extract_plaintext(result, state)
+        assert abs(fidelity_pure(psi, recovered) - fidelity_pure(psi, ref_ket)) <= 1e-12
+        assert abs(purity - ref_purity) <= 1e-12
+        assert abs(outside - ref_outside) <= 1e-12
+
+
+def test_extraction_at_qotp2_forms_no_dense_state():
+    # The dense retained state alone is 1024^2 complex, 16 MiB.
+    problem = _bridge("qotp2")
+    result = localise(problem)
+    psi = random_ket(result.factor_dims[0], 5)
+    tracemalloc.start()
+    try:
+        recovered = extract_plaintext(result, problem.retained_reduced(psi))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert fidelity_pure(psi, recovered) >= 1 - 1e-8
+    assert peak < 2**20

@@ -137,6 +137,24 @@ def test_evaluation_and_scheme_refuse_non_string_ids_and_names(value):
         dataclasses.replace(build_qotp_scheme(1), name=value)
 
 
+def test_evaluation_checks_its_target_unless_it_is_the_operator_matrix(monkeypatch):
+    calls = []
+    original = qhekit.scheme.is_unitary
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].shape)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(qhekit.scheme, "is_unitary", counting)
+    op = FootprintOp(("input",), pauli_word_matrix("X"))
+    assert Evaluation("X", op, op.matrix).target is op.matrix
+    assert calls == []
+    Evaluation("X", op, op.matrix.copy())
+    assert calls == [(2, 2)]
+    with pytest.raises(ValueError, match="target of 'bad' is not unitary"):
+        Evaluation("bad", op, 2 * op.matrix)
+
+
 def test_evaluations_on_two_footprints_keep_their_circuit_order():
     base = build_tag_evaluate_scheme(1, ("I", "X", "Z"))
     # Interleave circuits on ("input",) with the tag circuits on ("tag",).
