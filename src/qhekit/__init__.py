@@ -37,9 +37,7 @@ from .layout import (
     apply_operator,
     assemble_ket,
     embed_operator,
-    partial_trace,
     reduced_from_ket,
-    schmidt,
 )
 from .linalg import (
     basis_ket,
@@ -67,8 +65,6 @@ from .localiser import (
 from .qinfo import (
     DensityOp,
     orthogonal_support,
-    product_deviation,
-    von_neumann_entropy,
 )
 from .scheme import (
     Evaluation,
@@ -128,19 +124,15 @@ __all__ = [
     "localisation_problem_at_t1",
     "localise",
     "orthogonal_support",
-    "partial_trace",
     "pauli_word_matrix",
     "pauli_words",
-    "product_deviation",
     "qubits_for_set",
     "random_ket",
     "random_unitary",
     "reduced_from_ket",
     "run_checks",
     "run_pipeline",
-    "schmidt",
     "trace_distance",
     "unitaries_equal_up_to_phase",
     "verify_catalog",
-    "von_neumann_entropy",
 ]

@@ -8,6 +8,7 @@ produce identical reports.
 """
 
 import argparse
+import dataclasses
 import functools
 import json
 import sys
@@ -40,8 +41,8 @@ from .tolerances import DEFAULT_TOLERANCES
 
 _MAX_TEXT_CASES = 12
 # The tolerance names each command reads: check's verdict thresholds, and
-# localise's leakage threshold plus the two numerical ones it uses.
-_TOL_NAMES = {"check": CHECK_NAMES, "localise": ("leakage", "hermiticity", "rank")}
+# localise's leakage threshold plus its eigenvalue cut-off.
+_TOL_NAMES = {"check": CHECK_NAMES, "localise": ("leakage", "rank")}
 
 
 class CliError(Exception):
@@ -237,7 +238,7 @@ def _cmd_localise(args: argparse.Namespace) -> int:
     problem = _get_problem(args)
     if "leakage" in tols:
         tols["equality"] = tols.pop("leakage")
-    base = DEFAULT_TOLERANCES.replace(**tols)
+    base = dataclasses.replace(DEFAULT_TOLERANCES, **tols)
     try:
         result = localise(problem, base)
     except LeakageDetected as exc:

@@ -13,8 +13,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .linalg import _as_square_stack, _phase_fix_columns, as_ket, as_square, kron
-from .tolerances import DEFAULT_TOLERANCES
+from .linalg import _as_square_stack, as_ket, as_square, kron
 
 MAX_TOTAL_DIM = 2**14
 
@@ -102,12 +101,6 @@ def axis_permutation(dims: Sequence[int], axes: Sequence[int]) -> np.ndarray:
     psi[perm]; i.e. the permutation unitary P with (P psi)[i] = psi[perm[i]].
     """
     return np.arange(int(np.prod(dims))).reshape(tuple(dims)).transpose(tuple(axes)).ravel()
-
-
-def _grouped_axes(layout: Layout, first: Sequence[str]) -> tuple[list[int], list[int]]:
-    front = [layout.position(label) for label in layout.ordered(first)]
-    back = [p for p in range(len(layout.registers)) if p not in front]
-    return front, back
 
 
 def assemble_ket(layout: Layout, blocks: Sequence[tuple[Sequence[str], np.ndarray]]) -> np.ndarray:
@@ -210,29 +203,6 @@ def embed_operator(op: np.ndarray, layout: Layout, labels: Sequence[str]) -> np.
     return full
 
 
-def partial_trace(rho: np.ndarray, layout: Layout, keep: Iterable[str]) -> np.ndarray:
-    """Reduced operator on the kept registers, in layout order.
-
-    keep may be empty, in which case the full trace is returned as a 1x1 matrix.
-    """
-    rho = as_square(rho, "density operator")
-    if rho.shape[0] != layout.dim:
-        raise ValueError(f"operator dimension {rho.shape[0]} != layout dimension {layout.dim}")
-    kept = layout.ordered(keep)
-    dims = layout.dims
-    n = len(dims)
-    kept_pos = [layout.position(label) for label in kept]
-    row = list(range(n))
-    col = [n + i for i in range(n)]
-    for p in range(n):
-        if p not in kept_pos:
-            col[p] = row[p]
-    out = [row[p] for p in kept_pos] + [col[p] for p in kept_pos]
-    reduced = np.einsum(rho.reshape(dims + dims), row + col, out)
-    d = int(np.prod([dims[p] for p in kept_pos], dtype=object)) if kept_pos else 1
-    return np.asarray(reduced, dtype=complex).reshape(d, d)
-
-
 def reduced_from_ket(psi: np.ndarray, layout: Layout, keep: Iterable[str]) -> np.ndarray:
     """Reduced density matrix of a pure state without forming the full projector.
 
@@ -242,37 +212,11 @@ def reduced_from_ket(psi: np.ndarray, layout: Layout, keep: Iterable[str]) -> np
     matrix.
     """
     dims = layout.dims
-    front, back = _grouped_axes(layout, layout.ordered(keep))
+    front = list(layout.positions(layout.ordered(keep)))
+    back = [p for p in range(len(dims)) if p not in front]
     psi = np.asarray(psi, dtype=complex)
     batch = psi.shape[1:]
     axes = list(range(len(dims), len(dims) + len(batch))) + front + back
     d_keep = math.prod(dims[p] for p in front)
     m = psi.reshape(dims + batch).transpose(axes).reshape(batch + (d_keep, -1))
     return m @ m.conj().swapaxes(-1, -2)
-
-
-def schmidt(
-    psi: np.ndarray, layout: Layout, left: Iterable[str]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Schmidt decomposition of a pure state across a register bipartition.
-
-    Returns (coefficients, left_vectors, right_vectors): descending positive
-    coefficients, and orthonormal vectors as matrix columns, so that
-    psi = sum_k coefficients[k] * kron(left[:, k], right[:, k]).
-    """
-    psi = as_ket(psi, "state")
-    if psi.size != layout.dim:
-        raise ValueError(f"state dimension {psi.size} != layout dimension {layout.dim}")
-    left_labels = layout.ordered(left)
-    right_labels = layout.complement(left_labels)
-    if not left_labels or not right_labels:
-        raise ValueError("both sides of the cut must be non-empty")
-    front, back = _grouped_axes(layout, left_labels)
-    d_left = int(np.prod([layout.dims[p] for p in front], dtype=object))
-    m = psi.reshape(layout.dims).transpose(front + back).reshape(d_left, -1)
-    u, s, vh = np.linalg.svd(m, full_matrices=False)
-    # Squared coefficients are reduced-state eigenvalues; align thresholds.
-    r = max(1, int(np.sum(s > np.sqrt(DEFAULT_TOLERANCES.rank))))
-    # Fix the joint phase freedom per Schmidt pair for determinism.
-    u, phases = _phase_fix_columns(u[:, :r])
-    return s[:r].astype(float), u, (vh[:r, :].T * phases)

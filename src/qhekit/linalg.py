@@ -11,7 +11,7 @@ from functools import reduce
 
 import numpy as np
 
-from .tolerances import DEFAULT_TOLERANCES, NORM_TOL, UNITARITY_TOL
+from .tolerances import DEFAULT_TOLERANCES, HERMITICITY_TOL, NORM_TOL, UNITARITY_TOL
 
 # Seed stream tags so that unrelated internal draws never collide.
 _KET_STREAM = 0x6B65
@@ -124,8 +124,8 @@ def _phase_fix_columns(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return v * phases.conj(), phases
 
 
-def eig_hermitian(h: np.ndarray, tol: float | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian matrix.
+def eig_hermitian(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigendecomposition of a Hermitian matrix (within HERMITICITY_TOL).
 
     Returns (eigenvalues, eigenvectors) with eigenvalues sorted descending and
     eigenvectors as orthonormal columns.  Near-degenerate spectra get a fixed,
@@ -133,9 +133,7 @@ def eig_hermitian(h: np.ndarray, tol: float | None = None) -> tuple[np.ndarray, 
     lexicographic comparison of the rounded entries.
     """
     h = as_square(h, "hermitian input")
-    if tol is None:
-        tol = DEFAULT_TOLERANCES.hermiticity
-    if float(np.max(np.abs(h - dagger(h)))) > tol:
+    if float(np.max(np.abs(h - dagger(h)))) > HERMITICITY_TOL:
         raise ValueError("input is not Hermitian within tolerance")
     w, v = np.linalg.eigh((h + dagger(h)) / 2.0)
     v, _ = _phase_fix_columns(v)

@@ -16,8 +16,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .layout import Layout, reduced_from_ket
-from .linalg import as_ket, as_matrix, eig_hermitian, haar_ket, is_isometry
+from .layout import Layout
+from .linalg import _unitarity_residuals, as_ket, as_matrix, eig_hermitian, haar_ket, is_isometry
 from .qinfo import plaintext_dependence
 from .tolerances import DEFAULT_TOLERANCES, EXTRACTION_PURITY, GRAM_REFUSAL, Tolerances
 
@@ -128,10 +128,6 @@ class LocalisationProblem:
         return self.layout.dims[0]
 
     @property
-    def retained_labels(self) -> tuple[str, str]:
-        return (self.layout.labels[0], self.layout.labels[1])
-
-    @property
     def remote_label(self) -> str:
         return self.layout.labels[2]
 
@@ -140,14 +136,6 @@ class LocalisationProblem:
         if psi.size != self.data_dim:
             raise ValueError(f"input dimension {psi.size} != data dimension {self.data_dim}")
         return self.isometry @ psi
-
-    def remote_reduced(self, psi: np.ndarray) -> np.ndarray:
-        """The remote side's reduced state for one input.
-
-        No code in the package calls this: it is the per-input reference the
-        tests bound check_zero_leakage with.
-        """
-        return reduced_from_ket(self.output_ket(psi), self.layout, [self.remote_label])
 
     def retained_reduced(self, psi: np.ndarray) -> RetainedState:
         """The retained side's state for one input, as its factor.
@@ -309,8 +297,9 @@ def localise(
     of the retained size and J is never held whole; an input's factor gets
     an R-only QR only when it is tall, and is otherwise read as it is.
 
-    Raises LeakageDetected or GramCheckFailed instead of returning a result
-    whose premises do not hold.
+    Raises LeakageDetected, GramCheckFailed, or LocalisationError when the
+    remote state's rank is 0 or exceeds the residual factor's dimension,
+    instead of returning a result whose premises do not hold.
     """
     eps, rho_remote = plaintext_dependence(problem.isometry, problem.layout, [problem.remote_label])
     deviation = float(eps.max())
@@ -322,11 +311,16 @@ def localise(
     # outputs[:, j, :] is the evolved basis input j, split (retained, remote).
     outputs = problem.isometry.reshape(d_retained, db, d1).transpose(0, 2, 1)
 
-    evals, evecs = eig_hermitian(rho_remote, tolerances.hermiticity)
+    evals, evecs = eig_hermitian(rho_remote)
     kept = evals > tolerances.rank
     weights = evals[kept]
     eigenbasis = evecs[:, kept]
     rank = int(weights.size)
+    if rank == 0:
+        raise LocalisationError(
+            f"no remote state eigenvalue exceeds the rank tolerance {tolerances.rank:g} "
+            f"(largest {evals[0]:.3e})"
+        )
     if rank > d2:
         raise LocalisationError(
             f"remote state rank {rank} exceeds the residual factor dimension {d2}"
@@ -336,8 +330,7 @@ def localise(
     branches = outputs.reshape(-1, db) @ eigenbasis.conj()
     branches /= np.sqrt(weights)
     branches = branches.reshape(d_retained, d1 * rank)
-    gram = branches.conj().T @ branches
-    gram_residual = float(np.max(np.abs(gram - np.eye(d1 * rank))))
+    gram_residual = float(_unitarity_residuals(branches))
     if gram_residual > GRAM_REFUSAL:
         raise GramCheckFailed(gram_residual)
 

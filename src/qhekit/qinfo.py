@@ -1,7 +1,7 @@
-"""Quantum-information functionals over density operators.
+"""Quantum-information functionals over density operators and their factors.
 
-Entropies are in bits.  All functions are pure; DensityOp values are
-immutable and safe to share between threads.
+All functions are pure; DensityOp values are immutable and safe to share
+between threads.
 """
 
 from dataclasses import dataclass
@@ -9,9 +9,9 @@ from typing import Iterable
 
 import numpy as np
 
-from .layout import Layout, axis_permutation, partial_trace, reduced_from_ket
-from .linalg import as_ket, as_square, dagger, kron, trace_distance
-from .tolerances import DEFAULT_TOLERANCES, NORM_TOL
+from .layout import Layout, reduced_from_ket
+from .linalg import as_ket, as_square, dagger
+from .tolerances import DEFAULT_TOLERANCES, HERMITICITY_TOL, NORM_TOL
 
 
 @dataclass(frozen=True)
@@ -28,7 +28,7 @@ class DensityOp:
                 f"matrix dimension {m.shape[0]} != layout dimension {self.layout.dim}"
             )
         herm = float(np.max(np.abs(m - dagger(m))))
-        if herm > DEFAULT_TOLERANCES.hermiticity:
+        if herm > HERMITICITY_TOL:
             raise ValueError(f"density operator is not Hermitian (residual {herm:.3e})")
         tr = complex(np.trace(m))
         if abs(tr - 1.0) > NORM_TOL:
@@ -53,14 +53,6 @@ class DensityOp:
         return cls(layout.restricted(kept), reduced_from_ket(psi, layout, kept))
 
 
-def von_neumann_entropy(rho: DensityOp) -> float:
-    """Entropy in bits; eigenvalues at or below the rank threshold are dropped."""
-    evals = np.linalg.eigvalsh(rho.matrix)
-    evals = evals[evals > DEFAULT_TOLERANCES.rank]
-    s = float(-np.sum(evals * np.log2(evals)))
-    return min(max(s, 0.0), float(np.log2(rho.dim)))
-
-
 def support_bases(states: np.ndarray) -> list[np.ndarray]:
     """Orthonormal bases of the supports of a stack of Hermitian matrices.
 
@@ -83,23 +75,6 @@ def orthogonal_support(a: DensityOp, b: DensityOp) -> tuple[bool, float]:
         raise ValueError(f"layout mismatch: {a.layout.registers} vs {b.layout.registers}")
     overlap = support_overlap(*support_bases(np.stack([a.matrix, b.matrix])))
     return overlap <= DEFAULT_TOLERANCES.equality, overlap
-
-
-def product_deviation(rho: DensityOp, side_a: Iterable[str]) -> float:
-    """Trace distance between rho and the tensor product of its marginals.
-
-    The dense reference: one full-dimension eigenproblem.  For a reduction
-    of a pure state, product_deviation_from_ket gives the same number in
-    factored form.
-    """
-    a = rho.layout.ordered(side_a)
-    b = rho.layout.complement(a)
-    if not a or not b:
-        raise ValueError("product test needs a non-degenerate bipartition")
-    rho_a = partial_trace(rho.matrix, rho.layout, a)
-    rho_b = partial_trace(rho.matrix, rho.layout, b)
-    perm = axis_permutation(rho.layout.dims, rho.layout.positions(a + b))
-    return trace_distance(rho.matrix[np.ix_(perm, perm)], kron(rho_a, rho_b))
 
 
 def plaintext_dependence(
@@ -153,12 +128,11 @@ def _factor_spectrum(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray,
 def product_deviation_from_ket(
     psi: np.ndarray, layout: Layout, side_a: Iterable[str], side_b: Iterable[str]
 ) -> float | np.ndarray:
-    """product_deviation of the (side_a + side_b) reduction of a pure state.
+    """Trace distance of a pure state's (side_a + side_b) reduction from its marginals' product.
 
-    Computes the same trace distance as product_deviation on the reduced
-    DensityOp, but entirely in factored form: every reduced state of a pure
-    state has rank at most the traced-out dimension, so no full-dimension
-    matrix is ever eigendecomposed.  Each side's marginal is m m† for the
+    Computed entirely in factored form: every reduced state of a pure state
+    has rank at most the traced-out dimension, so no full-dimension matrix
+    is ever eigendecomposed.  Each side's marginal is m m† for the
     ket as a (side, everything else) matrix m; a tall m is reduced to the R
     of its R-only QR and a wide one gives its Gram matrix directly, so no
     decomposition reads a factor's long side.  The deviation is symmetric in

@@ -226,14 +226,6 @@ class QheScheme:
             raise ValueError(f"plaintext: norms {norms!r} are not all 1 within {NORM_TOL}")
         return psi_in
 
-    def initial_ket(self, psi_in: np.ndarray) -> np.ndarray:
-        """The global ket before encryption; the per-plaintext reference for encryption_isometry."""
-        blocks: list[tuple[Sequence[str], np.ndarray]] = [
-            ((self.input_label,), self.plaintext(psi_in))
-        ]
-        blocks.extend((b.labels, b.ket) for b in self.fixed_states)
-        return assemble_ket(self.layout, blocks)
-
     @cached_property
     def encryption_isometry(self) -> np.ndarray:
         """The dim x input_dim isometry from plaintexts to encrypted global kets.
@@ -255,13 +247,6 @@ class QheScheme:
         initial = kron(np.eye(d), fixed[:, None])[rows]
         op = self.encrypt_op
         return apply_operator(initial, layout, op.matrix, op.labels, op.control)
-
-    def encrypted_ket(self, psi_in: np.ndarray) -> np.ndarray:
-        return self.encryption_isometry @ self.plaintext(psi_in)
-
-    def ciphertext(self, psi_in: np.ndarray) -> DensityOp:
-        """Bob's reduced state at t1 for the given plaintext."""
-        return DensityOp.reduced(self.encrypted_ket(psi_in), self.layout, self.bob_t1)
 
 
 def encrypt_and_evaluate(

@@ -6,6 +6,7 @@ from dataclasses import dataclass
 # Fixed thresholds: they refuse malformed input or a broken premise, so no run varies them.
 UNITARITY_TOL = 1e-10  # max-entry norm of U†U - I (W†W - I) an operator (isometry) may have
 NORM_TOL = 1e-10  # |norm - 1| of an input ket or plaintext, |trace - 1| of a density operator
+HERMITICITY_TOL = 1e-10  # max-entry norm of H - H† of a matrix taken as Hermitian
 GRAM_REFUSAL = 1e-6  # localise builds no unitary beyond this max-entry branch Gram residual
 EXTRACTION_PURITY = 0.99  # extract_plaintext reads no plaintext from a data factor less pure
 
@@ -14,12 +15,10 @@ EXTRACTION_PURITY = 0.99  # extract_plaintext reads no plaintext from a data fac
 class Tolerances:
     """The thresholds a run may override; every module reads its defaults from here.
 
-    hermiticity -- max-entry norm of H - H† accepted as Hermitian
     rank        -- eigenvalues at or below this count as zero
     equality    -- default tolerance for value comparisons and verdicts
     """
 
-    hermiticity: float = 1e-10
     rank: float = 1e-10
     equality: float = 1e-9
 
@@ -27,9 +26,6 @@ class Tolerances:
         for name, value in dataclasses.asdict(self).items():
             if not value > 0:
                 raise ValueError(f"tolerance {name!r} must be positive, got {value}")
-
-    def replace(self, **overrides: float) -> "Tolerances":
-        return dataclasses.replace(self, **overrides)
 
 
 DEFAULT_TOLERANCES = Tolerances()

@@ -1,5 +1,7 @@
 """Test-only references and input constructors; no package code calls them.
 
+initial_ket, ciphertext and remote_reduced are per-plaintext views; partial_trace,
+product_deviation, schmidt and von_neumann_entropy are the dense functionals.
 probe_states is the per-input route that plaintext_dependence's bounds are
 checked against; dense_problem turns a dense unitary into a problem;
 dense_constructed_secure_problem and dense_leaky_problem are the problem
@@ -25,15 +27,18 @@ the factored path to match.
 import numpy as np
 
 from qhekit.catalog import _CONSTRUCTED_STREAM, _LEAKY_STREAM
-from qhekit.layout import Layout, axis_permutation
+from qhekit.layout import Layout, assemble_ket, axis_permutation, reduced_from_ket
 from qhekit.linalg import (
     _phase_fix_columns,
+    as_ket,
+    as_square,
     basis_ket,
     dagger,
     eig_hermitian,
     haar_ket,
     haar_unitary,
     kron,
+    trace_distance,
 )
 from qhekit.localiser import (
     _RECONSTRUCTION_SAMPLES,
@@ -42,6 +47,7 @@ from qhekit.localiser import (
     LocalisationProblem,
     LocalisationResult,
 )
+from qhekit.qinfo import DensityOp
 from qhekit.scheme import FootprintOp, QheScheme, evolve
 from qhekit.tolerances import DEFAULT_TOLERANCES, EXTRACTION_PURITY
 
@@ -58,6 +64,77 @@ def probe_states(d: int) -> list[np.ndarray]:
     basis = [basis_ket(d, j) for j in range(d)]
     pairs = [(j, k) for j in range(d) for k in range(j + 1, d)]
     return basis + [(basis[j] + c * basis[k]) / np.sqrt(2.0) for j, k in pairs for c in (1, 1j)]
+
+
+def initial_ket(scheme: QheScheme, psi) -> np.ndarray:
+    """The global ket before encryption; the per-plaintext reference for encryption_isometry."""
+    blocks = [((scheme.input_label,), psi)] + [(b.labels, b.ket) for b in scheme.fixed_states]
+    return assemble_ket(scheme.layout, blocks)
+
+
+def ciphertext(scheme: QheScheme, psi) -> DensityOp:
+    """Bob's reduced state at t1 for the given plaintext."""
+    return DensityOp.reduced(scheme.encryption_isometry @ psi, scheme.layout, scheme.bob_t1)
+
+
+def remote_reduced(problem: LocalisationProblem, psi) -> np.ndarray:
+    """The remote side's reduced state for one input, which check_zero_leakage is bounded by."""
+    return reduced_from_ket(problem.output_ket(psi), problem.layout, [problem.remote_label])
+
+
+def partial_trace(rho, layout: Layout, keep) -> np.ndarray:
+    """Reduced operator of a dense rho on the kept registers, in layout order.
+
+    keep may be empty, in which case the full trace is returned as a 1x1 matrix.
+    """
+    rho = as_square(rho, "density operator")
+    kept = layout.positions(layout.ordered(keep))
+    n = len(layout.dims)
+    col = [n + p if p in kept else p for p in range(n)]  # traced registers share row and column
+    d = int(np.prod([layout.dims[p] for p in kept]))
+    out = list(kept) + [col[p] for p in kept]
+    return np.einsum(rho.reshape(layout.dims * 2), list(range(n)) + col, out).reshape(d, d)
+
+
+def product_deviation(rho: DensityOp, side_a) -> float:
+    """Trace distance between rho and the product of its marginals, by one dense eigenproblem."""
+    a = rho.layout.ordered(side_a)
+    b = rho.layout.complement(a)
+    if not a or not b:
+        raise ValueError("product test needs a non-degenerate bipartition")
+    rho_a = partial_trace(rho.matrix, rho.layout, a)
+    rho_b = partial_trace(rho.matrix, rho.layout, b)
+    perm = axis_permutation(rho.layout.dims, rho.layout.positions(a + b))
+    return trace_distance(rho.matrix[np.ix_(perm, perm)], kron(rho_a, rho_b))
+
+
+def schmidt(psi, layout: Layout, left) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Schmidt decomposition of a pure state across a register bipartition.
+
+    Returns (coefficients, left_vectors, right_vectors): descending positive
+    coefficients, and orthonormal vectors as matrix columns, so that
+    psi = sum_k coefficients[k] * kron(left[:, k], right[:, k]).
+    """
+    psi = as_ket(psi, "state")
+    left = layout.ordered(left)
+    front, back = layout.positions(left), layout.positions(layout.complement(left))
+    if not front or not back:
+        raise ValueError("both sides of the cut must be non-empty")
+    m = psi.reshape(layout.dims).transpose(front + back).reshape(layout.dim_of(left), -1)
+    u, s, vh = np.linalg.svd(m, full_matrices=False)
+    # Squared coefficients are reduced-state eigenvalues; align thresholds.
+    r = max(1, int(np.sum(s > np.sqrt(DEFAULT_TOLERANCES.rank))))
+    # Fix the joint phase freedom per Schmidt pair for determinism.
+    u, phases = _phase_fix_columns(u[:, :r])
+    return s[:r].astype(float), u, (vh[:r, :].T * phases)
+
+
+def von_neumann_entropy(rho: DensityOp) -> float:
+    """Entropy in bits; eigenvalues at or below the rank threshold are dropped."""
+    evals = np.linalg.eigvalsh(rho.matrix)
+    evals = evals[evals > DEFAULT_TOLERANCES.rank]
+    s = float(-np.sum(evals * np.log2(evals)))
+    return min(max(s, 0.0), float(np.log2(rho.dim)))
 
 
 def dense_problem(layout: Layout, unitary, aux, remote) -> LocalisationProblem:

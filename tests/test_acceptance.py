@@ -28,7 +28,7 @@ from qhekit.checks import (
     check_theorem1,
 )
 from qhekit.cli import main as cli_main
-from qhekit.layout import Layout, reduced_from_ket, schmidt
+from qhekit.layout import Layout, reduced_from_ket
 from qhekit.linalg import basis_ket, fidelity_pure, random_ket, random_unitary
 from qhekit.localiser import (
     LeakageDetected,
@@ -36,9 +36,10 @@ from qhekit.localiser import (
     extract_plaintext,
     localise,
 )
-from qhekit.qinfo import DensityOp, von_neumann_entropy
+from qhekit.qinfo import DensityOp
 from qhekit.scheme import localisation_problem_at_t1
 from qhekit.serialize import scheme_to_json
+from qhekit_reference import schmidt, von_neumann_entropy
 
 CONSTRUCTED_DIMS = ((2, 2, 2), (2, 4, 2), (3, 2, 4), (2, 2, 8))
 LEAKY_DIMS = ((2, 2, 2), (2, 4, 2), (2, 2, 8), (3, 2, 6))

@@ -61,7 +61,13 @@ from qhekit.scheme import (
     run_pipeline,
 )
 from qhekit.tolerances import DEFAULT_TOLERANCES
-from qhekit_reference import norm_completeness_deltas, probe_states, record_decompositions
+from qhekit_reference import (
+    ciphertext,
+    norm_completeness_deltas,
+    probe_states,
+    record_decompositions,
+    remote_reduced,
+)
 
 
 def test_security_identity_scheme_fails_maximally():
@@ -76,7 +82,7 @@ def test_security_qotp_passes_with_maximally_mixed_ciphertext():
     assert report.verdict == PASS
     assert report.worst_metric <= 1e-10
     for probe in probe_states(2):
-        np.testing.assert_allclose(scheme.ciphertext(probe).matrix, np.eye(2) / 2, atol=1e-10)
+        np.testing.assert_allclose(ciphertext(scheme, probe).matrix, np.eye(2) / 2, atol=1e-10)
 
 
 def test_security_tag_evaluate_passes():
@@ -318,7 +324,7 @@ def test_audit_rejects_oversize():
 
 def _per_plaintext_security(scheme):
     # Reference: one ciphertext DensityOp per probe, one trace distance per pair.
-    states = [scheme.ciphertext(p).matrix for p in probe_states(scheme.input_dim)]
+    states = [ciphertext(scheme, p).matrix for p in probe_states(scheme.input_dim)]
     return [
         (f"{i}|{j}", trace_distance(states[i], states[j]))
         for i in range(len(states))
@@ -492,8 +498,8 @@ def _coherence_leak_scheme():
 def test_security_catches_a_leak_in_a_coherence_only():
     scheme = _coherence_leak_scheme()
     for j in range(2):
-        ciphertext = scheme.ciphertext(basis_ket(2, j)).matrix
-        np.testing.assert_allclose(ciphertext, np.eye(2) / 2, rtol=0, atol=1e-12)
+        state = ciphertext(scheme, basis_ket(2, j)).matrix
+        np.testing.assert_allclose(state, np.eye(2) / 2, rtol=0, atol=1e-12)
     report = check_security(scheme)
     assert report.verdict == FAIL
     blocks = dict(report.cases)
@@ -700,7 +706,7 @@ def _scheme_dependence(name):
 def _problem_dependence(build, dims, seed):
     problem = build(dims, seed)
     eps, _ = plaintext_dependence(problem.isometry, problem.layout, [problem.remote_label])
-    states = [problem.remote_reduced(p) for p in probe_states(problem.data_dim)]
+    states = [remote_reduced(problem, p) for p in probe_states(problem.data_dim)]
     distances = [trace_distance(a, b) for i, a in enumerate(states) for b in states[i + 1 :]]
     return eps, distances, problem.data_dim
 

@@ -490,14 +490,17 @@ _SOURCES = {
 }
 _ACCEPTED_TOLS = {
     "check": "security, completeness, theorem1",
-    "localise": "leakage, hermiticity, rank",
+    "localise": "leakage, rank",
 }
 
 
 @pytest.mark.parametrize(
     "command, name",
     [("check", name) for name in ("unitarity", "hermiticity", "rank", "equality", "leakage")]
-    + [("localise", name) for name in ("unitarity", "equality", "security", "completeness", "theorem1")],
+    + [
+        ("localise", name)
+        for name in ("unitarity", "hermiticity", "equality", "security", "completeness", "theorem1")
+    ],
 )
 def test_tolerances_the_command_does_not_read_rejected(capsys, command, name):
     assert run_cli(command, *_SOURCES[command], "--tol", f"{name}=1e-3") == 1
@@ -525,9 +528,11 @@ def test_localise_rank_tolerance_changes_rank(tmp_path):
     assert read_json(coarse)["rank"] == 1
 
 
-def test_localise_hermiticity_tolerance_is_applied(capsys):
-    assert run_cli("localise", *_SOURCES["localise"], "--tol", "hermiticity=1e-300") == 1
-    assert "not Hermitian" in capsys.readouterr().err
+def test_localise_rank_above_every_eigenvalue_is_refused(capsys):
+    # No eigenvalue above the cut: a refusal (exit 2), not a numpy error (exit 1).
+    assert run_cli("localise", *_SOURCES["localise"], "--tol", "rank=1") == 2
+    out = capsys.readouterr().out
+    assert out.startswith("localise: refused") and "rank tolerance 1 " in out
 
 
 @pytest.mark.parametrize(

@@ -10,12 +10,10 @@ from qhekit.layout import (
     apply_operator,
     assemble_ket,
     embed_operator,
-    partial_trace,
     reduced_from_ket,
-    schmidt,
 )
 from qhekit.linalg import basis_ket, kron, random_ket, random_unitary
-from qhekit_reference import block_diagonal
+from qhekit_reference import block_diagonal, partial_trace, schmidt
 
 BELL = np.array([1, 0, 0, 1]) / np.sqrt(2)
 PLUS = np.array([1, 1]) / np.sqrt(2)

@@ -28,6 +28,7 @@ from qhekit.linalg import (
 from qhekit.localiser import (
     ExtractionError,
     LeakageDetected,
+    LocalisationError,
     LocalisationProblem,
     RetainedState,
     _data_factor,
@@ -36,16 +37,18 @@ from qhekit.localiser import (
     extract_plaintext,
     localise,
 )
-from qhekit.qinfo import DensityOp, von_neumann_entropy
+from qhekit.qinfo import DensityOp
 from qhekit.scheme import localisation_problem_at_t1
-from qhekit.tolerances import DEFAULT_TOLERANCES
+from qhekit.tolerances import DEFAULT_TOLERANCES, Tolerances
 from qhekit_reference import (
     dense_extract_plaintext,
     dense_problem,
     per_sample_reconstruction_residual,
     probe_states,
     record_decompositions,
+    remote_reduced,
     unitarity_residual,
+    von_neumann_entropy,
     whole_j_reconstruction_residual,
 )
 
@@ -116,7 +119,7 @@ def test_zero_leakage_matches_per_probe_reference(kind, dims):
     build = build_constructed_secure_problem if kind == "constructed-secure" else build_leaky_problem
     for seed in range(4):
         problem = build(dims, seed)
-        states = [problem.remote_reduced(p) for p in probe_states(problem.data_dim)]
+        states = [remote_reduced(problem, p) for p in probe_states(problem.data_dim)]
         expected = max(trace_distance(a, b) for i, a in enumerate(states) for b in states[i + 1 :])
         ok, deviation = check_zero_leakage(problem)
         assert expected <= problem.data_dim * deviation + 1e-12
@@ -343,12 +346,22 @@ def test_localise_never_evaluates_the_problem_per_input(monkeypatch, make):
 def test_localise_residual_matches_remote_spectrum():
     problem = build_constructed_secure_problem((3, 2, 4), seed=3)
     result = localise(problem)
-    remote = problem.remote_reduced(basis_ket(3, 0))
+    remote = remote_reduced(problem, basis_ket(3, 0))
     remote_evals = np.sort(np.linalg.eigvalsh(remote))[::-1]
     assert result.residual_weights.shape == (result.rank,)
     sigma_evals = np.sort(result.residual_weights)[::-1]
     np.testing.assert_allclose(sigma_evals, remote_evals[: result.rank], atol=1e-9)
     assert np.all(np.abs(remote_evals[result.rank :]) <= 1e-12)
+
+
+def test_localise_refuses_when_no_eigenvalue_exceeds_the_rank_tolerance():
+    # A rank cut at or above the remote state's largest eigenvalue keeps no
+    # branch; localise refuses and names both numbers.
+    problem = build_constructed_secure_problem((2, 2, 2), seed=7)
+    largest = np.linalg.eigvalsh(remote_reduced(problem, basis_ket(2, 0)))[-1]
+    with pytest.raises(LocalisationError, match="rank tolerance 1 ") as info:
+        localise(problem, Tolerances(rank=1.0))
+    assert f"largest {largest:.3e}" in str(info.value)
 
 
 def test_localise_keeps_normalised_residual_weights():
@@ -521,7 +534,7 @@ def test_retained_states_match_their_dense_forms(make):
     d1 = result.factor_dims[0]
     for seed in range(3):
         psi = random_ket(d1, seed)
-        dense = reduced_from_ket(problem.output_ket(psi), problem.layout, problem.retained_labels)
+        dense = reduced_from_ket(problem.output_ket(psi), problem.layout, problem.layout.labels[:2])
         assert np.max(np.abs(problem.retained_reduced(psi).matrix - dense)) <= 1e-12
         cols = psi @ result.branches.reshape(-1, d1, result.rank)
         predicted = (cols * result.residual_weights) @ cols.conj().T

@@ -4,6 +4,7 @@ import functools
 import importlib
 import importlib.util
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -13,6 +14,7 @@ import pytest
 import qhekit
 
 _SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+_README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def _traced_targets():
@@ -35,12 +37,17 @@ def test_every_exported_name_resolves():
     assert missing == []
 
 
+def test_readme_lower_layers_name_only_exported_names():
+    # The README's "Lower layers" paragraph lists importable names; a name
+    # moved out of the package must leave it too.
+    text = _README.read_text(encoding="utf-8")
+    paragraph = text[text.index("Lower layers are importable") :].split("\n\n", 1)[0]
+    names = re.findall(r"`([A-Za-z_]\w*)`", paragraph)
+    assert names and [name for name in names if not hasattr(qhekit, name)] == []
+
+
 def test_tolerances_holds_only_the_overridable_thresholds():
-    assert [f.name for f in dataclasses.fields(qhekit.Tolerances)] == [
-        "hermiticity",
-        "rank",
-        "equality",
-    ]
+    assert [f.name for f in dataclasses.fields(qhekit.Tolerances)] == ["rank", "equality"]
 
 
 def test_threshold_values_are_written_only_in_tolerances():

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qhekit.layout import Layout, partial_trace, reduced_from_ket
+from qhekit.layout import Layout, reduced_from_ket
 from qhekit.linalg import (
     basis_ket,
     eig_hermitian,
@@ -17,12 +17,15 @@ from qhekit.qinfo import (
     DensityOp,
     orthogonal_support,
     plaintext_dependence,
-    product_deviation,
     product_deviation_from_ket,
     support_bases,
+)
+from qhekit_reference import (
+    partial_trace,
+    product_deviation,
+    q_basis_product_deviation_from_ket,
     von_neumann_entropy,
 )
-from qhekit_reference import q_basis_product_deviation_from_ket
 
 QUBIT = Layout((("q", 2),))
 PAIR = Layout((("a", 2), ("b", 2)))
