@@ -64,10 +64,17 @@ def _swap_matrix(d: int) -> np.ndarray:
     return np.eye(d * d, dtype=complex)[axis_permutation((d, d), (1, 0))]
 
 
-def _flip_evaluations(pads: np.ndarray, n: int) -> list[Evaluation]:
-    """One evaluation per flip word on the input register, its own target, read off the pads."""
-    blocks = [(word, pads[_word_key(word)]) for word in pauli_words(n)]
-    return [Evaluation(w, FootprintOp(("input",), m), m) for w, m in blocks]
+def _flip_evaluations(n: int, pads: FootprintOp | None = None) -> list[Evaluation]:
+    """One evaluation per flip word on the input register, its own target.
+
+    Each operator is a block of pads, the key-controlled pads on the input
+    register, whose one stacked check covers every block; without pads,
+    that stack is built and checked here.
+    """
+    if pads is None:
+        pads = FootprintOp(("input",), _pads(n), control="key")
+    blocks = [(word, pads.block(_word_key(word))) for word in pauli_words(n)]
+    return [Evaluation(w, op, op.matrix) for w, op in blocks]
 
 
 def build_identity_scheme(n: int) -> QheScheme:
@@ -81,7 +88,7 @@ def build_identity_scheme(n: int) -> QheScheme:
     d = 2**n
     layout = Layout((("input", d),))
     identity = np.eye(d, dtype=complex)
-    evaluations = _flip_evaluations(_pads(n), n)
+    evaluations = _flip_evaluations(n)
     if n >= 2:
         swap01 = kron(_swap_matrix(2), np.eye(2 ** (n - 2)))
         evaluations.append(Evaluation("SWAP01", FootprintOp(("input",), swap01), swap01))
@@ -123,7 +130,7 @@ def build_qotp_scheme(n: int) -> QheScheme:
     key_ket = np.zeros(keys * keys, dtype=complex)
     key_ket[np.arange(keys) * (keys + 1)] = 1.0 / d  # sum_k |k>|k> / d
 
-    pads = _pads(n)
+    pads = FootprintOp(("input",), _pads(n), control="key")
     return QheScheme(
         name=f"qotp(n={n})",
         layout=layout,
@@ -131,10 +138,10 @@ def build_qotp_scheme(n: int) -> QheScheme:
         output_label="input",
         bob_initial=(),
         fixed_states=(RegisterState(("key", "key_purifier"), key_ket),),
-        encrypt_op=FootprintOp(("input",), pads, control="key"),
+        encrypt_op=pads,
         # The pads are real, so each one's inverse is its transpose.
-        decrypt_op=FootprintOp(("input",), pads.transpose(0, 2, 1), control="key"),
-        evaluations=tuple(_flip_evaluations(pads, n)),
+        decrypt_op=FootprintOp(("input",), pads.matrix.transpose(0, 2, 1), control="key"),
+        evaluations=tuple(_flip_evaluations(n, pads)),
         send_to_bob=("input",),
         return_to_alice=("input",),
     )
@@ -219,9 +226,10 @@ def build_constructed_secure_problem(
 ) -> LocalisationProblem:
     """A localisation instance that satisfies zero leakage by construction.
 
-    The unitary first scrambles (aux, remote) by a seeded Haar unitary, then
-    scrambles the whole retained side, so the remote reduced state can only
-    depend on the fixed aux/remote kets.  The draws are contracted straight
+    dims are (data, aux, remote); the problem's retained register is data ⊗
+    aux.  The unitary first scrambles (aux, remote) by a seeded Haar
+    unitary, then scrambles the whole retained side, so the remote reduced
+    state can only depend on the fixed aux/remote kets.  The draws are contracted straight
     into the input isometry; the dense unitary is never formed.
     """
     d1, d2, db = _problem_dims(dims)
@@ -230,8 +238,9 @@ def build_constructed_secure_problem(
     mixer = haar_unitary(rng, d2 * db)
     aux, remote = haar_ket(rng, d2), haar_ket(rng, db)
     w = retained.reshape(-1, d1, d2) @ (mixer @ kron(aux, remote)).reshape(d2, db)
-    layout = Layout((("A1", d1), ("A2", d2), ("B", db)))
-    return LocalisationProblem(layout, w.transpose(0, 2, 1).reshape(-1, d1))
+    return LocalisationProblem(
+        Layout((("A", d1 * d2), ("B", db))), w.transpose(0, 2, 1).reshape(-1, d1)
+    )
 
 
 def build_leaky_problem(dims: tuple[int, int, int], seed: int) -> LocalisationProblem:
@@ -253,8 +262,7 @@ def build_leaky_problem(dims: tuple[int, int, int], seed: int) -> LocalisationPr
     rest = db // d1
     kept = (scramble_retained.reshape(-1, d1, d2) @ aux) @ remote.reshape(d1, rest)
     w = np.einsum("xk,yjk->xyj", kept, scramble_remote.reshape(db, d1, rest))
-    layout = Layout((("A1", d1), ("A2", d2), ("B", db)))
-    return LocalisationProblem(layout, w.reshape(-1, d1))
+    return LocalisationProblem(Layout((("A", d1 * d2), ("B", db))), w.reshape(-1, d1))
 
 
 def build_controlled_flip_gate(n: int = 1) -> tuple[np.ndarray, Layout]:

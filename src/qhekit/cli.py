@@ -255,15 +255,14 @@ def _cmd_localise(args: argparse.Namespace) -> int:
         _emit(args, f"localise: refused  {exc}", payload)
         return 2
     deviation = result.leakage_deviation
-    text = "\n".join(
-        [
-            f"zero-leakage: pass  max_deviation={deviation:.3e}",
-            f"rank: {result.rank}",
-            f"factor_dims: {result.factor_dims[0]}x{result.factor_dims[1]}",
-            f"gram_residual: {result.gram_residual:.3e}",
-            f"reconstruction_residual: {result.reconstruction_residual:.3e}",
-        ]
-    )
+    lines = [f"zero-leakage: pass  max_deviation={deviation:.3e}", f"rank: {result.rank}"]
+    if result.factor_dims is not None:
+        lines.append(f"factor_dims: {result.factor_dims[0]}x{result.factor_dims[1]}")
+    lines += [
+        f"gram_residual: {result.gram_residual:.3e}",
+        f"reconstruction_residual: {result.reconstruction_residual:.3e}",
+    ]
+    text = "\n".join(lines)
     _emit(args, text, {"verdict": PASS, "max_deviation": deviation, **result_to_json(result)})
     return 0
 

@@ -1,14 +1,15 @@
 """Constructive data localisation.
 
-Given a tripartite system (data, aux, remote) prepared as psi ⊗ aux ⊗ remote
-and evolved by a unitary, a problem is the input isometry of that map.  The
-remote side's reduced state carrying zero information about psi implies that
-a single psi-independent unitary on the retained side factors its reduced
-state into psi times a fixed residual.  One qinfo.plaintext_dependence call
-decides that zero-leakage hypothesis for every input by linearity; when it
-holds, this module builds that unitary explicitly, reporting numerical
-residuals for every step.  Thresholds: localise's Tolerances, and the fixed
-GRAM_REFUSAL and EXTRACTION_PURITY of tolerances.py.
+A problem is an isometry W taking a d-dimensional input psi to a state on a
+(retained, remote) bipartition, such as U (psi ⊗ aux ⊗ remote) for an
+evolution U and fixed kets.  The remote side's reduced state carrying zero
+information about psi implies that a single psi-independent unitary on the
+retained side factors its reduced state into psi times a fixed residual.
+One qinfo.plaintext_dependence call decides that zero-leakage hypothesis
+for every input by linearity; when it holds, this module builds that
+unitary explicitly, reporting numerical residuals for every step.
+Thresholds: localise's Tolerances, and the fixed GRAM_REFUSAL and
+EXTRACTION_PURITY of tolerances.py.
 """
 
 from dataclasses import dataclass
@@ -94,30 +95,30 @@ class RetainedState:
 
 @dataclass(frozen=True)
 class LocalisationProblem:
-    """The map psi -> W psi on (data, aux, remote), given by its input isometry W.
+    """The map psi -> W psi onto a (retained, remote) bipartition, given by W.
 
-    W is the dim x data_dim matrix psi -> U (psi ⊗ aux ⊗ remote) for an
-    evolution U and fixed aux and remote kets; the localiser reads a problem
-    only through it.  A problem built from a dense unitary passes
-    U.reshape(layout.dim, data_dim, -1) @ kron(aux, remote).  Files, builders
-    and user matrices enter here, so W is checked in full: three registers,
-    finite entries, shape (dim, data_dim) and W†W = I.
+    W is the dim x d input isometry, rows in layout order and one column
+    per input basis ket, so the data dimension d is W's column count; the
+    localiser reads a problem only through it.  A problem built from a dense
+    unitary U on (data, aux, remote) passes U.reshape(dim, d, -1) @
+    kron(aux, remote), with data and aux merged into the retained register.
+    Files, builders and user matrices enter here, so W is checked in full:
+    two registers, finite entries, dim rows and W†W = I.
     """
 
     layout: Layout
     isometry: np.ndarray
 
     def __post_init__(self) -> None:
-        if len(self.layout.registers) != 3:
+        if len(self.layout.registers) != 2:
             raise ValueError(
-                f"layout must have exactly the (data, aux, remote) registers, "
+                f"layout must have exactly the (retained, remote) registers, "
                 f"got {self.layout.labels}"
             )
         w = as_matrix(self.isometry, "input isometry")
-        if w.shape != (self.layout.dim, self.data_dim):
+        if w.shape[0] != self.layout.dim or w.shape[1] < 2:
             raise ValueError(
-                f"input isometry shape {w.shape} != ({self.layout.dim}, {self.data_dim}) "
-                "for this layout"
+                f"input isometry shape {w.shape} needs {self.layout.dim} rows, at least 2 columns"
             )
         if not is_isometry(w):
             raise ValueError("input isometry columns are not orthonormal within tolerance")
@@ -125,11 +126,11 @@ class LocalisationProblem:
 
     @property
     def data_dim(self) -> int:
-        return self.layout.dims[0]
+        return self.isometry.shape[1]
 
     @property
     def remote_label(self) -> str:
-        return self.layout.labels[2]
+        return self.layout.labels[1]
 
     def output_ket(self, psi: np.ndarray) -> np.ndarray:
         psi = as_ket(psi, "input")
@@ -143,20 +144,20 @@ class LocalisationProblem:
         The output ket reshaped to d_retained x d_remote: the remote register
         is the layout's last, so this M has M M† = Tr_remote |out><out|.
         """
-        d1, d2, db = self.layout.dims
-        return RetainedState(self.output_ket(psi).reshape(d1 * d2, db))
+        return RetainedState(self.output_ket(psi).reshape(self.layout.dims))
 
 
 @dataclass(frozen=True)
 class LocalisationResult:
     """A localisation: the branch isometry, its residual weights and residuals.
 
-    branches is the d_retained x (data_dim * rank) isometry whose column
+    branches is the d_retained x (d * rank) isometry whose column
     j * rank + k is the retained-side branch of data basis ket j on the
-    residual's k-th eigenvector; the localising unitary maps it to
-    |j> ⊗ |k>.  factor_dims records the (data, residual) split, and
-    residual_weights the rank nonzero eigenvalues of the fixed state on the
-    residual factor, normalised to sum 1.
+    residual's k-th eigenvector.  factor_dims is the (d, d_retained / d)
+    split under which the localising unitary maps that branch to |j> ⊗ |k>,
+    or None when d does not divide d_retained and no such unitary exists;
+    residual_weights are the rank nonzero eigenvalues of the fixed residual
+    state, normalised to sum 1.
     leakage_deviation is the zero-leakage deviation the input passed with;
     gram_residual is the worst deviation of the branch Gram matrix from the
     identity; reconstruction_residual is the worst trace distance between
@@ -168,10 +169,14 @@ class LocalisationResult:
     branches: np.ndarray
     residual_weights: np.ndarray
     rank: int
-    factor_dims: tuple[int, int]
+    factor_dims: tuple[int, int] | None
     leakage_deviation: float
     gram_residual: float
     reconstruction_residual: float
+
+    @property
+    def data_dim(self) -> int:
+        return self.branches.shape[1] // self.rank
 
     @cached_property
     def unitary(self) -> np.ndarray:
@@ -179,8 +184,12 @@ class LocalisationResult:
 
         Branch (j, k) fills column j * d2 + k; the columns with k >= rank
         hold the rest of complete_orthonormal's basis, an arbitrary
-        orthonormal basis of the complement.
+        orthonormal basis of the complement.  ValueError if factor_dims is None.
         """
+        if self.factor_dims is None:
+            raise ValueError(
+                f"data dimension {self.data_dim} does not divide retained {len(self.branches)}"
+            )
         d1, d2 = self.factor_dims
         n, split = d1 * d2, d1 * self.rank
         basis = complete_orthonormal(self.branches)
@@ -196,7 +205,7 @@ class LocalisationResult:
         (j, k), scaled by the square root of residual weight k.
         """
         psi = as_ket(psi, "input")
-        d1 = self.factor_dims[0]
+        d1 = self.data_dim
         if psi.size != d1:
             raise ValueError(f"input dimension {psi.size} != data dimension {d1}")
         cols = psi @ self.branches.reshape(-1, d1, self.rank)
@@ -253,8 +262,7 @@ def _reconstruction_residual(
     F is reduced to the R of its R-only QR first, and a square or wide one
     gives its k x k matrix F D F† to the eigensolver directly.
     """
-    d1, d2, db = problem.layout.dims
-    d_retained = d1 * d2
+    (d_retained, db), d1 = problem.layout.dims, problem.data_dim
     outputs = problem.isometry.reshape(d_retained, db, d1).transpose(0, 2, 1)
     by_input = branches.reshape(d_retained, d1, -1)
     per_input = db + by_input.shape[2]  # columns of [O_j | V_j]
@@ -298,7 +306,7 @@ def localise(
     an R-only QR only when it is tall, and is otherwise read as it is.
 
     Raises LeakageDetected, GramCheckFailed, or LocalisationError when the
-    remote state's rank is 0 or exceeds the residual factor's dimension,
+    remote state's rank is 0 or d times it exceeds the retained dimension,
     instead of returning a result whose premises do not hold.
     """
     eps, rho_remote = plaintext_dependence(problem.isometry, problem.layout, [problem.remote_label])
@@ -306,8 +314,7 @@ def localise(
     if not deviation <= tolerances.equality:
         raise LeakageDetected(deviation)
 
-    d1, d2, db = problem.layout.dims
-    d_retained = d1 * d2
+    (d_retained, db), d1 = problem.layout.dims, problem.data_dim
     # outputs[:, j, :] is the evolved basis input j, split (retained, remote).
     outputs = problem.isometry.reshape(d_retained, db, d1).transpose(0, 2, 1)
 
@@ -321,9 +328,10 @@ def localise(
             f"no remote state eigenvalue exceeds the rank tolerance {tolerances.rank:g} "
             f"(largest {evals[0]:.3e})"
         )
-    if rank > d2:
+    if d1 * rank > d_retained:
         raise LocalisationError(
-            f"remote state rank {rank} exceeds the residual factor dimension {d2}"
+            f"data dimension {d1} times remote state rank {rank} is {d1 * rank}, more "
+            f"than the retained dimension {d_retained}"
         )
 
     # One 2-D product over every (retained, input) row of the outputs.
@@ -337,6 +345,7 @@ def localise(
     # The sum and division run over the zero-padded complex diagonal, which
     # keeps the weights bit-identical to earlier exports' dense residual
     # state; a plain float sum differs in the last bit on some problems.
+    d2, spare = divmod(d_retained, d1)
     padded = np.zeros(d2, dtype=complex)
     padded[:rank] = weights
     residual_weights = np.real(padded / np.real(padded.sum()))[:rank]
@@ -345,7 +354,7 @@ def localise(
         branches=branches,
         residual_weights=residual_weights,
         rank=rank,
-        factor_dims=(d1, d2),
+        factor_dims=None if spare else (d1, d2),
         leakage_deviation=deviation,
         gram_residual=gram_residual,
         reconstruction_residual=_reconstruction_residual(problem, branches, residual_weights),
@@ -365,14 +374,13 @@ def _data_factor(
     """
     if not isinstance(state, RetainedState):
         raise TypeError(f"state must be a RetainedState (rho = M M†), got {type(state).__name__}")
-    factor = state.factor
-    d1, d2 = result.factor_dims
-    if factor.shape[0] != d1 * d2:
-        raise ValueError(f"state factor shape {factor.shape} != retained dimension {d1 * d2}")
+    factor, d_retained = state.factor, len(result.branches)
+    if factor.shape[0] != d_retained:
+        raise ValueError(f"state factor shape {factor.shape} != retained dimension {d_retained}")
     total = np.real(np.vdot(factor, factor))
     if not total > 0:
         raise ValueError(f"state trace {total!r} is not positive")
-    projected = (factor.conj().T @ result.branches).conj().T.reshape(d1, -1)
+    projected = (factor.conj().T @ result.branches).conj().T.reshape(result.data_dim, -1)
     data_part = projected @ projected.conj().T
     outside_weight = float(1.0 - np.real(np.trace(data_part)) / total)
     data_part /= total

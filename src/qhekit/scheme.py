@@ -63,6 +63,14 @@ class FootprintOp:
             raise ValueError(f"{where}{block} is not unitary within tolerance")
         object.__setattr__(self, "matrix", m)
 
+    def block(self, k: int) -> "FootprintOp":
+        """Block k of this control stack on the same registers; the stack's check covers it."""
+        if self.control is None:
+            raise ValueError(f"operator on {self.labels} has no control stack to cut")
+        op = object.__new__(FootprintOp)
+        op.__dict__.update(labels=self.labels, matrix=self.matrix[k], control=None)
+        return op
+
 
 @dataclass(frozen=True)
 class Evaluation:
@@ -265,10 +273,14 @@ def encrypt_and_evaluate(
     groups: dict[tuple[tuple[str, ...], str | None], list[int]] = {}
     for i, ev in enumerate(evaluations):
         groups.setdefault((ev.operator.labels, ev.operator.control), []).append(i)
-    ket_t2 = np.empty(ket_t1.shape[:1] + (len(evaluations),) + ket_t1.shape[1:], dtype=complex)
+    shape = ket_t1.shape[:1] + (len(evaluations),) + ket_t1.shape[1:]
+    ket_t2 = np.empty(shape, dtype=complex) if len(groups) > 1 else None
     for (labels, control), members in groups.items():
         stack = np.stack([evaluations[i].operator.matrix for i in members])
-        ket_t2[:, members] = apply_operator(ket_t1, scheme.layout, stack, labels, control)
+        applied = apply_operator(ket_t1, scheme.layout, stack, labels, control)
+        if ket_t2 is None:
+            return ket_t1, applied  # one footprint: its result is ket_t2 itself
+        ket_t2[:, members] = applied
     return ket_t1, ket_t2
 
 
@@ -345,49 +357,27 @@ def run_pipeline(scheme: QheScheme, circuit_id: str, psi_in: np.ndarray) -> Pipe
 def localisation_problem_at_t1(scheme: QheScheme) -> LocalisationProblem:
     """Cast the scheme's situation at t1 as a localisation problem.
 
-    The handover of send_to_bob is modelled as a swap with a fresh mailbox
-    register on Bob's side, so the retained/sent split is a fixed bipartition
-    acted on by a single unitary: data = the plaintext register, aux = every
-    other register Alice retains, remote = Bob's initial registers plus the
-    mailbox.  Fixed initial states must not straddle the retained/remote cut
-    (a shared entangled resource is outside this product form).
-
-    The problem is built in operator form, as its input isometry: the
-    scheme's encryption isometry, with one axis per register, is transposed
-    into problem order and written into a zero array whose sent registers'
-    slots hold |0> and whose mailbox holds their contents, so no full-space
-    operator is formed.
+    The cut is (alice_t1, bob_t1), what Alice keeps and what Bob holds after
+    the handover.  The input isometry is the encryption isometry with its
+    rows transposed into (alice_t1, bob_t1) order: the scheme's own
+    dimension, and no full-space operator.  Fixed initial states must not
+    straddle Alice's and Bob's initial registers (a shared entangled
+    resource is outside this product form).
     """
-    aux_labels = tuple(l for l in scheme.alice_initial if l != scheme.input_label)
-    if not aux_labels:
+    if not scheme.alice_t1:
         raise ValueError(
-            "the scheme retains nothing besides the plaintext register; "
-            "there is no aux factor to localise into"
+            "the scheme retains nothing at t1; there is no retained side to localise into"
         )
+    alice, bob = set(scheme.alice_initial), set(scheme.bob_initial)
     for block in scheme.fixed_states:
-        in_aux = set(block.labels) <= set(aux_labels)
-        in_remote = set(block.labels) <= set(scheme.bob_initial)
-        if not (in_aux or in_remote):
+        if not (set(block.labels) <= alice or set(block.labels) <= bob):
             raise ValueError(
                 f"fixed state on {block.labels} straddles the retained/remote cut; "
                 "localisation requires a product across it"
             )
 
-    layout, d, sent, bob = scheme.layout, scheme.input_dim, scheme.send_to_bob, scheme.bob_initial
-    mail_dim = layout.dim_of(sent)
-    problem_layout = Layout(
-        (("A1", d), ("A2", layout.dim_of(aux_labels)), ("B", layout.dim_of(bob) * mail_dim))
-    )
-
-    # The mailbox on Bob's side has one axis per sent register, in send order.
-    # After the handover each sent register's slot holds the mailbox's |0>
-    # and the mailbox holds what the register held.
-    slots = (scheme.input_label,) + aux_labels + bob
-    kept = [l for l in slots if l not in sent]
-    order = layout.positions(kept + list(sent)) + (len(layout.dims),)
-    encrypted = scheme.encryption_isometry.reshape(layout.dims + (d,)).transpose(order)
-    problem_dims = [layout.dims[p] for p in layout.positions(slots + sent)]
-    isometry = np.zeros(problem_dims + [d], dtype=complex)
-    isometry[tuple(0 if l in sent else slice(None) for l in slots)] = encrypted
-
-    return LocalisationProblem(problem_layout, isometry.reshape(-1, d))
+    layout, d = scheme.layout, scheme.input_dim
+    retained, remote = layout.dim_of(scheme.alice_t1), layout.dim_of(scheme.bob_t1)
+    order = layout.positions(scheme.alice_t1 + scheme.bob_t1) + (len(layout.dims),)
+    isometry = scheme.encryption_isometry.reshape(layout.dims + (d,)).transpose(order)
+    return LocalisationProblem(Layout((("A", retained), ("B", remote))), isometry.reshape(-1, d))

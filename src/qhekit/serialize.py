@@ -4,9 +4,11 @@ Matrices are {"rows", "cols", "entries"} with row-major [re, im] pairs;
 kets are {"dim", "amplitudes"}.  A scheme file mirrors the QheScheme
 constructor: the input, output and Bob's initial registers by name, and the
 fixed states as one list of blocks in the scheme's order.  A localisation
-problem is written as its input isometry, the dim x data_dim matrix
-psi -> U (psi ⊗ aux ⊗ remote), and a localisation result as its factors, the
-branch isometry and the residual weights; neither file holds a dense
+problem is written as its (retained, remote) registers and its input
+isometry, the dim x d matrix psi -> U (psi ⊗ aux ⊗ remote); a file with
+three (data, aux, remote) registers is read with data and aux merged into
+one retained register.  A localisation result is written as its factors,
+the branch isometry and the residual weights; neither file holds a dense
 unitary, and a completed localising unitary is not written, since its spare
 columns are arbitrary.
 Values are read back as IEEE doubles; bit-exact decimal round-trips are not
@@ -251,6 +253,9 @@ def problem_from_json(obj: Mapping, where: str = "problem") -> LocalisationProbl
     layout = layout_from_json(_require(obj, "registers", where), f"{where}.registers")
     isometry = matrix_from_json(_require(obj, "isometry", where), f"{where}.isometry")
     with _located(where):
+        if len(layout.registers) == 3:
+            (data, d1), (aux, d2), remote = layout.registers
+            layout = Layout(((f"{data}*{aux}", d1 * d2), remote))
         return LocalisationProblem(layout, isometry)
 
 
@@ -261,7 +266,7 @@ def result_to_json(result: LocalisationResult) -> dict:
         "branches": matrix_to_json(result.branches),
         "residual_weights": [float(w) for w in result.residual_weights],
         "rank": result.rank,
-        "factor_dims": list(result.factor_dims),
+        "factor_dims": None if result.factor_dims is None else list(result.factor_dims),
         "gram_residual": result.gram_residual,
         "reconstruction_residual": result.reconstruction_residual,
     }

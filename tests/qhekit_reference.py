@@ -4,6 +4,9 @@ initial_ket, ciphertext and remote_reduced are per-plaintext views; partial_trac
 product_deviation, schmidt and von_neumann_entropy are the dense functionals.
 probe_states is the per-input route that plaintext_dependence's bounds are
 checked against; dense_problem turns a dense unitary into a problem;
+uneven_problem is a problem whose data dimension does not divide its
+retained one; mailbox_bridge is the t1 problem as it was once built, with
+a mailbox register on Bob's side, for the bipartition bridge to match;
 dense_constructed_secure_problem and dense_leaky_problem are the problem
 builders as they once formed the full dense unitary, with the builders'
 own streams and draw order, for the factored builders to match;
@@ -138,9 +141,27 @@ def von_neumann_entropy(rho: DensityOp) -> float:
 
 
 def dense_problem(layout: Layout, unitary, aux, remote) -> LocalisationProblem:
-    """The problem psi -> unitary (psi ⊗ aux ⊗ remote), from its dense unitary."""
-    w = np.asarray(unitary, dtype=complex).reshape(layout.dim, layout.dims[0], -1)
-    return LocalisationProblem(layout, w @ kron(aux, remote))
+    """The problem psi -> unitary (psi ⊗ aux ⊗ remote), from its dense unitary.
+
+    layout names the unitary's (data, aux, remote) registers; the problem's
+    retained register is data ⊗ aux, as the problem builders lay it out.
+    """
+    d1, d2, db = layout.dims
+    w = np.asarray(unitary, dtype=complex).reshape(layout.dim, d1, -1)
+    return LocalisationProblem(Layout((("A", d1 * d2), ("B", db))), w @ kron(aux, remote))
+
+
+def uneven_problem(seed: int) -> LocalisationProblem:
+    """A zero-leakage problem whose data dimension 2 does not divide its retained 3.
+
+    Input j goes to a seeded orthonormal |a_j> on the retained side, next to
+    one seeded remote ket, so the remote state has rank 1.
+    """
+    rng = np.random.default_rng(seed)
+    kept = haar_unitary(rng, 3)[:, :2]
+    return LocalisationProblem(
+        Layout((("A", 3), ("B", 2))), kron(kept, haar_ket(rng, 2).reshape(2, 1))
+    )
 
 
 def dense_constructed_secure_problem(dims, seed) -> LocalisationProblem:
@@ -183,8 +204,7 @@ def per_sample_reconstruction_residual(
     predicted one the branches times kron(psi, I_rank), both with
     d_retained rows, compared by their own QR.
     """
-    d1, d2, db = problem.layout.dims
-    d_retained = d1 * d2
+    (d_retained, db), d1 = problem.layout.dims, problem.data_dim
     rng = np.random.default_rng([_RECONSTRUCTION_SEED])
     worst = 0.0
     for _ in range(_RECONSTRUCTION_SAMPLES):
@@ -213,8 +233,7 @@ def whole_j_reconstruction_residual(
     problem: LocalisationProblem, branches: np.ndarray, residual_weights: np.ndarray
 ) -> float:
     """localise's residual on its seeded inputs from one R-only QR of the whole J."""
-    d1, d2, db = problem.layout.dims
-    d_retained = d1 * d2
+    (d_retained, db), d1 = problem.layout.dims, problem.data_dim
     outputs = problem.isometry.reshape(d_retained, db, d1).transpose(0, 2, 1)
     joint = np.concatenate([outputs, branches.reshape(d_retained, d1, -1)], axis=2)
     core = np.linalg.qr(joint.reshape(d_retained, -1), mode="r").reshape(-1, d1, joint.shape[2])
@@ -351,9 +370,9 @@ def dense_extract_plaintext(
     by tr rho; it refuses as extract_plaintext does.
     """
     matrix = np.asarray(rho_retained, dtype=complex)
-    d1, d2 = result.factor_dims
-    if matrix.shape != (d1 * d2, d1 * d2):
-        raise ValueError(f"state shape {matrix.shape} != retained dimension {d1 * d2}")
+    d1, n = result.data_dim, result.branches.shape[0]
+    if matrix.shape != (n, n):
+        raise ValueError(f"state shape {matrix.shape} != retained dimension {n}")
     v = result.branches
     inner = v.conj().T @ matrix @ v
     data_part = np.einsum("ikjk->ij", inner.reshape(d1, result.rank, d1, result.rank))
@@ -367,3 +386,36 @@ def dense_extract_plaintext(
         raise ExtractionError(purity, outside_weight)
     _, vecs = eig_hermitian(data_part)
     return vecs[:, 0], purity, outside_weight
+
+
+def mailbox_bridge(scheme: QheScheme) -> LocalisationProblem:
+    """The t1 problem as a swap with an explicit mailbox register on Bob's side.
+
+    The encrypted basis inputs get an empty mailbox as an extra last
+    register; one row gather swaps each sent register's digits with its
+    slice of the mailbox, and a second reorders the registers into (data,
+    aux..., Bob's initial..., mailbox), aux being every other register Alice
+    holds before t1.  The retained side is data ⊗ aux, larger than Alice's
+    t1 registers by the sent registers' dimension, and the remote side is
+    Bob's initial registers and the mailbox.
+    """
+    aux_labels = tuple(l for l in scheme.alice_initial if l != scheme.input_label)
+    mail_dim = scheme.layout.dim_of(scheme.send_to_bob)
+    extended = Layout(scheme.layout.registers + (("mailbox", mail_dim),))
+    dims, n = extended.dims, len(extended.dims)
+    columns = np.kron(scheme.encryption_isometry, basis_ket(mail_dim, 0)[:, None])
+    send_pos = [extended.position(l) for l in scheme.send_to_bob]
+    split_dims = list(dims[:-1]) + [dims[p] for p in send_pos]
+    axes = list(range(len(split_dims)))
+    for i, p in enumerate(send_pos):
+        axes[p], axes[n - 1 + i] = axes[n - 1 + i], axes[p]
+    rows = axis_permutation(split_dims, axes)
+    remote_labels = scheme.bob_initial + ("mailbox",)
+    order = [extended.position(l) for l in (scheme.input_label,) + aux_labels + remote_labels]
+    layout = Layout(
+        (
+            ("A", scheme.input_dim * extended.dim_of(aux_labels)),
+            ("B", extended.dim_of(remote_labels)),
+        )
+    )
+    return LocalisationProblem(layout, columns[rows[axis_permutation(dims, order)]])

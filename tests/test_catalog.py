@@ -346,7 +346,8 @@ def test_qotp_evaluations_read_the_encryption_pads(n):
 
 @pytest.mark.parametrize("build", [build_qotp_scheme, build_identity_scheme])
 def test_flip_evaluations_share_one_array_with_their_target(build):
-    # So Evaluation checks each pad's unitarity once, as its operator.
+    # So Evaluation does not check a pad again: its operator is a block of
+    # the checked pad stack.
     for ev in build(2).evaluations:
         assert ev.target is ev.operator.matrix
 

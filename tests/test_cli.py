@@ -25,7 +25,7 @@ from qhekit.serialize import (
     result_to_json,
     scheme_to_json,
 )
-from qhekit_reference import dense_problem
+from qhekit_reference import dense_problem, uneven_problem
 
 
 def run_cli(*argv):
@@ -208,6 +208,17 @@ def test_localise_identity_problem_file(tmp_path):
     code = run_cli("localise", "--problem", str(path), "--format", "json", "--out", str(out))
     assert code == 0
     assert read_json(out)["rank"] == 1
+
+
+def test_localise_without_a_data_factor_split_omits_factor_dims(tmp_path, capsys):
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(problem_to_json(uneven_problem(5))))
+    assert run_cli("localise", "--problem", str(path)) == 0
+    text = capsys.readouterr().out
+    assert "rank: 1\n" in text and "factor_dims" not in text
+    out = tmp_path / "result.json"
+    assert run_cli("localise", "--problem", str(path), "--format", "json", "--out", str(out)) == 0
+    assert '"factor_dims": null' in out.read_text()
 
 
 def test_audit_set_size(capsys):

@@ -13,6 +13,7 @@ from qhekit.catalog import (
     build_qotp_scheme,
     build_scheme,
     catalog,
+    pauli_words,
 )
 from qhekit.checks import check_security
 from qhekit.layout import Layout, axis_permutation, reduced_from_ket
@@ -43,10 +44,12 @@ from qhekit.tolerances import DEFAULT_TOLERANCES, Tolerances
 from qhekit_reference import (
     dense_extract_plaintext,
     dense_problem,
+    mailbox_bridge,
     per_sample_reconstruction_residual,
     probe_states,
     record_decompositions,
     remote_reduced,
+    uneven_problem,
     unitarity_residual,
     von_neumann_entropy,
     whole_j_reconstruction_residual,
@@ -176,14 +179,12 @@ def test_localise_constructed_secure(dims):
 
 def _core_width(problem, branches):
     # J's column count, d1 (d_remote + rank).
-    d1, _, db = problem.layout.dims
-    return branches.shape[1] + d1 * db
+    return branches.shape[1] + problem.data_dim * problem.layout.dims[1]
 
 
 def _force_core_blocks(monkeypatch, problem, branches, blocks=4):
     """Set the core's byte budget so J goes in at least `blocks` row blocks."""
-    d1, d2, _ = problem.layout.dims
-    rows = max(1, d1 * d2 // blocks)
+    rows = max(1, problem.layout.dims[0] // blocks)
     budget = 16 * _core_width(problem, branches) * rows
     monkeypatch.setattr(qhekit.localiser, "_CORE_BLOCK_BYTES", budget)
 
@@ -230,8 +231,10 @@ def test_reconstruction_residual_matches_per_sample_reference(monkeypatch, make)
         problem, result.branches, result.residual_weights
     )
     width = _core_width(problem, result.branches)
-    # Each block's QR and the QR of their stacked Rs read J's full width.
-    assert sum(1 for name, shape, _ in calls if name == "qr" and shape[-1] == width) >= 5
+    # Each block's QR and the QR of their stacked Rs read J's full width; a
+    # block has at least one row, so J goes in at most d_retained blocks.
+    blocks = min(4, problem.layout.dims[0])
+    assert sum(1 for name, shape, _ in calls if name == "qr" and shape[-1] == width) >= blocks + 1
     assert abs(blocked - result.reconstruction_residual) <= 1e-14
 
 
@@ -270,9 +273,9 @@ def test_reconstruction_residual_reads_each_sample_on_its_small_side(
     # wide one gives its k x k difference to eigvalsh directly.
     problem = make()
     result = localise(problem)
-    d1, d2, _ = problem.layout.dims
+    d1, d_retained = problem.data_dim, problem.layout.dims[0]
     width = _core_width(problem, result.branches)
-    per_input, k = width // d1, min(d1 * d2, width)
+    per_input, k = width // d1, min(d_retained, width)
     calls = record_decompositions(monkeypatch)
     qhekit.localiser._reconstruction_residual(problem, result.branches, result.residual_weights)
     samples = [shape for name, shape, _ in calls if name == "qr" and shape[-1] == per_input]
@@ -297,11 +300,12 @@ def test_localise_never_holds_the_whole_j(monkeypatch):
     # any time, and the whole call less than twice J: J and the copy a QR of
     # it makes are never held.  (plaintext_dependence alone holds twice the
     # isometry, which on this problem is J's size, so the whole call cannot
-    # stay below J.)
-    problem = _bridge("qotp2")
+    # stay below J.)  The problem is the QOTP n=2 t1 problem with a mailbox,
+    # whose 1024 retained rows are 32 times J's width; the bipartition's 256
+    # rows are too few for the stacked Rs of 4 blocks to be small beside J.
+    problem = mailbox_bridge(build_qotp_scheme(2))
     result = localise(problem)
-    d1, d2, _ = problem.layout.dims
-    j_bytes = d1 * d2 * _core_width(problem, result.branches) * 16
+    j_bytes = problem.layout.dims[0] * _core_width(problem, result.branches) * 16
     _force_core_blocks(monkeypatch, problem, result.branches)
     peaks = {}
     original = qhekit.localiser._reconstruction_residual
@@ -364,6 +368,52 @@ def test_localise_refuses_when_no_eigenvalue_exceeds_the_rank_tolerance():
     assert f"largest {largest:.3e}" in str(info.value)
 
 
+def test_localise_refuses_more_branches_than_the_retained_dimension():
+    # Bob holds the input outright.  A leakage tolerance above its deviation
+    # lets it through to a remote state of rank 2, whose 2 x 2 branches
+    # cannot be orthonormal in a retained dimension of 2.
+    problem = LocalisationProblem(Layout((("A", 2), ("B", 4))), np.eye(8, dtype=complex)[:, :2])
+    with pytest.raises(LocalisationError) as info:
+        localise(problem, Tolerances(equality=10.0))
+    assert str(info.value) == (
+        "data dimension 2 times remote state rank 2 is 4, more than the retained dimension 2"
+    )
+
+
+def test_localise_without_a_data_factor_split():
+    # d = 2 does not divide the retained dimension 3: the branches still
+    # localise and extract, but there is no (d, d_retained / d) unitary.
+    problem = uneven_problem(5)
+    result = localise(problem)
+    assert result.rank == 1 and result.factor_dims is None
+    assert result.reconstruction_residual <= 1e-12
+    for seed in range(3):
+        psi = random_ket(2, seed)
+        recovered = extract_plaintext(result, problem.retained_reduced(psi))
+        assert fidelity_pure(psi, recovered) >= 1 - 1e-12
+    with pytest.raises(ValueError, match="data dimension 2 does not divide retained 3"):
+        result.unitary
+
+
+@pytest.mark.parametrize(
+    "params",
+    [entry.params for entry in catalog() if entry.builder == "tag-evaluate"]
+    + [{"n": 1, "circuit_set": ("X",)}, {"n": 2, "circuit_set": tuple(pauli_words(2))}],
+    ids=lambda params: f"n{params['n']}-{len(params['circuit_set'])}",
+)
+def test_every_tag_evaluate_bridge_localises_into_the_held_register(params):
+    # Alice keeps only hold, of the data dimension, so the residual factor
+    # has dimension 1.
+    scheme = build_scheme("tag-evaluate", **params)
+    problem = localisation_problem_at_t1(scheme)
+    result = localise(problem)
+    assert result.factor_dims == (scheme.input_dim, 1) and result.rank == 1
+    assert unitarity_residual(result.unitary) <= 1e-12
+    psi = random_ket(scheme.input_dim, 4)
+    recovered = extract_plaintext(result, problem.retained_reduced(psi))
+    assert fidelity_pure(psi, recovered) >= 1 - 1e-12
+
+
 def test_localise_keeps_normalised_residual_weights():
     result = localise(build_constructed_secure_problem((2, 4, 2), seed=3))
     weights = result.residual_weights
@@ -415,8 +465,8 @@ def test_localise_refuses_leaky_problem():
 def test_leaky_problem_mutual_information_diagnostic():
     problem = build_leaky_problem((2, 2, 4), seed=2)
     plus = np.array([1, 1]) / np.sqrt(2)
-    # The output is pure, so I(A1 A2 : B) = 2 S(A1 A2).
-    rho = DensityOp.reduced(problem.output_ket(plus), problem.layout, ["A1", "A2"])
+    # The output is pure, so I(A : B) = 2 S(A), A the retained register.
+    rho = DensityOp.reduced(problem.output_ket(plus), problem.layout, ["A"])
     assert 2 * von_neumann_entropy(rho) > 0.9
 
 
@@ -464,19 +514,22 @@ def test_complete_orthonormal_extends_to_unitary():
 
 
 def test_problem_from_isometry_checks_its_columns():
-    layout = Layout((("A1", 2), ("A2", 2), ("B", 2)))
+    layout = Layout((("A", 4), ("B", 2)))
     w = np.eye(8, dtype=complex)[:, [3, 5]]
     problem = LocalisationProblem(layout, w)
     assert [f.name for f in dataclasses.fields(problem)] == ["layout", "isometry"]
+    assert problem.data_dim == 2 and problem.remote_label == "B"
     np.testing.assert_array_equal(problem.output_ket(basis_ket(2, 1)), w[:, 1])
     with pytest.raises(ValueError, match="orthonormal"):
         LocalisationProblem(layout, 2 * w)
     with pytest.raises(ValueError, match="shape"):
-        LocalisationProblem(layout, np.eye(8, dtype=complex))
+        LocalisationProblem(layout, np.eye(4, dtype=complex))
+    with pytest.raises(ValueError, match="shape"):
+        LocalisationProblem(layout, w[:, :1])
     with pytest.raises(ValueError, match="non-finite"):
         LocalisationProblem(layout, np.where(w == 1, np.nan, w))
     with pytest.raises(ValueError, match="registers"):
-        LocalisationProblem(Layout((("A1", 2), ("B", 4))), w)
+        LocalisationProblem(Layout((("A1", 2), ("A2", 2), ("B", 2))), w)
 
 
 def test_result_unitary_places_branches_in_their_slots():
@@ -534,7 +587,7 @@ def test_retained_states_match_their_dense_forms(make):
     d1 = result.factor_dims[0]
     for seed in range(3):
         psi = random_ket(d1, seed)
-        dense = reduced_from_ket(problem.output_ket(psi), problem.layout, problem.layout.labels[:2])
+        dense = reduced_from_ket(problem.output_ket(psi), problem.layout, problem.layout.labels[:1])
         assert np.max(np.abs(problem.retained_reduced(psi).matrix - dense)) <= 1e-12
         cols = psi @ result.branches.reshape(-1, d1, result.rank)
         predicted = (cols * result.residual_weights) @ cols.conj().T

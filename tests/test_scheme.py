@@ -1,5 +1,6 @@
 import dataclasses
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,12 +25,16 @@ from qhekit.layout import (
     MAX_TOTAL_DIM,
     Layout,
     apply_operator,
-    assemble_ket,
     axis_permutation,
     embed_operator,
 )
 from qhekit.linalg import basis_ket, fidelity_pure, haar_ket, kron, random_ket, random_unitary
-from qhekit.localiser import LocalisationError, LocalisationProblem, extract_plaintext, localise
+from qhekit.localiser import (
+    LeakageDetected,
+    LocalisationError,
+    extract_plaintext,
+    localise,
+)
 from qhekit.qinfo import DensityOp
 from qhekit.scheme import (
     Evaluation,
@@ -46,6 +51,7 @@ from qhekit_reference import (
     ciphertext,
     dense_footprint,
     initial_ket,
+    mailbox_bridge,
     remote_reduced,
 )
 
@@ -348,8 +354,9 @@ def test_trivial_evaluation_completeness_reflects_round_trip():
 def test_qotp_t1_localisation_recovers_plaintext():
     scheme = build_qotp_scheme(1)
     problem = localisation_problem_at_t1(scheme)
-    assert problem.layout.dims == (2, 16, 2)
+    assert problem.layout.dims == (16, 2)
     result = localise(problem)
+    assert result.factor_dims == (2, 8)
     psi = random_ket(2, 21)
     recovered = extract_plaintext(result, problem.retained_reduced(psi))
     assert fidelity_pure(psi, recovered) >= 1 - 1e-8
@@ -369,8 +376,7 @@ def test_bridge_rejects_scheme_without_retained_aux():
     with pytest.raises(ValueError) as info:
         localisation_problem_at_t1(build_identity_scheme(1))
     assert str(info.value) == (
-        "the scheme retains nothing besides the plaintext register; "
-        "there is no aux factor to localise into"
+        "the scheme retains nothing at t1; there is no retained side to localise into"
     )
 
 
@@ -429,30 +435,17 @@ def test_qotp_output_register_aliases_input():
     ids=["qotp-1", "qotp-2", "tag-evaluate-1"],
 )
 def test_t1_isometry_matches_dense_route(build):
-    # Reference: the dense full-space route.  Embed the encryption, gather the
-    # rows of the mailbox swap, conjugate by the (data, aux, remote) reorder,
-    # and apply the result to e_j ⊗ aux ⊗ remote.
+    # Reference: the dense full-space route.  Embed the encryption, apply it
+    # to e_j ⊗ the fixed states, and reorder the rows into (alice_t1, bob_t1).
     scheme = build()
     problem = localisation_problem_at_t1(scheme)
-    mail_dim = scheme.layout.dim_of(scheme.send_to_bob)
-    extended = Layout(scheme.layout.registers + (("mailbox", mail_dim),))
-    dims, n = extended.dims, len(extended.dims)
+    layout = scheme.layout
     matrix, labels = dense_footprint(scheme.encrypt_op)
-    dense = embed_operator(matrix, extended, labels)
-    send_pos = [extended.position(l) for l in scheme.send_to_bob]
-    split_dims = list(dims[:-1]) + [dims[p] for p in send_pos]
-    axes = list(range(len(split_dims)))
-    for i, p in enumerate(send_pos):
-        axes[p], axes[n - 1 + i] = axes[n - 1 + i], axes[p]
-    dense = dense[axis_permutation(split_dims, axes), :]
-    aux_labels = [l for l in scheme.alice_initial if l != scheme.input_label]
-    new_order = [scheme.input_label, *aux_labels, *scheme.bob_initial, "mailbox"]
-    perm = axis_permutation(dims, [extended.position(l) for l in new_order])
-    dense = dense[np.ix_(perm, perm)]
-    _, _, aux_state, remote_state = _mailbox_bridge(scheme)
+    dense = embed_operator(matrix, layout, labels)
+    rows = axis_permutation(layout.dims, layout.positions(scheme.alice_t1 + scheme.bob_t1))
     for j in range(scheme.input_dim):
         e_j = basis_ket(scheme.input_dim, j)
-        expected = dense @ kron(e_j, aux_state, remote_state)
+        expected = (dense @ initial_ket(scheme, e_j))[rows]
         np.testing.assert_array_equal(problem.output_ket(e_j), expected)
 
 
@@ -480,6 +473,49 @@ def test_t1_localisation_builds_no_full_space_operator(monkeypatch):
     assert seen["embed_operator"] == []
     assert seen["complete_orthonormal"] == []
     assert max(seen["is_unitary"], default=0) <= 256
+
+
+def test_qotp2_t1_problem_has_the_scheme_dimension():
+    # No mailbox: the problem is the scheme's 1024 x 4 encryption isometry,
+    # and building, localising and extracting from it stay within 0.75 MiB.
+    scheme = build_qotp_scheme(2)
+    psi = random_ket(4, 5)
+    tracemalloc.start()
+    try:
+        problem = localisation_problem_at_t1(scheme)
+        recovered = extract_plaintext(localise(problem), problem.retained_reduced(psi))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert problem.isometry.shape == (1024, 4)
+    assert fidelity_pure(psi, recovered) >= 1 - 1e-8
+    assert peak <= 0.75 * 2**20
+
+
+def test_footprint_block_is_a_block_of_the_checked_stack():
+    pads = build_qotp_scheme(1).encrypt_op
+    block = pads.block(3)
+    assert block.labels == pads.labels and block.control is None
+    assert block.matrix.base is pads.matrix
+    np.testing.assert_array_equal(block.matrix, pads.matrix[3])
+    with pytest.raises(ValueError, match="no control stack"):
+        block.block(0)
+
+
+def test_qotp_build_checks_the_pads_once(monkeypatch):
+    # One stacked check each for encryption and decryption; the evaluations
+    # are blocks of the encryption stack and their targets are their matrices.
+    calls = []
+    original = qhekit.scheme._unitarity_residuals
+
+    def counting(m):
+        calls.append(np.shape(m))
+        return original(m)
+
+    monkeypatch.setattr(qhekit.scheme, "_unitarity_residuals", counting)
+    monkeypatch.setattr(qhekit.scheme, "is_unitary", None)
+    build_qotp_scheme(2)
+    assert calls == [(16, 4, 4), (16, 4, 4)]
 
 
 _ISOMETRY_SCHEMES = {
@@ -565,64 +601,47 @@ def test_encryption_isometry_assembles_the_fixed_states_once(monkeypatch, name):
     assert len(calls) == 1
 
 
-def _mailbox_bridge(scheme):
-    """Reference: the t1 bridge as a swap with an explicit mailbox register.
+def _localise_outcome(problem, psi):
+    """localise's leakage deviation, rank, weights and residuals, and psi's extraction fidelity.
 
-    The encrypted basis inputs get an empty mailbox as an extra last
-    register; one row gather swaps each sent register's digits with its
-    slice of the mailbox, and a second reorders the registers into (data,
-    aux..., Bob's initial..., mailbox).  Returns the problem's layout,
-    isometry, aux state and remote state.
+    A refusal gives its type and, for a leak, its deviation.
     """
-    aux_labels = tuple(l for l in scheme.alice_initial if l != scheme.input_label)
-    mail_dim = scheme.layout.dim_of(scheme.send_to_bob)
-    extended = Layout(scheme.layout.registers + (("mailbox", mail_dim),))
-    dims, n = extended.dims, len(extended.dims)
-    mailbox_empty = basis_ket(mail_dim, 0)
-    columns = np.kron(scheme.encryption_isometry, mailbox_empty[:, None])
-    send_pos = [extended.position(l) for l in scheme.send_to_bob]
-    split_dims = list(dims[:-1]) + [dims[p] for p in send_pos]
-    axes = list(range(len(split_dims)))
-    for i, p in enumerate(send_pos):
-        axes[p], axes[n - 1 + i] = axes[n - 1 + i], axes[p]
-    rows = axis_permutation(split_dims, axes)
-    remote_labels = scheme.bob_initial + ("mailbox",)
-    order = [extended.position(l) for l in (scheme.input_label,) + aux_labels + remote_labels]
-    isometry = columns[rows[axis_permutation(dims, order)]]
-    layout = Layout(
-        (
-            ("A1", scheme.input_dim),
-            ("A2", extended.dim_of(aux_labels)),
-            ("B", extended.dim_of(remote_labels)),
-        )
-    )
-    aux_blocks = [
-        (b.labels, b.ket) for b in scheme.fixed_states if set(b.labels) <= set(aux_labels)
-    ]
-    remote_blocks = [
-        (b.labels, b.ket) for b in scheme.fixed_states if set(b.labels) <= set(scheme.bob_initial)
-    ]
-    remote_blocks.append((("mailbox",), mailbox_empty))
-    aux_state = assemble_ket(extended.restricted(aux_labels), aux_blocks)
-    remote_state = assemble_ket(extended.restricted(remote_labels), remote_blocks)
-    return layout, isometry, aux_state, remote_state
-
-
-def _localise_outcome(problem):
     try:
         result = localise(problem)
     except LocalisationError as exc:
-        return type(exc), str(exc)
-    return result.branches.tobytes(), result.gram_residual, result.reconstruction_residual
+        return type(exc), getattr(exc, "deviation", None)
+    recovered = extract_plaintext(result, problem.retained_reduced(psi))
+    return (
+        result.leakage_deviation,
+        result.rank,
+        result.residual_weights,
+        result.gram_residual,
+        result.reconstruction_residual,
+        fidelity_pure(psi, recovered),
+    )
 
 
 def _assert_bridge_matches_reference(scheme):
+    # The bipartition and the mailbox reference hold the same vectors in
+    # different layouts, so every quantity agrees within 1e-12.  A scheme
+    # that sends Bob everything is refused; Bob holds the whole pure state,
+    # so the reference refuses it as a leak.
+    psi = haar_ket(np.random.default_rng(31), scheme.input_dim)
+    reference = _localise_outcome(mailbox_bridge(scheme), psi)
+    if not scheme.alice_t1:
+        with pytest.raises(ValueError, match="retains nothing at t1"):
+            localisation_problem_at_t1(scheme)
+        assert reference[0] is LeakageDetected
+        return
     problem = localisation_problem_at_t1(scheme)
-    layout, isometry, _, _ = _mailbox_bridge(scheme)
-    assert problem.layout == layout
-    assert np.array_equal(problem.isometry, isometry)
-    reference = LocalisationProblem(layout, isometry)
-    assert _localise_outcome(problem) == _localise_outcome(reference)
+    assert problem.layout.dim == scheme.layout.dim
+    ours = _localise_outcome(problem, psi)
+    assert len(ours) == len(reference)
+    for a, b in zip(ours, reference, strict=True):
+        if isinstance(a, type) or a is None:
+            assert a is b
+        else:
+            assert np.max(np.abs(np.subtract(a, b))) <= 1e-12, (ours, reference)
 
 
 @pytest.mark.parametrize(
@@ -686,7 +705,8 @@ def test_bridge_matches_mailbox_reference_on_random_schemes(data):
 
 
 def test_bridge_rejects_problem_over_the_dimension_guard():
-    # The scheme fits the guard; with the mailbox, its problem does not.
+    # The scheme fits the guard; with the mailbox, its problem does not, and
+    # the bipartition's problem has the scheme's own dimension.
     eye = np.eye(2, dtype=complex)
     scheme = QheScheme(
         name="wide",
@@ -702,17 +722,17 @@ def test_bridge_rejects_problem_over_the_dimension_guard():
         return_to_alice=("input",),
     )
     with pytest.raises(ValueError) as reference:
-        _mailbox_bridge(scheme)
-    with pytest.raises(ValueError) as info:
-        localisation_problem_at_t1(scheme)
-    assert str(info.value) == str(reference.value)
-    assert str(info.value) == (
+        mailbox_bridge(scheme)
+    assert str(reference.value) == (
         f"total dimension {2 * MAX_TOTAL_DIM} exceeds the {MAX_TOTAL_DIM} guard"
     )
+    problem = localisation_problem_at_t1(scheme)
+    assert problem.layout.dims == (MAX_TOTAL_DIM // 2, 2)
+    assert problem.isometry.shape == (MAX_TOTAL_DIM, 2)
 
 
 def test_bridge_of_a_scheme_that_sends_nothing():
-    # Bob's initial registers alone are the remote side; the mailbox is empty.
+    # Bob's initial registers alone are the remote side.
     eye = np.eye(2, dtype=complex)
     scheme = QheScheme(
         name="silent",
@@ -731,7 +751,7 @@ def test_bridge_of_a_scheme_that_sends_nothing():
         return_to_alice=("bob",),
     )
     problem = localisation_problem_at_t1(scheme)
-    assert problem.layout.dims == (2, 2, 2)
+    assert problem.layout.dims == (4, 2)
     psi = random_ket(2, 9)
     np.testing.assert_allclose(
         remote_reduced(problem, psi), ciphertext(scheme, psi).matrix, rtol=0, atol=1e-12

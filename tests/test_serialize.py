@@ -14,6 +14,7 @@ from qhekit.catalog import (
     catalog,
 )
 from qhekit.checks import audit_reversible_classical, check_security
+from qhekit.layout import Layout
 from qhekit.linalg import random_ket, random_unitary
 from qhekit.localiser import localise
 from qhekit.scheme import localisation_problem_at_t1
@@ -22,6 +23,7 @@ from qhekit.serialize import (
     audit_to_json,
     ket_from_json,
     ket_to_json,
+    layout_to_json,
     matrix_from_json,
     matrix_to_json,
     problem_from_json,
@@ -31,6 +33,7 @@ from qhekit.serialize import (
     scheme_from_json,
     scheme_to_json,
 )
+from qhekit_reference import uneven_problem
 
 
 def test_matrix_round_trip():
@@ -212,6 +215,22 @@ def test_t1_bridge_problem_round_trips():
     assert back.layout == problem.layout
     assert back.isometry.tobytes() == problem.isometry.tobytes()
     assert result_to_json(localise(back)) == result_to_json(localise(problem))
+
+
+def test_three_register_problem_file_reads_with_data_and_aux_merged():
+    # A (data, aux, remote) file, as problem files were once written.
+    problem = build_constructed_secure_problem((2, 4, 2), seed=3)
+    obj = json.loads(json.dumps(problem_to_json(problem)))
+    obj["registers"] = layout_to_json(Layout((("A1", 2), ("A2", 4), ("B", 2))))
+    back = problem_from_json(obj)
+    assert back.layout == Layout((("A1*A2", 8), ("B", 2)))
+    assert back.isometry.tobytes() == problem.isometry.tobytes()
+    assert result_to_json(localise(back)) == result_to_json(localise(problem))
+
+
+def test_result_without_a_data_factor_split_writes_null_factor_dims():
+    obj = json.loads(json.dumps(result_to_json(localise(uneven_problem(5)))))
+    assert obj["factor_dims"] is None and obj["rank"] == 1
 
 
 def test_result_to_json_shape():
