@@ -18,7 +18,7 @@ from .layout import Layout, reduced_from_ket
 from .linalg import as_ket, as_square, basis_ket, is_unitary, unitaries_equal_up_to_phase
 from .qinfo import plaintext_dependence, product_deviation_from_ket, support_bases, support_overlap
 from .scheme import QheScheme, encrypt_and_evaluate, evolve
-from .tolerances import DEFAULT_TOLERANCES
+from .tolerances import EQUALITY_TOL
 
 PASS = "pass"
 FAIL = "fail"
@@ -75,7 +75,7 @@ def _distinct_pairs(items: Iterable[tuple[Any, np.ndarray]]) -> list[tuple[Any, 
     return [(a, b) for (a, u), (b, v) in pairs if not unitaries_equal_up_to_phase(u, v)]
 
 
-def check_security(scheme: QheScheme, tol: float | None = None) -> Report:
+def check_security(scheme: QheScheme, tol: float = EQUALITY_TOL) -> Report:
     """Is Bob's t1 reduced state independent of the plaintext?
 
     Bob's state is linear in the plaintext, so one plaintext_dependence call
@@ -83,15 +83,13 @@ def check_security(scheme: QheScheme, tol: float | None = None) -> Report:
     "block-<j>-<k>", j <= k, is eps_jk (see qinfo.plaintext_dependence for
     its bounds).
     """
-    if tol is None:
-        tol = DEFAULT_TOLERANCES.equality
     d = scheme.input_dim
     eps, _ = plaintext_dependence(scheme.encryption_isometry, scheme.layout, scheme.bob_t1)
     cases = [(f"block-{j}-{k}", float(eps[j, k])) for j in range(d) for k in range(j, d)]
     return _verdict("security", cases, tol, ("security",))
 
 
-def check_completeness(scheme: QheScheme, tol: float | None = None) -> Report:
+def check_completeness(scheme: QheScheme, tol: float = EQUALITY_TOL) -> Report:
     """Does decryption yield the target circuit's output for every plaintext?
 
     The pipeline is linear in the plaintext, so one certificate per circuit
@@ -116,8 +114,6 @@ def check_completeness(scheme: QheScheme, tol: float | None = None) -> Report:
     inequality over the joint and both marginals bounds the output's
     product deviation from any other registers by 3 sqrt(1 - F) <= 3 delta.
     """
-    if tol is None:
-        tol = DEFAULT_TOLERANCES.equality
     d = scheme.input_dim
     dims = scheme.layout.dims
     out = scheme.layout.position(scheme.output_label)
@@ -144,7 +140,7 @@ def check_completeness(scheme: QheScheme, tol: float | None = None) -> Report:
 def check_theorem1(
     scheme: QheScheme,
     psi_in: np.ndarray,
-    tol: float | None = None,
+    tol: float = EQUALITY_TOL,
     security_report: Report | None = None,
     completeness_report: Report | None = None,
 ) -> Report:
@@ -165,8 +161,6 @@ def check_theorem1(
     t2 since no stage reads the decrypted kets, and each stage reads all of
     the t2 kets in one batch.
     """
-    if tol is None:
-        tol = DEFAULT_TOLERANCES.equality
     tol_names = ("product-form", "support-overlap")
 
     def inapplicable(worst: float, cases: Sequence[tuple[str, float]], reason: str) -> Report:
@@ -218,22 +212,28 @@ def run_checks(
     The one place that orders the checks: theorem 1 runs on basis_ket(d, 0)
     with this run's security and completeness reports as its preconditions,
     so each check runs at most once.  tols maps check names to verdict
-    thresholds; a check it does not name uses the default.
+    thresholds; a check it does not name uses EQUALITY_TOL.  A tolerance of
+    a check that does not run, as itself or as theorem 1's precondition,
+    raises ValueError rather than go unread.
     """
     tols = tols or {}
     unknown = [name for name in (*which, *tols) if name not in CHECK_NAMES]
     if unknown:
         raise ValueError(f"unknown checks {unknown}; known: {', '.join(CHECK_NAMES)}")
+    runs = CHECK_NAMES if "theorem1" in which else which
+    unread = [name for name in tols if name not in runs]
+    if unread:
+        raise ValueError(f"tolerances {unread} are not read by checks {list(which)}")
     reports = {}
-    if "security" in which or "theorem1" in which:
-        reports["security"] = check_security(scheme, tols.get("security"))
-    if "completeness" in which or "theorem1" in which:
-        reports["completeness"] = check_completeness(scheme, tols.get("completeness"))
-    if "theorem1" in which:
+    if "security" in runs:
+        reports["security"] = check_security(scheme, tols.get("security", EQUALITY_TOL))
+    if "completeness" in runs:
+        reports["completeness"] = check_completeness(scheme, tols.get("completeness", EQUALITY_TOL))
+    if "theorem1" in runs:
         reports["theorem1"] = check_theorem1(
             scheme,
             basis_ket(scheme.input_dim, 0),
-            tols.get("theorem1"),
+            tols.get("theorem1", EQUALITY_TOL),
             security_report=reports["security"],
             completeness_report=reports["completeness"],
         )
@@ -251,7 +251,7 @@ def check_no_programming(
     failing that are flagged non-deterministic and excluded from the
     pairwise orthogonality assertion; for the rest, any two whose extracted
     unitaries differ beyond a global phase must have overlap
-    |<p_i|p_j>| <= tol, the equality tolerance.
+    |<p_i|p_j>| <= tol, with tol = EQUALITY_TOL.
 
     The output is linear in the data input, so one contraction per program
     decides it for every input: X[p, o, j] = sum_q G[(p, o), (q, j)]
@@ -266,7 +266,6 @@ def check_no_programming(
     every entry of W†W - I is within tol and W needs no separate
     unitarity test.
     """
-    tol = DEFAULT_TOLERANCES.equality
     if len(layout.registers) != 2:
         raise ValueError(f"layout must hold (program, data) registers, got {layout.labels}")
     d_prog, d_data = layout.dims
@@ -287,16 +286,16 @@ def check_no_programming(
         u, _, _ = np.linalg.svd(x[:, :, 0])
         w = np.einsum("p,poj->oj", u[:, 0].conj(), x)
         leak = float(1.0 - np.linalg.svd(w, compute_uv=False)[-1] ** 2)
-        kind = "determinism" if leak <= tol else "non-deterministic"
+        kind = "determinism" if leak <= EQUALITY_TOL else "non-deterministic"
         cases.append((f"program-{i}/{kind}", leak))
-        if leak <= tol:
+        if leak <= EQUALITY_TOL:
             extracted[i] = w
 
     overlaps = [
         (f"overlap/program-{i}|program-{j}", float(abs(np.vdot(kets[i], kets[j]))))
         for i, j in _distinct_pairs(extracted.items())
     ]
-    return _verdict("no-programming", overlaps, tol, ("support-overlap",), context=cases)
+    return _verdict("no-programming", overlaps, EQUALITY_TOL, ("support-overlap",), context=cases)
 
 
 @dataclass(frozen=True)

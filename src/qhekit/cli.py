@@ -8,7 +8,6 @@ produce identical reports.
 """
 
 import argparse
-import dataclasses
 import functools
 import json
 import sys
@@ -37,7 +36,7 @@ from .serialize import (
     scheme_from_json,
     scheme_to_json,
 )
-from .tolerances import DEFAULT_TOLERANCES
+from .tolerances import EQUALITY_TOL, RANK_TOL
 
 _MAX_TEXT_CASES = 12
 # The tolerance names each command reads: check's verdict thresholds, and
@@ -123,18 +122,15 @@ def _scheme_params(builder: str, pairs: list[str]) -> dict[str, Any]:
     return out
 
 
-def _problem_params(builder: str, pairs: list[str], seed: int | None) -> dict[str, Any]:
+def _problem_params(builder: str, pairs: list[str]) -> dict[str, Any]:
     params = _builder_params(builder, pairs, ("dims", "seed"))
-    if "seed" in params and seed is not None:
-        raise CliError("the seed is given both as --seed and as seed= in --params; give one")
     dims = params.get("dims")
     if not dims:
         raise CliError("problem builders need dims=D1,D2,D3")
     parts = [_integer("dims", x) for x in dims.split(",")]
     if len(parts) != 3:
         raise CliError(f"dims must have three components, got {dims!r}")
-    seed = _integer("seed", params.get("seed", 0 if seed is None else seed))
-    return {"dims": tuple(parts), "seed": seed}
+    return {"dims": tuple(parts), "seed": _integer("seed", params.get("seed", 0))}
 
 
 def _load_json(path: str) -> Any:
@@ -168,9 +164,9 @@ def _get_scheme(args: argparse.Namespace):
 
 def _get_problem(args: argparse.Namespace):
     if args.problem is not None:
-        _reject_unread(args, ("seed", "params"), "to a problem read from a file")
+        _reject_unread(args, ("params",), "to a problem read from a file")
         return problem_from_json(_load_json(args.problem))
-    params = _problem_params(args.builder, args.params, args.seed)
+    params = _problem_params(args.builder, args.params)
     try:
         return build_problem(args.builder, **params)
     except (TypeError, ValueError) as exc:
@@ -236,17 +232,15 @@ def _cmd_check(args: argparse.Namespace) -> int:
 def _cmd_localise(args: argparse.Namespace) -> int:
     tols = _tolerances(args)
     problem = _get_problem(args)
-    if "leakage" in tols:
-        tols["equality"] = tols.pop("leakage")
-    base = dataclasses.replace(DEFAULT_TOLERANCES, **tols)
+    leakage = tols.get("leakage", EQUALITY_TOL)
     try:
-        result = localise(problem, base)
+        result = localise(problem, leakage_tol=leakage, rank_tol=tols.get("rank", RANK_TOL))
     except LeakageDetected as exc:
         payload = {
             "verdict": FAIL,
             "reason": "leakage-detected",
             "max_deviation": exc.deviation,
-            "tolerances": {"leakage": base.equality},
+            "tolerances": {"leakage": leakage},
         }
         _emit(args, f"zero-leakage: fail  max_deviation={exc.deviation:.3e}", payload)
         return 2
@@ -384,7 +378,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_loc = sub.add_parser("localise", help="run the data-localisation construction")
     add_source(p_loc, "--problem", "localisation problem", _PROBLEM_BUILDERS)
-    p_loc.add_argument("--seed", type=int, help="problem builder seed (default 0)")
     add_params(p_loc)
     add_tol(p_loc)
     add_format(p_loc)

@@ -11,7 +11,7 @@ from functools import reduce
 
 import numpy as np
 
-from .tolerances import DEFAULT_TOLERANCES, HERMITICITY_TOL, NORM_TOL, UNITARITY_TOL
+from .tolerances import EQUALITY_TOL, HERMITICITY_TOL, NORM_TOL, UNITARITY_TOL
 
 # Seed stream tags so that unrelated internal draws never collide.
 _KET_STREAM = 0x6B65
@@ -101,15 +101,14 @@ def is_unitary(u: np.ndarray, *, where: str = "unitary") -> bool:
 def unitaries_equal_up_to_phase(u: np.ndarray, v: np.ndarray) -> bool:
     """True iff U and V implement the same operation modulo a global phase.
 
-    Criterion: |Tr(U†V)| >= d - tol with tol the equality tolerance; it
-    holds exactly when V = e^{iθ}U.
+    Criterion: |Tr(U†V)| >= d - EQUALITY_TOL; it holds exactly when V = e^{iθ}U.
     """
     u = as_square(u, "left operand")
     v = as_square(v, "right operand")
     if u.shape != v.shape:
         raise ValueError(f"dimension mismatch: {u.shape} vs {v.shape}")
     d = u.shape[0]
-    return abs(np.trace(dagger(u) @ v)) >= d - DEFAULT_TOLERANCES.equality
+    return abs(np.trace(dagger(u) @ v)) >= d - EQUALITY_TOL
 
 
 def _phase_fix_columns(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -8,8 +8,9 @@ retained side factors its reduced state into psi times a fixed residual.
 One qinfo.plaintext_dependence call decides that zero-leakage hypothesis
 for every input by linearity; when it holds, this module builds that
 unitary explicitly, reporting numerical residuals for every step.
-Thresholds: localise's Tolerances, and the fixed GRAM_REFUSAL and
-EXTRACTION_PURITY of tolerances.py.
+Thresholds: localise's leakage_tol and rank_tol keywords, EQUALITY_TOL and
+RANK_TOL by default, and the fixed GRAM_REFUSAL and EXTRACTION_PURITY of
+tolerances.py.
 """
 
 from dataclasses import dataclass
@@ -20,13 +21,14 @@ import numpy as np
 from .layout import Layout
 from .linalg import _unitarity_residuals, as_ket, as_matrix, eig_hermitian, haar_ket, is_isometry
 from .qinfo import plaintext_dependence
-from .tolerances import DEFAULT_TOLERANCES, EXTRACTION_PURITY, GRAM_REFUSAL, Tolerances
+from .tolerances import EQUALITY_TOL, EXTRACTION_PURITY, GRAM_REFUSAL, RANK_TOL
 
 _RECONSTRUCTION_SAMPLES = 20
 _RECONSTRUCTION_SEED = 0x4C0C
 # _reconstruction_residual QRs J in row blocks of at most this many bytes,
 # and at least one row.  While J has at most 512 columns a block has at
-# least as many rows as J has columns, so the stacked Rs are smaller than J.
+# least as many rows as J has columns, so the running R is no larger than
+# a block.
 _CORE_BLOCK_BYTES = 4 * 2**20
 
 
@@ -218,11 +220,11 @@ def check_zero_leakage(problem: LocalisationProblem) -> tuple[bool, float]:
     The deviation is max eps of qinfo.plaintext_dependence on the problem's
     input isometry: 0 iff the remote state is the same for every input, and
     any two inputs' remote states are within trace distance data_dim times it.
-    It passes within the equality tolerance, as localise's default does.
+    It passes within EQUALITY_TOL, localise's default leakage_tol.
     """
     eps, _ = plaintext_dependence(problem.isometry, problem.layout, [problem.remote_label])
     deviation = float(eps.max())
-    return deviation <= DEFAULT_TOLERANCES.equality, deviation
+    return deviation <= EQUALITY_TOL, deviation
 
 
 def complete_orthonormal(columns: np.ndarray) -> np.ndarray:
@@ -251,10 +253,11 @@ def _reconstruction_residual(
     distance, and every input is compared on the same combination of R's
     columns.  Nothing per input has the retained size, and J is never
     whole: its rows go in blocks of at most _CORE_BLOCK_BYTES, each copied
-    to Fortran order and reduced to its R-only QR, and the stacked Rs, which
-    have J's Gram matrix, are reduced by one more.  Any R with R†R = J†J
-    gives the same residual, as the states differ only by a unitary on the
-    left of their factors.
+    to Fortran order and reduced to its R-only QR, and each block's R is
+    folded into the running one as the R of the two stacked, which keeps
+    J's Gram matrix; only one block is held at a time.  Any R with
+    R†R = J†J gives the same residual, as the states differ only by a
+    unitary on the left of their factors.
 
     Each input's states differ by F D F†, with F = psi·R of shape
     (k, d_remote + rank) and D = diag(1, ..., 1, -w), and that difference is
@@ -267,14 +270,15 @@ def _reconstruction_residual(
     by_input = branches.reshape(d_retained, d1, -1)
     per_input = db + by_input.shape[2]  # columns of [O_j | V_j]
     rows = max(1, _CORE_BLOCK_BYTES // (16 * d1 * per_input))
-    cores = []
+    core = None
     for start in range(0, d_retained, rows):
         stop = min(start + rows, d_retained)
         block = np.empty((d1, per_input, stop - start), dtype=complex)  # J's rows, transposed
         block[:, :db] = outputs[start:stop].transpose(1, 2, 0)
         block[:, db:] = by_input[start:stop].transpose(1, 2, 0)
-        cores.append(np.linalg.qr(block.reshape(-1, stop - start).T, mode="r"))
-    core = cores[0] if len(cores) == 1 else np.linalg.qr(np.concatenate(cores), mode="r")
+        r = np.linalg.qr(block.reshape(-1, stop - start).T, mode="r")
+        del block
+        core = r if core is None else np.linalg.qr(np.concatenate([core, r]), mode="r")
     core = core.reshape(-1, d1, per_input)
     signs = np.concatenate([np.ones(db), -residual_weights])  # D's diagonal
     rng = np.random.default_rng([_RECONSTRUCTION_SEED])
@@ -289,7 +293,7 @@ def _reconstruction_residual(
 
 
 def localise(
-    problem: LocalisationProblem, tolerances: Tolerances = DEFAULT_TOLERANCES
+    problem: LocalisationProblem, *, leakage_tol: float = EQUALITY_TOL, rank_tol: float = RANK_TOL
 ) -> LocalisationResult:
     """Build the input-independent localising unitary for a zero-leakage problem.
 
@@ -301,17 +305,23 @@ def localise(
     the localising unitary takes to |j> ⊗ |k> (result.unitary completes it
     to the full retained space on first access); (4) measure the
     reconstruction residual on 20 seeded Haar inputs, each compared in the
-    R-core of J, the R of its row blocks' stacked Rs, so no input costs work
-    of the retained size and J is never held whole; an input's factor gets
-    an R-only QR only when it is tall, and is otherwise read as it is.
+    R-core of J, folded from its row blocks' Rs one block at a time, so no
+    input costs work of the retained size and J is never held whole; an
+    input's factor gets an R-only QR only when it is tall, and is otherwise
+    read as it is.
 
+    leakage_tol bounds the zero-leakage deviation, and remote state
+    eigenvalues at or below rank_tol count as zero; each must be positive.
     Raises LeakageDetected, GramCheckFailed, or LocalisationError when the
     remote state's rank is 0 or d times it exceeds the retained dimension,
     instead of returning a result whose premises do not hold.
     """
+    for name, value in (("leakage", leakage_tol), ("rank", rank_tol)):
+        if not value > 0:
+            raise ValueError(f"tolerance {name!r} must be positive, got {value}")
     eps, rho_remote = plaintext_dependence(problem.isometry, problem.layout, [problem.remote_label])
     deviation = float(eps.max())
-    if not deviation <= tolerances.equality:
+    if not deviation <= leakage_tol:
         raise LeakageDetected(deviation)
 
     (d_retained, db), d1 = problem.layout.dims, problem.data_dim
@@ -319,13 +329,13 @@ def localise(
     outputs = problem.isometry.reshape(d_retained, db, d1).transpose(0, 2, 1)
 
     evals, evecs = eig_hermitian(rho_remote)
-    kept = evals > tolerances.rank
+    kept = evals > rank_tol
     weights = evals[kept]
     eigenbasis = evecs[:, kept]
     rank = int(weights.size)
     if rank == 0:
         raise LocalisationError(
-            f"no remote state eigenvalue exceeds the rank tolerance {tolerances.rank:g} "
+            f"no remote state eigenvalue exceeds the rank tolerance {rank_tol:g} "
             f"(largest {evals[0]:.3e})"
         )
     if d1 * rank > d_retained:

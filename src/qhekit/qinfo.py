@@ -11,7 +11,7 @@ import numpy as np
 
 from .layout import Layout, reduced_from_ket
 from .linalg import as_ket, as_square, dagger
-from .tolerances import DEFAULT_TOLERANCES, HERMITICITY_TOL, NORM_TOL
+from .tolerances import EQUALITY_TOL, HERMITICITY_TOL, NORM_TOL, RANK_TOL
 
 
 @dataclass(frozen=True)
@@ -61,7 +61,7 @@ def support_bases(states: np.ndarray) -> list[np.ndarray]:
     stacked eigh.  The support projector is P_i = V_i V_i†.
     """
     evals, evecs = np.linalg.eigh(states)
-    return [vecs[:, kept] for vecs, kept in zip(evecs, evals > DEFAULT_TOLERANCES.rank)]
+    return [vecs[:, kept] for vecs, kept in zip(evecs, evals > RANK_TOL)]
 
 
 def support_overlap(va: np.ndarray, vb: np.ndarray) -> float:
@@ -70,11 +70,11 @@ def support_overlap(va: np.ndarray, vb: np.ndarray) -> float:
 
 
 def orthogonal_support(a: DensityOp, b: DensityOp) -> tuple[bool, float]:
-    """(overlap within the equality tolerance?, overlap Tr(P_a P_b)) for two same-layout states."""
+    """(overlap within EQUALITY_TOL?, overlap Tr(P_a P_b)) for two same-layout states."""
     if a.layout != b.layout:
         raise ValueError(f"layout mismatch: {a.layout.registers} vs {b.layout.registers}")
     overlap = support_overlap(*support_bases(np.stack([a.matrix, b.matrix])))
-    return overlap <= DEFAULT_TOLERANCES.equality, overlap
+    return overlap <= EQUALITY_TOL, overlap
 
 
 def plaintext_dependence(
@@ -122,7 +122,7 @@ def _factor_spectrum(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray,
     if m.shape[1] > m.shape[2]:
         m = np.linalg.qr(m, mode="r")
     evals, evecs = np.linalg.eigh(m @ m.conj().swapaxes(-1, -2))
-    return m, evecs, evals, np.sum(evals > DEFAULT_TOLERANCES.rank, axis=-1)
+    return m, evecs, evals, np.sum(evals > RANK_TOL, axis=-1)
 
 
 def product_deviation_from_ket(

@@ -52,7 +52,7 @@ from qhekit.localiser import (
 )
 from qhekit.qinfo import DensityOp
 from qhekit.scheme import FootprintOp, QheScheme, evolve
-from qhekit.tolerances import DEFAULT_TOLERANCES, EXTRACTION_PURITY
+from qhekit.tolerances import EXTRACTION_PURITY, RANK_TOL
 
 
 def probe_states(d: int) -> list[np.ndarray]:
@@ -126,7 +126,7 @@ def schmidt(psi, layout: Layout, left) -> tuple[np.ndarray, np.ndarray, np.ndarr
     m = psi.reshape(layout.dims).transpose(front + back).reshape(layout.dim_of(left), -1)
     u, s, vh = np.linalg.svd(m, full_matrices=False)
     # Squared coefficients are reduced-state eigenvalues; align thresholds.
-    r = max(1, int(np.sum(s > np.sqrt(DEFAULT_TOLERANCES.rank))))
+    r = max(1, int(np.sum(s > np.sqrt(RANK_TOL))))
     # Fix the joint phase freedom per Schmidt pair for determinism.
     u, phases = _phase_fix_columns(u[:, :r])
     return s[:r].astype(float), u, (vh[:r, :].T * phases)
@@ -135,7 +135,7 @@ def schmidt(psi, layout: Layout, left) -> tuple[np.ndarray, np.ndarray, np.ndarr
 def von_neumann_entropy(rho: DensityOp) -> float:
     """Entropy in bits; eigenvalues at or below the rank threshold are dropped."""
     evals = np.linalg.eigvalsh(rho.matrix)
-    evals = evals[evals > DEFAULT_TOLERANCES.rank]
+    evals = evals[evals > RANK_TOL]
     s = float(-np.sum(evals * np.log2(evals)))
     return min(max(s, 0.0), float(np.log2(rho.dim)))
 
@@ -266,7 +266,7 @@ def _q_support_of_factor(m):
     # Eigenbasis (through the QR's Q), eigenvalues and kept counts of m m†.
     q, r = np.linalg.qr(m)
     evals, evecs = np.linalg.eigh(r @ r.conj().swapaxes(-1, -2))
-    return q @ evecs, evals, np.sum(evals > DEFAULT_TOLERANCES.rank, axis=-1)
+    return q @ evecs, evals, np.sum(evals > RANK_TOL, axis=-1)
 
 
 def q_basis_product_deviation_from_ket(psi, layout: Layout, side_a, side_b) -> np.ndarray:

@@ -60,7 +60,7 @@ from qhekit.scheme import (
     localisation_problem_at_t1,
     run_pipeline,
 )
-from qhekit.tolerances import DEFAULT_TOLERANCES
+from qhekit.tolerances import EQUALITY_TOL
 from qhekit_reference import (
     ciphertext,
     norm_completeness_deltas,
@@ -102,7 +102,7 @@ def test_security_verdict_is_probe_basis_independent(seed):
         eps, _ = plaintext_dependence(
             scheme.encryption_isometry @ rotation, scheme.layout, scheme.bob_t1
         )
-        rotated = PASS if eps.max() <= DEFAULT_TOLERANCES.equality else FAIL
+        rotated = PASS if eps.max() <= EQUALITY_TOL else FAIL
         assert rotated == check_security(scheme).verdict == expected
 
 
@@ -160,7 +160,7 @@ def test_theorem1_qotp_inapplicable_with_product_deviation():
     deviations = [metric for case, metric in report.cases if case.startswith("product-form/")]
     assert deviations and max(deviations) > 0.5  # the message is key-correlated
     # The product-form deviations decided the verdict, so their threshold is named.
-    tol = DEFAULT_TOLERANCES.equality
+    tol = EQUALITY_TOL
     assert report.tolerances == {"product-form": tol, "support-overlap": tol}
 
 
@@ -178,7 +178,7 @@ def test_theorem1_reports_failed_security_as_its_own_row():
     assert report.cases == (("precondition/security", security.worst_metric),)
     assert security.worst_metric > 1.0
     assert report.worst_metric == 0.0
-    tol = DEFAULT_TOLERANCES.equality
+    tol = EQUALITY_TOL
     assert report.tolerances == {"product-form": tol, "support-overlap": tol}
 
 
@@ -403,7 +403,7 @@ def _assert_certificate_bounds_samples(scheme, report, tol):
 )
 def test_batched_checkers_match_per_plaintext_reference(entry):
     scheme = build_scheme(entry.builder, **entry.params)
-    tol = DEFAULT_TOLERANCES.equality
+    tol = EQUALITY_TOL
     security = check_security(scheme)
     reference = _per_plaintext_security(scheme)
     _assert_security_bounds_probe_pairs(security, reference, scheme.input_dim, tol)
@@ -467,7 +467,7 @@ NEGATIVE_CONTROLS = {
 @pytest.mark.parametrize("name", sorted(NEGATIVE_CONTROLS))
 def test_negative_controls_fail_both_routes(name):
     scheme = NEGATIVE_CONTROLS[name]()
-    tol = DEFAULT_TOLERANCES.equality
+    tol = EQUALITY_TOL
     report = check_completeness(scheme)
     assert report.verdict == FAIL
     assert max(metric for _, metric in _per_plaintext_completeness(scheme)) > tol
@@ -783,7 +783,7 @@ def _per_circuit_theorem1(scheme, psi_in, security, completeness, tol):
 
 
 def _assert_theorem1_matches_reference(scheme, psi_in, security, completeness):
-    tol = DEFAULT_TOLERANCES.equality
+    tol = EQUALITY_TOL
     report = check_theorem1(
         scheme, psi_in, security_report=security, completeness_report=completeness
     )
@@ -949,6 +949,15 @@ def test_run_checks_tolerance_reaches_only_its_check():
     # Theorem 1 reads this run's security report as its precondition.
     assert default["theorem1"].reason == REASON_SECURITY_FAILED
     assert (loose["theorem1"].verdict, loose["theorem1"].reason) == (FAIL, None)
+
+
+@pytest.mark.parametrize(
+    "which, tols", [(("security",), {"theorem1": 1e-3}), (("completeness",), {"security": 5.0})]
+)
+def test_run_checks_refuses_tolerances_no_check_reads(which, tols):
+    with pytest.raises(ValueError) as info:
+        run_checks(build_qotp_scheme(1), which, tols)
+    assert str(info.value) == f"tolerances {list(tols)} are not read by checks {list(which)}"
 
 
 def test_run_checks_rejects_unknown_names():

@@ -86,24 +86,9 @@ def test_localise_constructed_secure(tmp_path):
     assert payload["reconstruction_residual"] <= 1e-8
 
 
-def test_localise_seed_flag_selects_problem(tmp_path):
-    by_flag = tmp_path / "flag.json"
-    by_param = tmp_path / "param.json"
-    base = ("localise", "--builder", "constructed-secure", "--format", "json")
-    assert run_cli(*base, "--params", "dims=2,2,2", "--seed", "7", "--out", str(by_flag)) == 0
-    assert run_cli(*base, "--params", "dims=2,2,2", "seed=7", "--out", str(by_param)) == 0
-    assert by_flag.read_text() == by_param.read_text()
-
-
 @pytest.mark.parametrize(
     "argv, named",
     [
-        pytest.param(
-            ("localise", "--builder", "constructed-secure", "--params", "dims=2,2,2", "seed=7",
-             "--seed", "5"),
-            "--seed",
-            id="seed-both-ways",
-        ),
         pytest.param(
             ("check", "--builder", "qotp", "--params", "n=1", "bogus=3"),
             "'bogus'",
@@ -457,8 +442,14 @@ _FILE_INPUT = "does not apply"
         pytest.param(
             ("localise", "--problem", _problem_file, "--seed", "3"),
             "--seed",
-            _FILE_INPUT,
+            _UNREGISTERED,
             id="localise-file-seed",
+        ),
+        pytest.param(
+            ("localise", "--builder", "leaky", "--params", "dims=2,2,2", "--seed", "3"),
+            "--seed",
+            _UNREGISTERED,
+            id="localise-builder-seed",
         ),
         pytest.param(
             ("localise", "--problem", _problem_file, "--params", "dims=2,2,2"),
@@ -517,6 +508,21 @@ def test_tolerances_the_command_does_not_read_rejected(capsys, command, name):
     assert run_cli(command, *_SOURCES[command], "--tol", f"{name}=1e-3") == 1
     err = capsys.readouterr().err
     assert f"unknown tolerance {name!r}" in err and _ACCEPTED_TOLS[command] in err
+
+
+@pytest.mark.parametrize("which, name", [("security", "theorem1"), ("completeness", "security")])
+def test_tolerances_no_requested_check_reads_rejected(capsys, which, name):
+    argv = ("check", *_SOURCES["check"], "--which", which, "--tol", f"{name}=5")
+    assert run_cli(*argv) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: tolerances [{name!r}] are not read by checks [{which!r}]\n"
+
+
+def test_theorem1_precondition_tolerance_is_read(capsys):
+    argv = ("check", "--builder", "identity", "--params", "n=1", "--which", "theorem1")
+    assert run_cli(*argv) == 3
+    assert run_cli(*argv, "--tol", "security=2.0") == 2
+    assert "theorem1: fail" in capsys.readouterr().out
 
 
 def test_localise_leakage_tolerance_changes_outcome(tmp_path):

@@ -40,7 +40,7 @@ from qhekit.localiser import (
 )
 from qhekit.qinfo import DensityOp
 from qhekit.scheme import localisation_problem_at_t1
-from qhekit.tolerances import DEFAULT_TOLERANCES, Tolerances
+from qhekit.tolerances import EQUALITY_TOL, RANK_TOL
 from qhekit_reference import (
     dense_extract_plaintext,
     dense_problem,
@@ -127,7 +127,7 @@ def test_zero_leakage_matches_per_probe_reference(kind, dims):
         ok, deviation = check_zero_leakage(problem)
         assert expected <= problem.data_dim * deviation + 1e-12
         assert deviation <= 4 * expected + 1e-12
-        assert ok == (kind == "constructed-secure") == (expected <= DEFAULT_TOLERANCES.equality)
+        assert ok == (kind == "constructed-secure") == (expected <= EQUALITY_TOL)
 
 
 def test_each_check_computes_plaintext_dependence_once(monkeypatch):
@@ -224,15 +224,16 @@ def test_reconstruction_residual_matches_per_sample_reference(monkeypatch, make)
     assert abs(result.reconstruction_residual - reference) <= 1e-12
     whole = whole_j_reconstruction_residual(problem, result.branches, result.residual_weights)
     assert abs(result.reconstruction_residual - whole) <= 1e-12
-    # J in row blocks: the stacked Rs give the single block's residual.
+    # J in row blocks: the folded Rs give the single block's residual.
     _force_core_blocks(monkeypatch, problem, result.branches)
     calls = record_decompositions(monkeypatch)
     blocked = qhekit.localiser._reconstruction_residual(
         problem, result.branches, result.residual_weights
     )
     width = _core_width(problem, result.branches)
-    # Each block's QR and the QR of their stacked Rs read J's full width; a
-    # block has at least one row, so J goes in at most d_retained blocks.
+    # Each block's QR and each fold of its R into the running one read J's
+    # full width; a block has at least one row, so J goes in at most
+    # d_retained blocks.
     blocks = min(4, problem.layout.dims[0])
     assert sum(1 for name, shape, _ in calls if name == "qr" and shape[-1] == width) >= blocks + 1
     assert abs(blocked - result.reconstruction_residual) <= 1e-14
@@ -328,6 +329,34 @@ def test_localise_never_holds_the_whole_j(monkeypatch):
     assert peak < 2 * j_bytes
 
 
+def _residual_stage(monkeypatch, problem, result, blocks):
+    """_reconstruction_residual's value and tracemalloc peak with J in `blocks` row blocks."""
+    _force_core_blocks(monkeypatch, problem, result.branches, blocks)
+    tracemalloc.start()
+    try:
+        residual = qhekit.localiser._reconstruction_residual(
+            problem, result.branches, result.residual_weights
+        )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return residual, peak
+
+
+def test_reconstruction_core_holds_one_block_at_a_time(monkeypatch):
+    # Each block's R is folded into the running R before the next block is
+    # built, so more blocks make the stage's peak smaller, not larger.
+    problem = _bridge("qotp2")
+    result = localise(problem)
+    j_bytes = problem.layout.dims[0] * _core_width(problem, result.branches) * 16
+    whole = whole_j_reconstruction_residual(problem, result.branches, result.residual_weights)
+    (at_4, peak_4), (at_16, peak_16) = (
+        _residual_stage(monkeypatch, problem, result, blocks) for blocks in (4, 16)
+    )
+    assert peak_16 <= peak_4 <= 1.1 * j_bytes
+    assert abs(at_4 - whole) <= 1e-12 and abs(at_16 - whole) <= 1e-12
+
+
 @pytest.mark.parametrize(
     "make",
     [lambda: build_constructed_secure_problem((3, 2, 4), 0), lambda: _bridge("qotp2")],
@@ -364,8 +393,16 @@ def test_localise_refuses_when_no_eigenvalue_exceeds_the_rank_tolerance():
     problem = build_constructed_secure_problem((2, 2, 2), seed=7)
     largest = np.linalg.eigvalsh(remote_reduced(problem, basis_ket(2, 0)))[-1]
     with pytest.raises(LocalisationError, match="rank tolerance 1 ") as info:
-        localise(problem, Tolerances(rank=1.0))
+        localise(problem, rank_tol=1.0)
     assert f"largest {largest:.3e}" in str(info.value)
+
+
+@pytest.mark.parametrize("value", [0.0, -1.0, float("nan")])
+@pytest.mark.parametrize("name", ["leakage", "rank"])
+def test_localise_refuses_a_tolerance_that_is_not_positive(name, value):
+    problem = build_constructed_secure_problem((2, 2, 2), seed=7)
+    with pytest.raises(ValueError, match=f"tolerance '{name}' must be positive, got {value}"):
+        localise(problem, **{f"{name}_tol": value})
 
 
 def test_localise_refuses_more_branches_than_the_retained_dimension():
@@ -374,7 +411,7 @@ def test_localise_refuses_more_branches_than_the_retained_dimension():
     # cannot be orthonormal in a retained dimension of 2.
     problem = LocalisationProblem(Layout((("A", 2), ("B", 4))), np.eye(8, dtype=complex)[:, :2])
     with pytest.raises(LocalisationError) as info:
-        localise(problem, Tolerances(equality=10.0))
+        localise(problem, leakage_tol=10.0)
     assert str(info.value) == (
         "data dimension 2 times remote state rank 2 is 4, more than the retained dimension 2"
     )
@@ -437,7 +474,7 @@ def test_residual_weights_equal_the_dense_normalised_diagonal(monkeypatch, dims)
     monkeypatch.setattr(qhekit.localiser, "eig_hermitian", recording)
     for seed in range(4):
         result = localise(build_constructed_secure_problem(dims, seed=seed))
-        evals = spectra[-1][spectra[-1] > DEFAULT_TOLERANCES.rank]
+        evals = spectra[-1][spectra[-1] > RANK_TOL]
         sigma = np.zeros((dims[1], dims[1]), dtype=complex)
         sigma[np.arange(result.rank), np.arange(result.rank)] = evals
         expected = np.real(np.diagonal(sigma / np.real(np.trace(sigma))))[: result.rank]

@@ -1,5 +1,5 @@
 import ast
-import dataclasses
+import contextlib
 import functools
 import importlib
 import importlib.util
@@ -13,16 +13,31 @@ import pytest
 
 import qhekit
 
-_SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+_PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 _README = Path(__file__).resolve().parents[1] / "README.md"
 
 
-def _traced_targets():
+def _perfbench_module(name):
     # Loaded from its file, not imported as a package, and never installed.
-    spec = importlib.util.spec_from_file_location("_perfbench_spans", _SPANS)
-    spans = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(spans)
-    return spans.TARGETS
+    spec = importlib.util.spec_from_file_location(f"_perfbench_{name}", _PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _traced_targets():
+    return _perfbench_module("spans").TARGETS
+
+
+_WORKLOADS = _perfbench_module("workloads")
+
+
+@pytest.mark.parametrize("name", _WORKLOADS.NAMES)
+def test_every_benchmark_workload_runs_one_job(tmp_path, name):
+    # The benchmark's calls into qhekit, run once each: a package change that
+    # breaks one fails here, before a benchmark run does.
+    workload = _WORKLOADS.setup(name, 0, str(tmp_path))
+    workload.run(workload.job_input(0), contextlib.nullcontext)
 
 
 @pytest.mark.parametrize("module, attr", _traced_targets())
@@ -46,8 +61,18 @@ def test_readme_lower_layers_name_only_exported_names():
     assert names and [name for name in names if not hasattr(qhekit, name)] == []
 
 
-def test_tolerances_holds_only_the_overridable_thresholds():
-    assert [f.name for f in dataclasses.fields(qhekit.Tolerances)] == ["rank", "equality"]
+def test_tolerances_binds_only_float_constants_each_read_elsewhere():
+    # The policy module is a list of constants, with no config object, and
+    # a constant nothing imports is a threshold no run reads.
+    tolerances = importlib.import_module("qhekit.tolerances")
+    names = [name for name in vars(tolerances) if not name.startswith("__")]
+    assert names and all(type(getattr(tolerances, name)) is float for name in names)
+    imported = set()
+    for path in Path(qhekit.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.module == "tolerances":
+                imported.update(alias.name for alias in node.names)
+    assert sorted(imported) == sorted(names)
 
 
 def test_threshold_values_are_written_only_in_tolerances():
