@@ -15,8 +15,10 @@ from typing import Any, Iterable, Mapping, Sequence
 import numpy as np
 
 from .layout import Layout, reduced_from_ket
-from .linalg import as_ket, as_square, basis_ket, is_unitary, unitaries_equal_up_to_phase
-from .qinfo import plaintext_dependence, product_deviation_from_ket, support_bases, support_overlap
+from .linalg import (
+    as_ket, as_square, basis_ket, is_unitary, positive_tolerance, unitaries_equal_up_to_phase
+)
+from .qinfo import plaintext_dependence, product_deviation_from_ket
 from .scheme import QheScheme, encrypt_and_evaluate, evolve
 from .tolerances import EQUALITY_TOL
 
@@ -83,6 +85,7 @@ def check_security(scheme: QheScheme, tol: float = EQUALITY_TOL) -> Report:
     "block-<j>-<k>", j <= k, is eps_jk (see qinfo.plaintext_dependence for
     its bounds).
     """
+    positive_tolerance("security", tol)
     d = scheme.input_dim
     eps, _ = plaintext_dependence(scheme.encryption_isometry, scheme.layout, scheme.bob_t1)
     cases = [(f"block-{j}-{k}", float(eps[j, k])) for j in range(d) for k in range(j, d)]
@@ -114,6 +117,7 @@ def check_completeness(scheme: QheScheme, tol: float = EQUALITY_TOL) -> Report:
     inequality over the joint and both marginals bounds the output's
     product deviation from any other registers by 3 sqrt(1 - F) <= 3 delta.
     """
+    positive_tolerance("completeness", tol)
     d = scheme.input_dim
     dims = scheme.layout.dims
     out = scheme.layout.position(scheme.output_label)
@@ -150,21 +154,21 @@ def check_theorem1(
     (reports may be supplied to avoid recomputation); failures yield an
     inapplicable verdict, never a silent skip.  Stage 1 tests the product
     hypothesis the orthogonality argument rests on: at t2 Alice's retained
-    registers must be in a product with the message for every circuit.  If
-    any circuit fails, the verdict is inapplicable with the product-form
-    deviations reported.  Stage 2 computes the pairwise support overlap
-    Tr(P_a P_b) = ||V_a† V_b||_F^2 of the message states for every pair of
-    circuits whose targets differ by more than a global phase; pass iff
-    every overlap is at most tol.  Both stages compare against the one tol,
-    which the report names as "product-form" and "support-overlap".  Every
-    circuit runs on psi_in in one encrypt_and_evaluate call, which stops at
-    t2 since no stage reads the decrypted kets, and each stage reads all of
-    the t2 kets in one batch.
+    registers must be in a product with the message for every circuit, else
+    the verdict is inapplicable with the deviations reported.  Stage 2 reads
+    the message overlap Tr(rho_a rho_b) of each pair of circuits whose
+    targets differ beyond a global phase, all from one Gram product of the
+    flattened states; pass iff each is at most tol.  It is zero iff the
+    supports are orthogonal and, bilinear in the states, continuous, so no
+    rank cut moves the verdict; and Tr rho_a rho_b = ||√rho_a √rho_b||_2^2
+    <= ||√rho_a √rho_b||_1^2 = F(rho_a, rho_b), the fidelity.  Both stages
+    compare against tol, named "product-form" and "message-overlap", and
+    read every circuit's t2 ket from one encrypt_and_evaluate call on psi_in.
     """
-    tol_names = ("product-form", "support-overlap")
+    tol_names = ("product-form", "message-overlap")
+    tolerances = dict.fromkeys(tol_names, positive_tolerance("theorem1", tol))
 
     def inapplicable(worst: float, cases: Sequence[tuple[str, float]], reason: str) -> Report:
-        tolerances = dict.fromkeys(tol_names, tol)
         return Report("theorem1", INAPPLICABLE, worst, tuple(cases), tolerances, reason)
 
     # A failed precondition's own metric is a case row; no theorem 1
@@ -194,11 +198,10 @@ def check_theorem1(
     if product_worst > tol:
         return inapplicable(product_worst, products, REASON_MESSAGE_CORRELATED)
 
-    bases = support_bases(reduced_from_ket(kets, scheme.layout, scheme.return_to_alice))
-    overlaps = [
-        (f"overlap/{circuit_ids[i]}|{circuit_ids[j]}", support_overlap(bases[i], bases[j]))
-        for i, j in _distinct_pairs(enumerate(ev.target for ev in scheme.evaluations))
-    ]
+    flat = reduced_from_ket(kets, scheme.layout, scheme.return_to_alice).reshape(kets.shape[1], -1)
+    gram = (flat.conj() @ flat.T).real  # F's rows are the message states; G_ab = Tr(rho_a rho_b)
+    pairs = _distinct_pairs(enumerate(ev.target for ev in scheme.evaluations))
+    overlaps = [(f"overlap/{circuit_ids[i]}|{circuit_ids[j]}", float(gram[i, j])) for i, j in pairs]
     return _verdict("theorem1", overlaps, tol, tol_names, context=products)
 
 
@@ -212,11 +215,11 @@ def run_checks(
     The one place that orders the checks: theorem 1 runs on basis_ket(d, 0)
     with this run's security and completeness reports as its preconditions,
     so each check runs at most once.  tols maps check names to verdict
-    thresholds; a check it does not name uses EQUALITY_TOL.  A tolerance of
-    a check that does not run, as itself or as theorem 1's precondition,
-    raises ValueError rather than go unread.
+    thresholds; a check it does not name uses EQUALITY_TOL.  A tolerance that
+    is not positive, or of a check that does not run, as itself or as theorem
+    1's precondition, raises ValueError before any check runs.
     """
-    tols = tols or {}
+    tols = {name: positive_tolerance(name, tol) for name, tol in (tols or {}).items()}
     unknown = [name for name in (*which, *tols) if name not in CHECK_NAMES]
     if unknown:
         raise ValueError(f"unknown checks {unknown}; known: {', '.join(CHECK_NAMES)}")

@@ -27,6 +27,7 @@ from .checks import (
     audit_reversible_classical,
     run_checks,
 )
+from .linalg import positive_tolerance
 from .localiser import LeakageDetected, LocalisationError, localise
 from .serialize import (
     audit_to_json,
@@ -99,9 +100,7 @@ def _tolerance(name: str, text: str) -> float:
         value = float(text)
     except ValueError:
         raise CliError(f"tolerance {name!r} has non-numeric value {text!r}") from None
-    if not value > 0:
-        raise CliError(f"tolerance {name!r} must be positive, got {value}")
-    return value
+    return positive_tolerance(name, value)
 
 
 def _tolerances(args: argparse.Namespace) -> dict[str, float]:

@@ -59,6 +59,13 @@ def as_ket(v, where: str = "ket") -> np.ndarray:
     return a
 
 
+def positive_tolerance(name: str, value: float) -> float:
+    """value, if it is a positive number; 0, a negative value and NaN raise ValueError."""
+    if not value > 0:
+        raise ValueError(f"tolerance {name!r} must be positive, got {value}")
+    return value
+
+
 def dagger(m: np.ndarray) -> np.ndarray:
     return m.conj().T
 

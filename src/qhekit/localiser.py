@@ -19,7 +19,10 @@ from functools import cached_property
 import numpy as np
 
 from .layout import Layout
-from .linalg import _unitarity_residuals, as_ket, as_matrix, eig_hermitian, haar_ket, is_isometry
+from .linalg import (
+    _unitarity_residuals, as_ket, as_matrix, eig_hermitian, haar_ket, is_isometry,
+    positive_tolerance,
+)
 from .qinfo import plaintext_dependence
 from .tolerances import EQUALITY_TOL, EXTRACTION_PURITY, GRAM_REFUSAL, RANK_TOL
 
@@ -316,9 +319,8 @@ def localise(
     remote state's rank is 0 or d times it exceeds the retained dimension,
     instead of returning a result whose premises do not hold.
     """
-    for name, value in (("leakage", leakage_tol), ("rank", rank_tol)):
-        if not value > 0:
-            raise ValueError(f"tolerance {name!r} must be positive, got {value}")
+    positive_tolerance("leakage", leakage_tol)
+    positive_tolerance("rank", rank_tol)
     eps, rho_remote = plaintext_dependence(problem.isometry, problem.layout, [problem.remote_label])
     deviation = float(eps.max())
     if not deviation <= leakage_tol:

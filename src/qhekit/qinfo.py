@@ -64,16 +64,12 @@ def support_bases(states: np.ndarray) -> list[np.ndarray]:
     return [vecs[:, kept] for vecs, kept in zip(evecs, evals > RANK_TOL)]
 
 
-def support_overlap(va: np.ndarray, vb: np.ndarray) -> float:
-    """Tr(P_a P_b) = ||V_a† V_b||_F^2 for orthonormal support bases V_a, V_b."""
-    return float(np.linalg.norm(dagger(va) @ vb) ** 2)
-
-
 def orthogonal_support(a: DensityOp, b: DensityOp) -> tuple[bool, float]:
     """(overlap within EQUALITY_TOL?, overlap Tr(P_a P_b)) for two same-layout states."""
     if a.layout != b.layout:
         raise ValueError(f"layout mismatch: {a.layout.registers} vs {b.layout.registers}")
-    overlap = support_overlap(*support_bases(np.stack([a.matrix, b.matrix])))
+    va, vb = support_bases(np.stack([a.matrix, b.matrix]))
+    overlap = float(np.linalg.norm(dagger(va) @ vb) ** 2)  # ||V_a† V_b||_F^2
     return overlap <= EQUALITY_TOL, overlap
 
 
@@ -101,9 +97,10 @@ def plaintext_dependence(
     dk = layout.dim_of(kept)
     axes = layout.positions(layout.complement(kept)) + (len(layout.dims),) + layout.positions(kept)
     flat = isometry.reshape(layout.dims + (d,)).transpose(axes).reshape(-1, dk)
-    sigma_bar = flat.T @ flat.conj() / d
-    by_rest = flat.reshape(-1, d * dk)
-    blocks = (by_rest.T @ by_rest.conj()).reshape(d, dk, d, dk).swapaxes(1, 2)
+    c = flat.conj()
+    sigma_bar = flat.T @ c / d
+    blocks = flat.reshape(-1, d * dk).T @ c.reshape(-1, d * dk)
+    blocks = blocks.reshape(d, dk, d, dk).swapaxes(1, 2)
     blocks[np.arange(d), np.arange(d)] -= sigma_bar
     return np.linalg.svd(blocks, compute_uv=False).sum(axis=-1), sigma_bar
 

@@ -24,12 +24,20 @@ the dense matrix the package never forms, and diagonal_blocks reads the
 blocks back off one.  per_column_eig_hermitian is eig_hermitian with its
 tie-break key rounded column by column.  dense_extract_plaintext is
 extract_plaintext as it read the dense d_retained x d_retained state, for
-the factored path to match.
+the factored path to match.  message_overlap is theorem 1's stage-2 metric
+Tr(rho_a rho_b) by a dense product, and two_conjugate_plaintext_dependence
+is plaintext_dependence as it once conjugated the isometry twice.
+rotated_tag_scheme and biased_qotp_scheme are one-parameter families that
+cross the check thresholds, built from the catalog's builders.
 """
+
+import dataclasses
 
 import numpy as np
 
-from qhekit.catalog import _CONSTRUCTED_STREAM, _LEAKY_STREAM
+from qhekit.catalog import (
+    _CONSTRUCTED_STREAM, _LEAKY_STREAM, build_qotp_scheme, build_tag_evaluate_scheme
+)
 from qhekit.layout import Layout, assemble_ket, axis_permutation, reduced_from_ket
 from qhekit.linalg import (
     _phase_fix_columns,
@@ -51,7 +59,7 @@ from qhekit.localiser import (
     LocalisationResult,
 )
 from qhekit.qinfo import DensityOp
-from qhekit.scheme import FootprintOp, QheScheme, evolve
+from qhekit.scheme import FootprintOp, QheScheme, RegisterState, evolve
 from qhekit.tolerances import EXTRACTION_PURITY, RANK_TOL
 
 
@@ -419,3 +427,61 @@ def mailbox_bridge(scheme: QheScheme) -> LocalisationProblem:
         )
     )
     return LocalisationProblem(layout, columns[rows[axis_permutation(dims, order)]])
+
+
+def message_overlap(a: DensityOp, b: DensityOp) -> float:
+    """Tr(rho_a rho_b) of two message states, by a dense matrix product."""
+    return float(np.real(np.trace(a.matrix @ b.matrix)))
+
+
+def two_conjugate_plaintext_dependence(isometry, layout: Layout, keep):
+    """plaintext_dependence with the transposed isometry conjugated once per product."""
+    kept = layout.ordered(keep)
+    d = isometry.shape[1]
+    dk = layout.dim_of(kept)
+    axes = layout.positions(layout.complement(kept)) + (len(layout.dims),) + layout.positions(kept)
+    flat = isometry.reshape(layout.dims + (d,)).transpose(axes).reshape(-1, dk)
+    sigma_bar = flat.T @ flat.conj() / d
+    by_rest = flat.reshape(-1, d * dk)
+    blocks = (by_rest.T @ by_rest.conj()).reshape(d, dk, d, dk).swapaxes(1, 2)
+    blocks[np.arange(d), np.arange(d)] -= sigma_bar
+    return np.linalg.svd(blocks, compute_uv=False).sum(axis=-1), sigma_bar
+
+
+def rotated_tag_scheme(theta: float) -> QheScheme:
+    """tag-evaluate n=1 {I, X, Z} with circuit I's evaluation a rotation by theta on (input, tag).
+
+    The rotation takes |0,0> to c|0,0> + s|1,2> and |1,2> to -s|0,0> + c|1,2>
+    (c = cos theta, s = sin theta) and fixes every other basis state.  Bob
+    holds (input, tag) in |0,0> at t1, so security is untouched.  Circuit I's
+    message is c^2|0><0| + s^2|2><2|, whose overlap with circuit Z's message
+    |2><2| is Tr(rho_I rho_Z) = s^2; the hold register stays a pure plaintext,
+    so stage 1 sees a product.  Decryption applies Z to the |1,2> branch, so
+    circuit I maps psi to c psi ⊗ |0,0> + s Z psi ⊗ |1,2>: with r = c|0,0>
+    (Tr Z = 0), R - I ⊗ r = s Z ⊗ |1,2> and completeness reads delta = s.
+    """
+    scheme = build_tag_evaluate_scheme(1, ("I", "X", "Z"))
+    c, s = np.cos(theta), np.sin(theta)
+    rotation = np.eye(6, dtype=complex)  # (input, tag) index 3 i + t
+    rotation[[0, 0, 5, 5], [0, 5, 0, 5]] = c, -s, s, c
+    operator = FootprintOp(("input", "tag"), rotation)
+    first = dataclasses.replace(scheme.evaluations[0], operator=operator)
+    return dataclasses.replace(scheme, evaluations=(first, *scheme.evaluations[1:]))
+
+
+def biased_qotp_scheme(eta: float) -> QheScheme:
+    """QOTP n=1 with key probabilities (1/4 + eta, 1/4 - eta, 1/4, 1/4) for pads I, Z, X, XZ.
+
+    The key stays purified, sum_k sqrt(p_k)|k>|k>.  Bob's block
+    sigma_jk = sum_k p_k P_k|j><k|P_k†, with X^a Z^b|j> = (-1)^(b j)|j xor a>:
+    sigma_00 = (p_I + p_Z)|0><0| + (p_X + p_XZ)|1><1| = sigma_bar (likewise
+    sigma_11), so eps_00 = eps_11 = 0, and sigma_01 = (p_I - p_Z)|0><1| +
+    (p_X - p_XZ)|1><0| has trace norm |2 eta| + 0, so security reads
+    eps = 2 eta.  Every pad is still undone by its key, so completeness holds.
+    """
+    scheme = build_qotp_scheme(1)
+    p = np.array([0.25 + eta, 0.25 - eta, 0.25, 0.25])
+    key_ket = np.zeros(16, dtype=complex)
+    key_ket[np.arange(4) * 5] = np.sqrt(p)
+    key = RegisterState(("key", "key_purifier"), key_ket)
+    return dataclasses.replace(scheme, fixed_states=(key,))

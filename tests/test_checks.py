@@ -51,7 +51,7 @@ from qhekit.linalg import (
     unitaries_equal_up_to_phase,
 )
 from qhekit.localiser import LeakageDetected, check_zero_leakage, complete_orthonormal, localise
-from qhekit.qinfo import orthogonal_support, plaintext_dependence, product_deviation_from_ket
+from qhekit.qinfo import plaintext_dependence, product_deviation_from_ket
 from qhekit.scheme import (
     Evaluation,
     FootprintOp,
@@ -63,6 +63,7 @@ from qhekit.scheme import (
 from qhekit.tolerances import EQUALITY_TOL
 from qhekit_reference import (
     ciphertext,
+    message_overlap,
     norm_completeness_deltas,
     probe_states,
     record_decompositions,
@@ -161,7 +162,7 @@ def test_theorem1_qotp_inapplicable_with_product_deviation():
     assert deviations and max(deviations) > 0.5  # the message is key-correlated
     # The product-form deviations decided the verdict, so their threshold is named.
     tol = EQUALITY_TOL
-    assert report.tolerances == {"product-form": tol, "support-overlap": tol}
+    assert report.tolerances == {"product-form": tol, "message-overlap": tol}
 
 
 def test_theorem1_gated_by_security():
@@ -179,7 +180,7 @@ def test_theorem1_reports_failed_security_as_its_own_row():
     assert security.worst_metric > 1.0
     assert report.worst_metric == 0.0
     tol = EQUALITY_TOL
-    assert report.tolerances == {"product-form": tol, "support-overlap": tol}
+    assert report.tolerances == {"product-form": tol, "message-overlap": tol}
 
 
 def test_theorem1_reports_failed_completeness_as_its_own_row():
@@ -193,6 +194,30 @@ def test_theorem1_reports_failed_completeness_as_its_own_row():
     assert (report.verdict, report.reason) == (INAPPLICABLE, REASON_COMPLETENESS_FAILED)
     assert report.cases == (("precondition/completeness", 0.75),)
     assert report.worst_metric == 0.0
+
+
+_NOT_POSITIVE = [0.0, -1.0, float("nan")]
+_TOL_CALLS = {
+    "security": check_security,
+    "completeness": check_completeness,
+    "theorem1": lambda scheme, tol: check_theorem1(scheme, basis_ket(2, 0), tol),
+}
+
+
+@pytest.mark.parametrize("value", _NOT_POSITIVE)
+@pytest.mark.parametrize("name", sorted(_TOL_CALLS))
+def test_checks_refuse_a_tolerance_that_is_not_positive(name, value):
+    # 0 would pass only an exact metric, and a negative or NaN tol fails
+    # even a secure, complete scheme.
+    with pytest.raises(ValueError, match=f"tolerance '{name}' must be positive, got {value}"):
+        _TOL_CALLS[name](build_qotp_scheme(1), value)
+
+
+@pytest.mark.parametrize("value", _NOT_POSITIVE)
+@pytest.mark.parametrize("name", CHECK_NAMES)
+def test_run_checks_refuses_a_tolerance_that_is_not_positive(name, value):
+    with pytest.raises(ValueError, match=f"tolerance '{name}' must be positive, got {value}"):
+        run_checks(build_tag_evaluate_scheme(1, ("I", "X", "Z")), CHECK_NAMES, {name: value})
 
 
 def test_no_programming_textbook_controlled_not():
@@ -749,7 +774,7 @@ def test_plaintext_dependence_and_probe_pairs_bound_each_other(case):
 
 def _per_circuit_theorem1(scheme, psi_in, security, completeness, tol):
     """Reference: one run_pipeline per circuit, one product_deviation_from_ket
-    per circuit and orthogonal_support per pair on the pipelines' rho_message.
+    per circuit and a dense Tr(rho_a rho_b) per pair on the pipelines' rho_message.
     Returns (cases, verdict, reason) as check_theorem1 would report them."""
     if security.verdict != PASS:
         row = ("precondition/security", security.worst_metric)
@@ -774,7 +799,7 @@ def _per_circuit_theorem1(scheme, psi_in, security, completeness, tol):
         for b in scheme.evaluations[i + 1 :]:
             if unitaries_equal_up_to_phase(a.target, b.target):
                 continue
-            _, overlap = orthogonal_support(
+            overlap = message_overlap(
                 traces[a.circuit_id].rho_message, traces[b.circuit_id].rho_message
             )
             cases.append((f"overlap/{a.circuit_id}|{b.circuit_id}", overlap))

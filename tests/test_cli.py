@@ -25,7 +25,7 @@ from qhekit.serialize import (
     result_to_json,
     scheme_to_json,
 )
-from qhekit_reference import dense_problem, uneven_problem
+from qhekit_reference import dense_problem, rotated_tag_scheme, uneven_problem
 
 
 def run_cli(*argv):
@@ -335,15 +335,29 @@ def _swapped_targets_file(tmp_path):
         # Swapped targets give certificates below 2.
         pytest.param("completeness", None, "2.0", (2, 0), id="completeness"),
         # QOTP's message is key-correlated, so stage 1 makes theorem 1
-        # inapplicable; at 1.0 stage 1 passes and the overlaps fail stage 2.
+        # inapplicable; at 1.0 stage 1 passes, and so does stage 2: every
+        # message is I/2, so each overlap Tr(rho_a rho_b) is 1/2.
         pytest.param(
-            "theorem1", ("--builder", "qotp", "--params", "n=1"), "1.0", (3, 2), id="theorem1"
+            "theorem1", ("--builder", "qotp", "--params", "n=1"), "1.0", (3, 0), id="theorem1"
         ),
     ],
 )
 def test_tolerance_override_changes_verdict(tmp_path, name, source, loose, exits):
     argv = ("check", *(source or _swapped_targets_file(tmp_path)), "--which", name)
     assert (run_cli(*argv), run_cli(*argv, "--tol", f"{name}={loose}")) == exits
+
+
+@pytest.mark.parametrize("tol, code", [("1e-9", 0), ("1e-10", 2)])
+def test_theorem1_override_reaches_the_message_overlap(tmp_path, capsys, tol, code):
+    # At theta = 3e-5 the completeness delta is 3e-5 and overlap/I|Z is
+    # sin^2 theta = 9.0e-10, so only stage 2's threshold moves the exit code.
+    path = tmp_path / "rotated.json"
+    path.write_text(json.dumps(scheme_to_json(rotated_tag_scheme(3e-5))))
+    argv = ["check", "--scheme", str(path), "--which", "theorem1", "--format", "json"]
+    assert run_cli(*argv, "--tol", "completeness=1e-3", f"theorem1={tol}") == code
+    report = json.loads(capsys.readouterr().out)["reports"]["theorem1"]
+    assert report["tolerances"] == {"message-overlap": float(tol), "product-form": float(tol)}
+    assert dict(report["cases"])["overlap/I|Z"] == pytest.approx(np.sin(3e-5) ** 2, rel=1e-12)
 
 
 def test_localise_text_output_skips_unitary_completion(tmp_path, monkeypatch, capsys):

@@ -3,6 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qhekit.catalog import (
+    build_constructed_secure_problem,
+    build_leaky_problem,
+    build_qotp_scheme,
+    build_scheme,
+    catalog,
+)
 from qhekit.layout import Layout, reduced_from_ket
 from qhekit.linalg import (
     basis_ket,
@@ -20,10 +27,12 @@ from qhekit.qinfo import (
     product_deviation_from_ket,
     support_bases,
 )
+from qhekit.scheme import localisation_problem_at_t1
 from qhekit_reference import (
     partial_trace,
     product_deviation,
     q_basis_product_deviation_from_ket,
+    two_conjugate_plaintext_dependence,
     von_neumann_entropy,
 )
 
@@ -346,3 +355,36 @@ def test_plaintext_dependence_matches_its_definition(dims, keep_bits, d, seed):
         for k in range(d):
             block = sigma[j][k] - (sigma_bar if j == k else 0)
             assert abs(eps[j, k] - np.linalg.svd(block, compute_uv=False).sum()) <= 1e-12
+
+
+# The localisation sweep's problem dims: constructed-secure, then leaky.
+_SWEEP_DIMS = (
+    ((2, 2, 2), (2, 4, 2), (3, 2, 4), (2, 2, 8)),
+    ((2, 2, 2), (2, 4, 2), (2, 2, 8), (3, 2, 6)),
+)
+
+
+def _dependence_inputs():
+    """(isometry, layout, keep) of every security and zero-leakage call the workloads make.
+
+    The six catalog schemes, QOTP n=1 and n=2 as schemes and as t1 problems,
+    and five seeds of every sweep dims: 50 inputs.
+    """
+    schemes = [build_scheme(entry.builder, **entry.params) for entry in catalog()]
+    schemes += [build_qotp_scheme(1), build_qotp_scheme(2)]
+    inputs = [(s.encryption_isometry, s.layout, s.bob_t1) for s in schemes]
+    problems = [localisation_problem_at_t1(build_qotp_scheme(n)) for n in (1, 2)]
+    for build, dims in zip((build_constructed_secure_problem, build_leaky_problem), _SWEEP_DIMS):
+        problems += [build(d, seed) for d in dims for seed in range(5)]
+    return inputs + [(p.isometry, p.layout, [p.remote_label]) for p in problems]
+
+
+def test_plaintext_dependence_is_bit_equal_to_the_two_conjugate_formula():
+    # One conjugate copy of the transposed isometry feeds both products; the
+    # numbers must not move by a bit on any input the workloads pass.
+    inputs = _dependence_inputs()
+    assert len(inputs) == 50
+    for isometry, layout, keep in inputs:
+        eps, sigma_bar = plaintext_dependence(isometry, layout, keep)
+        want_eps, want_bar = two_conjugate_plaintext_dependence(isometry, layout, keep)
+        assert np.array_equal(eps, want_eps) and np.array_equal(sigma_bar, want_bar)
