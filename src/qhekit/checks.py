@@ -97,17 +97,30 @@ def check_completeness(scheme: QheScheme, tol: float = EQUALITY_TOL) -> Report:
 
     The pipeline is linear in the plaintext, so one certificate per circuit
     decides it exactly.  K is circuit c's slice of evolve(scheme, ids, I)[2],
-    dim x d; with the output register first and every other one, Bob's
-    included, as the rest, R = (T† ⊗ I) K has shape (d_out, d_rest, d).
-    Case "<c>/certificate" is delta = ||R - I ⊗ r||_op, R taken as a
-    (d_out d_rest) x d matrix and r = (1/d) sum_j R[j, :, j].  delta = 0 iff
-    every plaintext psi decrypts to T psi in a product with one fixed state
-    of all other registers.  The circuits go through evolve in chunks, each
-    chunk's kets within _COMPLETENESS_CHUNK_BYTES.  Each chunk's matrices
-    R - I ⊗ r come from one stacked product.  Each is tall, (d_out d_rest)
-    x d, so delta is the top singular value of the d x d triangular factor
-    of its R-only QR, one stacked QR per chunk: a matrix and that factor
-    share their singular values, and no decomposition reads the long side.
+    dim x d, and R = (T† ⊗ I) K, T† acting on the output register.  Case
+    "<c>/certificate" is delta = ||X||_op, X = R - I ⊗ r with R taken as a
+    (d_out d_rest) x d matrix, its rows over the output register and every
+    other one, Bob's included, and r = (1/d) sum_j R[j, :, j].  delta = 0
+    iff every plaintext psi decrypts to T psi in a product with one fixed
+    state of all other registers.
+
+    The circuits go through evolve in chunks, each chunk's kets within
+    _COMPLETENESS_CHUNK_BYTES, and evolve returns them circuit-major, so
+    every step reads them as views: T† is one broadcast matmul with the
+    output register as its matrix axis, wherever that register sits; r and
+    the subtraction of I ⊗ r act on R's diagonal (output j, plaintext j)
+    views; and the kets are released once R is formed.  So a chunk holds
+    about two (dim, circuits, d) arrays at a time: the t2 and final kets
+    inside evolve, then K and R.
+
+    X is tall, so delta comes from its d x d Gram: delta^2 = lambda_max(X†X),
+    one stacked eigvalsh per chunk, and no decomposition reads the long
+    side.  The Gram is read off one real product of X's float view, with
+    no conjugate copy of X.  Rounding moves the Gram by O(eps ||X||_F^2) <=
+    O(eps d delta^2) in norm, and its top eigenvalue by no more (Weyl), so
+    this step adds a relative error at rounding level to delta, however
+    small delta is; clamping at 0 before the square root keeps an exact
+    zero at 0.0.
 
     Bound: for a unit psi, phi = (T† ⊗ I) K psi is a unit ket within delta
     of psi ⊗ r.  With P = |psi><psi| ⊗ I, which fixes psi ⊗ r, the output's
@@ -121,22 +134,31 @@ def check_completeness(scheme: QheScheme, tol: float = EQUALITY_TOL) -> Report:
     d = scheme.input_dim
     dims = scheme.layout.dims
     out = scheme.layout.position(scheme.output_label)
+    before, after = math.prod(dims[:out]), math.prod(dims[out + 1 :])
     ids = scheme.circuit_ids
     chunk = max(1, _COMPLETENESS_CHUNK_BYTES // (scheme.layout.dim * d * 16))
     cases = []
     for start in range(0, len(ids), chunk):
         chunk_ids = ids[start : start + chunk]
         n = len(chunk_ids)
-        _, _, kets = evolve(scheme, chunk_ids, np.eye(d))
-        # (circuit, output register, rest..., plaintext), flattened to K per circuit.
-        k = np.moveaxis(kets.reshape(dims + (n, d)), (len(dims), out), (0, 1))
         targets = np.stack([ev.target for ev in scheme.evaluations[start : start + chunk]])
-        rel = targets.conj().swapaxes(1, 2) @ k.reshape(n, dims[out], -1)
-        rel = rel.reshape(n, dims[out], -1, d)  # R; then R - I ⊗ r
-        rel[:, np.arange(d), :, np.arange(d)] -= np.einsum("cjrj->cr", rel) / d
-        # ||R - I ⊗ r||_op is the top singular value of its d x d QR triangle.
-        cores = np.linalg.qr(rel.reshape(n, -1, d), mode="r")
-        deltas = np.linalg.svd(cores, compute_uv=False)[:, 0]
+        kets = evolve(scheme, chunk_ids, np.eye(d))[2]
+        # (circuit, registers before the output, output, the rest with the plaintext): a view.
+        k = np.moveaxis(kets, 1, 0).reshape(n, before, dims[out], -1)
+        rel = targets.conj().swapaxes(1, 2)[:, None] @ k  # R
+        del kets, k
+        # R - I ⊗ r, one plaintext j's diagonal view (output j, plaintext j) at a time.
+        rel = rel.reshape(n, before, d, after, d)
+        r = np.einsum("cbjaj->cba", rel) / d
+        for j in range(d):
+            rel[:, :, j, :, j] -= r
+        # X†X = AᵀA + BᵀB + i(AᵀB - BᵀA) for X = A + iB; m holds the four
+        # real products interleaved, read from X's float view with no copy.
+        y = rel.reshape(n, -1, d).view(np.float64)
+        m = y.swapaxes(1, 2) @ y
+        gram = m[:, ::2, ::2] + m[:, 1::2, 1::2] + 1j * (m[:, ::2, 1::2] - m[:, 1::2, ::2])
+        top = np.linalg.eigvalsh(gram)[:, -1]
+        deltas = np.sqrt(np.where(top > 0.0, top, 0.0))
         cases += [(f"{cid}/certificate", float(delta)) for cid, delta in zip(chunk_ids, deltas)]
     return _verdict("completeness", cases, tol, ("completeness",))
 

@@ -178,8 +178,11 @@ def _emit(args: argparse.Namespace, text: str, payload: Any) -> None:
     else:
         body = text
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(body + "\n")
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(body + "\n")
+        except OSError as exc:
+            raise CliError(f"cannot write {args.out}: {exc}") from None
     else:
         print(body)
 

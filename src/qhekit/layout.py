@@ -143,12 +143,21 @@ def apply_operator(
 ) -> np.ndarray:
     """Apply an operator living on the given registers to a full-space ket.
 
-    psi is one ket of shape (dim,) or a batch of kets as the columns of a
-    (dim, m) array; the result has the same shape.  op is one (block, block)
+    psi is one ket of shape (dim,) or a batch of kets, (dim, m) or (dim,
+    ..., m); the result has the same shape.  op is one (block, block)
     matrix, or a stack of n of them, shape (n, block, block), whose n
     results come back on a circuit axis after the first: (dim, n) or
-    (dim, n, m).  With a control register, op has one axis more, (c, block,
-    block) or (n, c, block, block), block k acting where the control holds |k>.
+    (dim, n, ..., m).  With a control register, op has one axis more, (c,
+    block, block) or (n, c, block, block), block k acting where the control
+    holds |k>.
+
+    Every batch axis but the last is a leading axis of the matmul, taken as
+    a view; only the last joins the registers outside the footprint as the
+    columns.  The result holds the stack's axis and the leading batch axes
+    outermost in memory, so a (dim, n, m) result of a stacked call is laid
+    out as n (dim, m) blocks.  Such a batch goes in with no copy, and comes
+    back laid out the same way, when the footprint's registers and then the
+    control's are the first ones of the layout, in order.
     """
     op = _as_square_stack(op, f"operator on {tuple(labels)}")
     controls = [] if control is None else [layout.position(control)]
@@ -162,21 +171,28 @@ def apply_operator(
         raise ValueError(f"operator shape {op.shape} does not match footprint dimension {block}")
     psi = np.asarray(psi, dtype=complex)
     n = len(layout.dims)
-    # Footprint axes first, then the control's, as a (block, c, rest * batch)
-    # array; the batch axis, if any, stays last.
-    order = pos + controls
-    order += [p for p in range(n) if p not in order] + list(range(n, n + psi.ndim - 1))
-    grouped = psi.reshape(layout.dims + psi.shape[1:]).transpose(order)
-    x = grouped.reshape(block, c, -1)
+    batch = psi.shape[1:]
+    lead, tail = batch[:-1], batch[-1:]
+    # Leading batch axes, then the footprint's, the control's and the other
+    # registers', then the last batch axis: a (lead..., block, c, columns) array.
+    regs = pos + controls + [p for p in range(n) if p not in pos + controls]
+    order = [*range(n, n + len(lead)), *regs, *range(n + len(lead), n + len(batch))]
+    grouped = psi.reshape(layout.dims + batch).transpose(order)
+    x = grouped.reshape(lead + (block, c, -1))
     stack = stacked.shape[:-3]
+    # The stack's axes broadcast against the leading ones, outside them.
+    stacked = stacked.reshape(stack + (1,) * len(lead) + stacked.shape[-3:])
     out = np.empty(stack + x.shape, dtype=complex)
     # Through swapped views: neither operand is copied to bring the control axis first.
-    np.matmul(stacked, x.swapaxes(0, 1), out=out.swapaxes(-3, -2))
+    np.matmul(stacked, x.swapaxes(-3, -2), out=out.swapaxes(-3, -2))
+    # Registers back in layout order and merged into one axis, which then
+    # moves to the front; the stack's and leading axes stay outermost.
     out = out.reshape(stack + grouped.shape)
-    # Registers back in layout order; a stack's axis goes after them, before the batch axis.
-    back = [len(stack) + axis for axis in np.argsort(order)]
-    back[n:n] = range(len(stack))
-    return out.transpose(back).reshape(psi.shape[:1] + stack + psi.shape[1:])
+    first = len(stack) + len(lead)
+    back = sorted(range(n), key=regs.__getitem__)  # where each register sits in regs
+    axes = [*range(first), *(first + i for i in back), *range(first + n, out.ndim)]
+    out = out.transpose(axes).reshape(stack + lead + (layout.dim,) + tail)
+    return out.transpose(first, *range(first), *range(first + 1, out.ndim))
 
 
 def embed_operator(op: np.ndarray, layout: Layout, labels: Sequence[str]) -> np.ndarray:

@@ -264,17 +264,26 @@ def encrypt_and_evaluate(
 
     The step evolve and check_theorem1 share: plaintexts as in evolve, t1
     kets of shape (dim,) or (dim, m), and t2 kets with a circuit axis,
-    (dim, n) or (dim, n, m), in the order of the n ids given.
+    (dim, n) or (dim, n, m), in the order of the n ids given, with that
+    axis outermost in memory.  circuit_ids is a non-empty sequence of ids;
+    a bare string is refused, not read as a sequence of one-letter ids.
     """
+    if isinstance(circuit_ids, str):
+        raise TypeError(
+            f"circuit ids {circuit_ids!r} is a string; pass a sequence such as ({circuit_ids!r},)"
+        )
     plaintexts = scheme.plaintext(plaintexts)
     evaluations = [scheme.evaluation(c) for c in circuit_ids]
+    if not evaluations:
+        raise ValueError("no circuit ids given; pass at least one")
     ket_t1 = scheme.encryption_isometry @ plaintexts
     # One apply_operator call per footprint, on the stack of its circuits.
     groups: dict[tuple[tuple[str, ...], str | None], list[int]] = {}
     for i, ev in enumerate(evaluations):
         groups.setdefault((ev.operator.labels, ev.operator.control), []).append(i)
-    shape = ket_t1.shape[:1] + (len(evaluations),) + ket_t1.shape[1:]
-    ket_t2 = np.empty(shape, dtype=complex) if len(groups) > 1 else None
+    # Several footprints fill one array laid out as a stacked call's result, circuit-major.
+    shape = (len(evaluations),) + ket_t1.shape
+    ket_t2 = np.empty(shape, dtype=complex).swapaxes(0, 1) if len(groups) > 1 else None
     for (labels, control), members in groups.items():
         stack = np.stack([evaluations[i].operator.matrix for i in members])
         applied = apply_operator(ket_t1, scheme.layout, stack, labels, control)
@@ -296,14 +305,16 @@ def evolve(
     Encryption is the scheme's encryption isometry; each circuit's
     evaluation acts on Bob's registers of the shared t1 kets, and the
     decryption on Alice's acts once on every circuit's t2 kets together,
-    each through its register footprint.
+    each through its register footprint.  The t2 kets reach the decryption
+    as they are, circuit axis outermost (one plaintext as (dim, n, 1)), so
+    apply_operator copies none of them when the decryption's registers lead
+    the layout, as QOTP's do.
     """
     ket_t1, ket_t2 = encrypt_and_evaluate(scheme, circuit_ids, plaintexts)
     layout, op = scheme.layout, scheme.decrypt_op
-    ket_final = apply_operator(
-        ket_t2.reshape(layout.dim, -1), layout, op.matrix, op.labels, op.control
-    ).reshape(ket_t2.shape)
-    return ket_t1, ket_t2, ket_final
+    kets = ket_t2 if ket_t2.ndim == 3 else ket_t2[..., None]
+    ket_final = apply_operator(kets, layout, op.matrix, op.labels, op.control)
+    return ket_t1, ket_t2, ket_final.reshape(ket_t2.shape)
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,9 @@ by a full SVD norm (norm_completeness_deltas), the product deviation with
 explicit QR Q bases (q_basis_product_deviation_from_ket), the residual from
 one QR of the whole J (whole_j_reconstruction_residual) and the trace
 distance read through Q (q_form_trace_distance).  record_decompositions
-records the numpy decompositions a call makes, for shape guards.
+records the numpy decompositions a call makes, for shape guards,
+peak_bytes the tracemalloc peak of a call, for memory guards, and
+circuit_major whether a ket batch holds its circuit axis outermost in memory.
 block_diagonal and dense_footprint write a key-controlled operator out as
 the dense matrix the package never forms, and diagonal_blocks reads the
 blocks back off one.  per_column_eig_hermitian is eig_hermitian with its
@@ -32,6 +34,7 @@ cross the check thresholds, built from the catalog's builders.
 """
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 
@@ -328,6 +331,22 @@ def record_decompositions(monkeypatch) -> list[tuple[str, tuple[int, ...], str |
         monkeypatch.setattr(np.linalg, name, wrapper)
         monkeypatch.setattr(internal, name, wrapper)
     return calls
+
+
+def peak_bytes(fn):
+    """(fn(), the tracemalloc peak in bytes while it ran), tracing only that call."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+def circuit_major(kets) -> bool:
+    """Is a (dim, n, ...) batch laid out as n (dim, ...) blocks, circuit axis outermost?"""
+    return np.moveaxis(kets, 1, 0).flags.c_contiguous
 
 
 def block_diagonal(blocks) -> np.ndarray:

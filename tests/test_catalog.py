@@ -2,7 +2,6 @@ import dataclasses
 import importlib
 import json
 import re
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -32,6 +31,7 @@ from qhekit_reference import (
     dense_footprint,
     dense_leaky_problem,
     diagonal_blocks,
+    peak_bytes,
 )
 
 # The module, not the catalog() function the package exports under that name.
@@ -148,12 +148,7 @@ def test_problem_builders_match_their_dense_unitaries(dims):
 @pytest.mark.parametrize("build", [build_constructed_secure_problem, build_leaky_problem])
 def test_problem_builders_never_form_the_dense_unitary(build):
     # At (16, 16, 16) the dense 4096 x 4096 unitary alone would take 256 MiB.
-    tracemalloc.start()
-    try:
-        build((16, 16, 16), 3)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    _, peak = peak_bytes(lambda: build((16, 16, 16), 3))
     assert peak < 32 * 2**20
 
 

@@ -65,6 +65,7 @@ from qhekit_reference import (
     ciphertext,
     message_overlap,
     norm_completeness_deltas,
+    peak_bytes,
     probe_states,
     record_decompositions,
     remote_reduced,
@@ -647,8 +648,8 @@ def test_completeness_chunks_match_one_batch(monkeypatch, name):
 
 @pytest.mark.parametrize("name", [*(e.name for e in catalog()), "qotp-2", "wrong-target"])
 def test_completeness_matches_the_full_svd_norm(name):
-    # delta from the R of each circuit's QR equals ||R - I ⊗ r||_op by a
-    # full SVD, on passing schemes and where delta is O(1).
+    # delta from the top eigenvalue of each circuit's d x d Gram equals
+    # ||R - I ⊗ r||_op by a full SVD, on passing schemes and where delta is O(1).
     scheme = NEGATIVE_CONTROLS[name]() if name == "wrong-target" else _scheme(name)
     report = check_completeness(scheme)
     reference = norm_completeness_deltas(scheme)
@@ -658,10 +659,49 @@ def test_completeness_matches_the_full_svd_norm(name):
         assert reference.max() > 0.5
 
 
+def _perturbed_targets(scheme, scale, seed):
+    """The scheme with each target T replaced by T exp(i scale H), H a seeded Hermitian."""
+    rng = np.random.default_rng(seed)
+    evaluations = []
+    for ev in scheme.evaluations:
+        d = ev.target.shape[0]
+        h = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        w, v = np.linalg.eigh(h + h.conj().T)
+        target = ev.target @ (v * np.exp(1j * scale * w)) @ v.conj().T
+        evaluations.append(dataclasses.replace(ev, target=target))
+    return dataclasses.replace(scheme, evaluations=tuple(evaluations))
+
+
+@pytest.mark.parametrize("name", ["tag-evaluate-2q", "qotp-2"])
+@pytest.mark.parametrize("scale", [1e-7, 1e-2])
+def test_completeness_gram_keeps_small_deltas_to_rounding(name, scale):
+    # The output register sits between two others (tag-evaluate's hold) or
+    # first (QOTP's input); either way delta from the Gram matches the full
+    # SVD norm to 1e-12 relative, however small it is.
+    scheme = _perturbed_targets(_scheme(name), scale, 5)
+    reference = norm_completeness_deltas(scheme)
+    assert reference.min() > 0.1 * scale
+    report = check_completeness(scheme)
+    np.testing.assert_allclose([m for _, m in report.cases], reference, rtol=1e-12, atol=0)
+
+
+def test_completeness_at_qotp2_holds_two_batches_of_kets():
+    # Per chunk, the t2 and final kets inside evolve, then K and R, each a
+    # (dim, circuits, d) array; the cached encryption isometry is built first.
+    scheme = build_qotp_scheme(2)
+    d = scheme.input_dim
+    batch_bytes = scheme.layout.dim * len(scheme.circuit_ids) * d * 16
+    scheme.encryption_isometry
+    report, peak = peak_bytes(lambda: check_completeness(scheme))
+    assert report.verdict == PASS
+    assert peak <= 2.1 * batch_bytes
+
+
 def test_run_checks_decomposes_only_short_sides(monkeypatch):
     # Every QR is R-only, and every SVD and eigenproblem gets a small
-    # matrix: the tall factors (1024 rows for completeness, 256 for the
-    # product test) reach LAPACK only as the input of an R-only QR.
+    # matrix: completeness reads its 1024-row factors through a 4 x 4 Gram,
+    # and the product test's 256-row factors reach LAPACK only as the input
+    # of an R-only QR.
     scheme = build_qotp_scheme(2)
     calls = record_decompositions(monkeypatch)
     run_checks(scheme)

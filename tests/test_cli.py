@@ -153,6 +153,24 @@ def test_bad_params_and_tolerances_named(capsys, argv, message):
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("check", "--builder", "identity", "--params", "n=1"),
+        ("localise", "--builder", "constructed-secure", "--params", "dims=2,2,2"),
+    ],
+    ids=["check", "localise"],
+)
+@pytest.mark.parametrize("target", ["missing-directory", "directory"])
+def test_out_that_cannot_be_written_is_one_error_line(capsys, tmp_path, argv, target):
+    path = tmp_path / "missing" / "x.json" if target == "missing-directory" else tmp_path
+    assert run_cli(*argv, "--out", str(path)) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot write {path}: ")
+    assert captured.err.count("\n") == 1
+
+
 def test_options_parsed_before_the_builder_runs(monkeypatch, capsys):
     built = []
     for name in ("build_scheme", "build_problem"):

@@ -13,7 +13,7 @@ from qhekit.layout import (
     reduced_from_ket,
 )
 from qhekit.linalg import basis_ket, kron, random_ket, random_unitary
-from qhekit_reference import block_diagonal, partial_trace, schmidt
+from qhekit_reference import block_diagonal, circuit_major, partial_trace, peak_bytes, schmidt
 
 BELL = np.array([1, 0, 0, 1]) / np.sqrt(2)
 PLUS = np.array([1, 1]) / np.sqrt(2)
@@ -321,6 +321,67 @@ def test_apply_operator_with_control_stacks_operators_like_one_call_each(batch):
     assert stacked.shape == (_FOUR.dim, 2) + kets.shape[1:]
     for k, op in enumerate(ops):
         assert np.array_equal(stacked[:, k], apply_operator(kets, _FOUR, op, ("b",), "d"))
+
+
+def _circuit_batch(n, m):
+    """A (dim, n, m) batch of _FOUR kets as a stacked call returns it, circuit-major."""
+    ops = np.stack([random_unitary(3, seed) for seed in range(n)])
+    return apply_operator(random_kets(_FOUR.dim, range(50, 50 + m)), _FOUR, ops, ("b",))
+
+
+def _operator(labels, control, seed):
+    block = _FOUR.dim_of(labels)
+    return _blocks(_FOUR.dim_of([control]), block, seed) if control else random_unitary(block, seed)
+
+
+_FOOTPRINTS = [
+    pytest.param(("a", "b"), None, id="leading"),
+    pytest.param(("c", "a"), None, id="reversed-apart"),
+    pytest.param(("d", "b"), None, id="reversed-apart-trailing"),
+    pytest.param(("a",), "b", id="leading-controlled"),
+    pytest.param(("d", "a"), "b", id="reversed-controlled-between"),
+    pytest.param(("c",), "a", id="controlled-before"),
+]
+
+
+@pytest.mark.parametrize("contiguous", [False, True], ids=["circuit-major", "c-contiguous"])
+@pytest.mark.parametrize("labels, control", _FOOTPRINTS)
+def test_apply_operator_leading_batch_axis_matches_one_call_per_circuit(
+    labels, control, contiguous
+):
+    # A (dim, n, m) batch, as a stacked call returns it or C-contiguous,
+    # gives bit for bit what n (dim, m) calls give, and comes back circuit-major.
+    kets = _circuit_batch(4, 3)
+    assert circuit_major(kets)
+    if contiguous:
+        kets = np.ascontiguousarray(kets)
+    op = _operator(labels, control, 60)
+    out = apply_operator(kets, _FOUR, op, labels, control)
+    assert out.shape == (_FOUR.dim, 4, 3) and circuit_major(out)
+    for k in range(4):
+        one = apply_operator(np.ascontiguousarray(kets[:, k]), _FOUR, op, labels, control)
+        assert np.array_equal(out[:, k], one)
+
+
+@pytest.mark.parametrize("labels, control", [(("a", "b"), None), (("a",), "b")])
+def test_apply_operator_reads_a_circuit_major_batch_in_place(labels, control):
+    # With the footprint and control leading the layout, the call allocates
+    # its result and nothing of the batch's size besides.
+    kets = _circuit_batch(16, 64)
+    op = _operator(labels, control, 70)
+    out, peak = peak_bytes(lambda: apply_operator(kets, _FOUR, op, labels, control))
+    assert circuit_major(out)
+    assert peak <= 1.1 * kets.nbytes
+
+
+@pytest.mark.parametrize("labels, control", [(("c", "b"), None), (("b",), "d")])
+def test_apply_operator_stack_on_a_leading_batch_axis_keeps_every_axis(labels, control):
+    kets = _circuit_batch(4, 3)
+    ops = np.stack([_operator(labels, control, seed) for seed in (80, 90)])
+    stacked = apply_operator(kets, _FOUR, ops, labels, control)
+    assert stacked.shape == (_FOUR.dim, 2, 4, 3)
+    for s, op in enumerate(ops):
+        assert np.array_equal(stacked[:, s], apply_operator(kets, _FOUR, op, labels, control))
 
 
 @pytest.mark.parametrize(

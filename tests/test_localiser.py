@@ -45,6 +45,7 @@ from qhekit_reference import (
     dense_extract_plaintext,
     dense_problem,
     mailbox_bridge,
+    peak_bytes,
     per_sample_reconstruction_residual,
     probe_states,
     record_decompositions,
@@ -319,12 +320,8 @@ def test_localise_never_holds_the_whole_j(monkeypatch):
         return residual
 
     monkeypatch.setattr(qhekit.localiser, "_reconstruction_residual", measured)
-    tracemalloc.start()
-    try:
-        localise(problem)
-        peak = max(peaks["before"], tracemalloc.get_traced_memory()[1])
-    finally:
-        tracemalloc.stop()
+    _, peak = peak_bytes(lambda: localise(problem))
+    peak = max(peaks["before"], peak)
     assert peaks["stage"] < j_bytes
     assert peak < 2 * j_bytes
 
@@ -332,15 +329,11 @@ def test_localise_never_holds_the_whole_j(monkeypatch):
 def _residual_stage(monkeypatch, problem, result, blocks):
     """_reconstruction_residual's value and tracemalloc peak with J in `blocks` row blocks."""
     _force_core_blocks(monkeypatch, problem, result.branches, blocks)
-    tracemalloc.start()
-    try:
-        residual = qhekit.localiser._reconstruction_residual(
+    return peak_bytes(
+        lambda: qhekit.localiser._reconstruction_residual(
             problem, result.branches, result.residual_weights
         )
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    return residual, peak
+    )
 
 
 def test_reconstruction_core_holds_one_block_at_a_time(monkeypatch):
@@ -654,11 +647,6 @@ def test_extraction_at_qotp2_forms_no_dense_state():
     problem = _bridge("qotp2")
     result = localise(problem)
     psi = random_ket(result.factor_dims[0], 5)
-    tracemalloc.start()
-    try:
-        recovered = extract_plaintext(result, problem.retained_reduced(psi))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    recovered, peak = peak_bytes(lambda: extract_plaintext(result, problem.retained_reduced(psi)))
     assert fidelity_pure(psi, recovered) >= 1 - 1e-8
     assert peak < 2**20

@@ -1,6 +1,5 @@
 import dataclasses
 import re
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -49,9 +48,11 @@ from qhekit.scheme import (
 from qhekit_reference import (
     block_diagonal,
     ciphertext,
+    circuit_major,
     dense_footprint,
     initial_ket,
     mailbox_bridge,
+    peak_bytes,
     remote_reduced,
 )
 
@@ -167,7 +168,7 @@ def test_evaluation_checks_its_target_unless_it_is_the_operator_matrix(monkeypat
         Evaluation("bad", op, 2 * op.matrix)
 
 
-def test_evaluations_on_two_footprints_keep_their_circuit_order():
+def _two_footprint_scheme():
     base = build_tag_evaluate_scheme(1, ("I", "X", "Z"))
     # Interleave circuits on ("input",) with the tag circuits on ("tag",).
     extra = tuple(
@@ -175,7 +176,11 @@ def test_evaluations_on_two_footprints_keep_their_circuit_order():
         for k in range(2)
     )
     ev = base.evaluations
-    scheme = dataclasses.replace(base, evaluations=(extra[0], ev[0], ev[1], extra[1], ev[2]))
+    return dataclasses.replace(base, evaluations=(extra[0], ev[0], ev[1], extra[1], ev[2]))
+
+
+def test_evaluations_on_two_footprints_keep_their_circuit_order():
+    scheme = _two_footprint_scheme()
     plaintexts = np.eye(2, dtype=complex)
     ket_t1, ket_t2 = encrypt_and_evaluate(scheme, scheme.circuit_ids, plaintexts)
     for k, e in enumerate(scheme.evaluations):
@@ -480,13 +485,12 @@ def test_qotp2_t1_problem_has_the_scheme_dimension():
     # and building, localising and extracting from it stay within 0.75 MiB.
     scheme = build_qotp_scheme(2)
     psi = random_ket(4, 5)
-    tracemalloc.start()
-    try:
+
+    def run():
         problem = localisation_problem_at_t1(scheme)
-        recovered = extract_plaintext(localise(problem), problem.retained_reduced(psi))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+        return problem, extract_plaintext(localise(problem), problem.retained_reduced(psi))
+
+    (problem, recovered), peak = peak_bytes(run)
     assert problem.isometry.shape == (1024, 4)
     assert fidelity_pure(psi, recovered) >= 1 - 1e-8
     assert peak <= 0.75 * 2**20
@@ -791,6 +795,63 @@ def test_evolve_circuit_axis_matches_one_circuit_calls(batch):
         np.testing.assert_array_equal(single[0], ket_t1)
         np.testing.assert_allclose(ket_t2[:, c], single[1][:, 0], rtol=0, atol=1e-15)
         np.testing.assert_allclose(ket_final[:, c], single[2][:, 0], rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda: build_qotp_scheme(1), _two_footprint_scheme],
+    ids=["one-footprint", "two-footprints"],
+)
+@pytest.mark.parametrize("batch", [False, True], ids=["one-plaintext", "basis"])
+def test_evolve_hands_circuit_major_t2_kets_to_the_decryption(monkeypatch, build, batch):
+    # The decryption reads the t2 kets themselves, one plaintext as (dim, n, 1),
+    # and each circuit's slice is bit for bit its own evolve call's.
+    scheme = build()
+    decrypted = []
+    original = qhekit.scheme.apply_operator
+
+    def recording(psi, layout, op, labels, control=None):
+        if op is scheme.decrypt_op.matrix:
+            decrypted.append(psi)
+        return original(psi, layout, op, labels, control)
+
+    monkeypatch.setattr(qhekit.scheme, "apply_operator", recording)
+    plaintexts = np.eye(2) if batch else random_ket(2, 4)
+    _, ket_t2, ket_final = evolve(scheme, scheme.circuit_ids, plaintexts)
+    [kets] = decrypted
+    assert kets.ndim == 3 and np.shares_memory(kets, ket_t2)
+    assert circuit_major(ket_t2) and circuit_major(ket_final)
+    for k, cid in enumerate(scheme.circuit_ids):
+        _, t2, final = evolve(scheme, (cid,), plaintexts)
+        assert np.array_equal(ket_t2[:, k], t2[:, 0])
+        assert np.array_equal(ket_final[:, k], final[:, 0])
+
+
+def test_evolve_at_qotp2_holds_two_batches_of_kets():
+    # The t2 and final kets, each (dim, circuits, d), and little more; the
+    # cached encryption isometry is built before the measured call.
+    scheme = build_qotp_scheme(2)
+    d = scheme.input_dim
+    batch_bytes = scheme.layout.dim * len(scheme.circuit_ids) * d * 16
+    scheme.encryption_isometry
+    _, peak = peak_bytes(lambda: evolve(scheme, scheme.circuit_ids, np.eye(d)))
+    assert peak <= 2.1 * batch_bytes
+
+
+@pytest.mark.parametrize("function", [encrypt_and_evaluate, evolve])
+def test_circuit_ids_refuse_a_bare_string(function):
+    # "XZ" is one circuit of QOTP n=1, not the circuits X and Z.
+    scheme = build_qotp_scheme(1)
+    with pytest.raises(TypeError, match=r"circuit ids 'XZ' is a string; .* \('XZ',\)"):
+        function(scheme, "XZ", np.eye(2))
+    assert function(scheme, ("XZ",), np.eye(2))[1].shape == (scheme.layout.dim, 1, 2)
+
+
+@pytest.mark.parametrize("function", [encrypt_and_evaluate, evolve])
+@pytest.mark.parametrize("ids", [(), []], ids=["tuple", "list"])
+def test_circuit_ids_refuse_an_empty_sequence(function, ids):
+    with pytest.raises(ValueError, match="no circuit ids given"):
+        function(build_qotp_scheme(1), ids, np.eye(2))
 
 
 @pytest.mark.parametrize(
