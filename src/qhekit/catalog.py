@@ -15,7 +15,7 @@ import numpy as np
 
 from .checks import FAIL, INAPPLICABLE, PASS, run_checks
 from .layout import Layout, axis_permutation
-from .linalg import basis_ket, haar_ket, haar_unitary, kron
+from .linalg import as_integer, as_seed, basis_ket, haar_ket, haar_unitary, kron
 from .localiser import LocalisationProblem
 from .scheme import Evaluation, FootprintOp, QheScheme, RegisterState
 
@@ -83,7 +83,7 @@ def build_identity_scheme(n: int) -> QheScheme:
     Perfectly complete, maximally insecure; the negative control for the
     security checker.
     """
-    if not 1 <= n <= 3:
+    if not 1 <= as_integer(n, "qubit count") <= 3:
         raise ValueError(f"identity scheme supports 1..3 qubits, got {n}")
     d = 2**n
     layout = Layout((("input", d),))
@@ -121,7 +121,7 @@ def build_qotp_scheme(n: int) -> QheScheme:
     written by index.  Encryption and decryption are stored key-controlled as
     the pads and their inverses; the evaluations read the same pads.
     """
-    if not 1 <= n <= 2:
+    if not 1 <= as_integer(n, "qubit count") <= 2:
         raise ValueError(f"one-time-pad scheme supports 1..2 qubits, got {n}")
     d = 2**n
     keys = 4**n
@@ -161,7 +161,7 @@ def build_tag_evaluate_scheme(n: int, circuit_set: Sequence[Any]) -> QheScheme:
     circuit_set entries are flip words ("X", "I.XZ", ...) or (id, matrix)
     pairs for arbitrary targets.
     """
-    if not 1 <= n <= 2:
+    if not 1 <= as_integer(n, "qubit count") <= 2:
         raise ValueError(f"tag-evaluate scheme supports 1..2 qubits, got {n}")
     if not 1 <= len(circuit_set) <= 16:
         raise ValueError(f"circuit set size must be 1..16, got {len(circuit_set)}")
@@ -233,7 +233,7 @@ def build_constructed_secure_problem(
     into the input isometry; the dense unitary is never formed.
     """
     d1, d2, db = _problem_dims(dims)
-    rng = np.random.default_rng([_CONSTRUCTED_STREAM, seed])
+    rng = np.random.default_rng([_CONSTRUCTED_STREAM, as_seed(seed)])
     retained = haar_unitary(rng, d1 * d2)
     mixer = haar_unitary(rng, d2 * db)
     aux, remote = haar_ket(rng, d2), haar_ket(rng, db)
@@ -255,7 +255,7 @@ def build_leaky_problem(dims: tuple[int, int, int], seed: int) -> LocalisationPr
     d1, d2, db = _problem_dims(dims)
     if db % d1 != 0:
         raise ValueError(f"data dimension {d1} must divide remote dimension {db}")
-    rng = np.random.default_rng([_LEAKY_STREAM, seed])
+    rng = np.random.default_rng([_LEAKY_STREAM, as_seed(seed)])
     scramble_retained = haar_unitary(rng, d1 * d2)
     scramble_remote = haar_unitary(rng, db)
     aux, remote = haar_ket(rng, d2), haar_ket(rng, db)

@@ -7,7 +7,6 @@ always carries a reason code.
 """
 
 import math
-import operator
 from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Any, Iterable, Mapping, Sequence
@@ -16,7 +15,8 @@ import numpy as np
 
 from .layout import Layout, reduced_from_ket
 from .linalg import (
-    as_ket, as_square, basis_ket, is_unitary, positive_tolerance, unitaries_equal_up_to_phase
+    as_integer, as_ket, as_square, basis_ket, is_unitary, positive_tolerance,
+    unitaries_equal_up_to_phase,
 )
 from .qinfo import plaintext_dependence, product_deviation_from_ket
 from .scheme import QheScheme, encrypt_and_evaluate, evolve
@@ -185,10 +185,12 @@ def check_theorem1(
     rank cut moves the verdict; and Tr rho_a rho_b = ||√rho_a √rho_b||_2^2
     <= ||√rho_a √rho_b||_1^2 = F(rho_a, rho_b), the fidelity.  Both stages
     compare against tol, named "product-form" and "message-overlap", and
-    read every circuit's t2 ket from one encrypt_and_evaluate call on psi_in.
+    read every circuit's t2 ket from one encrypt_and_evaluate call on psi_in,
+    one unit ket of shape (input_dim,), checked before any other work.
     """
     tol_names = ("product-form", "message-overlap")
     tolerances = dict.fromkeys(tol_names, positive_tolerance("theorem1", tol))
+    psi_in = as_ket(psi_in, "plaintext", dim=scheme.input_dim)
 
     def inapplicable(worst: float, cases: Sequence[tuple[str, float]], reason: str) -> Report:
         return Report("theorem1", INAPPLICABLE, worst, tuple(cases), tolerances, reason)
@@ -204,7 +206,6 @@ def check_theorem1(
         row = ("precondition/completeness", completeness.worst_metric)
         return inapplicable(0.0, (row,), REASON_COMPLETENESS_FAILED)
 
-    psi_in = np.asarray(psi_in, dtype=complex).reshape(-1)  # evolve validates it
     circuit_ids = scheme.circuit_ids
     _, kets = encrypt_and_evaluate(scheme, circuit_ids, psi_in)  # (dim, circuits)
 
@@ -303,10 +304,8 @@ def check_no_programming(
     blocks = gate.reshape(d_prog, d_data, d_prog, d_data)
     cases = []
     extracted: dict[int, np.ndarray] = {}
-    kets = [as_ket(p, f"program {i}") for i, p in enumerate(programs)]
+    kets = [as_ket(p, f"program {i}", dim=d_prog) for i, p in enumerate(programs)]
     for i, program in enumerate(kets):
-        if program.size != d_prog:
-            raise ValueError(f"program {i} has dimension {program.size}, register has {d_prog}")
         x = np.einsum("poqj,q->poj", blocks, program)
         u, _, _ = np.linalg.svd(x[:, :, 0])
         w = np.einsum("p,poj->oj", u[:, 0].conj(), x)
@@ -345,10 +344,7 @@ class DimensionAudit:
 
 def qubits_for_set(set_size: int) -> int:
     """Exact ceil(log2(set_size)) via big-integer bit structure; 2.5 is refused, not truncated."""
-    try:
-        set_size = operator.index(set_size)
-    except TypeError:
-        raise TypeError(f"set size {set_size!r} is not an integer") from None
+    set_size = as_integer(set_size, "set size")
     if set_size < 1:
         raise ValueError(f"set size must be >= 1, got {set_size}")
     return (set_size - 1).bit_length()
@@ -356,8 +352,8 @@ def qubits_for_set(set_size: int) -> int:
 
 def audit_dimension(set_size: int) -> DimensionAudit:
     """Minimum qubits able to carry one orthogonal message state per circuit."""
-    qubits = qubits_for_set(set_size)  # refuses a non-integer set_size
-    return DimensionAudit(verdict=PASS, set_size=operator.index(set_size), qubits_required=qubits)
+    set_size = as_integer(set_size, "set size")
+    return DimensionAudit(verdict=PASS, set_size=set_size, qubits_required=qubits_for_set(set_size))
 
 
 def audit_reversible_classical(n: int) -> DimensionAudit:
@@ -367,7 +363,7 @@ def audit_reversible_classical(n: int) -> DimensionAudit:
     exact qubit requirement and checks log2((2^n)!) >= 2^n exactly.  The
     bound fails at n = 1 (log2 2 = 1 < 2) and holds for 2 <= n <= 6.
     """
-    if not 1 <= n <= 6:
+    if not 1 <= as_integer(n, "classical bit count") <= 6:
         raise ValueError(f"classical bit count must be in 1..6 for exact audit, got {n}")
     states = 2**n
     set_size = math.factorial(states)

@@ -108,16 +108,21 @@ def _tolerances(args: argparse.Namespace) -> dict[str, float]:
     return _parse_pairs(args.tol, "tolerance", _TOL_NAMES[args.command], unknown, _tolerance)
 
 
+def _scheme_param_names(builder: str) -> dict[str, str]:
+    """The --params names a scheme builder reads, each mapped to the builder's keyword."""
+    return {"n": "n", "S": "circuit_set"} if builder == "tag-evaluate" else {"n": "n"}
+
+
 def _scheme_params(builder: str, pairs: list[str]) -> dict[str, Any]:
-    reads = ("n", "S") if builder == "tag-evaluate" else ("n",)
-    params = _builder_params(builder, pairs, reads)
+    names = _scheme_param_names(builder)
+    params = _builder_params(builder, pairs, tuple(names))
     if "n" not in params:
         raise CliError("scheme builders need n=N (e.g. n=1)")
     out: dict[str, Any] = {"n": _integer("n", params["n"])}
-    if builder == "tag-evaluate":
+    if "S" in names:
         if not params.get("S"):
             raise CliError("tag-evaluate needs S=WORD,WORD,... (e.g. S=I,X,Z)")
-        out["circuit_set"] = tuple(w for w in params["S"].split(",") if w)
+        out[names["S"]] = tuple(w for w in params["S"].split(",") if w)
     return out
 
 
@@ -174,7 +179,7 @@ def _get_problem(args: argparse.Namespace):
 
 def _emit(args: argparse.Namespace, text: str, payload: Any) -> None:
     if args.format == "json":
-        body = json.dumps(payload, indent=2, sort_keys=True)
+        body = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
     else:
         body = text
     if args.out:
@@ -272,10 +277,7 @@ def _cmd_audit(args: argparse.Namespace) -> int:
         audit = audit_dimension(args.set_size)
         text = f"set_size: {audit.set_size}\nqubits_required: {audit.qubits_required}"
     else:
-        try:
-            audit = audit_reversible_classical(args.classical_bits)
-        except ValueError as exc:
-            raise CliError(str(exc)) from None
+        audit = audit_reversible_classical(args.classical_bits)  # main reports a ValueError
         text = "\n".join(
             [
                 f"classical_bits: {audit.classical_bits}",
@@ -304,8 +306,11 @@ def _cmd_list_catalog(args: argparse.Namespace) -> int:
         payload = []
         for entry in catalog():
             expect = ", ".join(f"{k}={v}" for k, v in sorted(entry.expected.items()))
-            params = ", ".join(f"{k}={v}" for k, v in entry.params.items())
-            lines.append(f"{entry.name}: {entry.builder}({params})  expected: {expect}")
+            params = " ".join(  # as --params spells them: n=1 S=I,X,Z
+                f"{name}={','.join(entry.params[kw]) if name == 'S' else entry.params[kw]}"
+                for name, kw in _scheme_param_names(entry.builder).items()
+            )
+            lines.append(f"{entry.name}: {entry.builder} {params}  expected: {expect}")
             payload.append(
                 {
                     "name": entry.name,

@@ -119,13 +119,7 @@ def assemble_ket(layout: Layout, blocks: Sequence[tuple[Sequence[str], np.ndarra
     kets = []
     concat_labels: list[str] = []
     for labels, ket in blocks:
-        ket = as_ket(ket, where=f"block {tuple(labels)}")
-        if ket.size != layout.dim_of(labels):
-            raise ValueError(
-                f"block {tuple(labels)} has dimension {ket.size}, "
-                f"expected {layout.dim_of(labels)}"
-            )
-        kets.append(ket)
+        kets.append(as_ket(ket, f"block {tuple(labels)}", dim=layout.dim_of(labels)))
         concat_labels.extend(labels)
     full = kron(*kets)
     # Permute from the concatenated block order into layout order.

@@ -7,6 +7,7 @@ a flat index (see layout.Layout).  Every threshold comes from tolerances.py.
 
 from __future__ import annotations  # so annotations naming np.random import nothing
 
+import operator
 from functools import reduce
 
 import numpy as np
@@ -46,23 +47,57 @@ def _as_square_stack(m, where: str) -> np.ndarray:
     return a
 
 
-def as_ket(v, where: str = "ket") -> np.ndarray:
-    """Coerce to a complex vector whose norm is 1 within NORM_TOL."""
-    a = np.asarray(v, dtype=complex).reshape(-1)
-    if a.size == 0:
-        raise ValueError(f"{where}: empty vector")
-    if not np.all(np.isfinite(a)):
+def as_kets(v, where: str = "kets", *, dim: int) -> np.ndarray:
+    """Coerce to unit kets of dimension dim: one of shape (dim,), or (dim, m) columns.
+
+    The one ket rule.  Any other shape is refused, never flattened; every
+    amplitude must be finite and every column's norm 1 within NORM_TOL.
+    """
+    a = np.asarray(v, dtype=complex)
+    if a.ndim not in (1, 2) or a.shape[0] != dim:
+        raise ValueError(
+            f"{where}: shape mismatch, expected shape ({dim},) or ({dim}, m), got {a.shape}"
+        )
+    if not np.isfinite(a).all():
         raise ValueError(f"{where}: non-finite amplitudes")
-    n = np.linalg.norm(a)
-    if abs(n - 1.0) > NORM_TOL:
-        raise ValueError(f"{where}: norm {n!r} is not 1 within {NORM_TOL}")
+    norms = np.linalg.norm(a, axis=0)
+    if (np.abs(norms - 1.0) > NORM_TOL).any():
+        listed = np.ravel(norms).tolist()
+        raise ValueError(f"{where}: norms {listed} are not all 1 within {NORM_TOL}")
     return a
 
 
+def as_ket(v, where: str = "ket", *, dim: int | None = None) -> np.ndarray:
+    """One unit ket of shape (dim,), as as_kets checks it; dim None takes the ket's own size."""
+    a = np.asarray(v, dtype=complex)
+    dim = a.size if dim is None else dim
+    if a.shape != (dim,):
+        raise ValueError(
+            f"{where}: shape mismatch, expected one ket of shape ({dim},), got {a.shape}"
+        )
+    return as_kets(a, where, dim=dim)
+
+
+def as_integer(value, name: str) -> int:
+    """value as an int if it is an integer (numpy integers too); True, 2.5 or '3' is refused."""
+    if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+        raise TypeError(f"{name} {value!r} is not an integer")
+    return operator.index(value)
+
+
+def as_seed(seed) -> int:
+    """seed, refused with its name unless it is a non-negative integer, before numpy reads it."""
+    if as_integer(seed, "seed") < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
+    return seed
+
+
 def positive_tolerance(name: str, value: float) -> float:
-    """value, if it is a positive number; 0, a negative value and NaN raise ValueError."""
+    """value, if it is a positive finite number; 0, a negative value, NaN and inf raise."""
     if not value > 0:
         raise ValueError(f"tolerance {name!r} must be positive, got {value}")
+    if value == np.inf:
+        raise ValueError(f"tolerance {name!r} must be finite, got {value}")
     return value
 
 
@@ -169,9 +204,7 @@ def trace_distance(a: np.ndarray, b: np.ndarray) -> float | np.ndarray:
 def fidelity_pure(psi: np.ndarray, phi: np.ndarray) -> float:
     """|<psi|phi>|^2 for unit kets of equal dimension."""
     psi = as_ket(psi, "left ket")
-    phi = as_ket(phi, "right ket")
-    if psi.size != phi.size:
-        raise ValueError(f"dimension mismatch: {psi.size} vs {phi.size}")
+    phi = as_ket(phi, "right ket", dim=psi.size)
     return float(abs(np.vdot(psi, phi)) ** 2)
 
 
@@ -188,7 +221,7 @@ def haar_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
 
 def random_unitary(dim: int, seed: int) -> np.ndarray:
     """Haar-distributed unitary, bit-reproducible for a fixed (dim, seed)."""
-    return haar_unitary(np.random.default_rng([_UNITARY_STREAM, seed]), dim)
+    return haar_unitary(np.random.default_rng([_UNITARY_STREAM, as_seed(seed)]), dim)
 
 
 def haar_ket(rng: np.random.Generator, dim: int) -> np.ndarray:
@@ -198,4 +231,4 @@ def haar_ket(rng: np.random.Generator, dim: int) -> np.ndarray:
 
 def random_ket(dim: int, seed: int) -> np.ndarray:
     """Haar-distributed unit ket, bit-reproducible for a fixed (dim, seed)."""
-    return haar_ket(np.random.default_rng([_KET_STREAM, seed]), dim)
+    return haar_ket(np.random.default_rng([_KET_STREAM, as_seed(seed)]), dim)

@@ -138,10 +138,7 @@ class LocalisationProblem:
         return self.layout.labels[1]
 
     def output_ket(self, psi: np.ndarray) -> np.ndarray:
-        psi = as_ket(psi, "input")
-        if psi.size != self.data_dim:
-            raise ValueError(f"input dimension {psi.size} != data dimension {self.data_dim}")
-        return self.isometry @ psi
+        return self.isometry @ as_ket(psi, "input", dim=self.data_dim)
 
     def retained_reduced(self, psi: np.ndarray) -> RetainedState:
         """The retained side's state for one input, as its factor.
@@ -209,11 +206,8 @@ class LocalisationResult:
         Its factor has rank columns: column k is sum_j psi_j times branch
         (j, k), scaled by the square root of residual weight k.
         """
-        psi = as_ket(psi, "input")
-        d1 = self.data_dim
-        if psi.size != d1:
-            raise ValueError(f"input dimension {psi.size} != data dimension {d1}")
-        cols = psi @ self.branches.reshape(-1, d1, self.rank)
+        psi = as_ket(psi, "input", dim=self.data_dim)
+        cols = psi @ self.branches.reshape(-1, self.data_dim, self.rank)
         return RetainedState(cols * np.sqrt(self.residual_weights))
 
 

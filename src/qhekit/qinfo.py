@@ -41,7 +41,7 @@ class DensityOp:
 
     @classmethod
     def from_ket(cls, layout: Layout, psi: np.ndarray) -> "DensityOp":
-        psi = as_ket(psi, "state")
+        psi = as_ket(psi, "state", dim=layout.dim)
         return cls(layout, np.outer(psi, psi.conj()))
 
     @classmethod

@@ -18,10 +18,10 @@ from typing import Sequence
 import numpy as np
 
 from .layout import Layout, apply_operator, assemble_ket, axis_permutation, register_label
-from .linalg import _as_square_stack, _unitarity_residuals, as_ket, is_unitary, kron
+from .linalg import _as_square_stack, _unitarity_residuals, as_ket, as_kets, is_unitary, kron
 from .localiser import LocalisationProblem
 from .qinfo import DensityOp
-from .tolerances import NORM_TOL, UNITARITY_TOL
+from .tolerances import UNITARITY_TOL
 
 
 @dataclass(frozen=True)
@@ -125,11 +125,8 @@ class QheScheme:
         covered: list[str] = []
         for block in self.fixed_states:
             covered.extend(block.labels)
-            if block.ket.size != self.layout.dim_of(block.labels):
-                raise ValueError(
-                    f"state on {block.labels} has dimension {block.ket.size}, "
-                    f"expected {self.layout.dim_of(block.labels)}"
-                )
+            # The one ket rule, now with the block's dimension in this layout.
+            as_ket(block.ket, f"state on {block.labels}", dim=self.layout.dim_of(block.labels))
         expected = sorted(labels - {self.input_label})
         if sorted(covered) != expected:
             raise ValueError(
@@ -221,18 +218,7 @@ class QheScheme:
         One ket of shape (input_dim,) or a batch of them as the columns of
         an (input_dim, m) array.
         """
-        psi_in = np.asarray(psi_in, dtype=complex)
-        d = self.input_dim
-        if psi_in.ndim not in (1, 2) or psi_in.shape[0] != d:
-            raise ValueError(
-                f"plaintext: expected shape ({d},) or ({d}, m), got {psi_in.shape}"
-            )
-        if not np.isfinite(psi_in).all():
-            raise ValueError("plaintext: non-finite amplitudes")
-        norms = np.linalg.norm(psi_in, axis=0)
-        if (np.abs(norms - 1.0) > NORM_TOL).any():
-            raise ValueError(f"plaintext: norms {norms!r} are not all 1 within {NORM_TOL}")
-        return psi_in
+        return as_kets(psi_in, "plaintext", dim=self.input_dim)
 
     @cached_property
     def encryption_isometry(self) -> np.ndarray:
@@ -360,7 +346,7 @@ def run_pipeline(scheme: QheScheme, circuit_id: str, psi_in: np.ndarray) -> Pipe
     on demand.  No checker calls this; it is the interactive view of one
     run, and tests use it as the per-circuit reference.
     """
-    psi_in = np.asarray(psi_in, dtype=complex).reshape(-1)  # evolve validates it
+    psi_in = as_ket(psi_in, "plaintext", dim=scheme.input_dim)
     ket_t1, ket_t2, ket_final = evolve(scheme, (circuit_id,), psi_in)
     return PipelineTrace(scheme, circuit_id, psi_in, ket_t1, ket_t2[:, 0], ket_final[:, 0])
 
@@ -371,21 +357,12 @@ def localisation_problem_at_t1(scheme: QheScheme) -> LocalisationProblem:
     The cut is (alice_t1, bob_t1), what Alice keeps and what Bob holds after
     the handover.  The input isometry is the encryption isometry with its
     rows transposed into (alice_t1, bob_t1) order: the scheme's own
-    dimension, and no full-space operator.  Fixed initial states must not
-    straddle Alice's and Bob's initial registers (a shared entangled
-    resource is outside this product form).
+    dimension, and no full-space operator.
     """
     if not scheme.alice_t1:
         raise ValueError(
             "the scheme retains nothing at t1; there is no retained side to localise into"
         )
-    alice, bob = set(scheme.alice_initial), set(scheme.bob_initial)
-    for block in scheme.fixed_states:
-        if not (set(block.labels) <= alice or set(block.labels) <= bob):
-            raise ValueError(
-                f"fixed state on {block.labels} straddles the retained/remote cut; "
-                "localisation requires a product across it"
-            )
 
     layout, d = scheme.layout, scheme.input_dim
     retained, remote = layout.dim_of(scheme.alice_t1), layout.dim_of(scheme.bob_t1)

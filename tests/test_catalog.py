@@ -394,3 +394,24 @@ def test_no_builder_calls_kron_for_a_flip_word(monkeypatch):
     build_controlled_flip_gate(2)
     pauli_word_matrix("X.XZ")
 
+
+
+@pytest.mark.parametrize("n", [True, 1.0, "1"])
+@pytest.mark.parametrize(
+    "build",
+    [build_identity_scheme, build_qotp_scheme, lambda n: build_tag_evaluate_scheme(n, ("I",))],
+    ids=["identity", "qotp", "tag-evaluate"],
+)
+def test_scheme_builders_refuse_a_qubit_count_that_is_not_an_integer(build, n):
+    with pytest.raises(TypeError, match=f"^qubit count {re.escape(repr(n))} is not an integer$"):
+        build(n)
+
+
+@pytest.mark.parametrize("build", [build_constructed_secure_problem, build_leaky_problem])
+def test_problem_builders_refuse_a_negative_or_boolean_seed(build):
+    with pytest.raises(ValueError, match="^seed must be non-negative, got -1$"):
+        build((2, 2, 2), -1)
+    with pytest.raises(TypeError, match="^seed True is not an integer$"):
+        build((2, 2, 2), True)
+    numpy_seed = build((2, 2, 2), np.int64(4)).isometry
+    assert numpy_seed.tobytes() == build((2, 2, 2), 4).isometry.tobytes()

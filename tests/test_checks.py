@@ -1031,3 +1031,18 @@ def test_run_checks_rejects_unknown_names():
         run_checks(scheme, ("security", "leakage"))
     with pytest.raises(ValueError, match="unknown checks"):
         run_checks(scheme, tols={"equality": 1e-3})
+
+
+@pytest.mark.parametrize("n", [True, 2.5])
+def test_reversible_classical_audit_refuses_a_bit_count_that_is_not_an_integer(n):
+    with pytest.raises(TypeError, match=f"^classical bit count {n!r} is not an integer$"):
+        audit_reversible_classical(n)
+
+
+@pytest.mark.parametrize("name", sorted(_TOL_CALLS))
+def test_checks_refuse_an_infinite_tolerance(name):
+    # An infinite threshold passes every scheme, and JSON cannot write it.
+    with pytest.raises(ValueError, match=f"^tolerance '{name}' must be finite, got inf$"):
+        _TOL_CALLS[name](build_qotp_scheme(1), float("inf"))
+    with pytest.raises(ValueError, match=f"^tolerance '{name}' must be finite, got inf$"):
+        run_checks(build_qotp_scheme(1), CHECK_NAMES, {name: float("inf")})

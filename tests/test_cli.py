@@ -2,6 +2,7 @@ import functools
 import importlib
 import json
 import operator
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ import qhekit.checks
 import qhekit.cli
 import qhekit.localiser
 import qhekit.qinfo
-from qhekit.catalog import build_constructed_secure_problem, build_qotp_scheme
+from qhekit.catalog import build_constructed_secure_problem, build_qotp_scheme, catalog
 from qhekit.checks import FAIL, Report, check_completeness, check_security, check_theorem1
 from qhekit.cli import main
 from qhekit.layout import Layout
@@ -26,6 +27,10 @@ from qhekit.serialize import (
     scheme_to_json,
 )
 from qhekit_reference import dense_problem, rotated_tag_scheme, uneven_problem
+
+
+# A path next to this file that does not exist.
+_MISSING = str(Path(__file__).with_name("no-such-scheme.json"))
 
 
 def run_cli(*argv):
@@ -145,6 +150,65 @@ def test_params_the_builder_does_not_read_rejected(capsys, argv, named):
         ),
         pytest.param(
             ("check", "--builder", "qotp"), "scheme builders need n=N (e.g. n=1)", id="key-missing"
+        ),
+        pytest.param(
+            ("check", "--builder", "qotp", "--params", "n1"),
+            "parameter 'n1' is not of the form KEY=VALUE",
+            id="pair-without-equals",
+        ),
+        pytest.param(
+            ("check", "--builder", "qotp", "--params", "n=1", "--tol", "security=tight"),
+            "tolerance 'security' has non-numeric value 'tight'",
+            id="tolerance-not-numeric",
+        ),
+        pytest.param(
+            ("check", "--builder", "qotp", "--params", "n=1", "--tol", "security=inf"),
+            "tolerance 'security' must be finite, got inf",
+            id="tolerance-infinite",
+        ),
+        pytest.param(
+            ("check", "--builder", "tag-evaluate", "--params", "n=1"),
+            "tag-evaluate needs S=WORD,WORD,... (e.g. S=I,X,Z)",
+            id="tag-evaluate-without-S",
+        ),
+        pytest.param(
+            ("localise", "--builder", "leaky"), "problem builders need dims=D1,D2,D3", id="no-dims"
+        ),
+        pytest.param(
+            ("localise", "--builder", "leaky", "--params", "dims=2,2"),
+            "dims must have three components, got '2,2'",
+            id="dims-two-parts",
+        ),
+        pytest.param(
+            ("check", "--scheme", _MISSING),
+            f"cannot read {_MISSING}: [Errno 2] No such file or directory: '{_MISSING}'",
+            id="unreadable-file",
+        ),
+        pytest.param(
+            ("check", "--scheme", __file__),
+            f"{__file__}:1:1: invalid JSON: Expecting value",
+            id="invalid-json",
+        ),
+        pytest.param(
+            ("check", "--builder", "qotp", "--params", "n=3"),
+            "one-time-pad scheme supports 1..2 qubits, got 3",
+            id="builder-refusal",
+        ),
+        pytest.param(
+            ("localise", "--builder", "leaky", "--params", "dims=2,2,2", "seed=-1"),
+            "seed must be non-negative, got -1",
+            id="negative-seed",
+        ),
+        pytest.param(
+            ("audit", "--set-size", "4", "--classical-bits", "2"),
+            "provide exactly one of --set-size or --classical-bits",
+            id="audit-both",
+        ),
+        pytest.param(
+            ("audit",), "provide exactly one of --set-size or --classical-bits", id="audit-neither"
+        ),
+        pytest.param(
+            ("audit", "--set-size", "0"), "--set-size must be >= 1, got 0", id="set-size-zero"
         ),
     ],
 )
@@ -785,3 +849,33 @@ def test_problem_builder_guard_runs_before_any_dense_work(
         monkeypatch.setattr(importlib.import_module("qhekit.catalog"), name, no_draws)
     assert run_cli("localise", "--builder", builder, "--params", f"dims={dims}") == 1
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_list_catalog_prints_parameters_that_check_reads(capsys):
+    # Each entry's printed parameters, passed to check --builder, give its verdicts.
+    assert run_cli("list-catalog") == 0
+    lines = capsys.readouterr().out.splitlines()
+    entries = catalog()
+    assert len(lines) == len(entries)
+    for entry, line in zip(entries, lines, strict=True):
+        head, expected = line.split("  expected: ")
+        name, builder, *params = head.split(" ")
+        assert (name, builder) == (f"{entry.name}:", entry.builder)
+        assert expected == ", ".join(f"{k}={v}" for k, v in sorted(entry.expected.items()))
+        code = run_cli("check", "--builder", builder, "--params", *params, "--format", "json")
+        reports = json.loads(capsys.readouterr().out)["reports"]
+        assert {name: report["verdict"] for name, report in reports.items()} == entry.expected
+        assert code == (2 if "=fail" in expected else 3 if "inapplicable" in expected else 0)
+
+
+def test_json_output_never_holds_nan_or_infinity(monkeypatch, capsys):
+    # A report metric that is not finite is an error line, never a non-JSON token.
+    nan_report = Report("security", FAIL, float("nan"), (("block-0-0", float("nan")),))
+    monkeypatch.setattr(qhekit.cli, "run_checks", lambda *args: {"security": nan_report})
+    argv = ("check", "--builder", "qotp", "--params", "n=1", "--which", "security")
+    assert run_cli(*argv, "--format", "json") == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: Out of range float values are not JSON compliant")
+    assert run_cli(*argv) == 2  # the text format writes nan as it is
+    assert "worst_metric=nan" in capsys.readouterr().out

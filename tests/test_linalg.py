@@ -1,7 +1,13 @@
+import re
+
 import numpy as np
 import pytest
 
 from qhekit.linalg import (
+    as_integer,
+    as_ket,
+    as_kets,
+    as_seed,
     basis_ket,
     eig_hermitian,
     fidelity_pure,
@@ -206,3 +212,45 @@ def test_trace_distance_stack_matches_pairs():
 def test_trace_distance_rejects_non_square():
     with pytest.raises(ValueError, match="square"):
         trace_distance(np.zeros((2, 3)), np.zeros((2, 3)))
+
+
+def test_as_kets_takes_one_ket_or_a_batch_of_columns_and_refuses_every_other_shape():
+    ket = np.array([1.0, 1j]) / np.sqrt(2)
+    assert as_kets(ket, dim=2).shape == (2,)
+    assert as_kets(np.stack([ket, ket.conj(), [1, 0]], axis=1), dim=2).shape == (2, 3)
+    for shape in [(), (4,), (1, 2), (2, 1, 1)]:
+        with pytest.raises(ValueError, match=r"kets: shape mismatch, expected shape \(2,\)"):
+            as_kets(np.ones(shape) / np.sqrt(np.prod(shape)), dim=2)
+    with pytest.raises(ValueError, match="non-finite amplitudes"):
+        as_kets(np.array([[1.0, np.inf], [0.0, 0.0]]), dim=2)
+    with pytest.raises(ValueError, match=r"norms \[1.0, 2.0\] are not all 1 within 1e-10"):
+        as_kets(np.array([[1.0, 2.0], [0.0, 0.0]]), dim=2)
+
+
+def test_as_ket_is_as_kets_on_one_ket_and_never_flattens():
+    ket = as_ket([0.6, 0.8j], "state", dim=2)
+    assert ket.shape == (2,) and ket.dtype == complex
+    assert as_ket([0.6, 0.8j]).shape == (2,)  # no dim: the ket's own size
+    for bad in ([[0.6], [0.8]], [[0.6, 0.8]], 1.0):
+        with pytest.raises(ValueError, match="state: shape mismatch, expected one ket of shape"):
+            as_ket(bad, "state")
+    with pytest.raises(ValueError, match=r"norms \[0.0\]"):
+        as_ket([], "state")
+
+
+@pytest.mark.parametrize("value", [True, 2.5, "3", None])
+def test_as_integer_refuses_booleans_and_non_integers(value):
+    with pytest.raises(TypeError, match=f"^count {re.escape(repr(value))} is not an integer$"):
+        as_integer(value, "count")
+
+
+def test_as_integer_and_as_seed_read_numpy_integers():
+    assert as_integer(np.int64(3), "count") == 3 and as_seed(np.uint8(7)) == 7
+
+
+@pytest.mark.parametrize("draw", [random_ket, random_unitary])
+def test_random_draws_refuse_a_negative_or_boolean_seed(draw):
+    with pytest.raises(ValueError, match="^seed must be non-negative, got -1$"):
+        draw(2, -1)
+    with pytest.raises(TypeError, match="^seed True is not an integer$"):
+        draw(2, True)

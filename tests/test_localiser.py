@@ -650,3 +650,10 @@ def test_extraction_at_qotp2_forms_no_dense_state():
     recovered, peak = peak_bytes(lambda: extract_plaintext(result, problem.retained_reduced(psi)))
     assert fidelity_pure(psi, recovered) >= 1 - 1e-8
     assert peak < 2**20
+
+
+@pytest.mark.parametrize("name", ["leakage", "rank"])
+def test_localise_refuses_an_infinite_tolerance(name):
+    problem = build_constructed_secure_problem((2, 2, 2), seed=7)
+    with pytest.raises(ValueError, match=f"^tolerance '{name}' must be finite, got inf$"):
+        localise(problem, **{f"{name}_tol": float("inf")})

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import re
 
 import numpy as np
@@ -12,6 +13,8 @@ import qhekit.localiser
 import qhekit.qinfo
 import qhekit.scheme
 from qhekit.catalog import (
+    build_constructed_secure_problem,
+    build_controlled_flip_gate,
     build_identity_scheme,
     build_qotp_scheme,
     build_scheme,
@@ -19,11 +22,14 @@ from qhekit.catalog import (
     catalog,
     pauli_word_matrix,
 )
-from qhekit.checks import check_completeness
+from qhekit.checks import (
+    check_completeness, check_no_programming, check_security, check_theorem1
+)
 from qhekit.layout import (
     MAX_TOTAL_DIM,
     Layout,
     apply_operator,
+    assemble_ket,
     axis_permutation,
     embed_operator,
 )
@@ -34,7 +40,7 @@ from qhekit.localiser import (
     extract_plaintext,
     localise,
 )
-from qhekit.qinfo import DensityOp
+from qhekit.qinfo import DensityOp, plaintext_dependence
 from qhekit.scheme import (
     Evaluation,
     FootprintOp,
@@ -385,9 +391,13 @@ def test_bridge_rejects_scheme_without_retained_aux():
     )
 
 
+_BELL = np.array([1, 0, 0, 1]) / np.sqrt(2)
+
+
 def test_bridge_rejects_cross_cut_resource():
-    # A shared entangled resource straddles the retained/remote cut.
-    bell = np.array([1, 0, 0, 1]) / np.sqrt(2)
+    # A shared entangled resource straddles the retained/remote cut.  The
+    # bridge takes it, and localise refuses this scheme as the leak it is:
+    # the plaintext ships to Bob in the clear.
     eye = np.eye(2, dtype=complex)
     scheme = QheScheme(
         name="resourceful",
@@ -395,19 +405,62 @@ def test_bridge_rejects_cross_cut_resource():
         input_label="input",
         output_label="input",
         bob_initial=("res_b",),
-        fixed_states=(RegisterState(("res_a", "res_b"), bell),),
+        fixed_states=(RegisterState(("res_a", "res_b"), _BELL),),
         encrypt_op=FootprintOp(("input",), eye),
         decrypt_op=FootprintOp(("input",), eye),
         evaluations=(Evaluation("I", FootprintOp(("input",), eye), eye),),
         send_to_bob=("input",),
         return_to_alice=("input",),
     )
-    with pytest.raises(ValueError) as info:
-        localisation_problem_at_t1(scheme)
-    assert str(info.value) == (
-        "fixed state on ('res_a', 'res_b') straddles the retained/remote cut; "
-        "localisation requires a product across it"
+    problem = localisation_problem_at_t1(scheme)
+    assert problem.layout.dims == (2, 4)
+    with pytest.raises(LeakageDetected) as info:
+        localise(problem)
+    assert abs(info.value.deviation - 1.0) <= 1e-12
+
+
+def _qotp_with_a_bell_pair():
+    """QOTP n=1 with a Bell pair shared from the start: res_a is Alice's, res_b Bob's."""
+    qotp = build_qotp_scheme(1)
+    return dataclasses.replace(
+        qotp,
+        name="qotp-bell",
+        layout=Layout(qotp.layout.registers + (("res_a", 2), ("res_b", 2))),
+        bob_initial=("res_b",),
+        fixed_states=qotp.fixed_states + (RegisterState(("res_a", "res_b"), _BELL),),
     )
+
+
+def test_bridge_localises_a_secure_scheme_with_a_shared_bell_pair():
+    scheme = _qotp_with_a_bell_pair()
+    assert check_security(scheme).verdict == "pass"
+    problem = localisation_problem_at_t1(scheme)
+    assert problem.layout.dims == (32, 4)
+    result = localise(problem)
+    assert result.rank == 4 and result.factor_dims == (2, 16)
+    assert result.gram_residual <= 1e-12 and result.reconstruction_residual <= 1e-12
+    for seed in range(3):
+        psi = random_ket(2, seed)
+        recovered = extract_plaintext(result, problem.retained_reduced(psi))
+        assert fidelity_pure(psi, recovered) >= 1 - 1e-12
+    _assert_bridge_matches_reference(scheme)
+
+
+def _retaining_schemes():
+    """Every catalog scheme that retains something at t1, QOTP n=2 and the Bell pair scheme."""
+    built = [build_scheme(entry.builder, **entry.params) for entry in catalog()]
+    return [s for s in built if s.alice_t1] + [build_qotp_scheme(2), _qotp_with_a_bell_pair()]
+
+
+@pytest.mark.parametrize("scheme", _retaining_schemes(), ids=lambda scheme: scheme.name)
+def test_security_eps_is_the_bridge_leakage(scheme):
+    # Bob's t1 registers are the bridge's remote side, so check_security
+    # and the bridge's zero-leakage test read the same eps, bit for bit.
+    problem = localisation_problem_at_t1(scheme)
+    eps, _ = plaintext_dependence(problem.isometry, problem.layout, [problem.remote_label])
+    d = scheme.input_dim
+    security = [metric for _, metric in check_security(scheme).cases]
+    assert np.array_equal(security, [eps[j, k] for j in range(d) for k in range(j, d)])
 
 
 def test_builders_are_deterministic():
@@ -885,3 +938,136 @@ def test_pipeline_reduces_states_on_first_access(monkeypatch):
     assert built == [scheme.return_to_alice]
     assert trace.rho_message is trace.rho_message
     assert len(built) == 1
+
+
+# Each refusal of QheScheme.__post_init__, as a change to tag-evaluate n=1
+# on (I, X): input and hold are Alice's, tag is Bob's; she sends input and
+# he returns tag.
+_EYE2, _E4 = np.eye(2, dtype=complex), np.eye(4, dtype=complex)
+_SCHEME_REFUSALS = [
+    pytest.param({"output_label": "nope"}, "output register 'nope' not in layout", id="output"),
+    pytest.param(
+        {"bob_initial": ("input", "tag")},
+        "the plaintext register cannot start on Bob's side",
+        id="plaintext-with-bob",
+    ),
+    pytest.param(
+        {"fixed_states": (RegisterState(("hold",), _EYE2[0]), RegisterState(("tag",), _E4[0]))},
+        re.escape("state on ('tag',): shape mismatch, expected one ket of shape (2,), got (4,)"),
+        id="state-dimension",
+    ),
+    pytest.param(
+        {"evaluations": ()}, "a scheme needs at least one evaluation", id="no-evaluations"
+    ),
+    pytest.param(
+        {"evaluations": (Evaluation("I", FootprintOp(("tag",), _EYE2), _EYE2),) * 2},
+        re.escape("duplicate circuit ids in ['I', 'I']"),
+        id="duplicate-ids",
+    ),
+    pytest.param(
+        {"evaluations": (Evaluation("W", FootprintOp(("tag",), _EYE2), _E4),)},
+        re.escape("target of 'W' has shape (4, 4), expected plaintext dimension 2"),
+        id="target-shape",
+    ),
+    pytest.param(
+        {"send_to_bob": ("input", "tag")},
+        "send_to_bob must be registers Alice holds before t1",
+        id="send-not-alices",
+    ),
+    pytest.param(
+        {"bob_initial": (), "send_to_bob": ()},
+        "Bob holds nothing at t1; there is no ciphertext to evaluate",
+        id="bob-holds-nothing",
+    ),
+    pytest.param(
+        {"return_to_alice": ()}, "return_to_alice is empty; there is no message", id="no-message"
+    ),
+    pytest.param(
+        {"return_to_alice": ("hold",)},
+        "return_to_alice must be registers Bob holds at t1",
+        id="return-not-bobs",
+    ),
+    pytest.param(
+        {"output_label": "input"},
+        "output register 'input' is not with Alice at t2",
+        id="output-not-alices",
+    ),
+]
+
+
+@pytest.mark.parametrize("change, message", _SCHEME_REFUSALS)
+def test_scheme_refuses_an_inconsistent_wiring(change, message):
+    scheme = build_tag_evaluate_scheme(1, ("I", "X"))
+    with pytest.raises(ValueError, match=f"^{message}"):
+        dataclasses.replace(scheme, **change)
+
+
+# One ket rule, at QOTP n=2 (d = 4): rho is the pure 2 x 2 density matrix of
+# (|0> + i|1>)/sqrt(2), whose Frobenius norm is 1, so only its shape is wrong.
+_V = np.array([1, 1j]) / np.sqrt(2)
+_E0 = basis_ket(4, 0)
+_NOT_ONE_KET = [
+    pytest.param(np.outer(_V, _V.conj()), "shape mismatch", id="density-matrix"),
+    pytest.param(_E0[:, None], "shape mismatch", id="column"),
+    pytest.param(basis_ket(2, 0), "shape mismatch", id="wrong-dimension"),
+    pytest.param(np.array([np.nan, 0, 0, 0]), "non-finite amplitudes", id="nan"),
+    pytest.param(2 * _E0, r"norms \[2.0\] are not all 1", id="non-unit"),
+]
+
+
+@functools.cache
+def _qotp2():
+    return build_qotp_scheme(2)
+
+
+@functools.cache
+def _data_dim_4_localisation():
+    problem = build_constructed_secure_problem((4, 2, 2), 3)
+    return problem, localise(problem)
+
+
+_ONE_KET_ENTRY_POINTS = {
+    "run_pipeline": lambda psi: run_pipeline(_qotp2(), "X.I", psi),
+    "check_theorem1": lambda psi: check_theorem1(_qotp2(), psi),
+    "output_ket": lambda psi: _data_dim_4_localisation()[0].output_ket(psi),
+    "retained_reduced": lambda psi: _data_dim_4_localisation()[0].retained_reduced(psi),
+    "reconstruct": lambda psi: _data_dim_4_localisation()[1].reconstruct(psi),
+    "fidelity_pure": lambda psi: fidelity_pure(psi, _E0),
+    "check_no_programming": lambda psi: check_no_programming(*build_controlled_flip_gate(1), [psi]),
+    "assemble_ket": lambda psi: assemble_ket(Layout((("a", 4),)), [(("a",), psi)]),
+    "DensityOp.from_ket": lambda psi: DensityOp.from_ket(Layout((("a", 4),)), psi),
+}
+
+
+@pytest.mark.parametrize("psi, message", _NOT_ONE_KET)
+@pytest.mark.parametrize("entry", sorted(_ONE_KET_ENTRY_POINTS))
+def test_one_ket_entry_points_refuse_all_but_a_unit_ket_of_their_dimension(entry, psi, message):
+    with pytest.raises(ValueError, match=message):
+        _ONE_KET_ENTRY_POINTS[entry](psi)
+    _ONE_KET_ENTRY_POINTS[entry](_E0)  # the valid ket passes
+
+
+@pytest.mark.parametrize("psi, message", [p for p in _NOT_ONE_KET if p.id != "wrong-dimension"])
+def test_register_state_refuses_anything_but_one_unit_ket(psi, message):
+    # Its dimension is the scheme's to check: see test_scheme_refuses_an_inconsistent_wiring.
+    with pytest.raises(ValueError, match=message):
+        RegisterState(("k",), psi)
+
+
+def test_check_theorem1_validates_its_plaintext_before_its_preconditions():
+    # identity(1) fails security, so a non-finite plaintext of the wrong
+    # dimension and norm used to get an inapplicable verdict.
+    with pytest.raises(ValueError, match="plaintext: shape mismatch"):
+        check_theorem1(build_identity_scheme(1), [np.nan, 7.0, 3.0])
+
+
+def test_evolve_still_takes_a_batch_and_a_column_is_a_batch_of_one():
+    scheme = _qotp2()
+    plaintexts = np.stack([random_ket(4, seed) for seed in range(3)], axis=1)
+    batch = evolve(scheme, ("X.I",), plaintexts)
+    one = evolve(scheme, ("X.I",), plaintexts[:, :1])
+    assert [k.shape[-1] for k in batch] == [3, 3, 3] and [k.shape[-1] for k in one] == [1, 1, 1]
+    for a, b in zip(batch, one, strict=True):
+        np.testing.assert_allclose(a[..., :1], b, rtol=0, atol=1e-15)
+    trace = run_pipeline(scheme, "X.I", plaintexts[:, 0])
+    np.testing.assert_allclose(trace.ket_final, one[2][:, 0, 0], rtol=0, atol=1e-15)

@@ -369,3 +369,55 @@ def test_controlled_footprints_are_refused_at_their_location(corrupt, location, 
     with pytest.raises(SchemeFormatError, match=f"^{location}: .*{message}") as info:
         scheme_from_json(obj)
     assert re.fullmatch(location, info.value.location)
+
+
+def _triples(obj):
+    """The fixed state's amplitudes as [re, im, 0] triples."""
+    return [[re, im, 0.0] for re, im in obj["states"][0]["amplitudes"]]
+
+
+# (path in a QOTP n=1 scheme file, new value or a function of the file, location, message).
+_MALFORMED_FIELDS = [
+    pytest.param(
+        ("encrypt", "entries", 0), ["x", 0.0], "scheme.encrypt.entries",
+        "non-numeric entries: could not convert string to float: 'x'", id="non-numeric-entry",
+    ),
+    pytest.param(
+        ("states", 0, "amplitudes"), _triples, "scheme.states[0].amplitudes",
+        "expected shape (16, 2), got (16, 3)", id="entries-not-pairs",
+    ),
+    pytest.param(
+        ("evaluations", 0, "target", "rows"), 0, "scheme.evaluations[0].target",
+        "non-positive shape (0, 2)", id="matrix-rows-zero",
+    ),
+    pytest.param(
+        ("states", 0, "dim"), 0, "scheme.states[0]", "non-positive dimension 0", id="ket-dim-zero"
+    ),
+    pytest.param(
+        ("registers",), [], "scheme.registers",
+        "expected a non-empty list of [label, dim] pairs", id="registers-empty",
+    ),
+    pytest.param(
+        ("registers", 1), ["key", 4, 4], "scheme.registers[1]", "expected a [label, dim] pair",
+        id="register-triple",
+    ),
+    pytest.param(
+        ("states",), {}, "scheme.states", "expected a list of state blocks", id="states-object"
+    ),
+    pytest.param(
+        ("evaluations",), [], "scheme.evaluations", "expected a non-empty list",
+        id="evaluations-empty",
+    ),
+]
+
+
+@pytest.mark.parametrize("path, value, location, message", _MALFORMED_FIELDS)
+def test_scheme_from_json_refuses_malformed_structure_at_its_location(
+    path, value, location, message
+):
+    obj = scheme_to_json(build_qotp_scheme(1))
+    new = value(obj) if callable(value) else value
+    functools.reduce(operator.getitem, path[:-1], obj)[path[-1]] = new
+    with pytest.raises(SchemeFormatError) as info:
+        scheme_from_json(obj)
+    assert (info.value.location, str(info.value)) == (location, f"{location}: {message}")
