@@ -158,11 +158,16 @@ def build_tag_evaluate_scheme(n: int, circuit_set: Sequence[Any]) -> QheScheme:
     by construction, and the tag register realises the log2|S| message cost
     with exactly orthogonal tag states.
 
-    circuit_set entries are flip words ("X", "I.XZ", ...) or (id, matrix)
-    pairs for arbitrary targets.
+    circuit_set is a sequence whose entries are flip words ("X", "I.XZ",
+    ...) or (id, matrix) pairs for arbitrary targets; a bare string is
+    refused, not read as a sequence of one-letter words.
     """
     if not 1 <= as_integer(n, "qubit count") <= 2:
         raise ValueError(f"tag-evaluate scheme supports 1..2 qubits, got {n}")
+    if isinstance(circuit_set, str):
+        raise TypeError(
+            f"circuit set {circuit_set!r} is a string; pass a sequence such as ({circuit_set!r},)"
+        )
     if not 1 <= len(circuit_set) <= 16:
         raise ValueError(f"circuit set size must be 1..16, got {len(circuit_set)}")
     d = 2**n

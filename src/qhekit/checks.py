@@ -177,12 +177,15 @@ def check_theorem1(
     inapplicable verdict, never a silent skip.  Stage 1 tests the product
     hypothesis the orthogonality argument rests on: at t2 Alice's retained
     registers must be in a product with the message for every circuit, else
-    the verdict is inapplicable with the deviations reported.  Stage 2 reads
-    the message overlap Tr(rho_a rho_b) of each pair of circuits whose
-    targets differ beyond a global phase, all from one Gram product of the
-    flattened states; pass iff each is at most tol.  It is zero iff the
-    supports are orthogonal and, bilinear in the states, continuous, so no
-    rank cut moves the verdict; and Tr rho_a rho_b = ||√rho_a √rho_b||_2^2
+    the verdict is inapplicable with the deviations reported.  Each
+    deviation is the trace distance of the (retained, message) state from
+    its marginals' product, read exactly, so an exact product reads zero to
+    rounding.  Stage 2 reads the message overlap Tr(rho_a rho_b) of each
+    pair of circuits whose targets differ beyond a global phase, all from
+    one Gram product of the flattened states; pass iff each is at most tol.
+    It is zero iff the supports are orthogonal and, bilinear in the states,
+    continuous.  Neither stage reads a rank cut, so no verdict moves where
+    an eigenvalue crosses RANK_TOL.  Tr rho_a rho_b = ||√rho_a √rho_b||_2^2
     <= ||√rho_a √rho_b||_1^2 = F(rho_a, rho_b), the fidelity.  Both stages
     compare against tol, named "product-form" and "message-overlap", and
     read every circuit's t2 ket from one encrypt_and_evaluate call on psi_in,

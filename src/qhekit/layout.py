@@ -13,7 +13,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .linalg import _as_square_stack, as_ket, as_square, kron
+from .linalg import _as_square_stack, as_ket, as_kets, as_square, kron
 
 MAX_TOTAL_DIM = 2**14
 
@@ -216,15 +216,15 @@ def embed_operator(op: np.ndarray, layout: Layout, labels: Sequence[str]) -> np.
 def reduced_from_ket(psi: np.ndarray, layout: Layout, keep: Iterable[str]) -> np.ndarray:
     """Reduced density matrix of a pure state without forming the full projector.
 
-    psi is one ket of shape (dim,), giving a (d, d) matrix, or a batch of
-    kets as the columns of a (dim, m) array, giving an (m, d, d) stack.
-    keep may be empty, in which case the squared norm is returned as a 1x1
+    psi is one unit ket of shape (dim,), giving a (d, d) matrix, or a batch
+    of them as the columns of a (dim, m) array, giving an (m, d, d) stack.
+    keep may be empty, in which case the trace, 1, is returned as a 1x1
     matrix.
     """
     dims = layout.dims
     front = list(layout.positions(layout.ordered(keep)))
     back = [p for p in range(len(dims)) if p not in front]
-    psi = np.asarray(psi, dtype=complex)
+    psi = as_kets(psi, "state", dim=layout.dim)
     batch = psi.shape[1:]
     axes = list(range(len(dims), len(dims) + len(batch))) + front + back
     d_keep = math.prod(dims[p] for p in front)

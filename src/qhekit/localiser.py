@@ -258,9 +258,9 @@ def _reconstruction_residual(
 
     Each input's states differ by F D F†, with F = psi·R of shape
     (k, d_remote + rank) and D = diag(1, ..., 1, -w), and that difference is
-    read on F's small side, as qinfo._factor_spectrum reads a factor: a tall
-    F is reduced to the R of its R-only QR first, and a square or wide one
-    gives its k x k matrix F D F† to the eigensolver directly.
+    read on F's small side, as qinfo.product_deviation_from_ket reads a
+    ket: a tall F is reduced to the R of its R-only QR first, and a square
+    or wide one gives its k x k matrix F D F† to the eigensolver directly.
     """
     (d_retained, db), d1 = problem.layout.dims, problem.data_dim
     outputs = problem.isometry.reshape(d_retained, db, d1).transpose(0, 2, 1)

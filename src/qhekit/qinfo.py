@@ -10,7 +10,7 @@ from typing import Iterable
 import numpy as np
 
 from .layout import Layout, reduced_from_ket
-from .linalg import as_ket, as_square, dagger
+from .linalg import as_ket, as_kets, as_square, dagger
 from .tolerances import EQUALITY_TOL, HERMITICITY_TOL, NORM_TOL, RANK_TOL
 
 
@@ -105,38 +105,23 @@ def plaintext_dependence(
     return np.linalg.svd(blocks, compute_uv=False).sum(axis=-1), sigma_bar
 
 
-def _factor_spectrum(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Spectrum of rho = m m† for stacked factors m, read on the factor's short side.
-
-    For a stack of shape (s, d, k) returns (c, vecs, evals, kept): c is the
-    R-factor (s, k, k) of m's R-only QR when m is tall (d > k) and m itself
-    otherwise, so rho = Q c c† Q† with Q = I when m is not tall; vecs and
-    evals are the eigenpairs of c c†, in ascending eigenvalue order, and
-    kept counts per item the eigenvalues above the rank threshold, which
-    are the last ones.  Q is never formed: the support coordinates of m
-    itself are vecs† c, since (Q vecs)† m = vecs† c.
-    """
-    if m.shape[1] > m.shape[2]:
-        m = np.linalg.qr(m, mode="r")
-    evals, evecs = np.linalg.eigh(m @ m.conj().swapaxes(-1, -2))
-    return m, evecs, evals, np.sum(evals > RANK_TOL, axis=-1)
-
-
 def product_deviation_from_ket(
     psi: np.ndarray, layout: Layout, side_a: Iterable[str], side_b: Iterable[str]
 ) -> float | np.ndarray:
     """Trace distance of a pure state's (side_a + side_b) reduction from its marginals' product.
 
-    Computed entirely in factored form: every reduced state of a pure state
-    has rank at most the traced-out dimension, so no full-dimension matrix
-    is ever eigendecomposed.  Each side's marginal is m m† for the
-    ket as a (side, everything else) matrix m; a tall m is reduced to the R
-    of its R-only QR and a wide one gives its Gram matrix directly, so no
-    decomposition reads a factor's long side.  The deviation is symmetric in
-    the two sides, so the one of them that may be tall is taken first and
-    projected through its R; the other, never tall, gives its support basis
-    explicitly.  psi is one ket of shape (dim,), giving a float, or a batch
-    of kets as the columns of a (dim, m) array, giving m deviations.
+    psi is one unit ket of shape (dim,), giving a float, or a batch of them
+    as the columns of a (dim, m) array, giving m deviations.  The deviation
+    is symmetric in the two sides; side a is taken as the larger one.  With
+    the ket as a (side a, everything else) matrix M, a tall M = Q R is read
+    through the R of one R-only QR and a wide M as it is (Q = I): either
+    way c = Q† M holds the ket's coordinates in an orthonormal basis Q of
+    M's column span.  That span holds rho_A's support, so Q ⊗ I spans the
+    supports of rho_AB and rho_A ⊗ rho_B, and Delta = rho_AB - rho_A ⊗ rho_B
+    is (Q ⊗ I) Delta_c (Q ⊗ I)†, with Delta_c formed from c's three Gram
+    matrices.  Q is an isometry, so one stacked eigvalsh of Delta_c gives
+    the trace norm exactly: no rank cut, and no decomposition at the full
+    dimension.
     """
     a = layout.ordered(side_a)
     b = layout.ordered(side_b)
@@ -144,41 +129,23 @@ def product_deviation_from_ket(
         raise ValueError("product test needs two disjoint non-empty register sets")
     rest = layout.complement(a + b)
     if layout.dim_of(b) > layout.dim_of(a):
-        a, b = b, a  # a is now the side that may be tall
-    psi = np.asarray(psi, dtype=complex)
-    kets = psi.reshape(layout.dim, -1)
+        a, b = b, a
+    kets = as_kets(psi, "state", dim=layout.dim)
     pos = (len(layout.dims),) + layout.positions(a) + layout.positions(b) + layout.positions(rest)
     da = layout.dim_of(a)
     db = layout.dim_of(b)
-    dr = layout.dim_of(rest) if rest else 1
-    # C-contiguous per item, whether psi is one ket or a batch, so every
-    # product below rounds the same for an item alone or in a batch.
-    t = np.ascontiguousarray(kets.reshape(layout.dims + (-1,)).transpose(pos))
-    t = t.reshape(-1, da, db, dr)
-
-    core_a, evecs_a, wa, keep_a = _factor_spectrum(t.reshape(-1, da, db * dr))
-    _, basis_b, wb, keep_b = _factor_spectrum(t.swapaxes(1, 2).reshape(-1, db, da * dr))
-    items = t.reshape(len(t), 1, -1)
-    norms = np.real(items.conj() @ items.swapaxes(1, 2))[:, 0, 0]
-    deviations = np.empty(len(t))
-    # Kept supports are suffixes of eigh's ascending order, so items with the
-    # same pair of support ranks share every array shape below.
-    for ra, rb in sorted(set(zip(keep_a.tolist(), keep_b.tolist()))):
-        group = np.flatnonzero((keep_a == ra) & (keep_b == rb))
-        ea = evecs_a[group][:, :, evecs_a.shape[2] - ra :]
-        vb = basis_b[group][:, :, basis_b.shape[2] - rb :]
-        wa_kept = wa[group][:, wa.shape[1] - ra :]
-        wb_kept = wb[group][:, wb.shape[1] - rb :]
-        # Project onto the joint support factor by factor: V_a† (read on
-        # side a's core), then V_b†.
-        proj = ea.conj().swapaxes(1, 2) @ core_a[group]
-        proj = vb.conj().swapaxes(1, 2)[:, None] @ proj.reshape(len(group), ra, db, dr)
-        proj = proj.reshape(len(group), ra * rb, dr)
-        product = (wa_kept[:, :, None] * wb_kept[:, None, :]).reshape(len(group), -1)
-        delta = proj @ proj.conj().swapaxes(1, 2)
-        delta[:, np.arange(ra * rb), np.arange(ra * rb)] -= product
-        nuclear = np.sum(np.abs(np.linalg.eigvalsh(delta)), axis=-1)
-        norm = norms[group]
-        dropped = norm * norm - np.sum(wa_kept, axis=-1) * np.sum(wb_kept, axis=-1)
-        deviations[group] = 0.5 * (nuclear + np.maximum(dropped, 0.0))
-    return float(deviations[0]) if psi.ndim == 1 else deviations
+    dr = layout.dim_of(rest)
+    t = kets.reshape(layout.dims + (-1,)).transpose(pos).reshape(-1, da, db * dr)
+    # qr copies the kets once, and its R keeps their memory order.  Every
+    # item is made C-contiguous, so each product below rounds the same for
+    # an item alone or in a batch.
+    c = np.ascontiguousarray(np.linalg.qr(t, mode="r") if da > db * dr else t)
+    m, ca = c.shape[:2]
+    rho_a = c @ c.conj().swapaxes(1, 2)
+    cb = c.reshape(m, ca, db, dr).swapaxes(1, 2).reshape(m, db, ca * dr)
+    rho_b = cb @ cb.conj().swapaxes(1, 2)
+    cab = c.reshape(m, ca * db, dr)
+    delta = cab @ cab.conj().swapaxes(1, 2)
+    delta -= (rho_a[:, :, None, :, None] * rho_b[:, None, :, None, :]).reshape(delta.shape)
+    deviations = 0.5 * np.sum(np.abs(np.linalg.eigvalsh(delta)), axis=-1)
+    return float(deviations[0]) if kets.ndim == 1 else deviations

@@ -42,10 +42,20 @@ def test_rotated_tag_message_overlap_reads_sin_squared_theta(theta):
     assert overlaps["overlap/I|X"] == overlaps["overlap/X|Z"] == 0.0
 
 
+@pytest.mark.parametrize("theta", GRID)
+def test_rotated_tag_product_form_reads_zero_at_every_theta(theta):
+    # Alice's retained registers are in exact product with the message.  The
+    # product test has no rank cut, so no theta reads the weight of a cut.
+    report = run_checks(rotated_tag_scheme(theta), ("theorem1",), {"completeness": 0.5})
+    products = {case: m for case, m in report["theorem1"].cases if case.startswith("product-form/")}
+    assert products and max(products.values()) <= 1e-15
+
+
 @pytest.mark.parametrize("tol", (1e-9, 3e-6))
 def test_rotated_tag_theorem1_flips_at_its_tolerance_not_at_the_rank_cut(tol):
-    # sin^2 theta crosses the rank cut 1e-10 between theta = 1e-5 and 3e-5;
-    # the verdict must not change there, only where it crosses tol.
+    # sin^2 theta crosses RANK_TOL, 1e-10, between theta = 1e-5 and 3e-5.
+    # Neither stage of theorem 1 reads a rank cut, so the verdict must not
+    # change there, only where sin^2 theta crosses tol.
     tols = {"completeness": 0.5, "theorem1": tol}
     reports = [run_checks(rotated_tag_scheme(t), ("theorem1",), tols)["theorem1"] for t in GRID]
     assert [r.verdict for r in reports] == [_expected(np.sin(t) ** 2, tol) for t in GRID]

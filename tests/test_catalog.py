@@ -407,6 +407,14 @@ def test_scheme_builders_refuse_a_qubit_count_that_is_not_an_integer(build, n):
         build(n)
 
 
+def test_tag_evaluate_refuses_a_bare_string_circuit_set():
+    # "XZ" is one flip word, not the circuits X and Z.
+    message = r"^circuit set 'XZ' is a string; pass a sequence such as \('XZ',\)$"
+    with pytest.raises(TypeError, match=message):
+        build_tag_evaluate_scheme(1, "XZ")
+    assert build_tag_evaluate_scheme(1, ("XZ",)).circuit_ids == ("XZ",)
+
+
 @pytest.mark.parametrize("build", [build_constructed_secure_problem, build_leaky_problem])
 def test_problem_builders_refuse_a_negative_or_boolean_seed(build):
     with pytest.raises(ValueError, match="^seed must be non-negative, got -1$"):

@@ -11,7 +11,12 @@ import qhekit.checks
 import qhekit.cli
 import qhekit.localiser
 import qhekit.qinfo
-from qhekit.catalog import build_constructed_secure_problem, build_qotp_scheme, catalog
+from qhekit.catalog import (
+    build_constructed_secure_problem,
+    build_qotp_scheme,
+    build_tag_evaluate_scheme,
+    catalog,
+)
 from qhekit.checks import FAIL, Report, check_completeness, check_security, check_theorem1
 from qhekit.cli import main
 from qhekit.layout import Layout
@@ -321,6 +326,17 @@ def test_export_scheme_round_trip(tmp_path):
     assert json.dumps(payload, sort_keys=True) == json.dumps(reference, sort_keys=True)
     # the exported file loads and checks cleanly
     assert run_cli("check", "--scheme", str(out), "--which", "security") == 0
+
+
+def test_export_scheme_reads_one_flip_word_as_one_circuit(tmp_path):
+    # S=XZ passes the tuple ("XZ",), which the builder's bare-string refusal lets through.
+    out = tmp_path / "scheme.json"
+    code = run_cli(
+        "export-scheme", "--builder", "tag-evaluate", "--params", "n=1", "S=XZ", "--out", str(out)
+    )
+    assert code == 0
+    reference = scheme_to_json(build_tag_evaluate_scheme(1, ("XZ",)))
+    assert json.dumps(read_json(out), sort_keys=True) == json.dumps(reference, sort_keys=True)
 
 
 def test_list_catalog_plain(capsys):

@@ -289,8 +289,18 @@ def test_reduced_from_ket_batch_matches_columns():
 
 
 def test_reduced_from_ket_empty_keep_is_squared_norm():
-    psi = 0.5 * random_ket(4, 1)
-    np.testing.assert_allclose(reduced_from_ket(psi, two_qubits(), []), [[0.25]], atol=1e-15)
+    psi = random_ket(4, 1)
+    np.testing.assert_allclose(reduced_from_ket(psi, two_qubits(), []), [[1.0]], atol=1e-15)
+
+
+def test_reduced_from_ket_refuses_anything_but_unit_kets():
+    # A density matrix is not a ket, and a ket of norm 5 would give trace 25.
+    rho = np.outer(basis_ket(2, 0), basis_ket(2, 0))
+    shape = r"^state: shape mismatch, expected shape \(4,\) or \(4, m\), got \(2, 2\)$"
+    with pytest.raises(ValueError, match=shape):
+        reduced_from_ket(rho, two_qubits(), ["a"])
+    with pytest.raises(ValueError, match=r"^state: norms \[5\.0\] are not all 1"):
+        reduced_from_ket(5 * basis_ket(4, 0), two_qubits(), ["a"])
 
 
 def _blocks(c, b, seed):

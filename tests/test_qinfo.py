@@ -27,9 +27,10 @@ from qhekit.qinfo import (
     product_deviation_from_ket,
     support_bases,
 )
-from qhekit.scheme import localisation_problem_at_t1
+from qhekit.scheme import encrypt_and_evaluate, localisation_problem_at_t1
 from qhekit_reference import (
     partial_trace,
+    peak_bytes,
     product_deviation,
     q_basis_product_deviation_from_ket,
     two_conjugate_plaintext_dependence,
@@ -328,6 +329,63 @@ def test_product_deviation_from_ket_matches_dense_reference(dims, order, ranks, 
     for k in range(len(ranks)):
         dense = product_deviation(DensityOp.reduced(batch[:, k], layout, ["a", "b"]), ["a"])
         assert abs(factored[k] - dense) <= 1e-12
+
+
+_TAUS = (1e-13, 1e-12, 1e-11, 1e-10, 1e-9, 1e-8)
+
+
+def _tau_pair(tau, u):
+    """sqrt(1 - tau)|0>|0> + sqrt(tau)|1>|1> on (side, partner qubit), the side rotated by u.
+
+    The side's marginal has eigenvalues 1 - tau and tau.
+    """
+    m = np.zeros((u.shape[0], 2), dtype=complex)
+    m[0, 0], m[1, 1] = np.sqrt(1 - tau), np.sqrt(tau)
+    return (u @ m).ravel()
+
+
+@pytest.mark.parametrize("da, db", [(2, 2), (16, 2), (3, 4)], ids=["wide", "a-tall", "b-larger"])
+def test_product_deviation_from_ket_has_no_step_at_the_rank_cut(da, db):
+    # Each marginal's small eigenvalue tau runs across RANK_TOL (1e-10).  An
+    # exact product reads zero to rounding at every tau, and the entangled
+    # variant, whose deviation is 2 tau (1 - tau), matches the dense reference.
+    rng = np.random.default_rng(da * db)
+    ua, ub = haar_unitary(rng, da), haar_unitary(rng, db)
+    layout = Layout((("a", da), ("ra", 2), ("b", db), ("rb", 2)))
+    product = np.stack([kron(_tau_pair(t, ua), _tau_pair(t, ub)) for t in _TAUS], axis=1)
+    assert np.all(product_deviation_from_ket(product, layout, ["a"], ["b"]) <= 1e-15)
+    entangled = []
+    for t in _TAUS:
+        core = np.zeros((da, 2, db, 2), dtype=complex)
+        core[0, 0, 0, 0], core[1, 1, 1, 1] = np.sqrt(1 - t), np.sqrt(t)
+        entangled.append(np.einsum("ai,bj,ixjy->axby", ua, ub, core).ravel())
+    entangled = np.stack(entangled, axis=1)
+    got = product_deviation_from_ket(entangled, layout, ["a"], ["b"])
+    for k, t in enumerate(_TAUS):
+        dense = product_deviation(DensityOp.reduced(entangled[:, k], layout, ["a", "b"]), ["a"])
+        assert abs(got[k] - dense) <= 1e-12
+        assert abs(got[k] - 2 * t * (1 - t)) <= 1e-15
+
+
+def test_product_deviation_from_ket_refuses_anything_but_unit_kets():
+    # A density matrix is not a ket, and 3|00> would read deviation 36.
+    rho = np.outer(PLUS, PLUS.conj())
+    shape = r"^state: shape mismatch, expected shape \(4,\) or \(4, m\), got \(2, 2\)$"
+    with pytest.raises(ValueError, match=shape):
+        product_deviation_from_ket(rho, PAIR, ["a"], ["b"])
+    with pytest.raises(ValueError, match=r"^state: norms \[3\.0\] are not all 1"):
+        product_deviation_from_ket(3 * basis_ket(4, 0), PAIR, ["a"], ["b"])
+
+
+def test_product_deviation_from_ket_copies_tall_kets_once():
+    # QOTP n=2's t2 kets are 1024 x 16 with a 256-row side: the R-only QR's
+    # copy of its input is the one copy of the kets.
+    scheme = build_qotp_scheme(2)
+    _, kets = encrypt_and_evaluate(scheme, scheme.circuit_ids, basis_ket(scheme.input_dim, 0))
+    layout, retained, message = scheme.layout, scheme.alice_t1, scheme.return_to_alice
+    assert layout.dim_of(retained) > layout.dim // layout.dim_of(retained)
+    _, peak = peak_bytes(lambda: product_deviation_from_ket(kets, layout, retained, message))
+    assert peak <= 1.1 * kets.nbytes
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=40)
